@@ -154,17 +154,6 @@ def multiply(a: Tensor, b: Tensor) -> Tensor:
     return _result(data, (a, b), backward, "multiply")
 
 
-def scale(a: Tensor, factor: float) -> Tensor:
-    factor = float(factor)
-    data = a.data * factor
-
-    def backward(g):
-        if a.requires_grad:
-            a.accumulate_grad(g * factor)
-
-    return _result(data, (a,), backward, "scale")
-
-
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Matrix product with numpy batch semantics for rank-3 operands."""
     if a.ndim < 2 or b.ndim < 2:
@@ -200,18 +189,6 @@ def transpose2d(a: Tensor) -> Tensor:
     return _result(data, (a,), backward, "transpose2d")
 
 
-def swap_last2(a: Tensor) -> Tensor:
-    if a.ndim < 2:
-        raise ValueError("swap_last2 needs rank >= 2")
-    data = np.swapaxes(a.data, -1, -2).copy()
-
-    def backward(g):
-        if a.requires_grad:
-            a.accumulate_grad(np.swapaxes(g, -1, -2))
-
-    return _result(data, (a,), backward, "swap_last2")
-
-
 def narrow(a: Tensor, axis: int, start: int, size: int) -> Tensor:
     """Contiguous slice along one axis."""
     index = [slice(None)] * a.ndim
@@ -228,31 +205,7 @@ def narrow(a: Tensor, axis: int, start: int, size: int) -> Tensor:
     return _result(data, (a,), backward, "narrow")
 
 
-def concat_last(tensors: list[Tensor]) -> Tensor:
-    data = np.concatenate([t.data for t in tensors], axis=-1)
-    sizes = [t.shape[-1] for t in tensors]
-
-    def backward(g):
-        offset = 0
-        for t, size in zip(tensors, sizes):
-            if t.requires_grad:
-                t.accumulate_grad(g[..., offset : offset + size])
-            offset += size
-
-    return _result(data, tuple(tensors), backward, "concat_last")
-
-
 # --- nonlinearities ------------------------------------------------------------
-
-
-def relu(a: Tensor) -> Tensor:
-    data = np.maximum(a.data, 0)
-
-    def backward(g):
-        if a.requires_grad:
-            a.accumulate_grad(g * (a.data > 0))
-
-    return _result(data, (a,), backward, "relu")
 
 
 _GELU_C = math.sqrt(2.0 / math.pi)
@@ -274,31 +227,33 @@ def gelu(a: Tensor) -> Tensor:
     return _result(data, (a,), backward, "gelu")
 
 
+# In place on arrays they allocate: on attention's (B, H, L, L) weights, a
+# fresh temporary per step doubles the softmax's time.
+
+
+def _softmax_last(x: np.ndarray) -> np.ndarray:
+    e = x - x.max(axis=-1, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=-1, keepdims=True)
+    return e
+
+
+def _softmax_last_grad(g: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Gradient through a last-axis softmax whose output was `out`."""
+    grad = g - (g * out).sum(axis=-1, keepdims=True)
+    grad *= out
+    return grad
+
+
 def softmax(a: Tensor) -> Tensor:
     """Softmax over the last axis (numerically stabilized)."""
-    shifted = a.data - a.data.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    data = e / e.sum(axis=-1, keepdims=True)
+    data = _softmax_last(a.data)
 
     def backward(g):
         if a.requires_grad:
-            inner = (g * data).sum(axis=-1, keepdims=True)
-            a.accumulate_grad((g - inner) * data)
+            a.accumulate_grad(_softmax_last_grad(g, data))
 
     return _result(data, (a,), backward, "softmax")
-
-
-def log_softmax(a: Tensor) -> Tensor:
-    shifted = a.data - a.data.max(axis=-1, keepdims=True)
-    lse = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-    data = shifted - lse
-    soft = np.exp(data)
-
-    def backward(g):
-        if a.requires_grad:
-            a.accumulate_grad(g - soft * g.sum(axis=-1, keepdims=True))
-
-    return _result(data, (a,), backward, "log_softmax")
 
 
 def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
@@ -343,13 +298,20 @@ def embedding_lookup(table: Tensor, ids: np.ndarray) -> Tensor:
     return _result(data, (table,), backward, "embedding_lookup")
 
 
+def _dropout_mask(shape, p: float, rng: np.random.Generator, dtype) -> np.ndarray:
+    """Inverted-dropout multiplier: 0 with probability p, else 1 / (1 - p)."""
+    mask = (rng.random(shape) >= p).astype(dtype)
+    mask /= 1.0 - p
+    return mask
+
+
 def dropout(a: Tensor, p: float, rng: np.random.Generator, training: bool = True) -> Tensor:
     """Inverted dropout; identity when not training or p == 0."""
     if not 0 <= p < 1:
         raise ValueError("dropout rate must be in [0, 1)")
     if not training or p == 0.0:
         return a
-    mask = (rng.random(a.shape) >= p).astype(a.data.dtype) / (1.0 - p)
+    mask = _dropout_mask(a.shape, p, rng, a.data.dtype)
     data = a.data * mask
 
     def backward(g):
@@ -362,19 +324,71 @@ def dropout(a: Tensor, p: float, rng: np.random.Generator, training: bool = True
 _MASK_VALUE = -1e9  # large-but-finite so downstream checks stay clean
 
 
-def causal_mask_add(scores: Tensor) -> Tensor:
-    """Add -1e9 to strictly-upper-triangle entries of the last two axes."""
-    size = scores.shape[-1]
-    if scores.shape[-2] != size:
-        raise ValueError("causal mask needs square trailing axes")
-    mask = np.triu(np.full((size, size), _MASK_VALUE, dtype=scores.data.dtype), k=1)
-    data = scores.data + mask
+def attention(
+    q: Tensor,
+    k: Tensor,
+    v: Tensor,
+    n_heads: int,
+    p: float = 0.0,
+    rng: np.random.Generator | None = None,
+) -> Tensor:
+    """Causal multi-head scaled dot-product attention on (B, L, D) projections.
+
+    Head h uses feature columns [h*d_h, (h+1)*d_h), d_h = D / n_heads, and
+    position i attends to positions <= i. With p > 0 the weights get inverted
+    dropout from one rng.random((n_heads, B, L, L)) draw: the stream that
+    per-head (B, L, L) draws consume, so seeded training is unchanged by fusion.
+    """
+    if q.ndim != 3 or not q.shape == k.shape == v.shape:
+        raise ValueError("attention needs q, k and v of one (batch, length, features) shape")
+    batch, length, width = q.shape
+    if n_heads < 1 or width % n_heads:
+        raise ValueError(f"{width} features do not split into {n_heads} heads")
+    if not 0 <= p < 1:
+        raise ValueError("dropout rate must be in [0, 1)")
+    if p > 0 and rng is None:
+        raise ValueError("attention dropout needs an rng")
+    d_head = width // n_heads
+    inv_sqrt = 1.0 / math.sqrt(d_head)
+
+    def split(x: np.ndarray) -> np.ndarray:  # (B, L, D) -> contiguous (B, H, L, d_h)
+        heads = x.reshape(batch, length, n_heads, d_head).transpose(0, 2, 1, 3)
+        return np.ascontiguousarray(heads)
+
+    def merge(x: np.ndarray) -> np.ndarray:  # (B, H, L, d_h) -> (B, L, D)
+        return x.transpose(0, 2, 1, 3).reshape(batch, length, width)
+
+    # Every product below keeps the operand layouts of the per-head matmul
+    # graph this op fuses (keys transposed into a contiguous copy, gradients
+    # multiplied by swapped views), so float32 results round identically.
+    qh, vh = split(q.data), split(v.data)
+    kt = np.ascontiguousarray(np.swapaxes(split(k.data), -1, -2))
+    scores = qh @ kt
+    scores *= inv_sqrt
+    scores += np.triu(np.full((length, length), _MASK_VALUE, dtype=scores.dtype), k=1)
+    weights = _softmax_last(scores)
+    mask = None
+    if p > 0:
+        mask = _dropout_mask((n_heads, batch, length, length), p, rng, weights.dtype)
+        mask = mask.transpose(1, 0, 2, 3)
+    dropped = weights if mask is None else weights * mask
+    data = merge(dropped @ vh)
 
     def backward(g):
-        if scores.requires_grad:
-            scores.accumulate_grad(g)
+        gh = split(g)
+        if v.requires_grad:
+            v.accumulate_grad(merge(np.swapaxes(dropped, -1, -2) @ gh))
+        g_weights = gh @ np.swapaxes(vh, -1, -2)
+        if mask is not None:
+            g_weights *= mask
+        g_scores = _softmax_last_grad(g_weights, weights)
+        g_scores *= inv_sqrt
+        if q.requires_grad:
+            q.accumulate_grad(merge(g_scores @ np.swapaxes(kt, -1, -2)))
+        if k.requires_grad:
+            k.accumulate_grad(merge(np.swapaxes(g_scores, -1, -2) @ qh))
 
-    return _result(data, (scores,), backward, "causal_mask_add")
+    return _result(data, (q, k, v), backward, "attention")
 
 
 def cross_entropy(

@@ -43,7 +43,7 @@ class ModelConfig:
     dtype: str = "float32"
 
     def __post_init__(self) -> None:
-        if self.d_model % self.n_heads != 0:
+        if self.n_heads < 1 or self.d_model % self.n_heads != 0:
             raise ValueError(
                 f"d_model {self.d_model} not divisible by n_heads {self.n_heads}"
             )
@@ -157,24 +157,12 @@ class TransformerLM:
         if use_dropout:
             x = ad.dropout(x, cfg.dropout, rng)
 
-        d_head = cfg.d_model // cfg.n_heads
-        inv_sqrt = 1.0 / math.sqrt(d_head)
         for i in range(cfg.n_layers):
             a = ad.layer_norm(x, p[f"layer{i}.ln1.gain"], p[f"layer{i}.ln1.bias"])
             q = ad.add(ad.matmul(a, p[f"layer{i}.attn.wq"]), p[f"layer{i}.attn.bq"])
             k = ad.add(ad.matmul(a, p[f"layer{i}.attn.wk"]), p[f"layer{i}.attn.bk"])
             v = ad.add(ad.matmul(a, p[f"layer{i}.attn.wv"]), p[f"layer{i}.attn.bv"])
-            heads = []
-            for h in range(cfg.n_heads):
-                q_h = ad.narrow(q, 2, h * d_head, d_head)
-                k_h = ad.narrow(k, 2, h * d_head, d_head)
-                v_h = ad.narrow(v, 2, h * d_head, d_head)
-                scores = ad.scale(ad.matmul(q_h, ad.swap_last2(k_h)), inv_sqrt)
-                weights = ad.softmax(ad.causal_mask_add(scores))
-                if use_dropout:
-                    weights = ad.dropout(weights, cfg.dropout, rng)
-                heads.append(ad.matmul(weights, v_h))
-            attn = ad.concat_last(heads)
+            attn = ad.attention(q, k, v, cfg.n_heads, cfg.dropout if use_dropout else 0.0, rng)
             attn = ad.add(ad.matmul(attn, p[f"layer{i}.attn.wo"]), p[f"layer{i}.attn.bo"])
             if use_dropout:
                 attn = ad.dropout(attn, cfg.dropout, rng)
@@ -250,7 +238,7 @@ def load_checkpoint(path) -> tuple[TransformerLM, dict]:
     (meta_len,) = struct.unpack("<I", data[8:12])
     try:
         meta = json.loads(data[12 : 12 + meta_len])
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise CheckpointError(f"bad checkpoint metadata: {exc}") from exc
     pos = 12 + meta_len
     arrays: dict[str, np.ndarray] = {}
@@ -272,10 +260,12 @@ def load_checkpoint(path) -> tuple[TransformerLM, dict]:
                 raise CheckpointError(f"truncated blob for {name}")
             arrays[name] = np.frombuffer(blob, dtype="<f4").reshape(shape)
             pos += 4 * count
-        config = ModelConfig(**meta["config"])
-    except (struct.error, IndexError, KeyError, TypeError, UnicodeDecodeError) as exc:
+    except (struct.error, IndexError, UnicodeDecodeError) as exc:
         raise CheckpointError(f"corrupt checkpoint: {exc}") from exc
-    model = TransformerLM(config, seed=0)
+    try:
+        model = TransformerLM(ModelConfig(**meta["config"]), seed=0)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CheckpointError(f"bad checkpoint metadata: {exc}") from exc
     model.load_state_arrays(arrays)
     return model, meta
 
@@ -342,13 +332,6 @@ def _sep_split_masks(targets: np.ndarray, ids: np.ndarray) -> tuple[np.ndarray, 
         pre[row] = valid[row] & (cols + 1 <= sep_at)
         post[row] = valid[row] & (cols + 1 > sep_at)
     return pre, post
-
-
-def _masked_mean(per_position: np.ndarray, mask: np.ndarray) -> tuple[float, int]:
-    count = int(mask.sum())
-    if count == 0:
-        return math.nan, 0
-    return float(per_position[mask].sum() / count), count
 
 
 def _epoch_pass(

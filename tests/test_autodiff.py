@@ -1,43 +1,37 @@
+import inspect
 import math
 
 import numpy as np
 import pytest
 
+from overpaint import autodiff
 from overpaint.autodiff import (
     AdamState,
     NonFiniteError,
     Tensor,
     adam_step,
     add,
-    causal_mask_add,
-    concat_last,
+    attention,
     cross_entropy,
     dropout,
     embedding_lookup,
     gelu,
     grad_check,
     layer_norm,
-    log_softmax,
     matmul,
     multiply,
     narrow,
     no_grad,
-    relu,
-    scale,
     softmax,
     sum_all,
-    swap_last2,
     transpose2d,
 )
 
 TOL = 1e-4  # float64 central differences at h=1e-5
 
 
-def t64(rng, *shape, away_from_zero=False):
-    data = rng.standard_normal(shape)
-    if away_from_zero:
-        data = data + 0.25 * np.sign(data)
-    return Tensor(data, requires_grad=True, dtype=np.float64)
+def t64(rng, *shape):
+    return Tensor(rng.standard_normal(shape), requires_grad=True, dtype=np.float64)
 
 
 # Each entry builds (func, tensors) from a seeded generator; shapes vary by seed.
@@ -53,8 +47,6 @@ def op_instances(name, rng):
         return multiply, [t64(rng, n, m), t64(rng, n, m)]
     if name == "multiply_broadcast":
         return multiply, [t64(rng, n, m), t64(rng, n, 1)]
-    if name == "scale":
-        return lambda a: scale(a, -1.7), [t64(rng, n, m)]
     if name == "matmul2d":
         return matmul, [t64(rng, n, m), t64(rng, m, k)]
     if name == "matmul_batched":
@@ -63,23 +55,12 @@ def op_instances(name, rng):
         return matmul, [t64(rng, 2, n, m), t64(rng, m, k)]
     if name == "transpose2d":
         return transpose2d, [t64(rng, n, m)]
-    if name == "swap_last2":
-        return swap_last2, [t64(rng, 2, n, m)]
     if name == "narrow":
         return lambda a: narrow(a, 1, 1, m - 1), [t64(rng, n, m)]
-    if name == "concat_last":
-        return (
-            lambda a, b: concat_last([a, b]),
-            [t64(rng, n, m), t64(rng, n, k)],
-        )
-    if name == "relu":
-        return relu, [t64(rng, n, m, away_from_zero=True)]
     if name == "gelu":
         return gelu, [t64(rng, n, m)]
     if name == "softmax":
         return softmax, [t64(rng, n, m)]
-    if name == "log_softmax":
-        return log_softmax, [t64(rng, n, m)]
     if name == "layer_norm":
         return layer_norm, [t64(rng, n, m), t64(rng, m), t64(rng, m)]
     if name == "embedding_lookup":
@@ -90,6 +71,17 @@ def op_instances(name, rng):
         return (
             lambda a: dropout(a, 0.4, np.random.default_rng(seed), training=True),
             [t64(rng, n, m)],
+        )
+    if name in ("attention", "attention_dropout"):
+        batch, heads = int(rng.integers(1, 3)), int(rng.integers(1, 4))
+        length, d_head = int(rng.integers(2, 5)), int(rng.integers(2, 4))
+        qkv = [t64(rng, batch, length, heads * d_head) for _ in range(3)]
+        if name == "attention":
+            return lambda q, k, v: attention(q, k, v, heads), qkv
+        seed = int(rng.integers(0, 1000))
+        return (
+            lambda q, k, v: attention(q, k, v, heads, 0.4, np.random.default_rng(seed)),
+            qkv,
         )
     if name == "cross_entropy":
         v = m + 3
@@ -106,11 +98,10 @@ def op_instances(name, rng):
 
 
 OPS = [
-    "add_same", "add_broadcast", "multiply", "multiply_broadcast", "scale",
-    "matmul2d", "matmul_batched", "matmul_broadcast", "transpose2d", "swap_last2",
-    "narrow", "concat_last", "relu", "gelu", "softmax", "log_softmax",
-    "layer_norm", "embedding_lookup", "dropout", "cross_entropy",
-    "cross_entropy_ignore", "sum_all",
+    "add_same", "add_broadcast", "multiply", "multiply_broadcast",
+    "matmul2d", "matmul_batched", "matmul_broadcast", "transpose2d",
+    "narrow", "gelu", "softmax", "layer_norm", "embedding_lookup", "dropout",
+    "attention", "attention_dropout", "cross_entropy", "cross_entropy_ignore", "sum_all",
 ]
 
 
@@ -121,6 +112,25 @@ def test_gradients_match_finite_differences(name):
         func, tensors = op_instances(name, rng)
         err = grad_check(func, tensors, seed=seed)
         assert err < TOL, f"{name} seed {seed}: max rel error {err}"
+
+
+def test_every_public_op_has_a_gradient_check():
+    """Ops are named by the backward closures found in each OPS entry's graph."""
+    public = {
+        name for name, fn in vars(autodiff).items()
+        if inspect.isfunction(fn) and fn.__module__ == autodiff.__name__
+        and not name.startswith("_")
+    } - {"grad_check", "adam_step"}
+    covered = set()
+    for name in OPS:
+        func, tensors = op_instances(name, np.random.default_rng(0))
+        stack = [func(*tensors)]
+        while stack:
+            node = stack.pop()
+            if node._backward is not None:
+                covered.add(node._backward.__qualname__.partition(".")[0])
+            stack.extend(node._parents)
+    assert not public - covered, f"ops without an OPS entry: {sorted(public - covered)}"
 
 
 # --- closed-form spot checks ---------------------------------------------------
@@ -165,8 +175,6 @@ def test_softmax_rows_are_distributions():
     out = softmax(x)
     assert np.allclose(out.data.sum(axis=-1), 1.0, atol=1e-12)
     assert (out.data >= 0).all()
-    logs = log_softmax(x)
-    assert np.allclose(logs.data, np.log(out.data), atol=1e-9)
 
 
 def test_layer_norm_normalizes_last_axis():
@@ -185,16 +193,52 @@ def test_gelu_limits():
     assert out.data[2] == pytest.approx(20.0, abs=1e-6)
 
 
-def test_causal_mask_add_shifts_upper_triangle():
-    x = Tensor(np.zeros((2, 3, 3)), requires_grad=True)
-    out = causal_mask_add(x)
-    lower = np.tril(np.ones((3, 3), dtype=bool))
-    assert np.all(out.data[:, lower] == 0.0)
-    assert np.all(out.data[:, ~lower] == -1e9)
-    sum_all(out).backward()
-    assert np.all(x.grad == 1.0)  # additive mask passes gradients through
-    with pytest.raises(ValueError, match="square"):
-        causal_mask_add(Tensor(np.zeros((2, 3, 4))))
+def per_head_attention(q, k, v, n_heads, p=0.0, rng=None):
+    """Reference: slice each head, mask, softmax, dropout drawn per head, concat."""
+    batch, length, width = q.shape
+    d_head = width // n_heads
+    upper = np.triu(np.full((length, length), -1e9), k=1)
+    heads = []
+    for h in range(n_heads):
+        cols = slice(h * d_head, (h + 1) * d_head)
+        scores = q[:, :, cols] @ np.swapaxes(k[:, :, cols], -1, -2) / math.sqrt(d_head)
+        scores = scores + upper
+        weights = np.exp(scores - scores.max(axis=-1, keepdims=True))
+        weights /= weights.sum(axis=-1, keepdims=True)
+        if p > 0:
+            weights = weights * (rng.random((batch, length, length)) >= p) / (1.0 - p)
+        heads.append(weights @ v[:, :, cols])
+    return np.concatenate(heads, axis=-1)
+
+
+@pytest.mark.parametrize("p", [0.0, 0.3])
+def test_attention_matches_per_head_reference(p):
+    rng = np.random.default_rng(11)
+    q, k, v = (rng.standard_normal((2, 7, 12)) for _ in range(3))
+    fused_rng, ref_rng = np.random.default_rng(4), np.random.default_rng(4)
+    out = attention(Tensor(q), Tensor(k), Tensor(v), 3, p, fused_rng)
+    want = per_head_attention(q, k, v, 3, p, ref_rng)
+    assert np.allclose(out.data, want, rtol=0, atol=1e-12)
+    # Both consumed the generator equally, so later draws (and checkpoints) agree.
+    assert fused_rng.random() == ref_rng.random()
+
+
+def test_attention_is_causal_bitwise():
+    rng = np.random.default_rng(12)
+    q, k, v = (rng.standard_normal((2, 6, 8)) for _ in range(3))
+    out = attention(Tensor(q), Tensor(k), Tensor(v), 2).data
+    for t in range(5):
+        k2, v2 = k.copy(), v.copy()
+        k2[:, t + 1:] = rng.standard_normal(k2[:, t + 1:].shape) * 100
+        v2[:, t + 1:] = rng.standard_normal(v2[:, t + 1:].shape) * 100
+        moved = attention(Tensor(q), Tensor(k2), Tensor(v2), 2).data
+        assert np.array_equal(moved[:, : t + 1], out[:, : t + 1])
+    with pytest.raises(ValueError, match="heads"):
+        attention(Tensor(q), Tensor(k), Tensor(v), 3)
+    with pytest.raises(ValueError, match="shape"):
+        attention(Tensor(q), Tensor(k[:, :5]), Tensor(v), 2)
+    with pytest.raises(ValueError, match="rng"):
+        attention(Tensor(q), Tensor(k), Tensor(v), 2, p=0.1)
 
 
 # --- graph mechanics ------------------------------------------------------------

@@ -184,6 +184,14 @@ def test_checkpoint_rejects_corruption(tmp_path):
     with pytest.raises(CheckpointError, match="metadata"):
         load_checkpoint(bad)
 
+    meta = json.loads(blob[12 : 12 + meta_len])
+    meta["config"]["n_heads"] = 7  # does not divide d_model
+    for meta_blob in (json.dumps(meta).encode(), b'{"config": "\xc3"}'):
+        resized = blob[:8] + struct.pack("<I", len(meta_blob)) + meta_blob
+        bad.write_bytes(resized + blob[12 + meta_len :])
+        with pytest.raises(CheckpointError, match="metadata"):
+            load_checkpoint(bad)
+
 
 # --- training loop ----------------------------------------------------------------
 
