@@ -214,14 +214,14 @@ _GELU_C = math.sqrt(2.0 / math.pi)
 def gelu(a: Tensor) -> Tensor:
     """tanh-approximation gelu; the gradient differentiates this exact formula."""
     x = a.data
-    inner = _GELU_C * (x + 0.044715 * x**3)
+    inner = _GELU_C * (x + 0.044715 * (x * x * x))
     t = np.tanh(inner)
     data = 0.5 * x * (1.0 + t)
 
     def backward(g):
         if a.requires_grad:
             sech2 = 1.0 - t**2
-            d_inner = _GELU_C * (1.0 + 3 * 0.044715 * x**2)
+            d_inner = _GELU_C * (1.0 + 3 * 0.044715 * (x * x))
             a.accumulate_grad(g * (0.5 * (1.0 + t) + 0.5 * x * sech2 * d_inner))
 
     return _result(data, (a,), backward, "gelu")
@@ -243,17 +243,6 @@ def _softmax_last_grad(g: np.ndarray, out: np.ndarray) -> np.ndarray:
     grad = g - (g * out).sum(axis=-1, keepdims=True)
     grad *= out
     return grad
-
-
-def softmax(a: Tensor) -> Tensor:
-    """Softmax over the last axis (numerically stabilized)."""
-    data = _softmax_last(a.data)
-
-    def backward(g):
-        if a.requires_grad:
-            a.accumulate_grad(_softmax_last_grad(g, data))
-
-    return _result(data, (a,), backward, "softmax")
 
 
 def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
@@ -334,14 +323,20 @@ def attention(
 ) -> Tensor:
     """Causal multi-head scaled dot-product attention on (B, L, D) projections.
 
-    Head h uses feature columns [h*d_h, (h+1)*d_h), d_h = D / n_heads, and
-    position i attends to positions <= i. With p > 0 the weights get inverted
-    dropout from one rng.random((n_heads, B, L, L)) draw: the stream that
-    per-head (B, L, L) draws consume, so seeded training is unchanged by fusion.
+    Head h uses feature columns [h*d_h, (h+1)*d_h), d_h = D / n_heads. Keys
+    and values may be longer than the queries (Lk >= Lq, as when earlier
+    positions come from a cache): the queries are then the last Lq positions,
+    and query i attends to key positions <= i + Lk - Lq. With p > 0 the
+    weights get inverted dropout from one rng.random((n_heads, B, Lq, Lk))
+    draw: the stream that per-head (B, Lq, Lk) draws consume, so seeded
+    training is unchanged by fusion.
     """
-    if q.ndim != 3 or not q.shape == k.shape == v.shape:
-        raise ValueError("attention needs q, k and v of one (batch, length, features) shape")
+    if q.ndim != 3 or k.ndim != 3 or k.shape != v.shape:
+        raise ValueError("attention needs (batch, length, features) q, k, v; k and v one shape")
     batch, length, width = q.shape
+    keys = k.shape[1]
+    if k.shape[0] != batch or k.shape[2] != width or keys < length:
+        raise ValueError(f"key/value shape {k.shape} does not fit queries of shape {q.shape}")
     if n_heads < 1 or width % n_heads:
         raise ValueError(f"{width} features do not split into {n_heads} heads")
     if not 0 <= p < 1:
@@ -352,11 +347,11 @@ def attention(
     inv_sqrt = 1.0 / math.sqrt(d_head)
 
     def split(x: np.ndarray) -> np.ndarray:  # (B, L, D) -> contiguous (B, H, L, d_h)
-        heads = x.reshape(batch, length, n_heads, d_head).transpose(0, 2, 1, 3)
+        heads = x.reshape(batch, x.shape[1], n_heads, d_head).transpose(0, 2, 1, 3)
         return np.ascontiguousarray(heads)
 
     def merge(x: np.ndarray) -> np.ndarray:  # (B, H, L, d_h) -> (B, L, D)
-        return x.transpose(0, 2, 1, 3).reshape(batch, length, width)
+        return x.transpose(0, 2, 1, 3).reshape(batch, x.shape[2], width)
 
     # Every product below keeps the operand layouts of the per-head matmul
     # graph this op fuses (keys transposed into a contiguous copy, gradients
@@ -365,11 +360,11 @@ def attention(
     kt = np.ascontiguousarray(np.swapaxes(split(k.data), -1, -2))
     scores = qh @ kt
     scores *= inv_sqrt
-    scores += np.triu(np.full((length, length), _MASK_VALUE, dtype=scores.dtype), k=1)
+    scores += np.triu(np.full((length, keys), _MASK_VALUE, dtype=scores.dtype), k=1 + keys - length)
     weights = _softmax_last(scores)
     mask = None
     if p > 0:
-        mask = _dropout_mask((n_heads, batch, length, length), p, rng, weights.dtype)
+        mask = _dropout_mask((n_heads, batch, length, keys), p, rng, weights.dtype)
         mask = mask.transpose(1, 0, 2, 3)
     dropped = weights if mask is None else weights * mask
     data = merge(dropped @ vh)

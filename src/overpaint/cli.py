@@ -362,6 +362,10 @@ def _cmd_train(args: argparse.Namespace) -> int:
 
 def _cmd_generate(args: argparse.Namespace) -> int:
     t0 = time.monotonic()
+    if args.limit is not None and args.limit < 0:
+        raise ValueError(f"--limit must be 0 or more, got {args.limit}")
+    if args.max_new < 1:
+        raise ValueError(f"--max-new must be 1 or more, got {args.max_new}")
     model, meta = load_checkpoint(args.checkpoint)
     vocab = build_vocabulary()
     if meta.get("vocab_hash") != vocab.digest:

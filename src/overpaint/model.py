@@ -67,43 +67,96 @@ def preset(name: str, vocab_size: int, **overrides) -> ModelConfig:
 _INIT_STD = 0.02
 
 
+def _param_specs(config: ModelConfig) -> dict[str, tuple[tuple[int, ...], str]]:
+    """Every parameter's name -> (shape, initialiser), in the order their
+    random draws are taken at initialisation."""
+    d, f = config.d_model, config.d_ff
+    specs = {"tok_emb": ((config.vocab_size, d), "normal"),
+             "pos_emb": ((config.max_len, d), "normal")}
+    for i in range(config.n_layers):
+        layer = f"layer{i}."
+        specs[layer + "ln1.gain"] = ((d,), "ones")
+        specs[layer + "ln1.bias"] = ((d,), "zeros")
+        for name in ("wq", "wk", "wv", "wo"):
+            specs[layer + "attn." + name] = ((d, d), "normal")
+        for name in ("bq", "bk", "bv", "bo"):
+            specs[layer + "attn." + name] = ((d,), "zeros")
+        specs[layer + "ln2.gain"] = ((d,), "ones")
+        specs[layer + "ln2.bias"] = ((d,), "zeros")
+        specs[layer + "ff.w1"] = ((d, f), "normal")
+        specs[layer + "ff.b1"] = ((f,), "zeros")
+        specs[layer + "ff.w2"] = ((f, d), "normal")
+        specs[layer + "ff.b2"] = ((d,), "zeros")
+    specs["final_ln.gain"] = ((d,), "ones")
+    specs["final_ln.bias"] = ((d,), "zeros")
+    return specs
+
+
+def _checked_arrays(config: ModelConfig, arrays: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """Copies of `arrays` at the model's dtype, in parameter order, once their
+    names and shapes match the configuration's parameters."""
+    specs = _param_specs(config)
+    missing = set(specs) ^ set(arrays)
+    if missing:
+        raise CheckpointError(f"parameter set mismatch: {sorted(missing)}")
+    out = {}
+    for name, (shape, _) in specs.items():
+        arr = np.array(arrays[name], dtype=config.dtype)
+        if arr.shape != shape:
+            raise CheckpointError(f"shape mismatch for {name}: {arr.shape} vs {shape}")
+        out[name] = arr
+    return out
+
+
+class KVCache:
+    """Keys and values of the positions a model has already read, so that a
+    cached forward computes only the positions it is given.
+
+    Holds, per layer, (batch, max_len, d_model) key and value buffers at the
+    model's dtype; `length` positions of them are filled.
+    """
+
+    def __init__(self, config: ModelConfig, batch: int = 1):
+        self.batch = batch
+        shape = (batch, config.max_len, config.d_model)
+        self.keys = [np.zeros(shape, dtype=config.dtype) for _ in range(config.n_layers)]
+        self.values = [np.zeros(shape, dtype=config.dtype) for _ in range(config.n_layers)]
+        self.length = 0
+
+    def extend(self, layer: int, k: Tensor, v: Tensor) -> tuple[Tensor, Tensor]:
+        """Write one layer's new key/value rows after the filled ones and
+        return the keys and values of every position read so far."""
+        end = self.length + k.shape[1]
+        self.keys[layer][:, self.length : end] = k.data
+        self.values[layer][:, self.length : end] = v.data
+        return Tensor(self.keys[layer][:, :end]), Tensor(self.values[layer][:, :end])
+
+
 class TransformerLM:
     def __init__(self, config: ModelConfig, seed: int = 0):
-        self.config = config
-        dtype = np.float32 if config.dtype == "float32" else np.float64
         rng = np.random.default_rng(seed)
 
-        def normal(*shape) -> Tensor:
-            return Tensor(
-                rng.normal(0.0, _INIT_STD, size=shape).astype(dtype), requires_grad=True
-            )
+        def init(shape: tuple[int, ...], kind: str) -> np.ndarray:
+            if kind == "normal":
+                return rng.normal(0.0, _INIT_STD, size=shape).astype(config.dtype)
+            return (np.ones if kind == "ones" else np.zeros)(shape, dtype=config.dtype)
 
-        def zeros(*shape) -> Tensor:
-            return Tensor(np.zeros(shape, dtype=dtype), requires_grad=True)
+        self.config = config
+        self.params: dict[str, Tensor] = {
+            name: Tensor(init(*spec), requires_grad=True)
+            for name, spec in _param_specs(config).items()
+        }
 
-        def ones(*shape) -> Tensor:
-            return Tensor(np.ones(shape, dtype=dtype), requires_grad=True)
-
-        d, f = config.d_model, config.d_ff
-        self.params: dict[str, Tensor] = {}
-        p = self.params
-        p["tok_emb"] = normal(config.vocab_size, d)
-        p["pos_emb"] = normal(config.max_len, d)
-        for i in range(config.n_layers):
-            p[f"layer{i}.ln1.gain"] = ones(d)
-            p[f"layer{i}.ln1.bias"] = zeros(d)
-            for name in ("wq", "wk", "wv", "wo"):
-                p[f"layer{i}.attn.{name}"] = normal(d, d)
-            for name in ("bq", "bk", "bv", "bo"):
-                p[f"layer{i}.attn.{name}"] = zeros(d)
-            p[f"layer{i}.ln2.gain"] = ones(d)
-            p[f"layer{i}.ln2.bias"] = zeros(d)
-            p[f"layer{i}.ff.w1"] = normal(d, f)
-            p[f"layer{i}.ff.b1"] = zeros(f)
-            p[f"layer{i}.ff.w2"] = normal(f, d)
-            p[f"layer{i}.ff.b2"] = zeros(d)
-        p["final_ln.gain"] = ones(d)
-        p["final_ln.bias"] = zeros(d)
+    @classmethod
+    def from_state_arrays(cls, config: ModelConfig, arrays: dict[str, np.ndarray]) -> TransformerLM:
+        """A model holding copies of `arrays`, built without drawing weights."""
+        model = cls.__new__(cls)
+        model.config = config
+        model.params = {
+            name: Tensor(arr, requires_grad=True)
+            for name, arr in _checked_arrays(config, arrays).items()
+        }
+        return model
 
     def parameters(self) -> list[Tensor]:
         return list(self.params.values())
@@ -133,26 +186,39 @@ class TransformerLM:
         training: bool = False,
         rng: np.random.Generator | None = None,
         last_only: bool = False,
+        cache: KVCache | None = None,
     ) -> Tensor:
         """Logits over the vocabulary: (B, L, V), or (B, 1, V) for last_only.
 
         `ids` is (B, L) int; positions beyond max_len are rejected. Dropout
-        runs only when training with a generator supplied.
+        runs only when training with a generator supplied. With a cache, `ids`
+        continue the cache's positions: they attend to the cached keys and
+        values, and their own are appended. A cached forward is inference
+        only: it needs autodiff.no_grad and training off.
         """
         cfg = self.config
         ids = np.asarray(ids)
         if ids.ndim != 2:
             raise ValueError("ids must be (batch, length)")
         batch, length = ids.shape
-        if length < 1 or length > cfg.max_len:
-            raise ValueError(f"sequence length {length} outside 1..{cfg.max_len}")
+        start = 0
+        if cache is not None:
+            if training:
+                raise ValueError("a cached forward cannot train")
+            if ad._grad_enabled:
+                raise ValueError("a cached forward needs gradients off (autodiff.no_grad)")
+            if batch != cache.batch:
+                raise ValueError(f"batch {batch} does not match the cache's {cache.batch}")
+            start = cache.length
+        if length < 1 or start + length > cfg.max_len:
+            raise ValueError(f"sequence length {length} outside 1..{cfg.max_len - start}")
         use_dropout = training and cfg.dropout > 0.0
         if use_dropout and rng is None:
             raise ValueError("training forward needs an rng for dropout")
         p = self.params
 
         tok = ad.embedding_lookup(p["tok_emb"], ids)
-        pos = ad.narrow(p["pos_emb"], 0, 0, length)
+        pos = ad.narrow(p["pos_emb"], 0, start, length)
         x = ad.add(tok, pos)
         if use_dropout:
             x = ad.dropout(x, cfg.dropout, rng)
@@ -162,6 +228,8 @@ class TransformerLM:
             q = ad.add(ad.matmul(a, p[f"layer{i}.attn.wq"]), p[f"layer{i}.attn.bq"])
             k = ad.add(ad.matmul(a, p[f"layer{i}.attn.wk"]), p[f"layer{i}.attn.bk"])
             v = ad.add(ad.matmul(a, p[f"layer{i}.attn.wv"]), p[f"layer{i}.attn.bv"])
+            if cache is not None:
+                k, v = cache.extend(i, k, v)
             attn = ad.attention(q, k, v, cfg.n_heads, cfg.dropout if use_dropout else 0.0, rng)
             attn = ad.add(ad.matmul(attn, p[f"layer{i}.attn.wo"]), p[f"layer{i}.attn.bo"])
             if use_dropout:
@@ -174,6 +242,8 @@ class TransformerLM:
             if use_dropout:
                 ff = ad.dropout(ff, cfg.dropout, rng)
             x = ad.add(x, ff)
+        if cache is not None:
+            cache.length += length
 
         x = ad.layer_norm(x, p["final_ln.gain"], p["final_ln.bias"])
         if last_only:
@@ -184,16 +254,8 @@ class TransformerLM:
         return {name: p.data.copy() for name, p in self.params.items()}
 
     def load_state_arrays(self, arrays: dict[str, np.ndarray]) -> None:
-        missing = set(self.params) ^ set(arrays)
-        if missing:
-            raise CheckpointError(f"parameter set mismatch: {sorted(missing)}")
-        for name, p in self.params.items():
-            arr = np.asarray(arrays[name], dtype=p.data.dtype)
-            if arr.shape != p.data.shape:
-                raise CheckpointError(
-                    f"shape mismatch for {name}: {arr.shape} vs {p.data.shape}"
-                )
-            p.data = arr.copy()
+        for name, arr in _checked_arrays(self.config, arrays).items():
+            self.params[name].data = arr
 
 
 # --- checkpoints ----------------------------------------------------------------
@@ -263,11 +325,10 @@ def load_checkpoint(path) -> tuple[TransformerLM, dict]:
     except (struct.error, IndexError, UnicodeDecodeError) as exc:
         raise CheckpointError(f"corrupt checkpoint: {exc}") from exc
     try:
-        model = TransformerLM(ModelConfig(**meta["config"]), seed=0)
+        config = ModelConfig(**meta["config"])
     except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"bad checkpoint metadata: {exc}") from exc
-    model.load_state_arrays(arrays)
-    return model, meta
+    return TransformerLM.from_state_arrays(config, arrays), meta
 
 
 # --- training -------------------------------------------------------------------
@@ -519,14 +580,17 @@ def generate(
         raise ValueError("primer already fills the context window")
     rng = rng or np.random.default_rng()
 
-    context = list(primer)
+    # The primer is read once (prefill); each later step feeds only the
+    # token sampled last, attending to the cached keys and values.
+    cache = KVCache(model.config)
+    fresh = primer
     out: list[int] = []
     for _ in range(max_new):
-        if len(context) >= model.config.max_len:
+        if len(primer) + len(out) >= model.config.max_len:
             break
-        ids = np.asarray([context], dtype=np.int64)
+        ids = np.asarray([fresh], dtype=np.int64)
         with ad.no_grad():
-            logits = model.forward(ids, last_only=True)
+            logits = model.forward(ids, last_only=True, cache=cache)
         row = logits.data[0, -1].astype(np.float64)
         if p <= 0:
             token = int(np.argmax(row))
@@ -534,6 +598,6 @@ def generate(
             token = nucleus_sample(row, p, temperature, rng)
         if token == EOS:
             break
-        context.append(token)
         out.append(token)
+        fresh = [token]
     return out

@@ -22,7 +22,6 @@ from overpaint.autodiff import (
     multiply,
     narrow,
     no_grad,
-    softmax,
     sum_all,
     transpose2d,
 )
@@ -59,8 +58,6 @@ def op_instances(name, rng):
         return lambda a: narrow(a, 1, 1, m - 1), [t64(rng, n, m)]
     if name == "gelu":
         return gelu, [t64(rng, n, m)]
-    if name == "softmax":
-        return softmax, [t64(rng, n, m)]
     if name == "layer_norm":
         return layer_norm, [t64(rng, n, m), t64(rng, m), t64(rng, m)]
     if name == "embedding_lookup":
@@ -72,11 +69,15 @@ def op_instances(name, rng):
             lambda a: dropout(a, 0.4, np.random.default_rng(seed), training=True),
             [t64(rng, n, m)],
         )
-    if name in ("attention", "attention_dropout"):
+    if name in ("attention", "attention_dropout", "attention_longer_keys"):
         batch, heads = int(rng.integers(1, 3)), int(rng.integers(1, 4))
         length, d_head = int(rng.integers(2, 5)), int(rng.integers(2, 4))
         qkv = [t64(rng, batch, length, heads * d_head) for _ in range(3)]
         if name == "attention":
+            return lambda q, k, v: attention(q, k, v, heads), qkv
+        if name == "attention_longer_keys":  # queries are the last positions, as when cached
+            keys = length + int(rng.integers(1, 3))
+            qkv[1:] = [t64(rng, batch, keys, heads * d_head) for _ in range(2)]
             return lambda q, k, v: attention(q, k, v, heads), qkv
         seed = int(rng.integers(0, 1000))
         return (
@@ -100,8 +101,9 @@ def op_instances(name, rng):
 OPS = [
     "add_same", "add_broadcast", "multiply", "multiply_broadcast",
     "matmul2d", "matmul_batched", "matmul_broadcast", "transpose2d",
-    "narrow", "gelu", "softmax", "layer_norm", "embedding_lookup", "dropout",
-    "attention", "attention_dropout", "cross_entropy", "cross_entropy_ignore", "sum_all",
+    "narrow", "gelu", "layer_norm", "embedding_lookup", "dropout",
+    "attention", "attention_dropout", "attention_longer_keys",
+    "cross_entropy", "cross_entropy_ignore", "sum_all",
 ]
 
 
@@ -169,14 +171,6 @@ def test_cross_entropy_rejects_bad_targets():
         cross_entropy(logits, np.array([0, 0, 0]))
 
 
-def test_softmax_rows_are_distributions():
-    rng = np.random.default_rng(5)
-    x = Tensor(rng.standard_normal((4, 9)) * 50)  # stability under big logits
-    out = softmax(x)
-    assert np.allclose(out.data.sum(axis=-1), 1.0, atol=1e-12)
-    assert (out.data >= 0).all()
-
-
 def test_layer_norm_normalizes_last_axis():
     rng = np.random.default_rng(6)
     x = Tensor(rng.standard_normal((3, 64)) * 4 + 2)
@@ -221,6 +215,9 @@ def test_attention_matches_per_head_reference(p):
     assert np.allclose(out.data, want, rtol=0, atol=1e-12)
     # Both consumed the generator equally, so later draws (and checkpoints) agree.
     assert fused_rng.random() == ref_rng.random()
+    if p == 0.0:  # the last queries alone, against every key, as a cached forward asks
+        tail = attention(Tensor(q[:, 4:]), Tensor(k), Tensor(v), 3)
+        assert np.allclose(tail.data, want[:, 4:], rtol=0, atol=1e-12)
 
 
 def test_attention_is_causal_bitwise():
@@ -237,6 +234,8 @@ def test_attention_is_causal_bitwise():
         attention(Tensor(q), Tensor(k), Tensor(v), 3)
     with pytest.raises(ValueError, match="shape"):
         attention(Tensor(q), Tensor(k[:, :5]), Tensor(v), 2)
+    with pytest.raises(ValueError, match="does not fit"):  # fewer keys than queries
+        attention(Tensor(q), Tensor(k[:, :5]), Tensor(v[:, :5]), 2)
     with pytest.raises(ValueError, match="rng"):
         attention(Tensor(q), Tensor(k), Tensor(v), 2, p=0.1)
 

@@ -205,6 +205,16 @@ def test_checkpoint_errors_exit_3(pipeline, tmp_path):
                  "--out-dir", str(tmp_path / "g2")]) == 3
 
 
+@pytest.mark.parametrize("flag, value", [("--limit", "-1"), ("--max-new", "0")])
+def test_generate_rejects_bad_budgets(pipeline, tmp_path, caplog, flag, value):
+    out = tmp_path / "g"
+    assert main(["--quiet", "generate", "--checkpoint", str(pipeline["model"]),
+                 "--tokens", str(pipeline["tokens"] / "tokens_test.bin"),
+                 "--out-dir", str(out), flag, value]) == 2
+    assert f"{flag} must be" in caplog.text
+    assert not out.exists()
+
+
 def test_non_finite_training_exits_4(pipeline, tmp_path, monkeypatch):
     def explode(*args, **kwargs):
         raise NonFiniteError("loss diverged")

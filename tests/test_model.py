@@ -10,6 +10,7 @@ from overpaint.autodiff import NonFiniteError, Tensor, cross_entropy, no_grad
 from overpaint.model import (
     CHECKPOINT_MAGIC,
     CheckpointError,
+    KVCache,
     ModelConfig,
     TrainConfig,
     TransformerLM,
@@ -191,6 +192,14 @@ def test_checkpoint_rejects_corruption(tmp_path):
         bad.write_bytes(resized + blob[12 + meta_len :])
         with pytest.raises(CheckpointError, match="metadata"):
             load_checkpoint(bad)
+
+    meta["config"]["n_heads"] = 4
+    meta["config"]["vocab_size"] = 51  # a valid config the stored arrays do not fit
+    meta_blob = json.dumps(meta).encode()
+    resized = blob[:8] + struct.pack("<I", len(meta_blob)) + meta_blob
+    bad.write_bytes(resized + blob[12 + meta_len :])
+    with pytest.raises(CheckpointError, match="shape mismatch for tok_emb"):
+        load_checkpoint(bad)
 
 
 # --- training loop ----------------------------------------------------------------
@@ -387,7 +396,7 @@ class ScriptedModel:
         self.script = list(script)
         self.calls = 0
 
-    def forward(self, ids, training=False, rng=None, last_only=False):
+    def forward(self, ids, training=False, rng=None, last_only=False, cache=None):
         token = self.script[min(self.calls, len(self.script) - 1)]
         self.calls += 1
         row = np.full((1, 1, self.config.vocab_size), -30.0, dtype=np.float32)
@@ -428,3 +437,74 @@ def test_generate_greedy_is_deterministic():
     a = generate(model, [1, 5, 9], p=0.0, max_new=12)
     b = generate(model, [1, 5, 9], p=0.0, max_new=12)
     assert a == b and len(a) <= 12
+
+
+# --- cached decoding --------------------------------------------------------------
+
+@pytest.mark.parametrize("dtype, tol", [("float32", 1e-5), ("float64", 1e-10)])
+def test_cached_forward_matches_full_forward(dtype, tol):
+    config = ModelConfig(vocab_size=50, n_layers=2, d_model=16, n_heads=4, d_ff=32,
+                         max_len=20, dropout=0.1, dtype=dtype)
+    model = TransformerLM(config, seed=21)
+    ids = np.random.default_rng(22).integers(0, 50, size=(2, 20))
+    full = model.forward(ids).data
+    cache = KVCache(config, batch=2)
+    start = 0
+    with no_grad():
+        for size in (7, 1, 4, 1, 1, 6):  # prefill, single steps, multi-token chunks
+            got = model.forward(ids[:, start : start + size], cache=cache).data
+            assert got.dtype == full.dtype
+            assert np.abs(got - full[:, start : start + size]).max() < tol
+            start += size
+            last = model.forward(ids[:, :start], last_only=True).data
+            assert np.abs(got[:, -1:] - last).max() < tol
+    assert cache.length == config.max_len
+
+
+def uncached_greedy(model, primer, max_new):
+    """Reference decoder: a full forward over the whole context per token."""
+    context, out = list(primer), []
+    for _ in range(max_new):
+        if len(context) >= model.config.max_len:
+            break
+        with no_grad():
+            row = model.forward(np.asarray([context]), last_only=True).data[0, -1]
+        token = int(np.argmax(row))
+        if token == EOS:
+            break
+        context.append(token)
+        out.append(token)
+    return out
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_cached_greedy_generate_matches_uncached_loop(dtype):
+    config = ModelConfig(vocab_size=50, n_layers=2, d_model=16, n_heads=4, d_ff=32,
+                         max_len=32, dropout=0.0, dtype=dtype)
+    model = TransformerLM(config, seed=23)
+    for param in model.params.values():  # attention, not the residual, picks the token
+        if param.ndim == 2:
+            param.data *= 50
+    for primer in ([BOS], [BOS, 7, 8, 9, SEP], list(range(4, 28))):
+        want = uncached_greedy(model, primer, max_new=40)
+        assert generate(model, primer, p=0.0, max_new=40) == want
+        assert len(primer) + len(want) == config.max_len  # ran into the context window
+
+
+def test_cached_forward_rejects_training_gradients_and_overflow():
+    model = TransformerLM(TINY, seed=24)
+    ids = np.array([[1, 2, 3]])
+    cache = KVCache(TINY)
+    with no_grad(), pytest.raises(ValueError, match="cannot train"):
+        model.forward(ids, training=True, rng=np.random.default_rng(0), cache=cache)
+    with pytest.raises(ValueError, match="gradients off"):
+        model.forward(ids, cache=cache)
+    with no_grad():
+        with pytest.raises(ValueError, match="batch"):
+            model.forward(np.zeros((2, 3), dtype=int), cache=cache)
+        assert cache.length == 0  # a rejected forward leaves the cache as it was
+        model.forward(np.zeros((1, TINY.max_len - 2), dtype=int), cache=cache)
+        with pytest.raises(ValueError, match="length 3 outside 1..2"):
+            model.forward(ids, cache=cache)
+        model.forward(ids[:, :2], cache=cache)  # exactly fills the window
+    assert cache.length == TINY.max_len
