@@ -70,9 +70,11 @@ class Tensor:
         self.grad = None
 
     def accumulate_grad(self, g: np.ndarray) -> None:
-        if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+        if self.grad is None:  # a copy: add's backward hands one g to both operands
+            self.grad = np.empty_like(self.data)
+            np.copyto(self.grad, g)
+        else:
+            self.grad += g
 
     def backward(self) -> None:
         """Reverse accumulation from a scalar output."""
@@ -180,7 +182,7 @@ def _unbroadcast_matmul(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 def transpose2d(a: Tensor) -> Tensor:
     if a.ndim != 2:
         raise ValueError("transpose2d needs a rank-2 tensor")
-    data = a.data.T.copy()
+    data = a.data.T  # a view: a product with it (the output projection) copies nothing
 
     def backward(g):
         if a.requires_grad:
@@ -227,8 +229,8 @@ def gelu(a: Tensor) -> Tensor:
     return _result(data, (a,), backward, "gelu")
 
 
-# In place on arrays they allocate: on attention's (B, H, L, L) weights, a
-# fresh temporary per step doubles the softmax's time.
+# In place on arrays they allocate: on attention's (B, H, rows, keys) weights,
+# a fresh temporary per step doubles the softmax's time.
 
 
 def _softmax_last(x: np.ndarray) -> np.ndarray:
@@ -287,11 +289,10 @@ def embedding_lookup(table: Tensor, ids: np.ndarray) -> Tensor:
     return _result(data, (table,), backward, "embedding_lookup")
 
 
-def _dropout_mask(shape, p: float, rng: np.random.Generator, dtype) -> np.ndarray:
-    """Inverted-dropout multiplier: 0 with probability p, else 1 / (1 - p)."""
-    mask = (rng.random(shape) >= p).astype(dtype)
-    mask /= 1.0 - p
-    return mask
+def _dropout_mask(shape, p: float, rng: np.random.Generator) -> np.ndarray:
+    """Inverted-dropout keep mask (bool, True with probability 1 - p) from one
+    float32 draw; callers scale what it keeps by 1 / (1 - p)."""
+    return rng.random(shape, dtype=np.float32) >= p
 
 
 def dropout(a: Tensor, p: float, rng: np.random.Generator, training: bool = True) -> Tensor:
@@ -300,17 +301,25 @@ def dropout(a: Tensor, p: float, rng: np.random.Generator, training: bool = True
         raise ValueError("dropout rate must be in [0, 1)")
     if not training or p == 0.0:
         return a
-    mask = _dropout_mask(a.shape, p, rng, a.data.dtype)
-    data = a.data * mask
+    keep = _dropout_mask(a.shape, p, rng)
+    scale = 1.0 / (1.0 - p)
+    data = a.data * keep
+    data *= scale
 
     def backward(g):
         if a.requires_grad:
-            a.accumulate_grad(g * mask)
+            grad = g * keep
+            grad *= scale
+            a.accumulate_grad(grad)
 
     return _result(data, (a,), backward, "dropout")
 
 
 _MASK_VALUE = -1e9  # large-but-finite so downstream checks stay clean
+# Query rows per step of attention's loop: at L = 440 (the longest training
+# pairs), tiles of 64 skip 43% of the (L, L) scores while each product stays
+# large enough for BLAS.
+_QUERY_TILE = 64
 
 
 def attention(
@@ -326,16 +335,20 @@ def attention(
     Head h uses feature columns [h*d_h, (h+1)*d_h), d_h = D / n_heads. Keys
     and values may be longer than the queries (Lk >= Lq, as when earlier
     positions come from a cache): the queries are then the last Lq positions,
-    and query i attends to key positions <= i + Lk - Lq. With p > 0 the
-    weights get inverted dropout from one rng.random((n_heads, B, Lq, Lk))
-    draw: the stream that per-head (B, Lq, Lk) draws consume, so seeded
-    training is unchanged by fusion.
+    and query i attends to key positions <= i + Lk - Lq.
+
+    The queries are processed in tiles of rows [s, e): a tile scores only the
+    keys it can see, [0, e + Lk - Lq), and masks only its trailing
+    (e - s) x (e - s) square, so the hidden upper triangle is never computed
+    (a one-token decode step is one unmasked tile). With p > 0 each tile
+    draws its dropout mask as one rng.random((B, H, e - s, e + Lk - Lq),
+    dtype=float32) call, in tile order.
     """
     if q.ndim != 3 or k.ndim != 3 or k.shape != v.shape:
         raise ValueError("attention needs (batch, length, features) q, k, v; k and v one shape")
     batch, length, width = q.shape
-    keys = k.shape[1]
-    if k.shape[0] != batch or k.shape[2] != width or keys < length:
+    offset = k.shape[1] - length
+    if k.shape[0] != batch or k.shape[2] != width or offset < 0:
         raise ValueError(f"key/value shape {k.shape} does not fit queries of shape {q.shape}")
     if n_heads < 1 or width % n_heads:
         raise ValueError(f"{width} features do not split into {n_heads} heads")
@@ -345,6 +358,7 @@ def attention(
         raise ValueError("attention dropout needs an rng")
     d_head = width // n_heads
     inv_sqrt = 1.0 / math.sqrt(d_head)
+    scale = 1.0 / (1.0 - p)
 
     def split(x: np.ndarray) -> np.ndarray:  # (B, L, D) -> contiguous (B, H, L, d_h)
         heads = x.reshape(batch, x.shape[1], n_heads, d_head).transpose(0, 2, 1, 3)
@@ -353,35 +367,52 @@ def attention(
     def merge(x: np.ndarray) -> np.ndarray:  # (B, H, L, d_h) -> (B, L, D)
         return x.transpose(0, 2, 1, 3).reshape(batch, x.shape[2], width)
 
-    # Every product below keeps the operand layouts of the per-head matmul
-    # graph this op fuses (keys transposed into a contiguous copy, gradients
-    # multiplied by swapped views), so float32 results round identically.
-    qh, vh = split(q.data), split(v.data)
-    kt = np.ascontiguousarray(np.swapaxes(split(k.data), -1, -2))
-    scores = qh @ kt
-    scores *= inv_sqrt
-    scores += np.triu(np.full((length, keys), _MASK_VALUE, dtype=scores.dtype), k=1 + keys - length)
-    weights = _softmax_last(scores)
-    mask = None
+    qh, kh, vh = split(q.data), split(k.data), split(v.data)
+    out = np.empty_like(qh)
+    tiles = []  # (start, end, softmax weights, dropout keep mask or None)
+    for s in range(0, length, _QUERY_TILE):
+        e = min(s + _QUERY_TILE, length)
+        rows, visible = e - s, e + offset
+        scores = qh[:, :, s:e] @ np.swapaxes(kh[:, :, :visible], -1, -2)
+        scores *= inv_sqrt
+        if rows > 1:
+            scores[..., visible - rows:] += np.triu(
+                np.full((rows, rows), _MASK_VALUE, dtype=scores.dtype), k=1
+            )
+        weights = _softmax_last(scores)
+        keep = _dropout_mask((batch, n_heads, rows, visible), p, rng) if p > 0 else None
+        dropped = weights if keep is None else weights * keep
+        out[:, :, s:e] = dropped @ vh[:, :, :visible]
+        tiles.append((s, e, weights, keep))
     if p > 0:
-        mask = _dropout_mask((n_heads, batch, length, keys), p, rng, weights.dtype)
-        mask = mask.transpose(1, 0, 2, 3)
-    dropped = weights if mask is None else weights * mask
-    data = merge(dropped @ vh)
+        out *= scale
+    data = merge(out)
 
     def backward(g):
         gh = split(g)
-        if v.requires_grad:
-            v.accumulate_grad(merge(np.swapaxes(dropped, -1, -2) @ gh))
-        g_weights = gh @ np.swapaxes(vh, -1, -2)
-        if mask is not None:
-            g_weights *= mask
-        g_scores = _softmax_last_grad(g_weights, weights)
-        g_scores *= inv_sqrt
+        if p > 0:  # not in place: with one head, split may return a view of g
+            gh = gh * scale
+        gq = np.empty_like(qh)
+        gk = np.zeros_like(kh)
+        gv = np.zeros_like(vh)
+        for s, e, weights, keep in tiles:
+            visible = e + offset
+            g_tile = gh[:, :, s:e]
+            dropped = weights if keep is None else weights * keep
+            gv[:, :, :visible] += np.swapaxes(dropped, -1, -2) @ g_tile
+            g_weights = g_tile @ np.swapaxes(vh[:, :, :visible], -1, -2)
+            if keep is not None:
+                g_weights *= keep
+            g_scores = _softmax_last_grad(g_weights, weights)
+            g_scores *= inv_sqrt
+            gq[:, :, s:e] = g_scores @ kh[:, :, :visible]
+            gk[:, :, :visible] += np.swapaxes(g_scores, -1, -2) @ qh[:, :, s:e]
         if q.requires_grad:
-            q.accumulate_grad(merge(g_scores @ np.swapaxes(kt, -1, -2)))
+            q.accumulate_grad(merge(gq))
         if k.requires_grad:
-            k.accumulate_grad(merge(np.swapaxes(g_scores, -1, -2) @ qh))
+            k.accumulate_grad(merge(gk))
+        if v.requires_grad:
+            v.accumulate_grad(merge(gv))
 
     return _result(data, (q, k, v), backward, "attention")
 

@@ -348,7 +348,11 @@ class TrainConfig:
     def __post_init__(self) -> None:
         if self.early_stop_patience <= self.scheduler_patience:
             raise ValueError("early_stop_patience must exceed scheduler_patience")
-        if self.batch_size < 1 or self.max_epochs < 1 or self.lr <= 0:
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise ValueError(
+                f"bad training configuration: lr must be finite and positive, got {self.lr}"
+            )
+        if self.batch_size < 1 or self.max_epochs < 1:
             raise ValueError("bad training configuration")
 
 

@@ -69,21 +69,8 @@ def op_instances(name, rng):
             lambda a: dropout(a, 0.4, np.random.default_rng(seed), training=True),
             [t64(rng, n, m)],
         )
-    if name in ("attention", "attention_dropout", "attention_longer_keys"):
-        batch, heads = int(rng.integers(1, 3)), int(rng.integers(1, 4))
-        length, d_head = int(rng.integers(2, 5)), int(rng.integers(2, 4))
-        qkv = [t64(rng, batch, length, heads * d_head) for _ in range(3)]
-        if name == "attention":
-            return lambda q, k, v: attention(q, k, v, heads), qkv
-        if name == "attention_longer_keys":  # queries are the last positions, as when cached
-            keys = length + int(rng.integers(1, 3))
-            qkv[1:] = [t64(rng, batch, keys, heads * d_head) for _ in range(2)]
-            return lambda q, k, v: attention(q, k, v, heads), qkv
-        seed = int(rng.integers(0, 1000))
-        return (
-            lambda q, k, v: attention(q, k, v, heads, 0.4, np.random.default_rng(seed)),
-            qkv,
-        )
+    if name in ATTENTION_OPS:
+        return attention_instance(name, rng, lengths=(2, 5))
     if name == "cross_entropy":
         v = m + 3
         targets = rng.integers(0, v, size=n)
@@ -96,6 +83,27 @@ def op_instances(name, rng):
     if name == "sum_all":
         return sum_all, [t64(rng, n, m)]
     raise AssertionError(name)
+
+
+ATTENTION_OPS = ("attention", "attention_dropout", "attention_longer_keys")
+
+
+def attention_instance(name, rng, lengths):
+    """One attention OPS entry with a query length drawn from range(*lengths)."""
+    batch, heads = int(rng.integers(1, 3)), int(rng.integers(1, 4))
+    length, d_head = int(rng.integers(*lengths)), int(rng.integers(2, 4))
+    qkv = [t64(rng, batch, length, heads * d_head) for _ in range(3)]
+    if name == "attention":
+        return lambda q, k, v: attention(q, k, v, heads), qkv
+    if name == "attention_longer_keys":  # queries are the last positions, as when cached
+        keys = length + int(rng.integers(1, 3))
+        qkv[1:] = [t64(rng, batch, keys, heads * d_head) for _ in range(2)]
+        return lambda q, k, v: attention(q, k, v, heads), qkv
+    seed = int(rng.integers(0, 1000))
+    return (
+        lambda q, k, v: attention(q, k, v, heads, 0.4, np.random.default_rng(seed)),
+        qkv,
+    )
 
 
 OPS = [
@@ -112,6 +120,16 @@ def test_gradients_match_finite_differences(name):
     for seed in range(3):
         rng = np.random.default_rng(1000 + 7 * seed)
         func, tensors = op_instances(name, rng)
+        err = grad_check(func, tensors, seed=seed)
+        assert err < TOL, f"{name} seed {seed}: max rel error {err}"
+
+
+@pytest.mark.parametrize("name", ATTENTION_OPS)
+def test_attention_gradients_span_several_tiles(name, monkeypatch):
+    """Two query rows per tile, so the 5-7 queries (and 6-9 keys) span 3-4 tiles."""
+    monkeypatch.setattr(autodiff, "_QUERY_TILE", 2)
+    for seed in range(3):
+        func, tensors = attention_instance(name, np.random.default_rng(2000 + seed), lengths=(5, 8))
         err = grad_check(func, tensors, seed=seed)
         assert err < TOL, f"{name} seed {seed}: max rel error {err}"
 
@@ -188,10 +206,23 @@ def test_gelu_limits():
 
 
 def per_head_attention(q, k, v, n_heads, p=0.0, rng=None):
-    """Reference: slice each head, mask, softmax, dropout drawn per head, concat."""
+    """Reference: slice each head, mask, softmax, dropout, concat.
+
+    The dropout mask is drawn as the op draws it: per tile of query rows, in
+    tile order, one float32 (B, H, rows, visible keys) draw each.
+    """
     batch, length, width = q.shape
+    keys = k.shape[1]
     d_head = width // n_heads
-    upper = np.triu(np.full((length, length), -1e9), k=1)
+    upper = np.triu(np.full((length, keys), -1e9), k=1 + keys - length)
+    keep = np.ones((batch, n_heads, length, keys), dtype=bool)
+    if p > 0:
+        for s in range(0, length, autodiff._QUERY_TILE):
+            e = min(s + autodiff._QUERY_TILE, length)
+            visible = e + keys - length
+            keep[:, :, s:e, :visible] = rng.random(
+                (batch, n_heads, e - s, visible), dtype=np.float32
+            ) >= p
     heads = []
     for h in range(n_heads):
         cols = slice(h * d_head, (h + 1) * d_head)
@@ -200,7 +231,7 @@ def per_head_attention(q, k, v, n_heads, p=0.0, rng=None):
         weights = np.exp(scores - scores.max(axis=-1, keepdims=True))
         weights /= weights.sum(axis=-1, keepdims=True)
         if p > 0:
-            weights = weights * (rng.random((batch, length, length)) >= p) / (1.0 - p)
+            weights = weights * keep[:, h] / (1.0 - p)
         heads.append(weights @ v[:, :, cols])
     return np.concatenate(heads, axis=-1)
 
@@ -218,6 +249,43 @@ def test_attention_matches_per_head_reference(p):
     if p == 0.0:  # the last queries alone, against every key, as a cached forward asks
         tail = attention(Tensor(q[:, 4:]), Tensor(k), Tensor(v), 3)
         assert np.allclose(tail.data, want[:, 4:], rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("p", [0.0, 0.3])
+@pytest.mark.parametrize("queries, keys", [(150, 150), (131, 170)])
+def test_attention_spanning_tiles_matches_per_head_reference(queries, keys, p):
+    assert queries > 2 * autodiff._QUERY_TILE
+    rng = np.random.default_rng(13)
+    q = rng.standard_normal((2, queries, 12))
+    k, v = (rng.standard_normal((2, keys, 12)) for _ in range(2))
+    fused_rng, ref_rng = np.random.default_rng(5), np.random.default_rng(5)
+    out = attention(Tensor(q), Tensor(k), Tensor(v), 3, p, fused_rng)
+    want = per_head_attention(q, k, v, 3, p, ref_rng)
+    assert np.allclose(out.data, want, rtol=0, atol=1e-12)
+    assert fused_rng.random() == ref_rng.random()
+
+
+@pytest.mark.parametrize("dtype, tol", [(np.float64, 1e-12), (np.float32, 1e-5)])
+def test_tiled_attention_matches_one_tile(dtype, tol, monkeypatch):
+    """Outputs and q/k/v gradients over several tiles agree with a single
+    tile holding every query, which scores the whole (Lq, Lk) matrix."""
+    rng = np.random.default_rng(14)
+    q = rng.standard_normal((2, 131, 16)).astype(dtype)
+    k, v = (rng.standard_normal((2, 170, 16)).astype(dtype) for _ in range(2))
+    probe = Tensor(rng.standard_normal((2, 131, 16)).astype(dtype))
+
+    def run():
+        qkv = [Tensor(x, requires_grad=True) for x in (q, k, v)]
+        out = attention(*qkv, 4)
+        sum_all(multiply(out, probe)).backward()
+        return [out.data] + [t.grad for t in qkv]
+
+    tiled = run()
+    monkeypatch.setattr(autodiff, "_QUERY_TILE", 131)
+    whole = run()
+    for got, want in zip(tiled, whole):
+        assert got.dtype == dtype
+        assert np.allclose(got, want, rtol=0, atol=tol)
 
 
 def test_attention_is_causal_bitwise():
@@ -261,6 +329,22 @@ def test_gradients_accumulate_through_shared_nodes():
     z = add(multiply(x, x), x)  # x^2 + x, dz/dx = 2x + 1
     sum_all(z).backward()
     assert x.grad[0] == pytest.approx(7.0, abs=1e-12)
+
+
+def test_first_gradient_is_an_own_copy():
+    x = Tensor(np.zeros(3, dtype=np.float32), requires_grad=True)
+    g = np.ones(3)
+    x.accumulate_grad(g)
+    g += 5.0
+    assert x.grad.dtype == np.float32 and np.array_equal(x.grad, np.ones(3))
+
+    # add hands one gradient array to both operands; a and b must not share it.
+    a = Tensor(np.zeros(2), requires_grad=True)
+    b = Tensor(np.zeros(2), requires_grad=True)
+    y = add(a, b)
+    sum_all(add(y, a)).backward()  # y and a receive one array, then y passes its own on
+    assert np.array_equal(a.grad, [2.0, 2.0])
+    assert np.array_equal(b.grad, [1.0, 1.0])
 
 
 def test_broadcast_gradient_shapes():

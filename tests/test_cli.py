@@ -215,6 +215,15 @@ def test_generate_rejects_bad_budgets(pipeline, tmp_path, caplog, flag, value):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("lr", ["nan", "inf", "0"])
+def test_train_rejects_bad_lr_before_training(pipeline, tmp_path, caplog, lr):
+    out = tmp_path / "m.ovpt"
+    assert main(["--quiet", "train", "--tokens", str(pipeline["tokens"]),
+                 "--out", str(out), "--epochs", "1", "--lr", lr]) == 2
+    assert "lr must be finite and positive" in caplog.text
+    assert list(tmp_path.iterdir()) == []  # no checkpoint, no epoch log
+
+
 def test_non_finite_training_exits_4(pipeline, tmp_path, monkeypatch):
     def explode(*args, **kwargs):
         raise NonFiniteError("loss diverged")

@@ -218,8 +218,9 @@ def test_train_config_validation():
         TrainConfig(early_stop_patience=5, scheduler_patience=5)
     with pytest.raises(ValueError, match="bad training"):
         TrainConfig(batch_size=0)
-    with pytest.raises(ValueError, match="bad training"):
-        TrainConfig(lr=0.0)
+    for lr in (0.0, -1e-3, math.nan, math.inf):
+        with pytest.raises(ValueError, match="lr must be finite and positive"):
+            TrainConfig(lr=lr)
 
 
 def test_train_runs_and_learns(tmp_path):
