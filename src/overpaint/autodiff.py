@@ -329,13 +329,17 @@ def attention(
     n_heads: int,
     p: float = 0.0,
     rng: np.random.Generator | None = None,
+    key_lengths: np.ndarray | None = None,
 ) -> Tensor:
     """Causal multi-head scaled dot-product attention on (B, L, D) projections.
 
     Head h uses feature columns [h*d_h, (h+1)*d_h), d_h = D / n_heads. Keys
     and values may be longer than the queries (Lk >= Lq, as when earlier
     positions come from a cache): the queries are then the last Lq positions,
-    and query i attends to key positions <= i + Lk - Lq.
+    and query i attends to key positions <= i + Lk - Lq. `key_lengths`, a
+    (B,) array in 1..Lk, further hides keys at index >= key_lengths[b] from
+    row b (their scores are set to the mask value), for a batch whose rows
+    have read different numbers of positions.
 
     The queries are processed in tiles of rows [s, e): a tile scores only the
     keys it can see, [0, e + Lk - Lq), and masks only its trailing
@@ -356,6 +360,12 @@ def attention(
         raise ValueError("dropout rate must be in [0, 1)")
     if p > 0 and rng is None:
         raise ValueError("attention dropout needs an rng")
+    if key_lengths is not None:
+        key_lengths = np.asarray(key_lengths)
+        if key_lengths.shape != (batch,) or not (
+            (key_lengths >= 1).all() and (key_lengths <= k.shape[1]).all()
+        ):
+            raise ValueError(f"key_lengths must be {batch} lengths in 1..{k.shape[1]}")
     d_head = width // n_heads
     inv_sqrt = 1.0 / math.sqrt(d_head)
     scale = 1.0 / (1.0 - p)
@@ -379,6 +389,9 @@ def attention(
             scores[..., visible - rows:] += np.triu(
                 np.full((rows, rows), _MASK_VALUE, dtype=scores.dtype), k=1
             )
+        if key_lengths is not None:
+            hidden = np.arange(visible) >= key_lengths[:, None]
+            np.copyto(scores, _MASK_VALUE, where=hidden[:, None, None, :])
         weights = _softmax_last(scores)
         keep = _dropout_mask((batch, n_heads, rows, visible), p, rng) if p > 0 else None
         dropped = weights if keep is None else weights * keep

@@ -17,6 +17,7 @@ import argparse
 import hashlib
 import json
 import logging
+import math
 import sys
 import time
 from pathlib import Path
@@ -49,7 +50,7 @@ from .midi_io import MidiParseError, load_midi, quantize, save_midi
 from .model import (
     CheckpointError,
     TrainConfig,
-    generate,
+    generate_batch,
     load_checkpoint,
     preset,
     save_checkpoint,
@@ -102,7 +103,8 @@ def _hash_path(path: Path) -> str:
 
 
 def _write_run_manifest(primary, command: str, args: argparse.Namespace,
-                        inputs, outputs, t0: float) -> None:
+                        inputs, outputs, t0: float, details: dict | None = None) -> None:
+    """Write the sidecar; `details` holds extra command-specific fields."""
     skip = {"func", "command"}
     params = {
         k: (str(v) if isinstance(v, Path) else v)
@@ -117,6 +119,7 @@ def _write_run_manifest(primary, command: str, args: argparse.Namespace,
         "seed": getattr(args, "seed", None),
         "version": __version__,
         "wall_clock_seconds": round(time.monotonic() - t0, 3),
+        **(details or {}),
     }
     Path(str(primary) + ".run.json").write_text(
         json.dumps(body, indent=1, sort_keys=True), encoding="utf-8"
@@ -360,12 +363,18 @@ def _cmd_train(args: argparse.Namespace) -> int:
 # --- generate ---------------------------------------------------------------------
 
 
+# Primers decoded together; bounds the KV cache to this many rows.
+_GENERATE_BATCH = 16
+
+
 def _cmd_generate(args: argparse.Namespace) -> int:
     t0 = time.monotonic()
     if args.limit is not None and args.limit < 0:
         raise ValueError(f"--limit must be 0 or more, got {args.limit}")
     if args.max_new < 1:
         raise ValueError(f"--max-new must be 1 or more, got {args.max_new}")
+    if not (math.isfinite(args.temperature) and args.temperature > 0):
+        raise ValueError(f"--temperature must be finite and positive, got {args.temperature}")
     model, meta = load_checkpoint(args.checkpoint)
     vocab = build_vocabulary()
     if meta.get("vocab_hash") != vocab.digest:
@@ -378,42 +387,54 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    rng = np.random.default_rng(args.seed)
-    generated = []
-    repaired = 0
-    written = 0
+    # Primer i samples from its own stream, child i of the seed (a child does
+    # not depend on how many are spawned), so neither --limit nor skipped
+    # primers nor batching changes any other primer's output.
+    streams = np.random.SeedSequence(args.seed).spawn(len(primers))
+    todo: list[tuple[int, list[int]]] = []
+    skipped = []
     for i, seq in enumerate(primers):
         sep_hits = np.nonzero(seq == SEP)[0]
+        reason = None
         if sep_hits.size == 0:
-            log.warning("sequence %d has no separator; skipped", i)
-            continue
-        primer = [int(t) for t in seq[: int(sep_hits[0]) + 1]]
-        if len(primer) >= model.config.max_len:
-            log.warning("sequence %d primer fills the context window; skipped", i)
-            continue
-        continuation = generate(
+            reason = "no separator"
+        elif sep_hits[0] + 1 >= model.config.max_len:
+            reason = "primer fills the context window"
+        if reason:
+            log.warning("sequence %d skipped: %s", i, reason)
+            skipped.append({"primer": i, "reason": reason})
+        else:
+            todo.append((i, [int(t) for t in seq[: int(sep_hits[0]) + 1]]))
+
+    generated = []
+    decoded = []
+    for lo in range(0, len(todo), _GENERATE_BATCH):
+        chunk = todo[lo : lo + _GENERATE_BATCH]
+        continuations = generate_batch(
             model,
-            primer,
+            [primer for _, primer in chunk],
             p=args.p,
             temperature=args.temperature,
             max_new=args.max_new,
-            rng=rng,
+            rngs=[np.random.default_rng(streams[i]) for i, _ in chunk],
         )
-        score, repairs = detokenize_with_report(continuation, vocab)
-        if repairs:
-            repaired += 1
-            log.info("sequence %d needed %d grammar repairs", i, len(repairs))
-        save_midi(score, out_dir / f"{i:04d}.mid")
-        generated.append(continuation)
-        written += 1
-    if not written:
+        for (i, _), continuation in zip(chunk, continuations):
+            score, repairs = detokenize_with_report(continuation, vocab)
+            if repairs:
+                log.info("sequence %d needed %d grammar repairs", i, len(repairs))
+            save_midi(score, out_dir / f"{i:04d}.mid")
+            generated.append(continuation)
+            decoded.append({"primer": i, "tokens": len(continuation), "repairs": len(repairs)})
+    if not generated:
         raise ManifestError("no sequences could be generated")
     write_token_file(out_dir / "generated_tokens.bin", generated, vocab)
+    repaired = sum(d["repairs"] > 0 for d in decoded)
     print(
-        f"generated {written} continuations into {out_dir} "
+        f"generated {len(generated)} continuations into {out_dir} "
         f"({repaired} needed grammar repairs)"
     )
-    _write_run_manifest(out_dir, "generate", args, [args.checkpoint, args.tokens], [out_dir], t0)
+    _write_run_manifest(out_dir, "generate", args, [args.checkpoint, args.tokens], [out_dir], t0,
+                        details={"decoded": decoded, "skipped": skipped})
     return 0
 
 

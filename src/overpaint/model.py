@@ -112,23 +112,50 @@ class KVCache:
     """Keys and values of the positions a model has already read, so that a
     cached forward computes only the positions it is given.
 
-    Holds, per layer, (batch, max_len, d_model) key and value buffers at the
-    model's dtype; `length` positions of them are filled.
+    Holds, per layer, (batch, capacity, d_model) key and value buffers at the
+    model's dtype, where capacity <= max_len is the most positions any row
+    will read; row b has `lengths[b]` positions filled.
     """
 
-    def __init__(self, config: ModelConfig, batch: int = 1):
-        self.batch = batch
-        shape = (batch, config.max_len, config.d_model)
+    def __init__(self, config: ModelConfig, batch: int, capacity: int):
+        if batch < 1 or not 1 <= capacity <= config.max_len:
+            raise ValueError(f"bad cache: batch {batch}, capacity {capacity} (max_len {config.max_len})")
+        shape = (batch, capacity, config.d_model)
+        self.capacity = capacity
+        # zeros, not empty: a shorter row's unread slots meet a zero attention
+        # weight, and 0 * NaN would poison its output
         self.keys = [np.zeros(shape, dtype=config.dtype) for _ in range(config.n_layers)]
         self.values = [np.zeros(shape, dtype=config.dtype) for _ in range(config.n_layers)]
-        self.length = 0
+        self.lengths = np.zeros(batch, dtype=np.int64)
+
+    @property
+    def batch(self) -> int:
+        return len(self.lengths)
+
+    def row(self, i: int) -> KVCache:
+        """A one-row cache over row i's slice of the buffers and `lengths`, so
+        a forward through it fills this cache's row i in place."""
+        view = KVCache.__new__(KVCache)
+        view.capacity = self.capacity
+        view.keys = [k[i : i + 1] for k in self.keys]
+        view.values = [v[i : i + 1] for v in self.values]
+        view.lengths = self.lengths[i : i + 1]
+        return view
+
+    def keep(self, rows) -> None:
+        """Keep only the given rows, in that order (their data is copied)."""
+        self.keys = [k[rows] for k in self.keys]
+        self.values = [v[rows] for v in self.values]
+        self.lengths = self.lengths[rows]
 
     def extend(self, layer: int, k: Tensor, v: Tensor) -> tuple[Tensor, Tensor]:
-        """Write one layer's new key/value rows after the filled ones and
-        return the keys and values of every position read so far."""
-        end = self.length + k.shape[1]
-        self.keys[layer][:, self.length : end] = k.data
-        self.values[layer][:, self.length : end] = v.data
+        """Write one layer's new key/value rows after each row's filled ones
+        and return the keys and values up to the longest row's new end."""
+        positions = self.lengths[:, None] + np.arange(k.shape[1])
+        rows = np.arange(self.batch)[:, None]
+        self.keys[layer][rows, positions] = k.data
+        self.values[layer][rows, positions] = v.data
+        end = int(self.lengths.max()) + k.shape[1]
         return Tensor(self.keys[layer][:, :end]), Tensor(self.values[layer][:, :end])
 
 
@@ -191,17 +218,19 @@ class TransformerLM:
         """Logits over the vocabulary: (B, L, V), or (B, 1, V) for last_only.
 
         `ids` is (B, L) int; positions beyond max_len are rejected. Dropout
-        runs only when training with a generator supplied. With a cache, `ids`
-        continue the cache's positions: they attend to the cached keys and
-        values, and their own are appended. A cached forward is inference
-        only: it needs autodiff.no_grad and training off.
+        runs only when training with a generator supplied. With a cache, each
+        row of `ids` continues that row's cached positions: it attends to its
+        cached keys and values, and its own are appended. Rows may have read
+        different numbers of positions only when each is given one token. A
+        cached forward is inference only: it needs autodiff.no_grad and
+        training off.
         """
         cfg = self.config
         ids = np.asarray(ids)
         if ids.ndim != 2:
             raise ValueError("ids must be (batch, length)")
         batch, length = ids.shape
-        start = 0
+        room = cfg.max_len
         if cache is not None:
             if training:
                 raise ValueError("a cached forward cannot train")
@@ -209,16 +238,22 @@ class TransformerLM:
                 raise ValueError("a cached forward needs gradients off (autodiff.no_grad)")
             if batch != cache.batch:
                 raise ValueError(f"batch {batch} does not match the cache's {cache.batch}")
-            start = cache.length
-        if length < 1 or start + length > cfg.max_len:
-            raise ValueError(f"sequence length {length} outside 1..{cfg.max_len - start}")
+            if length > 1 and (cache.lengths != cache.lengths[0]).any():
+                raise ValueError("rows of different cached lengths take one token each")
+            room = cache.capacity - int(cache.lengths.max())
+            key_lengths = cache.lengths + length
+        if length < 1 or length > room:
+            raise ValueError(f"sequence length {length} outside 1..{room}")
         use_dropout = training and cfg.dropout > 0.0
         if use_dropout and rng is None:
             raise ValueError("training forward needs an rng for dropout")
         p = self.params
 
         tok = ad.embedding_lookup(p["tok_emb"], ids)
-        pos = ad.narrow(p["pos_emb"], 0, start, length)
+        if cache is None:
+            pos = ad.narrow(p["pos_emb"], 0, 0, length)
+        else:
+            pos = ad.embedding_lookup(p["pos_emb"], cache.lengths[:, None] + np.arange(length))
         x = ad.add(tok, pos)
         if use_dropout:
             x = ad.dropout(x, cfg.dropout, rng)
@@ -228,9 +263,11 @@ class TransformerLM:
             q = ad.add(ad.matmul(a, p[f"layer{i}.attn.wq"]), p[f"layer{i}.attn.bq"])
             k = ad.add(ad.matmul(a, p[f"layer{i}.attn.wk"]), p[f"layer{i}.attn.bk"])
             v = ad.add(ad.matmul(a, p[f"layer{i}.attn.wv"]), p[f"layer{i}.attn.bv"])
-            if cache is not None:
+            if cache is None:
+                attn = ad.attention(q, k, v, cfg.n_heads, cfg.dropout if use_dropout else 0.0, rng)
+            else:
                 k, v = cache.extend(i, k, v)
-            attn = ad.attention(q, k, v, cfg.n_heads, cfg.dropout if use_dropout else 0.0, rng)
+                attn = ad.attention(q, k, v, cfg.n_heads, key_lengths=key_lengths)
             attn = ad.add(ad.matmul(attn, p[f"layer{i}.attn.wo"]), p[f"layer{i}.attn.bo"])
             if use_dropout:
                 attn = ad.dropout(attn, cfg.dropout, rng)
@@ -243,7 +280,7 @@ class TransformerLM:
                 ff = ad.dropout(ff, cfg.dropout, rng)
             x = ad.add(x, ff)
         if cache is not None:
-            cache.length += length
+            cache.lengths += length  # in place: a row() view updates its parent
 
         x = ad.layer_norm(x, p["final_ln.gain"], p["final_ln.bias"])
         if last_only:
@@ -317,7 +354,8 @@ def load_checkpoint(path) -> tuple[TransformerLM, dict]:
             shape = struct.unpack(f"<{ndim}I", data[pos : pos + 4 * ndim])
             pos += 4 * ndim
             count = int(np.prod(shape)) if ndim else 1
-            blob = data[pos : pos + 4 * count]
+            # a view, not a slice copy: each blob is copied once, into the model
+            blob = memoryview(data)[pos : pos + 4 * count]
             if len(blob) != 4 * count:
                 raise CheckpointError(f"truncated blob for {name}")
             arrays[name] = np.frombuffer(blob, dtype="<f4").reshape(shape)
@@ -541,12 +579,14 @@ def nucleus_sample(
     descending (stable, so equal probabilities keep index order), and the
     kept prefix renormalizes before one draw. The mass comparison allows
     1e-9 of rounding slack so accumulated float error cannot pull an extra
-    token into the nucleus.
+    token into the nucleus. The draw inverts the kept prefix's cumulative
+    distribution at one rng.random(), as rng.choice(kept, p=...) does, so it
+    returns the same token and consumes the generator alike.
     """
     if not 0 < p <= 1:
         raise ValueError(f"p must be in (0, 1], got {p}")
-    if temperature <= 0:
-        raise ValueError(f"temperature must be positive, got {temperature}")
+    if not (math.isfinite(temperature) and temperature > 0):
+        raise ValueError(f"temperature must be finite and positive, got {temperature}")
     logits = np.asarray(logits, dtype=np.float64)
     if logits.ndim != 1:
         raise ValueError("logits must be a vector")
@@ -564,7 +604,9 @@ def nucleus_sample(
     keep = min(keep, len(order))
     kept = order[:keep]
     kept_probs = probs[kept] / probs[kept].sum()
-    return int(rng.choice(kept, p=kept_probs))
+    cdf = np.cumsum(kept_probs)
+    cdf /= cdf[-1]
+    return int(kept[cdf.searchsorted(rng.random(), side="right")])
 
 
 def generate(
@@ -577,31 +619,67 @@ def generate(
 ) -> list[int]:
     """Continue a BOS...SEP primer; returns only the newly sampled tokens
     (EOS excluded). p <= 0 selects greedy argmax decoding."""
-    primer = list(int(t) for t in primer)
-    if not primer:
-        raise ValueError("empty primer")
-    if len(primer) >= model.config.max_len:
-        raise ValueError("primer already fills the context window")
-    rng = rng or np.random.default_rng()
+    return generate_batch(model, [primer], p, temperature, max_new,
+                          rngs=[rng or np.random.default_rng()])[0]
 
-    # The primer is read once (prefill); each later step feeds only the
-    # token sampled last, attending to the cached keys and values.
-    cache = KVCache(model.config)
-    fresh = primer
-    out: list[int] = []
-    for _ in range(max_new):
-        if len(primer) + len(out) >= model.config.max_len:
-            break
-        ids = np.asarray([fresh], dtype=np.int64)
-        with ad.no_grad():
-            logits = model.forward(ids, last_only=True, cache=cache)
-        row = logits.data[0, -1].astype(np.float64)
-        if p <= 0:
-            token = int(np.argmax(row))
-        else:
-            token = nucleus_sample(row, p, temperature, rng)
-        if token == EOS:
-            break
-        out.append(token)
-        fresh = [token]
-    return out
+
+def generate_batch(
+    model: TransformerLM,
+    primers: list[list[int] | np.ndarray],
+    p: float = 0.9,
+    temperature: float = 1.0,
+    max_new: int = 512,
+    rngs: list[np.random.Generator] | None = None,
+) -> list[list[int]]:
+    """Continue several BOS...SEP primers together, primer i sampling from
+    rngs[i]; returns each one's new tokens (EOS excluded), as `generate`
+    would for that primer and generator alone. p <= 0 decodes greedily.
+
+    Each primer is read once, alone (prefill) into its row of one cache sized
+    to the decode budget. Then every step feeds all unfinished rows their
+    last sampled token at once; a row leaves the batch when it samples EOS,
+    reaches max_new tokens or fills the context window.
+    """
+    primers = [[int(t) for t in primer] for primer in primers]
+    max_len = model.config.max_len
+    for primer in primers:
+        if not primer:
+            raise ValueError("empty primer")
+        if len(primer) >= max_len:
+            raise ValueError("primer already fills the context window")
+    if rngs is None:
+        rngs = [np.random.default_rng() for _ in primers]
+    if len(rngs) != len(primers):
+        raise ValueError(f"{len(rngs)} generators for {len(primers)} primers")
+    outs: list[list[int]] = [[] for _ in primers]
+    if not primers or max_new < 1:
+        return outs
+
+    # A row is fed its last token only while it has fewer than max_new and
+    # the context has room, so no row ever holds more positions than this.
+    capacity = min(max_len, max(len(primer) for primer in primers) + max_new - 1)
+    cache = KVCache(model.config, len(primers), capacity)
+    with ad.no_grad():
+        rows = [
+            model.forward(np.asarray([primer]), last_only=True, cache=cache.row(i)).data[0, -1]
+            for i, primer in enumerate(primers)
+        ]
+        live = list(range(len(primers)))
+        while True:
+            kept, fed = [], []
+            for j, i in enumerate(live):
+                row = rows[j]
+                token = int(np.argmax(row)) if p <= 0 else nucleus_sample(row, p, temperature, rngs[i])
+                if token == EOS:
+                    continue
+                outs[i].append(token)
+                if len(outs[i]) < max_new and len(primers[i]) + len(outs[i]) < max_len:
+                    kept.append(j)
+                    fed.append(token)
+            if not kept:
+                break
+            if len(kept) < len(live):
+                cache.keep(kept)
+                live = [live[j] for j in kept]
+            rows = model.forward(np.asarray(fed)[:, None], cache=cache).data[:, -1]
+    return outs

@@ -85,7 +85,7 @@ def op_instances(name, rng):
     raise AssertionError(name)
 
 
-ATTENTION_OPS = ("attention", "attention_dropout", "attention_longer_keys")
+ATTENTION_OPS = ("attention", "attention_dropout", "attention_longer_keys", "attention_key_lengths")
 
 
 def attention_instance(name, rng, lengths):
@@ -99,6 +99,11 @@ def attention_instance(name, rng, lengths):
         keys = length + int(rng.integers(1, 3))
         qkv[1:] = [t64(rng, batch, keys, heads * d_head) for _ in range(2)]
         return lambda q, k, v: attention(q, k, v, heads), qkv
+    if name == "attention_key_lengths":  # rows of a batch that read different lengths
+        keys = length + int(rng.integers(0, 3))
+        qkv[1:] = [t64(rng, batch, keys, heads * d_head) for _ in range(2)]
+        key_lengths = rng.integers(1, keys + 1, size=batch)
+        return lambda q, k, v: attention(q, k, v, heads, key_lengths=key_lengths), qkv
     seed = int(rng.integers(0, 1000))
     return (
         lambda q, k, v: attention(q, k, v, heads, 0.4, np.random.default_rng(seed)),
@@ -110,7 +115,7 @@ OPS = [
     "add_same", "add_broadcast", "multiply", "multiply_broadcast",
     "matmul2d", "matmul_batched", "matmul_broadcast", "transpose2d",
     "narrow", "gelu", "layer_norm", "embedding_lookup", "dropout",
-    "attention", "attention_dropout", "attention_longer_keys",
+    "attention", "attention_dropout", "attention_longer_keys", "attention_key_lengths",
     "cross_entropy", "cross_entropy_ignore", "sum_all",
 ]
 
@@ -306,6 +311,31 @@ def test_attention_is_causal_bitwise():
         attention(Tensor(q), Tensor(k[:, :5]), Tensor(v[:, :5]), 2)
     with pytest.raises(ValueError, match="rng"):
         attention(Tensor(q), Tensor(k), Tensor(v), 2, p=0.1)
+
+
+def test_attention_key_lengths_hide_trailing_keys():
+    """Row b of a one-query step with key_lengths[b] keys equals attention over
+    only its first key_lengths[b] keys, and ignores the rest bitwise."""
+    rng = np.random.default_rng(15)
+    q = rng.standard_normal((3, 1, 12))
+    k, v = (rng.standard_normal((3, 9, 12)) for _ in range(2))
+    key_lengths = np.array([2, 5, 9])
+    out = attention(Tensor(q), Tensor(k), Tensor(v), 3, key_lengths=key_lengths).data
+    for b, n in enumerate(key_lengths):
+        alone = attention(Tensor(q[b : b + 1]), Tensor(k[b : b + 1, :n]), Tensor(v[b : b + 1, :n]), 3)
+        assert np.allclose(out[b], alone.data[0], rtol=0, atol=1e-12)
+    k2, v2 = k.copy(), v.copy()
+    for b, n in enumerate(key_lengths):
+        k2[b, n:] = rng.standard_normal(k2[b, n:].shape) * 100
+        v2[b, n:] = rng.standard_normal(v2[b, n:].shape) * 100
+    moved = attention(Tensor(q), Tensor(k2), Tensor(v2), 3, key_lengths=key_lengths).data
+    assert np.array_equal(moved, out)
+    # every length equal to Lk changes nothing
+    full = attention(Tensor(q), Tensor(k), Tensor(v), 3).data
+    assert np.array_equal(attention(Tensor(q), Tensor(k), Tensor(v), 3, key_lengths=[9] * 3).data, full)
+    for bad in ([2, 5], [0, 5, 9], [2, 5, 10]):
+        with pytest.raises(ValueError, match="key_lengths"):
+            attention(Tensor(q), Tensor(k), Tensor(v), 3, key_lengths=bad)
 
 
 # --- graph mechanics ------------------------------------------------------------

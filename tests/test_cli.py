@@ -10,7 +10,10 @@ from overpaint.cli import main
 from overpaint.dataset import load_manifest
 from overpaint.midi_io import load_midi
 from overpaint.model import ModelConfig, TransformerLM, load_checkpoint, save_checkpoint
-from overpaint.tokenizer import BOS, EOS, SEP, build_vocabulary, read_token_file
+from overpaint.tokenizer import (
+    BOS, EOS, SEP, build_vocabulary, detokenize_with_report, read_token_file,
+    write_token_file,
+)
 
 # song ids come from lead sheet stems normalized to alphanumerics
 REJECTED_PAIR = "bluegarden_w004"
@@ -122,6 +125,61 @@ def test_generate_stage(pipeline):
     seqs = read_token_file(gen / "generated_tokens.bin", build_vocabulary())
     assert len(seqs) == 2 and all(len(s) <= 24 for s in seqs)
 
+    sidecar = json.loads((gen.parent / "gen.run.json").read_text())
+    assert [d["primer"] for d in sidecar["decoded"]] == [0, 1]
+    assert [d["tokens"] for d in sidecar["decoded"]] == [len(s) for s in seqs]
+    assert [d["repairs"] for d in sidecar["decoded"]] == [
+        len(detokenize_with_report(s.tolist(), build_vocabulary())[1]) for s in seqs
+    ]
+    assert sidecar["skipped"] == []
+
+
+def test_generate_records_skipped_primers(pipeline, tmp_path):
+    vocab = build_vocabulary()
+    good = read_token_file(pipeline["tokens"] / "tokens_test.bin", vocab)[0]
+    no_sep = good[good != SEP]
+    too_long = np.concatenate([[BOS], np.full(1100, good[1]), [SEP, EOS]])
+    tokens = tmp_path / "mixed.bin"
+    write_token_file(tokens, [no_sep, too_long, good], vocab)
+    out = tmp_path / "g"
+    assert main(["--quiet", "generate", "--checkpoint", str(pipeline["model"]),
+                 "--tokens", str(tokens), "--out-dir", str(out),
+                 "--max-new", "8", "--seed", "1"]) == 0
+    assert sorted(p.name for p in out.glob("*.mid")) == ["0002.mid"]
+    sidecar = json.loads((tmp_path / "g.run.json").read_text())
+    assert [d["primer"] for d in sidecar["decoded"]] == [2]
+    assert sidecar["skipped"] == [
+        {"primer": 0, "reason": "no separator"},
+        {"primer": 1, "reason": "primer fills the context window"},
+    ]
+    # skipped primers do not shift primer 2's stream: it decodes as it does
+    # after two primers that are not skipped
+    others = read_token_file(pipeline["tokens"] / "tokens_test.bin", vocab)[1:3]
+    write_token_file(tokens, [*others, good], vocab)
+    assert main(["--quiet", "generate", "--checkpoint", str(pipeline["model"]),
+                 "--tokens", str(tokens), "--out-dir", str(tmp_path / "h"),
+                 "--max-new", "8", "--seed", "1"]) == 0
+    alone = read_token_file(out / "generated_tokens.bin", vocab)[0]
+    after_others = read_token_file(tmp_path / "h" / "generated_tokens.bin", vocab)[2]
+    assert len(alone) > 0 and alone.tolist() == after_others.tolist()
+
+
+@pytest.mark.parametrize("p", ["0", "0.9"])
+def test_generate_primer_output_does_not_depend_on_limit(pipeline, tmp_path, p):
+    """Primer 0 decodes alone under --limit 1 and in a batch of three under
+    --limit 3, from its own stream either way."""
+    firsts = []
+    for limit in ("1", "3"):
+        out = tmp_path / limit
+        assert main(["--quiet", "generate", "--checkpoint", str(pipeline["model"]),
+                     "--tokens", str(pipeline["tokens"] / "tokens_test.bin"),
+                     "--out-dir", str(out), "--limit", limit, "--p", p,
+                     "--max-new", "24", "--seed", "1"]) == 0
+        seqs = read_token_file(out / "generated_tokens.bin", build_vocabulary())
+        assert len(seqs) == int(limit)
+        firsts.append(seqs[0].tolist())
+    assert firsts[0] == firsts[1]
+
 
 def test_evaluate_prints_table(pipeline, capsys, tmp_path):
     csv_out = tmp_path / "eval.csv"
@@ -205,7 +263,8 @@ def test_checkpoint_errors_exit_3(pipeline, tmp_path):
                  "--out-dir", str(tmp_path / "g2")]) == 3
 
 
-@pytest.mark.parametrize("flag, value", [("--limit", "-1"), ("--max-new", "0")])
+@pytest.mark.parametrize("flag, value", [("--limit", "-1"), ("--max-new", "0"),
+                                         ("--temperature", "nan"), ("--temperature", "inf")])
 def test_generate_rejects_bad_budgets(pipeline, tmp_path, caplog, flag, value):
     out = tmp_path / "g"
     assert main(["--quiet", "generate", "--checkpoint", str(pipeline["model"]),

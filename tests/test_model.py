@@ -16,6 +16,7 @@ from overpaint.model import (
     TransformerLM,
     _sep_split_masks,
     generate,
+    generate_batch,
     load_checkpoint,
     nucleus_sample,
     preset,
@@ -153,6 +154,8 @@ def test_checkpoint_round_trip(tmp_path):
     assert loaded.config == TINY
     for name, arr in model.state_arrays().items():
         assert np.array_equal(loaded.params[name].data, arr), name
+        # its own copy, not a view of the file's bytes
+        assert loaded.params[name].data.flags.owndata and loaded.params[name].data.flags.writeable
     ids = np.array([[1, 2, 3]])
     assert np.array_equal(loaded.forward(ids).data, model.forward(ids).data)
 
@@ -342,8 +345,9 @@ def test_nucleus_sample_validation():
     for bad_p in (0.0, -0.5, 1.2):
         with pytest.raises(ValueError, match="p must"):
             nucleus_sample(FIXTURE_LOGITS, bad_p, rng=rng)
-    with pytest.raises(ValueError, match="temperature"):
-        nucleus_sample(FIXTURE_LOGITS, 0.9, temperature=0.0, rng=rng)
+    for bad_t in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="temperature must be finite and positive"):
+            nucleus_sample(FIXTURE_LOGITS, 0.9, temperature=bad_t, rng=rng)
     with pytest.raises(NonFiniteError):
         nucleus_sample(np.array([0.0, np.nan]), 0.9, rng=rng)
     with pytest.raises(ValueError, match="vector"):
@@ -382,6 +386,54 @@ def test_nucleus_tie_order_is_stable():
     flat = np.zeros(4)
     draws = {nucleus_sample(flat, 0.5, rng=rng) for _ in range(400)}
     assert draws == {0, 1}  # equal probabilities keep index order
+
+
+def choice_nucleus_sample(logits, p, temperature, rng):
+    """Reference: the nucleus as nucleus_sample builds it, drawn by rng.choice."""
+    scaled = np.asarray(logits, dtype=np.float64) / temperature
+    scaled -= scaled.max()
+    probs = np.exp(scaled)
+    probs /= probs.sum()
+    order = np.argsort(-probs, kind="stable")
+    keep = int(np.searchsorted(np.cumsum(probs[order]), p - 1e-9, side="left")) + 1
+    kept = order[: min(keep, len(order))]
+    return int(rng.choice(kept, p=probs[kept] / probs[kept].sum()))
+
+
+def test_nucleus_draw_matches_rng_choice():
+    """Same token and same generator state afterwards as rng.choice, over
+    peaked, flat and tied rows at several p and temperatures."""
+    rows = np.random.default_rng(25)
+    for seed in range(300):
+        logits = rows.standard_normal(int(rows.integers(2, 60))) * rows.choice([0.1, 1.0, 8.0])
+        if seed % 7 == 0:
+            logits[: len(logits) // 2] = 0.0  # ties
+        p = float(rows.choice([0.3, 0.9, 1.0]))
+        temperature = float(rows.choice([0.5, 1.0, 2.0]))
+        fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(5):
+            assert nucleus_sample(logits, p, temperature, fast) == choice_nucleus_sample(
+                logits, p, temperature, slow
+            )
+        assert fast.bit_generator.state == slow.bit_generator.state
+
+
+def test_nucleus_draw_on_a_boundary_takes_the_next_token():
+    """A uniform draw equal to a cumulative boundary falls to the token after
+    it (searchsorted side="right", as rng.choice)."""
+
+    class Fixed:
+        def __init__(self, u):
+            self.u = u
+
+        def random(self):
+            return self.u
+
+    flat = np.zeros(4)  # kept probabilities 0.25 each, boundaries exact
+    assert [nucleus_sample(flat, 1.0, rng=Fixed(u)) for u in (0.0, 0.25, 0.5, 0.75)] == [0, 1, 2, 3]
+    # 21 kept probabilities of 1/21 sum below 1 in floating point; the
+    # renormalized cumulative still sends the largest draw to the last token
+    assert nucleus_sample(np.zeros(21), 1.0, rng=Fixed(np.nextafter(1.0, 0.0))) == 20
 
 
 # --- generation -------------------------------------------------------------------
@@ -449,7 +501,7 @@ def test_cached_forward_matches_full_forward(dtype, tol):
     model = TransformerLM(config, seed=21)
     ids = np.random.default_rng(22).integers(0, 50, size=(2, 20))
     full = model.forward(ids).data
-    cache = KVCache(config, batch=2)
+    cache = KVCache(config, batch=2, capacity=config.max_len)
     start = 0
     with no_grad():
         for size in (7, 1, 4, 1, 1, 6):  # prefill, single steps, multi-token chunks
@@ -459,7 +511,19 @@ def test_cached_forward_matches_full_forward(dtype, tol):
             start += size
             last = model.forward(ids[:, :start], last_only=True).data
             assert np.abs(got[:, -1:] - last).max() < tol
-    assert cache.length == config.max_len
+    assert cache.lengths.tolist() == [config.max_len] * 2
+
+
+def scaled_model(dtype, seed):
+    """A random model whose weights are scaled so attention, not the
+    residual, picks the argmax token."""
+    config = ModelConfig(vocab_size=50, n_layers=2, d_model=16, n_heads=4, d_ff=32,
+                         max_len=32, dropout=0.0, dtype=dtype)
+    model = TransformerLM(config, seed=seed)
+    for param in model.params.values():
+        if param.ndim == 2:
+            param.data *= 50
+    return model
 
 
 def uncached_greedy(model, primer, max_new):
@@ -480,22 +544,17 @@ def uncached_greedy(model, primer, max_new):
 
 @pytest.mark.parametrize("dtype", ["float32", "float64"])
 def test_cached_greedy_generate_matches_uncached_loop(dtype):
-    config = ModelConfig(vocab_size=50, n_layers=2, d_model=16, n_heads=4, d_ff=32,
-                         max_len=32, dropout=0.0, dtype=dtype)
-    model = TransformerLM(config, seed=23)
-    for param in model.params.values():  # attention, not the residual, picks the token
-        if param.ndim == 2:
-            param.data *= 50
+    model = scaled_model(dtype, seed=23)
     for primer in ([BOS], [BOS, 7, 8, 9, SEP], list(range(4, 28))):
         want = uncached_greedy(model, primer, max_new=40)
         assert generate(model, primer, p=0.0, max_new=40) == want
-        assert len(primer) + len(want) == config.max_len  # ran into the context window
+        assert len(primer) + len(want) == model.config.max_len  # ran into the context window
 
 
 def test_cached_forward_rejects_training_gradients_and_overflow():
     model = TransformerLM(TINY, seed=24)
     ids = np.array([[1, 2, 3]])
-    cache = KVCache(TINY)
+    cache = KVCache(TINY, batch=1, capacity=TINY.max_len)
     with no_grad(), pytest.raises(ValueError, match="cannot train"):
         model.forward(ids, training=True, rng=np.random.default_rng(0), cache=cache)
     with pytest.raises(ValueError, match="gradients off"):
@@ -503,9 +562,126 @@ def test_cached_forward_rejects_training_gradients_and_overflow():
     with no_grad():
         with pytest.raises(ValueError, match="batch"):
             model.forward(np.zeros((2, 3), dtype=int), cache=cache)
-        assert cache.length == 0  # a rejected forward leaves the cache as it was
+        assert cache.lengths.tolist() == [0]  # a rejected forward leaves the cache as it was
         model.forward(np.zeros((1, TINY.max_len - 2), dtype=int), cache=cache)
         with pytest.raises(ValueError, match="length 3 outside 1..2"):
             model.forward(ids, cache=cache)
         model.forward(ids[:, :2], cache=cache)  # exactly fills the window
-    assert cache.length == TINY.max_len
+    assert cache.lengths.tolist() == [TINY.max_len]
+
+
+def ragged_cache(model, primers, capacity):
+    """A cache whose row i holds primers[i], each prefilled alone through row(i)."""
+    cache = KVCache(model.config, batch=len(primers), capacity=capacity)
+    with no_grad():
+        for i, primer in enumerate(primers):
+            model.forward(np.asarray([primer]), cache=cache.row(i))
+    return cache
+
+
+@pytest.mark.parametrize("dtype, tol", [("float32", 1e-5), ("float64", 1e-10)])
+def test_ragged_cached_decode_matches_full_forward(dtype, tol):
+    """Rows of 3, 7 and 11 positions step together; at every step each row's
+    logits match an uncached forward of that row's whole context."""
+    config = ModelConfig(vocab_size=50, n_layers=2, d_model=16, n_heads=4, d_ff=32,
+                         max_len=20, dropout=0.0, dtype=dtype)
+    model = TransformerLM(config, seed=26)
+    rng = np.random.default_rng(27)
+    contexts = [list(rng.integers(0, 50, size=n)) for n in (3, 7, 11)]
+    cache = ragged_cache(model, contexts, capacity=16)
+    assert cache.lengths.tolist() == [3, 7, 11]
+    for _ in range(5):
+        fed = rng.integers(0, 50, size=3)
+        for context, token in zip(contexts, fed):
+            context.append(int(token))
+        with no_grad():
+            got = model.forward(fed[:, None], cache=cache).data
+            for row, context in enumerate(contexts):
+                want = model.forward(np.asarray([context]), last_only=True).data
+                assert got.dtype == want.dtype
+                assert np.abs(got[row] - want[0]).max() < tol
+    assert cache.lengths.tolist() == [8, 12, 16]
+
+
+def test_ragged_cache_rejects_multi_token_and_row_overflow():
+    model = TransformerLM(TINY, seed=28)
+    cache = ragged_cache(model, [[1, 2], [3, 4, 5, 6]], capacity=6)
+    before = [a.copy() for a in cache.keys + cache.values]
+
+    def unchanged():
+        assert cache.lengths.tolist() == [2, 4]
+        assert all(np.array_equal(a, b) for a, b in zip(cache.keys + cache.values, before))
+
+    with no_grad():
+        with pytest.raises(ValueError, match="one token each"):
+            model.forward(np.ones((2, 2), dtype=int), cache=cache)
+        unchanged()
+        model.forward(np.ones((2, 1), dtype=int), cache=cache)
+        model.forward(np.ones((2, 1), dtype=int), cache=cache)  # the longer row is full
+        before = [a.copy() for a in cache.keys + cache.values]
+        with pytest.raises(ValueError, match="length 1 outside 1..0"):
+            model.forward(np.ones((2, 1), dtype=int), cache=cache)
+        assert cache.lengths.tolist() == [4, 6]
+        assert all(np.array_equal(a, b) for a, b in zip(cache.keys + cache.values, before))
+    with pytest.raises(ValueError, match="capacity"):
+        KVCache(TINY, batch=1, capacity=TINY.max_len + 1)
+
+
+PRIMERS = ([BOS], [BOS, 7, 8, 9, SEP], list(range(4, 28)), [BOS, 11, 12, 13, 14, 15, 16, SEP])
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_greedy_generate_batch_matches_per_row_generate(dtype):
+    model = scaled_model(dtype, seed=23)
+    for max_new in (3, 8, 40):  # rows leave the batch on max_new or the window
+        want = [generate(model, primer, p=0.0, max_new=max_new) for primer in PRIMERS]
+        assert generate_batch(model, PRIMERS, p=0.0, max_new=max_new) == want
+    # at 40 every row ran into the window, so the rows left at different steps
+    assert [len(p) + len(w) for p, w in zip(PRIMERS, want)] == [model.config.max_len] * 4
+
+
+def test_generate_batch_cache_is_sized_to_the_budget(monkeypatch):
+    import overpaint.model as model_module
+
+    capacities = []
+
+    class Recording(KVCache):
+        def __init__(self, config, batch, capacity):
+            capacities.append(capacity)
+            super().__init__(config, batch, capacity)
+
+    monkeypatch.setattr(model_module, "KVCache", Recording)
+    model = scaled_model("float32", seed=23)
+    out = generate_batch(model, [[BOS, 4, 5], [BOS, 4, 5, 6, 7, 8, 9]], p=0.0, max_new=8)
+    assert [len(o) for o in out] == [8, 8]  # both ran to the budget: no EOS
+    assert capacities == [7 + 8 - 1]  # the longest row's last fed token fills it exactly
+    generate_batch(model, PRIMERS, p=0.0, max_new=100)
+    assert capacities[-1] == model.config.max_len
+
+
+def test_generate_batch_reversed_order_permutes_outputs():
+    model = TransformerLM(TINY, seed=29)
+    primers = [[BOS, 5], [BOS, 6, 7, 8, SEP], [BOS] + list(range(4, 14))]
+    seeds = [31, 32, 33]
+
+    def run(order):
+        rngs = [np.random.default_rng(seeds[i]) for i in order]
+        return generate_batch(model, [primers[i] for i in order], p=0.9, max_new=12, rngs=rngs)
+
+    forward = run([0, 1, 2])
+    assert run([2, 1, 0]) == forward[::-1]
+    for i in range(3):  # and each row is what it decodes alone from its stream
+        assert generate(model, primers[i], p=0.9, max_new=12,
+                        rng=np.random.default_rng(seeds[i])) == forward[i]
+
+
+def test_generate_batch_validation():
+    model = TransformerLM(TINY, seed=30)
+    assert generate_batch(model, [], p=0.0) == []
+    assert generate_batch(model, [[BOS]], p=0.0, max_new=0) == [[]]
+    with pytest.raises(ValueError, match="generators"):
+        generate_batch(model, [[BOS], [BOS]], rngs=[np.random.default_rng(0)])
+    with pytest.raises(ValueError, match="empty"):
+        generate_batch(model, [[BOS], []])
+    with pytest.raises(ValueError, match="context window"):
+        generate_batch(model, [[BOS], list(range(TINY.max_len))])
