@@ -76,10 +76,15 @@ class Tensor:
         else:
             self.grad += g
 
-    def backward(self) -> None:
-        """Reverse accumulation from a scalar output."""
-        if self.data.size != 1:
-            raise ValueError("backward() requires a scalar output")
+    def backward(self, grad: np.ndarray | None = None) -> None:
+        """Reverse accumulation from this output, seeded with `grad` (an array
+        of the output's shape), or with 1 for a scalar output."""
+        if grad is None:
+            if self.data.size != 1:
+                raise ValueError("backward() without a seed requires a scalar output")
+            grad = np.ones_like(self.data)
+        elif np.shape(grad) != self.shape:
+            raise ValueError(f"backward seed of shape {np.shape(grad)} for output {self.shape}")
         topo: list[Tensor] = []
         seen: set[int] = set()
         stack: list[tuple[Tensor, bool]] = [(self, False)]
@@ -95,7 +100,7 @@ class Tensor:
             for parent in node._parents:
                 if id(parent) not in seen:
                     stack.append((parent, False))
-        self.grad = np.ones_like(self.data)
+        self.grad = np.array(grad, dtype=self.data.dtype)
         for node in reversed(topo):
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
@@ -144,23 +149,15 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return _result(data, (a, b), backward, "add")
 
 
-def multiply(a: Tensor, b: Tensor) -> Tensor:
-    data = a.data * b.data
-
-    def backward(g):
-        if a.requires_grad:
-            a.accumulate_grad(_unbroadcast(g * b.data, a.shape))
-        if b.requires_grad:
-            b.accumulate_grad(_unbroadcast(g * a.data, b.shape))
-
-    return _result(data, (a, b), backward, "multiply")
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product with numpy batch semantics for rank-3 operands."""
+def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
+    """Matrix product with numpy batch semantics for rank-3 operands, plus an
+    optional bias broadcast over the product (added in place: one node per
+    affine projection)."""
     if a.ndim < 2 or b.ndim < 2:
         raise ValueError("matmul operands must have rank >= 2")
     data = a.data @ b.data
+    if bias is not None:
+        data += bias.data
 
     def backward(g):
         if a.requires_grad:
@@ -169,8 +166,11 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         if b.requires_grad:
             gb = np.swapaxes(a.data, -1, -2) @ g
             b.accumulate_grad(_unbroadcast_matmul(gb, b.shape))
+        if bias is not None and bias.requires_grad:
+            bias.accumulate_grad(_unbroadcast(g, bias.shape))
 
-    return _result(data, (a, b), backward, "matmul")
+    parents = (a, b) if bias is None else (a, b, bias)
+    return _result(data, parents, backward, "matmul")
 
 
 def _unbroadcast_matmul(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -295,11 +295,11 @@ def _dropout_mask(shape, p: float, rng: np.random.Generator) -> np.ndarray:
     return rng.random(shape, dtype=np.float32) >= p
 
 
-def dropout(a: Tensor, p: float, rng: np.random.Generator, training: bool = True) -> Tensor:
-    """Inverted dropout; identity when not training or p == 0."""
+def dropout(a: Tensor, p: float, rng: np.random.Generator) -> Tensor:
+    """Inverted dropout; identity when p == 0."""
     if not 0 <= p < 1:
         raise ValueError("dropout rate must be in [0, 1)")
-    if not training or p == 0.0:
+    if p == 0.0:
         return a
     keep = _dropout_mask(a.shape, p, rng)
     scale = 1.0 / (1.0 - p)
@@ -482,24 +482,14 @@ def cross_entropy(
 # --- finite-difference checking -------------------------------------------------
 
 
-def sum_all(a: Tensor) -> Tensor:
-    """Reduce every element to one scalar (used to form training/check losses)."""
-    data = np.asarray(a.data.sum(), dtype=a.data.dtype)
-
-    def backward(g):
-        if a.requires_grad:
-            a.accumulate_grad(np.broadcast_to(np.asarray(g), a.shape).astype(a.data.dtype))
-
-    return _result(data, (a,), backward, "sum_all")
-
-
 def grad_check(func, tensors, seed: int = 0, h: float = 1e-5) -> float:
     """Max relative error between analytic and central-difference gradients.
 
     `func` maps the float64 input tensors to one Tensor and must be
     deterministic (stochastic ops take a generator rebuilt inside func). The
-    output reduces to a scalar through a fixed random projection so every
-    output element's gradient is exercised. Error metric per element:
+    output reduces to a scalar through a fixed random projection, which also
+    seeds the analytic backward, so every output element's gradient is
+    exercised. Error metric per element:
     |a - n| / max(1, |a|, |n|).
     """
     rng = np.random.default_rng(seed)
@@ -511,19 +501,16 @@ def grad_check(func, tensors, seed: int = 0, h: float = 1e-5) -> float:
         with no_grad():
             out = func(*probes)
         if weights is None:
-            weights = rng.standard_normal(out.shape) if out.ndim else np.asarray(
-                rng.standard_normal()
-            )
+            weights = rng.standard_normal(out.shape)
         return float((out.data * weights).sum())
 
     datas = [t.data.astype(np.float64) for t in tensors]
     scalar_value(datas)  # first forward fixes the projection
 
     out = func(*tensors)
-    loss = sum_all(multiply(out, Tensor(np.asarray(weights))))
     for t in tensors:
         t.zero_grad()
-    loss.backward()
+    out.backward(weights)
 
     worst = 0.0
     for i, t in enumerate(tensors):

@@ -375,6 +375,8 @@ def _cmd_generate(args: argparse.Namespace) -> int:
         raise ValueError(f"--max-new must be 1 or more, got {args.max_new}")
     if not (math.isfinite(args.temperature) and args.temperature > 0):
         raise ValueError(f"--temperature must be finite and positive, got {args.temperature}")
+    if not args.p <= 1:  # NaN fails this too; p <= 0 decodes greedily
+        raise ValueError(f"--p must be at most 1, got {args.p}")
     model, meta = load_checkpoint(args.checkpoint)
     vocab = build_vocabulary()
     if meta.get("vocab_hash") != vocab.digest:

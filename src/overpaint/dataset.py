@@ -165,6 +165,8 @@ def load_manifest(path) -> list[PairRecord]:
         header = json.loads(lines[0])
     except json.JSONDecodeError as exc:
         raise ManifestError(f"bad manifest header: {exc}") from exc
+    if not isinstance(header, dict):
+        raise ManifestError("bad manifest header: not a JSON object")
     if header.get("schema_version") != SCHEMA_VERSION:
         raise ManifestError(
             f"unsupported schema_version {header.get('schema_version')!r} "
@@ -180,6 +182,8 @@ def load_manifest(path) -> list[PairRecord]:
             rec = json.loads(line)
         except json.JSONDecodeError as exc:
             raise ManifestError(f"line {i}: bad JSON: {exc}") from exc
+        if not isinstance(rec, dict) or not {"pair_id", "song_id"} <= rec.keys():
+            raise ManifestError(f"line {i}: not a pair record with a pair_id and a song_id")
         try:
             original = load_midi(midi_dir / rec["original"])
             variation = load_midi(midi_dir / rec["variation"])

@@ -210,10 +210,6 @@ def snap_to_resolution(beats: float, resolution: int) -> Fraction:
     return Fraction(round(beats * resolution), resolution)
 
 
-def score_end(score: MidiScore) -> Fraction:
-    return max((n.end for n in score.notes), default=Fraction(0))
-
-
 def _round_half_up(x: Fraction) -> int:
     return int((2 * x + 1) // 2)
 

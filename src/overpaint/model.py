@@ -230,7 +230,7 @@ class TransformerLM:
         if ids.ndim != 2:
             raise ValueError("ids must be (batch, length)")
         batch, length = ids.shape
-        room = cfg.max_len
+        room, start, key_lengths = cfg.max_len, 0, None
         if cache is not None:
             if training:
                 raise ValueError("a cached forward cannot train")
@@ -241,7 +241,7 @@ class TransformerLM:
             if length > 1 and (cache.lengths != cache.lengths[0]).any():
                 raise ValueError("rows of different cached lengths take one token each")
             room = cache.capacity - int(cache.lengths.max())
-            key_lengths = cache.lengths + length
+            start, key_lengths = cache.lengths[:, None], cache.lengths + length
         if length < 1 or length > room:
             raise ValueError(f"sequence length {length} outside 1..{room}")
         use_dropout = training and cfg.dropout > 0.0
@@ -249,33 +249,29 @@ class TransformerLM:
             raise ValueError("training forward needs an rng for dropout")
         p = self.params
 
-        tok = ad.embedding_lookup(p["tok_emb"], ids)
-        if cache is None:
-            pos = ad.narrow(p["pos_emb"], 0, 0, length)
-        else:
-            pos = ad.embedding_lookup(p["pos_emb"], cache.lengths[:, None] + np.arange(length))
-        x = ad.add(tok, pos)
+        x = ad.add(ad.embedding_lookup(p["tok_emb"], ids),
+                   ad.embedding_lookup(p["pos_emb"], start + np.arange(length)))
         if use_dropout:
             x = ad.dropout(x, cfg.dropout, rng)
+        attn_p = cfg.dropout if use_dropout else 0.0
 
         for i in range(cfg.n_layers):
-            a = ad.layer_norm(x, p[f"layer{i}.ln1.gain"], p[f"layer{i}.ln1.bias"])
-            q = ad.add(ad.matmul(a, p[f"layer{i}.attn.wq"]), p[f"layer{i}.attn.bq"])
-            k = ad.add(ad.matmul(a, p[f"layer{i}.attn.wk"]), p[f"layer{i}.attn.bk"])
-            v = ad.add(ad.matmul(a, p[f"layer{i}.attn.wv"]), p[f"layer{i}.attn.bv"])
-            if cache is None:
-                attn = ad.attention(q, k, v, cfg.n_heads, cfg.dropout if use_dropout else 0.0, rng)
-            else:
+            layer = f"layer{i}."
+            a = ad.layer_norm(x, p[layer + "ln1.gain"], p[layer + "ln1.bias"])
+            q = ad.matmul(a, p[layer + "attn.wq"], p[layer + "attn.bq"])
+            k = ad.matmul(a, p[layer + "attn.wk"], p[layer + "attn.bk"])
+            v = ad.matmul(a, p[layer + "attn.wv"], p[layer + "attn.bv"])
+            if cache is not None:
                 k, v = cache.extend(i, k, v)
-                attn = ad.attention(q, k, v, cfg.n_heads, key_lengths=key_lengths)
-            attn = ad.add(ad.matmul(attn, p[f"layer{i}.attn.wo"]), p[f"layer{i}.attn.bo"])
+            attn = ad.attention(q, k, v, cfg.n_heads, attn_p, rng, key_lengths)
+            attn = ad.matmul(attn, p[layer + "attn.wo"], p[layer + "attn.bo"])
             if use_dropout:
                 attn = ad.dropout(attn, cfg.dropout, rng)
             x = ad.add(x, attn)
 
-            fin = ad.layer_norm(x, p[f"layer{i}.ln2.gain"], p[f"layer{i}.ln2.bias"])
-            hidden = ad.gelu(ad.add(ad.matmul(fin, p[f"layer{i}.ff.w1"]), p[f"layer{i}.ff.b1"]))
-            ff = ad.add(ad.matmul(hidden, p[f"layer{i}.ff.w2"]), p[f"layer{i}.ff.b2"])
+            fin = ad.layer_norm(x, p[layer + "ln2.gain"], p[layer + "ln2.bias"])
+            hidden = ad.gelu(ad.matmul(fin, p[layer + "ff.w1"], p[layer + "ff.b1"]))
+            ff = ad.matmul(hidden, p[layer + "ff.w2"], p[layer + "ff.b2"])
             if use_dropout:
                 ff = ad.dropout(ff, cfg.dropout, rng)
             x = ad.add(x, ff)

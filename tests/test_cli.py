@@ -246,6 +246,33 @@ def test_input_errors_exit_2(pipeline, tmp_path):
                  "--out", str(tmp_path / "a.jsonl")]) == 2
 
 
+@pytest.mark.parametrize("command, index, edit", [
+    ("augment", 0, lambda rec: [rec]),
+    ("augment", 1, lambda rec: [rec]),
+    ("augment", 1, lambda rec: {k: v for k, v in rec.items() if k != "pair_id"}),
+    ("augment", 1, lambda rec: {k: v for k, v in rec.items() if k != "song_id"}),
+    ("review", 0, lambda rec: [1]),
+    ("review", 0, lambda rec: {"status": "accepted"}),
+], ids=["header-list", "record-list", "no-pair-id", "no-song-id",
+        "decision-list", "decision-no-pair-id"])
+def test_malformed_manifest_records_exit_2(pipeline, tmp_path, command, index, edit):
+    """Line `index` of the pair manifest (augment) or of the review sheet
+    (review) is replaced by a malformed record."""
+    source = pipeline["pairs"] if command == "augment" else pipeline["review"]
+    lines = [json.loads(l) for l in source.read_text().splitlines()]
+    if command == "augment":  # the edited copy still finds the MIDI payloads
+        lines[0]["midi_dir"] = str(source.parent / lines[0]["midi_dir"])
+    lines[index] = edit(lines[index])
+    edited = tmp_path / "edited.jsonl"
+    edited.write_text("".join(json.dumps(l) + "\n" for l in lines))
+    if command == "augment":
+        args = ["augment", "--pairs", str(edited)]
+    else:
+        args = ["review", "--pairs", str(pipeline["pairs"]), "--decisions", str(edited)]
+    assert main(["--quiet", *args, "--out", str(tmp_path / "out.jsonl")]) == 2
+    assert not (tmp_path / "out.jsonl").exists()
+
+
 def test_checkpoint_errors_exit_3(pipeline, tmp_path):
     junk = tmp_path / "junk.ovpt"
     junk.write_bytes(b"not a checkpoint at all")
@@ -264,7 +291,8 @@ def test_checkpoint_errors_exit_3(pipeline, tmp_path):
 
 
 @pytest.mark.parametrize("flag, value", [("--limit", "-1"), ("--max-new", "0"),
-                                         ("--temperature", "nan"), ("--temperature", "inf")])
+                                         ("--temperature", "nan"), ("--temperature", "inf"),
+                                         ("--p", "1.5"), ("--p", "nan")])
 def test_generate_rejects_bad_budgets(pipeline, tmp_path, caplog, flag, value):
     out = tmp_path / "g"
     assert main(["--quiet", "generate", "--checkpoint", str(pipeline["model"]),
