@@ -273,8 +273,8 @@ def read_review_manifest(path) -> dict[str, str]:
         if not line.strip():
             continue
         rec = json.loads(line)
-        if not isinstance(rec, dict) or "pair_id" not in rec:
-            raise ValueError(f"review line {i}: not a record with a pair_id")
+        if not isinstance(rec, dict) or not isinstance(rec.get("pair_id"), str):
+            raise ValueError(f"review line {i}: not a record with a string pair_id")
         status = rec.get("status")
         if status not in STATUSES:
             raise ValueError(f"review line {i}: bad status {status!r}")

@@ -318,7 +318,9 @@ def dropout(a: Tensor, p: float, rng: np.random.Generator) -> Tensor:
 _MASK_VALUE = -1e9  # large-but-finite so downstream checks stay clean
 # Query rows per step of attention's loop: at L = 440 (the longest training
 # pairs), tiles of 64 skip 43% of the (L, L) scores while each product stays
-# large enough for BLAS.
+# large enough for BLAS. In a right-padded batch a tile also leaves out the
+# rows whose real length ends before it, so short rows stop paying for the
+# longest one's tiles.
 _QUERY_TILE = 64
 
 
@@ -330,6 +332,7 @@ def attention(
     p: float = 0.0,
     rng: np.random.Generator | None = None,
     key_lengths: np.ndarray | None = None,
+    query_lengths: np.ndarray | None = None,
 ) -> Tensor:
     """Causal multi-head scaled dot-product attention on (B, L, D) projections.
 
@@ -341,12 +344,19 @@ def attention(
     row b (their scores are set to the mask value), for a batch whose rows
     have read different numbers of positions.
 
+    `query_lengths`, a (B,) array in 1..L for a right-padded batch with
+    Lq == Lk == L, says that row b's positions >= query_lengths[b] are
+    padding. No real query sees them (causality), so the rows' outputs there
+    are left out where a whole tile of them is padding: those outputs are 0
+    and pass back no gradient. Outputs and gradients at real positions are
+    bitwise those of the call without it.
+
     The queries are processed in tiles of rows [s, e): a tile scores only the
     keys it can see, [0, e + Lk - Lq), and masks only its trailing
     (e - s) x (e - s) square, so the hidden upper triangle is never computed
     (a one-token decode step is one unmasked tile). With p > 0 each tile
     draws its dropout mask as one rng.random((B, H, e - s, e + Lk - Lq),
-    dtype=float32) call, in tile order.
+    dtype=float32) call, in tile order, whichever rows it leaves out.
     """
     if q.ndim != 3 or k.ndim != 3 or k.shape != v.shape:
         raise ValueError("attention needs (batch, length, features) q, k, v; k and v one shape")
@@ -366,6 +376,14 @@ def attention(
             (key_lengths >= 1).all() and (key_lengths <= k.shape[1]).all()
         ):
             raise ValueError(f"key_lengths must be {batch} lengths in 1..{k.shape[1]}")
+    if query_lengths is not None:
+        if key_lengths is not None or offset:
+            raise ValueError("query_lengths needs as many keys as queries, and no key_lengths")
+        query_lengths = np.asarray(query_lengths)
+        if query_lengths.shape != (batch,) or not (
+            (query_lengths >= 1).all() and (query_lengths <= length).all()
+        ):
+            raise ValueError(f"query_lengths must be {batch} lengths in 1..{length}")
     d_head = width // n_heads
     inv_sqrt = 1.0 / math.sqrt(d_head)
     scale = 1.0 / (1.0 - p)
@@ -378,25 +396,30 @@ def attention(
         return x.transpose(0, 2, 1, 3).reshape(batch, x.shape[2], width)
 
     qh, kh, vh = split(q.data), split(k.data), split(v.data)
-    out = np.empty_like(qh)
-    tiles = []  # (start, end, softmax weights, dropout keep mask or None)
+    out = np.zeros_like(qh)  # rows a tile leaves out stay 0
+    square = min(_QUERY_TILE, length)  # one mask per call; a one-query call needs none
+    causal = None
+    if square > 1:
+        causal = np.triu(np.full((square, square), _MASK_VALUE, dtype=qh.dtype), k=1)
+    tiles = []  # (start, end, batch rows, softmax weights, dropout keep mask or None)
     for s in range(0, length, _QUERY_TILE):
         e = min(s + _QUERY_TILE, length)
         rows, visible = e - s, e + offset
-        scores = qh[:, :, s:e] @ np.swapaxes(kh[:, :, :visible], -1, -2)
+        live = slice(None)  # the batch rows this tile computes; a slice indexes views
+        if query_lengths is not None and query_lengths.min() <= s:
+            live = np.flatnonzero(query_lengths > s)
+        scores = qh[live, :, s:e] @ np.swapaxes(kh[live, :, :visible], -1, -2)
         scores *= inv_sqrt
         if rows > 1:
-            scores[..., visible - rows:] += np.triu(
-                np.full((rows, rows), _MASK_VALUE, dtype=scores.dtype), k=1
-            )
+            scores[..., visible - rows:] += causal[:rows, :rows]
         if key_lengths is not None:
             hidden = np.arange(visible) >= key_lengths[:, None]
             np.copyto(scores, _MASK_VALUE, where=hidden[:, None, None, :])
         weights = _softmax_last(scores)
-        keep = _dropout_mask((batch, n_heads, rows, visible), p, rng) if p > 0 else None
+        keep = _dropout_mask((batch, n_heads, rows, visible), p, rng)[live] if p > 0 else None
         dropped = weights if keep is None else weights * keep
-        out[:, :, s:e] = dropped @ vh[:, :, :visible]
-        tiles.append((s, e, weights, keep))
+        out[live, :, s:e] = dropped @ vh[live, :, :visible]
+        tiles.append((s, e, live, weights, keep))
     if p > 0:
         out *= scale
     data = merge(out)
@@ -405,21 +428,21 @@ def attention(
         gh = split(g)
         if p > 0:  # not in place: with one head, split may return a view of g
             gh = gh * scale
-        gq = np.empty_like(qh)
+        gq = np.zeros_like(qh)
         gk = np.zeros_like(kh)
         gv = np.zeros_like(vh)
-        for s, e, weights, keep in tiles:
+        for s, e, live, weights, keep in tiles:
             visible = e + offset
-            g_tile = gh[:, :, s:e]
+            g_tile = gh[live, :, s:e]
             dropped = weights if keep is None else weights * keep
-            gv[:, :, :visible] += np.swapaxes(dropped, -1, -2) @ g_tile
-            g_weights = g_tile @ np.swapaxes(vh[:, :, :visible], -1, -2)
+            gv[live, :, :visible] += np.swapaxes(dropped, -1, -2) @ g_tile
+            g_weights = g_tile @ np.swapaxes(vh[live, :, :visible], -1, -2)
             if keep is not None:
                 g_weights *= keep
             g_scores = _softmax_last_grad(g_weights, weights)
             g_scores *= inv_sqrt
-            gq[:, :, s:e] = g_scores @ kh[:, :, :visible]
-            gk[:, :, :visible] += np.swapaxes(g_scores, -1, -2) @ qh[:, :, s:e]
+            gq[live, :, s:e] = g_scores @ kh[live, :, :visible]
+            gk[live, :, :visible] += np.swapaxes(g_scores, -1, -2) @ qh[live, :, s:e]
         if q.requires_grad:
             q.accumulate_grad(merge(gq))
         if k.requires_grad:

@@ -356,7 +356,9 @@ def _cmd_train(args: argparse.Namespace) -> int:
     )
     print(f"wrote {out} and {log_path}")
     inputs = [p for p in (stored, tokens_dir / "tokens_train.bin", tokens_dir / "tokens_val.bin") if Path(p).exists()]
-    _write_run_manifest(out, "train", args, inputs, [out], t0)
+    _write_run_manifest(out, "train", args, inputs, [out], t0,
+                        details={"target_positions": result.target_positions,
+                                 "padded_positions": result.padded_positions})
     return 0
 
 

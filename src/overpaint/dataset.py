@@ -151,6 +151,36 @@ def save_manifest(pairs, path, midi_dir=None) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+# A record's optional fields: name -> (JSON types accepted, default). A bool
+# passes isinstance(..., int), so _record_fields refuses it by name.
+_OPTIONAL_FIELDS = {
+    "transposition": ((int,), 0),
+    "confidence": ((int, float), 1.0),
+    "status": ((str,), "accepted"),
+    "split": ((str,), "unassigned"),
+    "window_start_bar": ((int, type(None)), None),
+}
+
+
+def _record_fields(rec: dict) -> dict:
+    """A record's optional fields (defaults filled in) and its key as a
+    (tonic, mode) tuple, once each has its documented JSON type."""
+    fields = {}
+    for name, (types, default) in _OPTIONAL_FIELDS.items():
+        value = rec.get(name, default)
+        if isinstance(value, bool) or not isinstance(value, types):
+            raise ManifestError(f"pair {rec['pair_id']!r}: bad {name} {value!r}")
+        fields[name] = value
+    key = rec.get("key")
+    if key is not None:
+        if not (isinstance(key, list) and len(key) == 2 and isinstance(key[0], int)
+                and not isinstance(key[0], bool) and isinstance(key[1], str)):
+            raise ManifestError(f"pair {rec['pair_id']!r}: bad key {key!r} (want [tonic, mode])")
+        key = (key[0], key[1])
+    fields["key"] = key
+    return fields
+
+
 def load_manifest(path) -> list[PairRecord]:
     """Load a manifest and its MIDI payloads. Wrong version or any missing
     file fails the whole load (no partial results)."""
@@ -182,30 +212,22 @@ def load_manifest(path) -> list[PairRecord]:
             rec = json.loads(line)
         except json.JSONDecodeError as exc:
             raise ManifestError(f"line {i}: bad JSON: {exc}") from exc
-        if not isinstance(rec, dict) or not {"pair_id", "song_id"} <= rec.keys():
-            raise ManifestError(f"line {i}: not a pair record with a pair_id and a song_id")
+        if not isinstance(rec, dict) or not all(
+            isinstance(rec.get(name), str) for name in ("pair_id", "song_id")
+        ):
+            raise ManifestError(f"line {i}: not a pair record with a string pair_id and song_id")
         try:
             original = load_midi(midi_dir / rec["original"])
             variation = load_midi(midi_dir / rec["variation"])
-        except (OSError, KeyError) as exc:
+        except (OSError, KeyError, TypeError) as exc:
             raise ManifestError(
                 f"pair {rec.get('pair_id', '?')!r}: missing MIDI payload ({exc})"
             ) from exc
-        key = rec.get("key")
-        pairs.append(
-            PairRecord(
-                pair_id=rec["pair_id"],
-                song_id=rec["song_id"],
-                original=original,
-                variation=variation,
-                transposition=rec.get("transposition", 0),
-                confidence=rec.get("confidence", 1.0),
-                status=rec.get("status", "accepted"),
-                split=rec.get("split", "unassigned"),
-                window_start_bar=rec.get("window_start_bar"),
-                key=None if key is None else (int(key[0]), str(key[1])),
-            )
-        )
+        fields = _record_fields(rec)
+        try:
+            pairs.append(PairRecord(rec["pair_id"], rec["song_id"], original, variation, **fields))
+        except ValueError as exc:  # a value outside its range (status, split, transposition)
+            raise ManifestError(f"pair {rec['pair_id']!r}: {exc}") from exc
     return pairs
 
 

@@ -214,11 +214,17 @@ class TransformerLM:
         rng: np.random.Generator | None = None,
         last_only: bool = False,
         cache: KVCache | None = None,
+        lengths: np.ndarray | None = None,
     ) -> Tensor:
         """Logits over the vocabulary: (B, L, V), or (B, 1, V) for last_only.
 
         `ids` is (B, L) int; positions beyond max_len are rejected. Dropout
-        runs only when training with a generator supplied. With a cache, each
+        runs only when training with a generator supplied. `lengths`, a (B,)
+        array in 1..L, marks a right-padded batch whose row b is padding from
+        position lengths[b] on; attention then skips padded query tiles. The
+        logits at padding change, but those at real positions, and the
+        gradients of a loss that ignores padding, are bitwise unchanged. It
+        cannot be combined with a cache. With a cache, each
         row of `ids` continues that row's cached positions: it attends to its
         cached keys and values, and its own are appended. Rows may have read
         different numbers of positions only when each is given one token. A
@@ -232,6 +238,8 @@ class TransformerLM:
         batch, length = ids.shape
         room, start, key_lengths = cfg.max_len, 0, None
         if cache is not None:
+            if lengths is not None:
+                raise ValueError("a cached forward takes no lengths")
             if training:
                 raise ValueError("a cached forward cannot train")
             if ad._grad_enabled:
@@ -263,7 +271,7 @@ class TransformerLM:
             v = ad.matmul(a, p[layer + "attn.wv"], p[layer + "attn.bv"])
             if cache is not None:
                 k, v = cache.extend(i, k, v)
-            attn = ad.attention(q, k, v, cfg.n_heads, attn_p, rng, key_lengths)
+            attn = ad.attention(q, k, v, cfg.n_heads, attn_p, rng, key_lengths, lengths)
             attn = ad.matmul(attn, p[layer + "attn.wo"], p[layer + "attn.bo"])
             if use_dropout:
                 attn = ad.dropout(attn, cfg.dropout, rng)
@@ -407,6 +415,8 @@ class TrainResult:
     best_epoch: int
     best_val_loss: float
     logs: list[EpochLog] = field(default_factory=list)
+    target_positions: int = 0  # real (non-PAD) targets of every training step
+    padded_positions: int = 0  # PAD targets those steps' batches were padded with
 
 
 def _pad_batch(seqs: list[np.ndarray]) -> np.ndarray:
@@ -442,16 +452,22 @@ def _epoch_pass(
     rng: np.random.Generator | None,
     optimizer: AdamState | None,
     lr: float,
-) -> tuple[float, float, float]:
-    """One pass over `sequences`; returns (loss, pre_sep_loss, post_sep_loss)."""
+) -> tuple[float, float, float, int, int]:
+    """One pass over `sequences`; returns (loss, pre_sep_loss, post_sep_loss,
+    real target positions, PAD target positions)."""
     total = np.zeros(3)
     counts = np.zeros(3)
+    cells = 0
     for lo in range(0, len(order), batch_size):
         chunk = [sequences[i] for i in order[lo : lo + batch_size]]
         ids = _pad_batch(chunk)
         inputs, targets = ids[:, :-1], ids[:, 1:]
+        cells += targets.size
+        # each row's inputs before its padding (at least one, for a row too
+        # short to have a target)
+        lengths = np.array([max(len(s) - 1, 1) for s in chunk])
         if train:
-            logits = model.forward(inputs, training=True, rng=rng)
+            logits = model.forward(inputs, training=True, rng=rng, lengths=lengths)
             loss, per_position = ad.cross_entropy(
                 logits, targets, ignore_index=PAD, return_elementwise=True
             )
@@ -460,7 +476,7 @@ def _epoch_pass(
             ad.adam_step(model.parameters(), optimizer, lr)
         else:
             with ad.no_grad():
-                logits = model.forward(inputs)
+                logits = model.forward(inputs, lengths=lengths)
                 loss, per_position = ad.cross_entropy(
                     logits, targets, ignore_index=PAD, return_elementwise=True
                 )
@@ -472,7 +488,8 @@ def _epoch_pass(
             counts[j] += int(mask.sum())
     with np.errstate(invalid="ignore", divide="ignore"):
         means = np.where(counts > 0, total / np.maximum(counts, 1), math.nan)
-    return float(means[0]), float(means[1]), float(means[2])
+    real = int(counts[0])
+    return float(means[0]), float(means[1]), float(means[2]), real, cells - real
 
 
 def train(
@@ -505,6 +522,7 @@ def train(
     bad_for_scheduler = 0
     bad_for_stop = 0
     logs: list[EpochLog] = []
+    target_positions = padded_positions = 0
 
     log_file = open(log_path, "w", newline="", encoding="utf-8") if log_path else None
     writer = None
@@ -517,11 +535,13 @@ def train(
         for epoch in range(1, train_config.max_epochs + 1):
             t0 = time.monotonic()
             order = shuffle_rng.permutation(len(train_sequences))
-            train_loss, pre_loss, post_loss = _epoch_pass(
+            train_loss, pre_loss, post_loss, real, padded = _epoch_pass(
                 model, train_sequences, order, train_config.batch_size,
                 True, dropout_rng, optimizer, lr,
             )
-            val_loss, _, _ = _epoch_pass(
+            target_positions += real
+            padded_positions += padded
+            val_loss, *_ = _epoch_pass(
                 model, val_sequences, np.arange(len(val_sequences)),
                 train_config.batch_size, False, None, None, lr,
             )
@@ -557,7 +577,7 @@ def train(
             log_file.close()
 
     model.load_state_arrays(best_state)
-    return TrainResult(model, best_epoch, best_val, logs)
+    return TrainResult(model, best_epoch, best_val, logs, target_positions, padded_positions)
 
 
 # --- sampling -------------------------------------------------------------------

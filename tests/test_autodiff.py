@@ -80,7 +80,8 @@ def op_instances(name, rng):
     raise AssertionError(name)
 
 
-ATTENTION_OPS = ("attention", "attention_dropout", "attention_longer_keys", "attention_key_lengths")
+ATTENTION_OPS = ("attention", "attention_dropout", "attention_longer_keys", "attention_key_lengths",
+                 "attention_padded")
 
 
 def attention_instance(name, rng, lengths):
@@ -99,6 +100,14 @@ def attention_instance(name, rng, lengths):
         qkv[1:] = [t64(rng, batch, keys, heads * d_head) for _ in range(2)]
         key_lengths = rng.integers(1, keys + 1, size=batch)
         return lambda q, k, v: attention(q, k, v, heads, key_lengths=key_lengths), qkv
+    if name == "attention_padded":  # a right-padded batch, with dropout
+        query_lengths = rng.integers(1, length + 1, size=batch)
+        seed = int(rng.integers(0, 1000))
+        return (
+            lambda q, k, v: attention(q, k, v, heads, 0.4, np.random.default_rng(seed),
+                                      query_lengths=query_lengths),
+            qkv,
+        )
     seed = int(rng.integers(0, 1000))
     return (
         lambda q, k, v: attention(q, k, v, heads, 0.4, np.random.default_rng(seed)),
@@ -112,6 +121,7 @@ OPS = [
     "narrow", "gelu", "layer_norm", "embedding_lookup", "dropout",
     "attention", "attention_dropout", "attention_longer_keys", "attention_key_lengths",
     "cross_entropy", "cross_entropy_ignore",
+    "attention_padded",  # last, so no earlier entry's acceptance seeds shift
 ]
 
 
@@ -331,6 +341,59 @@ def test_attention_key_lengths_hide_trailing_keys():
     for bad in ([2, 5], [0, 5, 9], [2, 5, 10]):
         with pytest.raises(ValueError, match="key_lengths"):
             attention(Tensor(q), Tensor(k), Tensor(v), 3, key_lengths=bad)
+
+
+@pytest.mark.parametrize("p", [0.0, 0.3])
+@pytest.mark.parametrize("tile", [None, 2])
+def test_attention_query_lengths_skip_only_padding_bitwise(p, tile, monkeypatch):
+    """With query_lengths, real rows' outputs and every q/k/v gradient are
+    bitwise those of the plain op when padding passes back no gradient (as
+    under cross_entropy), and the generator ends in the same state; the rows
+    of a tile wholly past a row's length are 0 and pass back nothing."""
+    if tile is not None:
+        monkeypatch.setattr(autodiff, "_QUERY_TILE", tile)
+    size = autodiff._QUERY_TILE
+    rng = np.random.default_rng(16)
+    q, k, v = (rng.standard_normal((3, 150, 12)) for _ in range(3))
+    lengths = np.array([150, 65, 21])  # a real query opens the tile at 64 (and at 20)
+    real = np.arange(150) < lengths[:, None]
+    skipped = (np.arange(150) // size * size) >= lengths[:, None]
+    assert skipped.any()
+    probe = rng.standard_normal(q.shape)
+
+    def run(seed, **kwargs):
+        gen = np.random.default_rng(9)
+        qkv = [Tensor(x, requires_grad=True) for x in (q, k, v)]
+        out = attention(*qkv, 3, p, gen, **kwargs)
+        out.backward(seed)
+        return out.data, [t.grad for t in qkv], gen.bit_generator.state
+
+    padded_zero = probe * real[:, :, None]
+    plain, plain_grads, plain_state = run(padded_zero)
+    out, grads, state = run(padded_zero, query_lengths=lengths)
+    assert np.array_equal(out[real], plain[real])
+    for got, want in zip(grads, plain_grads):
+        assert np.array_equal(got, want)
+    assert state == plain_state
+    assert not out[skipped].any()
+
+    # only skipped queries see a skipped position's key, so it too gets nothing
+    _, grads, _ = run(probe, query_lengths=lengths)
+    for grad in grads:
+        assert not grad[skipped].any()
+
+
+def test_attention_query_lengths_validation():
+    rng = np.random.default_rng(17)
+    q, k, v = (Tensor(rng.standard_normal((2, 5, 4))) for _ in range(3))
+    longer = Tensor(rng.standard_normal((2, 6, 4)))
+    for bad in ([5], [0, 5], [2, 6]):
+        with pytest.raises(ValueError, match="query_lengths must be"):
+            attention(q, k, v, 2, query_lengths=bad)
+    with pytest.raises(ValueError, match="as many keys"):
+        attention(q, longer, longer, 2, query_lengths=[5, 5])
+    with pytest.raises(ValueError, match="key_lengths"):
+        attention(q, k, v, 2, key_lengths=[5, 5], query_lengths=[5, 5])
 
 
 # --- graph mechanics ------------------------------------------------------------

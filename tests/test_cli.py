@@ -115,6 +115,12 @@ def test_train_stage(pipeline):
     assert rows[0][:4] == ["epoch", "lr", "train_loss", "val_loss"]
     assert len(rows) == 2
 
+    # one epoch: every training target once, plus the PAD its batches held
+    seqs = read_token_file(pipeline["tokens"] / "tokens_train.bin", build_vocabulary())
+    sidecar = json.loads((pipeline["root"] / "model.ovpt.run.json").read_text())
+    assert sidecar["target_positions"] == sum(len(s) - 1 for s in seqs)
+    assert sidecar["padded_positions"] >= 0
+
 
 def test_generate_stage(pipeline):
     gen = pipeline["gen"]
@@ -251,10 +257,24 @@ def test_input_errors_exit_2(pipeline, tmp_path):
     ("augment", 1, lambda rec: [rec]),
     ("augment", 1, lambda rec: {k: v for k, v in rec.items() if k != "pair_id"}),
     ("augment", 1, lambda rec: {k: v for k, v in rec.items() if k != "song_id"}),
+    ("augment", 1, lambda rec: {**rec, "pair_id": ["a"]}),
+    ("augment", 1, lambda rec: {**rec, "key": 5}),
+    ("augment", 1, lambda rec: {**rec, "key": [1]}),
+    ("augment", 1, lambda rec: {**rec, "key": ["C", "major"]}),
+    ("augment", 1, lambda rec: {**rec, "transposition": "up"}),
+    ("augment", 1, lambda rec: {**rec, "window_start_bar": True}),
+    ("augment", 1, lambda rec: {**rec, "confidence": "high"}),
+    ("augment", 1, lambda rec: {**rec, "status": 5}),
+    ("augment", 1, lambda rec: {**rec, "split": ["train"]}),
+    ("augment", 1, lambda rec: {**rec, "window_start_bar": "3"}),
+    ("augment", 1, lambda rec: {**rec, "original": 5}),
     ("review", 0, lambda rec: [1]),
     ("review", 0, lambda rec: {"status": "accepted"}),
-], ids=["header-list", "record-list", "no-pair-id", "no-song-id",
-        "decision-list", "decision-no-pair-id"])
+    ("review", 0, lambda rec: {**rec, "pair_id": [1]}),
+], ids=["header-list", "record-list", "no-pair-id", "no-song-id", "pair-id-list",
+        "key-int", "key-short", "key-str-tonic", "transposition-str", "window-start-bool",
+        "confidence-str", "status-int", "split-list", "window-start-str", "original-int",
+        "decision-list", "decision-no-pair-id", "decision-pair-id-list"])
 def test_malformed_manifest_records_exit_2(pipeline, tmp_path, command, index, edit):
     """Line `index` of the pair manifest (augment) or of the review sheet
     (review) is replaced by a malformed record."""

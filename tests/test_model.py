@@ -6,6 +6,7 @@ import struct
 import numpy as np
 import pytest
 
+from overpaint import autodiff
 from overpaint.autodiff import NonFiniteError, Tensor, cross_entropy, no_grad
 from overpaint.model import (
     CHECKPOINT_MAGIC,
@@ -14,6 +15,7 @@ from overpaint.model import (
     ModelConfig,
     TrainConfig,
     TransformerLM,
+    _pad_batch,
     _sep_split_masks,
     generate,
     generate_batch,
@@ -111,6 +113,42 @@ def test_forward_dropout_is_seeded():
     c = model.forward(ids, training=True, rng=np.random.default_rng(8)).data
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
+
+
+@pytest.mark.parametrize("dtype, tol", [("float32", 1e-5), ("float64", 1e-10)])
+def test_forward_lengths_change_nothing_real(dtype, tol, monkeypatch):
+    """A padded batch's training forward with `lengths` (dropout on) gives the
+    logits at real positions and every parameter gradient of the one without,
+    bitwise; each row's real logits match that row's own forward."""
+    monkeypatch.setattr(autodiff, "_QUERY_TILE", 4)  # so short rows skip tiles
+    config = ModelConfig(vocab_size=50, n_layers=2, d_model=16, n_heads=4, d_ff=32,
+                         max_len=32, dropout=0.2, dtype=dtype)
+    model = TransformerLM(config, seed=30)
+    rng = np.random.default_rng(31)
+    seqs = [rng.integers(4, 50, size=n) for n in (19, 12, 5)]
+    ids = _pad_batch(seqs)
+    inputs, targets = ids[:, :-1], ids[:, 1:]
+    lengths = np.array([len(s) - 1 for s in seqs])
+    real = np.arange(inputs.shape[1]) < lengths[:, None]
+
+    def step(**kwargs):
+        model.zero_grad()
+        logits = model.forward(inputs, training=True, rng=np.random.default_rng(32), **kwargs)
+        cross_entropy(logits, targets, ignore_index=PAD).backward()
+        return logits.data, {name: p.grad.copy() for name, p in model.params.items()}
+
+    plain, plain_grads = step()
+    skipping, grads = step(lengths=lengths)
+    assert np.array_equal(skipping[real], plain[real])
+    assert not np.array_equal(skipping[~real], plain[~real])  # tiles were skipped
+    for name, grad in grads.items():
+        assert np.array_equal(grad, plain_grads[name]), name
+
+    with no_grad():
+        batched = model.forward(inputs, lengths=lengths).data
+        for b, seq in enumerate(seqs):
+            alone = model.forward(seq[None, :-1]).data[0]
+            assert np.allclose(batched[b, : len(seq) - 1], alone, rtol=0, atol=tol)
 
 
 def test_fresh_model_loss_is_near_uniform():
@@ -282,6 +320,40 @@ def test_train_is_deterministic_in_seed():
               TrainConfig(max_epochs=3, batch_size=2, seed=12,
                           scheduler_patience=2, early_stop_patience=3))
     assert [log.train_loss for log in c.logs] != [log.train_loss for log in a.logs]
+
+
+def test_train_passing_lengths_changes_no_weight(monkeypatch):
+    """Two seeded epochs with dropout give bitwise the weights and losses of
+    a run whose forward never receives `lengths`, and count every target."""
+    monkeypatch.setattr(autodiff, "_QUERY_TILE", 3)  # so rows skip tiles, some opened by their last query
+    rng = np.random.default_rng(33)
+    seqs = [pair_like_sequences(rng, 1, body=n)[0] for n in (2, 7, 4, 6, 3, 5)]
+    train_seqs, val_seqs = seqs[:4], seqs[4:]
+    config = ModelConfig(vocab_size=50, n_layers=2, d_model=16, n_heads=4, d_ff=32,
+                         max_len=32, dropout=0.2)
+    train_config = TrainConfig(max_epochs=2, batch_size=4, seed=5,
+                               scheduler_patience=2, early_stop_patience=3)
+    skipping = train(train_seqs, val_seqs, config, train_config)
+
+    forward, given = TransformerLM.forward, []
+
+    def forward_without_lengths(self, ids, *args, lengths=None, **kwargs):
+        given.append(lengths)
+        return forward(self, ids, *args, **kwargs)
+
+    monkeypatch.setattr(TransformerLM, "forward", forward_without_lengths)
+    plain = train(train_seqs, val_seqs, config, train_config)
+    assert len(given) == 4 and all(lengths is not None for lengths in given)  # train and val
+    assert [(log.train_loss, log.val_loss) for log in skipping.logs] == [
+        (log.train_loss, log.val_loss) for log in plain.logs
+    ]
+    for name, arr in skipping.model.state_arrays().items():
+        assert np.array_equal(arr, plain.model.state_arrays()[name]), name
+
+    real = sum(len(s) - 1 for s in train_seqs)
+    width = max(len(s) for s in train_seqs) - 1
+    assert skipping.target_positions == 2 * real
+    assert skipping.padded_positions == 2 * (len(train_seqs) * width - real)
 
 
 def test_train_schedules_and_stops_early():
@@ -562,6 +634,8 @@ def test_cached_forward_rejects_training_gradients_and_overflow():
     with no_grad():
         with pytest.raises(ValueError, match="batch"):
             model.forward(np.zeros((2, 3), dtype=int), cache=cache)
+        with pytest.raises(ValueError, match="no lengths"):
+            model.forward(ids, cache=cache, lengths=[3])
         assert cache.lengths.tolist() == [0]  # a rejected forward leaves the cache as it was
         model.forward(np.zeros((1, TINY.max_len - 2), dtype=int), cache=cache)
         with pytest.raises(ValueError, match="length 3 outside 1..2"):
