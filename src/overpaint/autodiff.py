@@ -162,21 +162,15 @@ def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
     def backward(g):
         if a.requires_grad:
             ga = g @ np.swapaxes(b.data, -1, -2)
-            a.accumulate_grad(_unbroadcast_matmul(ga, a.shape))
+            a.accumulate_grad(_unbroadcast(ga, a.shape))
         if b.requires_grad:
             gb = np.swapaxes(a.data, -1, -2) @ g
-            b.accumulate_grad(_unbroadcast_matmul(gb, b.shape))
+            b.accumulate_grad(_unbroadcast(gb, b.shape))
         if bias is not None and bias.requires_grad:
             bias.accumulate_grad(_unbroadcast(g, bias.shape))
 
     parents = (a, b) if bias is None else (a, b, bias)
     return _result(data, parents, backward, "matmul")
-
-
-def _unbroadcast_matmul(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    while grad.ndim > len(shape):
-        grad = grad.sum(axis=0)
-    return grad
 
 
 def transpose2d(a: Tensor) -> Tensor:

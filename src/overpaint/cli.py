@@ -375,6 +375,8 @@ def _cmd_generate(args: argparse.Namespace) -> int:
         raise ValueError(f"--limit must be 0 or more, got {args.limit}")
     if args.max_new < 1:
         raise ValueError(f"--max-new must be 1 or more, got {args.max_new}")
+    if args.seed < 0:
+        raise ValueError(f"--seed must be 0 or more, got {args.seed}")
     if not (math.isfinite(args.temperature) and args.temperature > 0):
         raise ValueError(f"--temperature must be finite and positive, got {args.temperature}")
     if not args.p <= 1:  # NaN fails this too; p <= 0 decodes greedily

@@ -202,7 +202,10 @@ def load_manifest(path) -> list[PairRecord]:
             f"unsupported schema_version {header.get('schema_version')!r} "
             f"(expected {SCHEMA_VERSION})"
         )
-    midi_dir = path.parent / header.get("midi_dir", f"{path.stem}_midi")
+    midi_dir = header.get("midi_dir", f"{path.stem}_midi")
+    if not isinstance(midi_dir, str):
+        raise ManifestError(f"bad manifest header: midi_dir {midi_dir!r} is not a string")
+    midi_dir = path.parent / midi_dir
 
     pairs = []
     for i, line in enumerate(lines[1:], start=2):

@@ -9,6 +9,7 @@ projection. All math runs on the in-package autodiff engine.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
 import math
@@ -396,6 +397,10 @@ class TrainConfig:
             )
         if self.batch_size < 1 or self.max_epochs < 1:
             raise ValueError("bad training configuration")
+        if self.seed < 0:
+            raise ValueError(
+                f"bad training configuration: seed must be 0 or more, got {self.seed}"
+            )
 
 
 @dataclass
@@ -430,17 +435,11 @@ def _pad_batch(seqs: list[np.ndarray]) -> np.ndarray:
 def _sep_split_masks(targets: np.ndarray, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Masks over target positions: predicting tokens up to and including SEP
     versus after it. Sequences with no SEP count entirely as pre."""
-    batch, width = targets.shape
-    pre = np.zeros_like(targets, dtype=bool)
-    post = np.zeros_like(targets, dtype=bool)
+    is_sep = ids == SEP
+    sep_at = np.where(is_sep.any(axis=1), is_sep.argmax(axis=1), ids.shape[1])
+    before = np.arange(1, targets.shape[1] + 1) <= sep_at[:, None]
     valid = targets != PAD
-    for row in range(batch):
-        hits = np.nonzero(ids[row] == SEP)[0]
-        sep_at = hits[0] if hits.size else ids.shape[1]
-        cols = np.arange(width)
-        pre[row] = valid[row] & (cols + 1 <= sep_at)
-        post[row] = valid[row] & (cols + 1 > sep_at)
-    return pre, post
+    return valid & before, valid & ~before
 
 
 def _epoch_pass(
@@ -466,20 +465,15 @@ def _epoch_pass(
         # each row's inputs before its padding (at least one, for a row too
         # short to have a target)
         lengths = np.array([max(len(s) - 1, 1) for s in chunk])
-        if train:
-            logits = model.forward(inputs, training=True, rng=rng, lengths=lengths)
+        with contextlib.nullcontext() if train else ad.no_grad():
+            logits = model.forward(inputs, training=train, rng=rng, lengths=lengths)
             loss, per_position = ad.cross_entropy(
                 logits, targets, ignore_index=PAD, return_elementwise=True
             )
+        if train:
             model.zero_grad()
             loss.backward()
             ad.adam_step(model.parameters(), optimizer, lr)
-        else:
-            with ad.no_grad():
-                logits = model.forward(inputs, lengths=lengths)
-                loss, per_position = ad.cross_entropy(
-                    logits, targets, ignore_index=PAD, return_elementwise=True
-                )
         if not math.isfinite(loss.item()):
             raise NonFiniteError("training loss diverged")
         pre_mask, post_mask = _sep_split_masks(targets, inputs)

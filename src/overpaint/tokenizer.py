@@ -4,8 +4,8 @@ Grammar, per bar: Bar [TimeSig if changed] [Tempo if changed by >= one bin],
 then Position / (Pitch Velocity Duration)+ groups in ascending position order.
 Training sequences are BOS + original + SEP + variation + EOS.
 
-The vocabulary is static (no data dependence): ids are contiguous by family
-and the serialized form carries a hash that downstream artifacts pin.
+The vocabulary is static: the family table `_FAMILIES` defines every id, name
+and decoded value, and the serialized form carries a hash that artifacts pin.
 """
 
 from __future__ import annotations
@@ -21,6 +21,8 @@ from pathlib import Path
 import numpy as np
 
 from .midi_io import (
+    NUMERATOR_MAX,
+    SUPPORTED_DENOMINATORS,
     MidiScore,
     NoteEvent,
     bar_length,
@@ -40,11 +42,6 @@ VELOCITY_BIN_WIDTH = 4
 DURATION_MAX_STEPS = 96
 MAX_LEN = 1024
 
-_NUMERATORS = tuple(range(1, 13))
-_DENOMINATORS = (1, 2, 4, 8, 16)
-# Largest bar over the supported signature set fixes the Position family size.
-MAX_POSITIONS = max(n * 4 * GRID // d for n in _NUMERATORS for d in _DENOMINATORS)
-
 VOCAB_VERSION = 1
 
 
@@ -58,6 +55,24 @@ class VocabularyMismatchError(TokenizeError):
 
 def steps_per_bar(numerator: int, denominator: int) -> int:
     return numerator * 4 * GRID // denominator
+
+
+# Every signature `midi_io` normalizes a score to; the largest bar among them
+# fixes the Position family size.
+_SIGNATURES = tuple((n, d) for n in range(1, NUMERATOR_MAX + 1) for d in SUPPORTED_DENOMINATORS)
+MAX_POSITIONS = max(steps_per_bar(*sig) for sig in _SIGNATURES)
+
+# The token grammar's families in id order, each with its values: one token per
+# value, named `family`, `family_value` or `TimeSig_num/den`.
+_FAMILIES = (
+    *((name, (None,)) for name in ("PAD", "BOS", "EOS", "SEP", "Bar")),
+    ("TimeSig", _SIGNATURES),
+    ("Tempo", range(TEMPO_BINS)),
+    ("Position", range(MAX_POSITIONS)),
+    ("Pitch", range(128)),
+    ("Velocity", range(VELOCITY_BINS)),
+    ("Duration", range(1, DURATION_MAX_STEPS + 1)),
+)
 
 
 def velocity_bin(velocity: int) -> int:
@@ -75,6 +90,7 @@ class Vocabulary:
     family_start: dict[str, int]
     tempo_centers: tuple[float, ...]
     digest: str
+    _decoded: tuple[tuple[str, object], ...]  # (family, value) per id
 
     def __len__(self) -> int:
         return len(self.names)
@@ -120,16 +136,7 @@ class Vocabulary:
         """(family, value) for a token id; value depends on the family."""
         if not 0 <= token < len(self.names):
             raise TokenizeError(f"token id {token} outside vocabulary")
-        name = self.names[token]
-        family, _, payload = name.partition("_")
-        if family in ("PAD", "BOS", "EOS", "SEP", "Bar"):
-            return name, None
-        if family == "TimeSig":
-            num, den = payload.split("/")
-            return "TimeSig", (int(num), int(den))
-        if family == "Tempo":
-            return "Tempo", int(payload)
-        return family, int(payload)
+        return self._decoded[token]
 
     # -- serialization
 
@@ -160,25 +167,18 @@ def _vocab_digest(names, tempo_centers) -> str:
 
 @lru_cache(maxsize=1)
 def build_vocabulary() -> Vocabulary:
-    names: list[str] = ["PAD", "BOS", "EOS", "SEP", "Bar"]
-    family_start: dict[str, int] = {"Bar": 4}
-    for num in _NUMERATORS:
-        for den in _DENOMINATORS:
-            names.append(f"TimeSig_{num}/{den}")
-    family_start["TimeSig"] = 5
+    names: list[str] = []
+    decoded: list[tuple[str, object]] = []
+    family_start: dict[str, int] = {}
+    for k, (family, values) in enumerate(_FAMILIES):
+        if k > SEP:  # the specials PAD..SEP have no `family_start` entry
+            family_start[family] = len(names)
+        for value in values:
+            decoded.append((family, value))
+            payload = "/".join(map(str, value)) if family == "TimeSig" else value
+            names.append(family if value is None else f"{family}_{payload}")
 
     tempo_centers = tuple(float(x) for x in np.geomspace(TEMPO_MIN, TEMPO_MAX, TEMPO_BINS))
-    family_start["Tempo"] = len(names)
-    names += [f"Tempo_{i}" for i in range(TEMPO_BINS)]
-    family_start["Position"] = len(names)
-    names += [f"Position_{p}" for p in range(MAX_POSITIONS)]
-    family_start["Pitch"] = len(names)
-    names += [f"Pitch_{p}" for p in range(128)]
-    family_start["Velocity"] = len(names)
-    names += [f"Velocity_{b}" for b in range(VELOCITY_BINS)]
-    family_start["Duration"] = len(names)
-    names += [f"Duration_{s}" for s in range(1, DURATION_MAX_STEPS + 1)]
-
     names_t = tuple(names)
     return Vocabulary(
         names=names_t,
@@ -186,6 +186,7 @@ def build_vocabulary() -> Vocabulary:
         family_start=family_start,
         tempo_centers=tempo_centers,
         digest=_vocab_digest(names_t, tempo_centers),
+        _decoded=tuple(decoded),
     )
 
 
@@ -193,6 +194,8 @@ def load_vocabulary(path) -> Vocabulary:
     """Rebuild the static vocabulary and verify it matches the stored copy."""
     data = json.loads(Path(path).read_text(encoding="utf-8"))
     vocab = build_vocabulary()
+    if not isinstance(data, dict):
+        raise VocabularyMismatchError(f"vocabulary file {path} is not a JSON object")
     if data.get("version") != VOCAB_VERSION:
         raise VocabularyMismatchError(
             f"unsupported vocabulary version {data.get('version')!r}"
@@ -295,21 +298,28 @@ def detokenize_with_report(tokens, vocab: Vocabulary | None = None) -> tuple[Mid
         family, value = vocab.decode(int(token))
         if family == "EOS":
             break
-        if family in ("PAD", "BOS", "SEP"):
-            drop_pending(f"token {i}: {family} interrupts a note triple")
+        if family in ("Velocity", "Duration"):
+            # Velocity follows a lone Pitch; Duration follows Pitch and Velocity.
+            if pending_pitch is None or (pending_velocity is None) != (family == "Velocity"):
+                repairs.append(f"token {i}: {family} out of order")
+                drop_pending(f"token {i}: {family} out of order")
+            elif family == "Velocity":
+                pending_velocity = value
+            else:
+                onset = bar_start + Fraction(position, GRID)
+                velocity = velocity_center(pending_velocity)
+                notes.append(NoteEvent(pending_pitch, onset, Fraction(value, GRID), velocity))
+                pending_pitch = pending_velocity = None
             continue
+        drop_pending(f"token {i}: {family} interrupts a note triple")
         if family == "Bar":
-            drop_pending(f"token {i}: Bar interrupts a note triple")
             open_bar()
         elif family == "TimeSig":
-            drop_pending(f"token {i}: TimeSig interrupts a note triple")
             sig = value
             signatures.append((max(bar, 0), *sig))
         elif family == "Tempo":
-            drop_pending(f"token {i}: Tempo interrupts a note triple")
             tempo_map.append((bar_start, vocab.tempo_centers[value]))
         elif family == "Position":
-            drop_pending(f"token {i}: Position interrupts a note triple")
             if bar < 0:
                 repairs.append(f"token {i}: Position before any Bar, Bar inserted")
                 open_bar()
@@ -319,31 +329,10 @@ def detokenize_with_report(tokens, vocab: Vocabulary | None = None) -> tuple[Mid
             else:
                 position = value
         elif family == "Pitch":
-            drop_pending(f"token {i}: Pitch interrupts a note triple")
             if position is None:
                 repairs.append(f"token {i}: Pitch with no active Position")
             else:
                 pending_pitch = value
-        elif family == "Velocity":
-            if pending_pitch is None or pending_velocity is not None:
-                repairs.append(f"token {i}: Velocity out of order")
-                drop_pending(f"token {i}: Velocity out of order")
-            else:
-                pending_velocity = value
-        elif family == "Duration":
-            if pending_pitch is None or pending_velocity is None:
-                repairs.append(f"token {i}: Duration out of order")
-                drop_pending(f"token {i}: Duration out of order")
-            else:
-                notes.append(
-                    NoteEvent(
-                        pitch=pending_pitch,
-                        onset=bar_start + Fraction(position, GRID),
-                        duration=Fraction(value, GRID),
-                        velocity=velocity_center(pending_velocity),
-                    )
-                )
-                pending_pitch = pending_velocity = None
     drop_pending("sequence ended inside a note triple")
 
     return make_score(notes, tempo_map, signatures), repairs

@@ -46,6 +46,9 @@ def op_instances(name, rng):
         return matmul, [t64(rng, 2, n, m), t64(rng, 2, m, k)]
     if name == "matmul_broadcast":
         return matmul, [t64(rng, 2, n, m), t64(rng, m, k)]
+    if name == "matmul_batch_broadcast":  # a batch axis of extent 1 on either side
+        batches = [(2, 1), (1, 2)][int(rng.integers(0, 2))]
+        return matmul, [t64(rng, batches[0], n, m), t64(rng, batches[1], m, k)]
     if name == "matmul_bias":
         j = int(rng.integers(2, 5))
         return matmul, [t64(rng, k, n, m), t64(rng, m, j), t64(rng, j)]
@@ -121,7 +124,8 @@ OPS = [
     "narrow", "gelu", "layer_norm", "embedding_lookup", "dropout",
     "attention", "attention_dropout", "attention_longer_keys", "attention_key_lengths",
     "cross_entropy", "cross_entropy_ignore",
-    "attention_padded",  # last, so no earlier entry's acceptance seeds shift
+    # appended last, so no earlier entry's acceptance seeds shift
+    "attention_padded", "matmul_batch_broadcast",
 ]
 
 

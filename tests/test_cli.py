@@ -1,5 +1,6 @@
 import csv
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -268,12 +269,14 @@ def test_input_errors_exit_2(pipeline, tmp_path):
     ("augment", 1, lambda rec: {**rec, "split": ["train"]}),
     ("augment", 1, lambda rec: {**rec, "window_start_bar": "3"}),
     ("augment", 1, lambda rec: {**rec, "original": 5}),
+    ("augment", 0, lambda rec: {**rec, "midi_dir": 5}),
     ("review", 0, lambda rec: [1]),
     ("review", 0, lambda rec: {"status": "accepted"}),
     ("review", 0, lambda rec: {**rec, "pair_id": [1]}),
 ], ids=["header-list", "record-list", "no-pair-id", "no-song-id", "pair-id-list",
         "key-int", "key-short", "key-str-tonic", "transposition-str", "window-start-bool",
         "confidence-str", "status-int", "split-list", "window-start-str", "original-int",
+        "header-midi-dir-int",
         "decision-list", "decision-no-pair-id", "decision-pair-id-list"])
 def test_malformed_manifest_records_exit_2(pipeline, tmp_path, command, index, edit):
     """Line `index` of the pair manifest (augment) or of the review sheet
@@ -312,7 +315,7 @@ def test_checkpoint_errors_exit_3(pipeline, tmp_path):
 
 @pytest.mark.parametrize("flag, value", [("--limit", "-1"), ("--max-new", "0"),
                                          ("--temperature", "nan"), ("--temperature", "inf"),
-                                         ("--p", "1.5"), ("--p", "nan")])
+                                         ("--p", "1.5"), ("--p", "nan"), ("--seed", "-1")])
 def test_generate_rejects_bad_budgets(pipeline, tmp_path, caplog, flag, value):
     out = tmp_path / "g"
     assert main(["--quiet", "generate", "--checkpoint", str(pipeline["model"]),
@@ -320,6 +323,16 @@ def test_generate_rejects_bad_budgets(pipeline, tmp_path, caplog, flag, value):
                  "--out-dir", str(out), flag, value]) == 2
     assert f"{flag} must be" in caplog.text
     assert not out.exists()
+
+
+@pytest.mark.parametrize("vocab", [[], "x", {"version": 1}], ids=["list", "string", "no-hash"])
+def test_train_rejects_malformed_vocabulary_exit_3(pipeline, tmp_path, vocab):
+    tokens = tmp_path / "tokens"
+    shutil.copytree(pipeline["tokens"], tokens)
+    (tokens / "vocab.json").write_text(json.dumps(vocab), encoding="utf-8")
+    assert main(["--quiet", "train", "--tokens", str(tokens),
+                 "--out", str(tmp_path / "m.ovpt"), "--epochs", "1"]) == 3
+    assert not (tmp_path / "m.ovpt").exists()
 
 
 @pytest.mark.parametrize("lr", ["nan", "inf", "0"])

@@ -262,6 +262,8 @@ def test_train_config_validation():
     for lr in (0.0, -1e-3, math.nan, math.inf):
         with pytest.raises(ValueError, match="lr must be finite and positive"):
             TrainConfig(lr=lr)
+    with pytest.raises(ValueError, match="seed must be 0 or more"):
+        TrainConfig(seed=-1)
 
 
 def test_train_runs_and_learns(tmp_path):

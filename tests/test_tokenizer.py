@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 from fractions import Fraction as F
@@ -114,6 +115,37 @@ def test_decode_inverts_encoders():
             VOCAB.decode(bad)
 
 
+def _decode_by_name(token):
+    """Reference decode: parse the family and value back out of the token name."""
+    name = VOCAB.names[token]
+    family, _, payload = name.partition("_")
+    if family in ("PAD", "BOS", "EOS", "SEP", "Bar"):
+        return name, None
+    if family == "TimeSig":
+        num, den = payload.split("/")
+        return "TimeSig", (int(num), int(den))
+    return family, int(payload)
+
+
+def test_decode_matches_token_names_for_every_id():
+    for token in range(len(VOCAB)):
+        assert VOCAB.decode(token) == _decode_by_name(token), token
+
+
+def test_timesig_family_is_exactly_the_normalized_signatures():
+    normalized = {
+        tuple(make_score(time_signatures=[(0, n, d)]).time_signatures[0][1:])
+        for n in range(-2, 20)
+        for d in range(0, 40)
+    }
+    start = VOCAB.family_start["TimeSig"]
+    timesigs = [VOCAB.decode(t)[1] for t in range(start, VOCAB.family_start["Tempo"])]
+    assert len(set(timesigs)) == len(timesigs)
+    assert set(timesigs) == normalized
+    assert all(VOCAB.timesig(*sig) == start + i for i, sig in enumerate(timesigs))
+    assert MAX_POSITIONS == max(steps_per_bar(*sig) for sig in timesigs)
+
+
 def test_vocabulary_save_load_and_mismatch(tmp_path):
     path = tmp_path / "vocab.json"
     VOCAB.save(path)
@@ -134,6 +166,11 @@ def test_vocabulary_save_load_and_mismatch(tmp_path):
     with pytest.raises(VocabularyMismatchError, match="version"):
         load_vocabulary(path)
     assert issubclass(VocabularyMismatchError, TokenizeError)
+
+    for not_an_object in ([], "x", 3):
+        path.write_text(json.dumps(not_an_object), encoding="utf-8")
+        with pytest.raises(VocabularyMismatchError, match="not a JSON object"):
+            load_vocabulary(path)
 
 
 # --- encoding ----------------------------------------------------------------------
@@ -296,6 +333,79 @@ def test_detokenize_stops_at_eos_and_skips_padding():
     score, repairs = detokenize_with_report(body)
     assert repairs == []
     assert [n.pitch for n in score.notes] == [60, 64]  # the post-EOS 72 is ignored
+
+
+# Each family's id range, specials first; weights bias the family-biased streams.
+_STARTS = [PAD, BOS, EOS, SEP, *VOCAB.family_start.values(), len(VOCAB)]
+_FAMILY_RANGES = list(zip(_STARTS, _STARTS[1:]))
+_FAMILY_WEIGHTS = np.array([2, 2, 1, 2, 8, 5, 5, 16, 20, 19, 19], dtype=float)
+_FAMILY_WEIGHTS /= _FAMILY_WEIGHTS.sum()
+# SHA-256 of the detokenizer's repairs, notes and maps over `_fuzz_streams()`, pinned
+# from the per-family detokenizer that the family table replaced.
+FUZZ_DIGEST = "d23d766bf6cae86e1d78a48884dbe7a1e713b5d147c15aba2cfc999f25f96b59"
+
+
+def _grammar_walk(rng, length):
+    """A mostly well-formed stream: bars of position groups and note triples, with
+    about one token in ten replaced by a random id or dropped."""
+    out = []
+    while len(out) < length:
+        out.append(VOCAB.bar)
+        if rng.random() < 0.3:
+            out.append(VOCAB.timesig(int(rng.integers(1, 13)), int(rng.choice([1, 2, 4, 8, 16]))))
+        if rng.random() < 0.3:
+            out.append(VOCAB.tempo(int(rng.integers(0, 32))))
+        for _ in range(int(rng.integers(0, 4))):
+            out.append(VOCAB.position(int(rng.integers(0, 60))))
+            for _ in range(int(rng.integers(1, 4))):
+                out += [
+                    VOCAB.pitch(int(rng.integers(0, 128))),
+                    VOCAB.velocity(int(rng.integers(0, 32))),
+                    VOCAB.duration(int(rng.integers(1, 97))),
+                ]
+    noisy = []
+    for token in out[:length]:
+        roll = rng.random()
+        if roll < 0.05:
+            noisy.append(int(rng.integers(0, len(VOCAB))))
+        elif roll >= 0.1:
+            noisy.append(token)
+    return noisy
+
+
+def _fuzz_streams(count=2000, seed=33):
+    """Uniform, family-biased and grammar-walk streams, a third of each."""
+    rng = np.random.default_rng(seed)
+    streams = []
+    for k in range(count):
+        length = int(rng.integers(0, 120))
+        if k % 3 == 0:
+            stream = rng.integers(0, len(VOCAB), size=length).tolist()
+        elif k % 3 == 1:
+            families = rng.choice(len(_FAMILY_RANGES), size=length, p=_FAMILY_WEIGHTS)
+            stream = [int(rng.integers(*_FAMILY_RANGES[f])) for f in families]
+        else:
+            stream = _grammar_walk(rng, length)
+        streams.append(stream)
+    return streams
+
+
+def test_detokenize_fuzz_digest_is_pinned():
+    h = hashlib.sha256()
+    totals = [0, 0]
+    for stream in _fuzz_streams():
+        score, repairs = detokenize_with_report(stream)
+        totals[0] += len(repairs)
+        totals[1] += len(score.notes)
+        record = [
+            repairs,
+            [[n.pitch, str(n.onset), str(n.duration), n.velocity] for n in score.notes],
+            [[str(beat), repr(bpm)] for beat, bpm in score.tempo_map],
+            [list(sig) for sig in score.time_signatures],
+        ]
+        h.update(json.dumps(record).encode())
+    assert min(totals) > 0  # the fuzz reaches both the repair and the note paths
+    assert h.hexdigest() == FUZZ_DIGEST, (h.hexdigest(), totals)
 
 
 def test_detokenize_never_raises_on_in_vocab_ids():
