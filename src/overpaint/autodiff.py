@@ -283,20 +283,31 @@ def embedding_lookup(table: Tensor, ids: np.ndarray) -> Tensor:
     return _result(data, (table,), backward, "embedding_lookup")
 
 
+_DROP_STEPS = 65536  # keep-masks compare 16-bit draws, so rates count in 1/65536 steps
+
+
+def _quantised_rate(p: float) -> float:
+    """The dropout rate a keep mask for `p` realises, round(p * 65536) / 65536;
+    p must lie in [0, 1) and not round to 1."""
+    steps = round(p * _DROP_STEPS) if 0 <= p < 1 else _DROP_STEPS
+    if steps >= _DROP_STEPS:
+        raise ValueError(f"dropout rate must be in [0, 1) and round below 1 in steps of 1/{_DROP_STEPS}, got {p}")
+    return steps / _DROP_STEPS
+
+
 def _dropout_mask(shape, p: float, rng: np.random.Generator) -> np.ndarray:
-    """Inverted-dropout keep mask (bool, True with probability 1 - p) from one
-    float32 draw; callers scale what it keeps by 1 / (1 - p)."""
-    return rng.random(shape, dtype=np.float32) >= p
+    """Inverted-dropout keep mask (bool) from one uint16 draw: an element drops
+    when its draw falls below round(p * 65536). Callers scale what it keeps by
+    1 / (1 - _quantised_rate(p)), so the expectation is unchanged."""
+    return rng.integers(0, _DROP_STEPS, size=shape, dtype=np.uint16) >= round(p * _DROP_STEPS)
 
 
 def dropout(a: Tensor, p: float, rng: np.random.Generator) -> Tensor:
     """Inverted dropout; identity when p == 0."""
-    if not 0 <= p < 1:
-        raise ValueError("dropout rate must be in [0, 1)")
+    scale = 1.0 / (1.0 - _quantised_rate(p))
     if p == 0.0:
         return a
     keep = _dropout_mask(a.shape, p, rng)
-    scale = 1.0 / (1.0 - p)
     data = a.data * keep
     data *= scale
 
@@ -312,9 +323,9 @@ def dropout(a: Tensor, p: float, rng: np.random.Generator) -> Tensor:
 _MASK_VALUE = -1e9  # large-but-finite so downstream checks stay clean
 # Query rows per step of attention's loop: at L = 440 (the longest training
 # pairs), tiles of 64 skip 43% of the (L, L) scores while each product stays
-# large enough for BLAS. In a right-padded batch a tile also leaves out the
-# rows whose real length ends before it, so short rows stop paying for the
-# longest one's tiles.
+# large enough for BLAS. In a packed batch a tile also leaves out the rows
+# whose length ends before it, so short rows stop paying for the longest
+# one's tiles.
 _QUERY_TILE = 64
 
 
@@ -338,30 +349,45 @@ def attention(
     row b (their scores are set to the mask value), for a batch whose rows
     have read different numbers of positions.
 
-    `query_lengths`, a (B,) array in 1..L for a right-padded batch with
-    Lq == Lk == L, says that row b's positions >= query_lengths[b] are
-    padding. No real query sees them (causality), so the rows' outputs there
-    are left out where a whole tile of them is padding: those outputs are 0
-    and pass back no gradient. Outputs and gradients at real positions are
-    bitwise those of the call without it.
+    `query_lengths`, a (B,) array of lengths >= 1, says instead that q, k
+    and v are packed: (N, D) with N = sum(query_lengths), row b's positions
+    0..query_lengths[b]-1 following row b-1's, and the output is packed
+    alike. The op scatters them into a zero-padded (B, H, L, d_h) copy, L =
+    max(query_lengths), and gathers the real rows back. No real query sees a
+    padded key (causality), so this is the (B, L, D) op on the zero-padded
+    batch, taken at its real positions.
 
     The queries are processed in tiles of rows [s, e): a tile scores only the
     keys it can see, [0, e + Lk - Lq), and masks only its trailing
     (e - s) x (e - s) square, so the hidden upper triangle is never computed
-    (a one-token decode step is one unmasked tile). With p > 0 each tile
-    draws its dropout mask as one rng.random((B, H, e - s, e + Lk - Lq),
-    dtype=float32) call, in tile order, whichever rows it leaves out.
+    (a one-token decode step is one unmasked tile). A packed tile leaves out
+    the rows whose length ends at or before s. With p > 0 each tile draws its
+    keep mask as one (rows it keeps, H, e - s, e + Lk - Lq) uint16 draw, in
+    tile order.
     """
-    if q.ndim != 3 or k.ndim != 3 or k.shape != v.shape:
-        raise ValueError("attention needs (batch, length, features) q, k, v; k and v one shape")
-    batch, length, width = q.shape
-    offset = k.shape[1] - length
-    if k.shape[0] != batch or k.shape[2] != width or offset < 0:
-        raise ValueError(f"key/value shape {k.shape} does not fit queries of shape {q.shape}")
+    if query_lengths is None:
+        if q.ndim != 3 or k.ndim != 3 or k.shape != v.shape:
+            raise ValueError("attention needs (batch, length, features) q, k, v; k and v one shape")
+        batch, length, width = q.shape
+        offset = k.shape[1] - length
+        if k.shape[0] != batch or k.shape[2] != width or offset < 0:
+            raise ValueError(f"key/value shape {k.shape} does not fit queries of shape {q.shape}")
+    else:
+        if key_lengths is not None:
+            raise ValueError("packed attention (query_lengths) takes no key_lengths")
+        if q.ndim != 2 or k.shape != q.shape or v.shape != q.shape:
+            raise ValueError("packed attention needs (positions, features) q, k, v of one shape")
+        query_lengths = np.asarray(query_lengths)
+        if query_lengths.ndim != 1 or not query_lengths.size or not (
+            (query_lengths >= 1).all() and query_lengths.sum() == q.shape[0]
+        ):
+            raise ValueError(f"query_lengths must be lengths >= 1 summing to {q.shape[0]}")
+        batch, length, width = len(query_lengths), int(query_lengths.max()), q.shape[1]
+        offset = 0
+        real = np.arange(length) < query_lengths[:, None]
     if n_heads < 1 or width % n_heads:
         raise ValueError(f"{width} features do not split into {n_heads} heads")
-    if not 0 <= p < 1:
-        raise ValueError("dropout rate must be in [0, 1)")
+    scale = 1.0 / (1.0 - _quantised_rate(p))
     if p > 0 and rng is None:
         raise ValueError("attention dropout needs an rng")
     if key_lengths is not None:
@@ -370,24 +396,22 @@ def attention(
             (key_lengths >= 1).all() and (key_lengths <= k.shape[1]).all()
         ):
             raise ValueError(f"key_lengths must be {batch} lengths in 1..{k.shape[1]}")
-    if query_lengths is not None:
-        if key_lengths is not None or offset:
-            raise ValueError("query_lengths needs as many keys as queries, and no key_lengths")
-        query_lengths = np.asarray(query_lengths)
-        if query_lengths.shape != (batch,) or not (
-            (query_lengths >= 1).all() and (query_lengths <= length).all()
-        ):
-            raise ValueError(f"query_lengths must be {batch} lengths in 1..{length}")
     d_head = width // n_heads
     inv_sqrt = 1.0 / math.sqrt(d_head)
-    scale = 1.0 / (1.0 - p)
 
-    def split(x: np.ndarray) -> np.ndarray:  # (B, L, D) -> contiguous (B, H, L, d_h)
-        heads = x.reshape(batch, x.shape[1], n_heads, d_head).transpose(0, 2, 1, 3)
-        return np.ascontiguousarray(heads)
+    def split(x: np.ndarray) -> np.ndarray:  # (B, L, D) or packed (N, D) -> contiguous (B, H, L, d_h)
+        if query_lengths is None:
+            heads = x.reshape(batch, x.shape[1], n_heads, d_head).transpose(0, 2, 1, 3)
+            return np.ascontiguousarray(heads)
+        heads = np.zeros((batch, n_heads, length, d_head), dtype=x.dtype)
+        heads.transpose(0, 2, 1, 3)[real] = x.reshape(-1, n_heads, d_head)
+        return heads
 
-    def merge(x: np.ndarray) -> np.ndarray:  # (B, H, L, d_h) -> (B, L, D)
-        return x.transpose(0, 2, 1, 3).reshape(batch, x.shape[2], width)
+    def merge(x: np.ndarray) -> np.ndarray:  # (B, H, L, d_h) -> (B, L, D) or packed (N, D)
+        rows = x.transpose(0, 2, 1, 3)
+        if query_lengths is None:
+            return rows.reshape(batch, x.shape[2], width)
+        return rows[real].reshape(-1, width)
 
     qh, kh, vh = split(q.data), split(k.data), split(v.data)
     out = np.zeros_like(qh)  # rows a tile leaves out stay 0
@@ -399,9 +423,10 @@ def attention(
     for s in range(0, length, _QUERY_TILE):
         e = min(s + _QUERY_TILE, length)
         rows, visible = e - s, e + offset
-        live = slice(None)  # the batch rows this tile computes; a slice indexes views
+        live, kept = slice(None), batch  # the batch rows this tile computes; a slice indexes views
         if query_lengths is not None and query_lengths.min() <= s:
             live = np.flatnonzero(query_lengths > s)
+            kept = len(live)
         scores = qh[live, :, s:e] @ np.swapaxes(kh[live, :, :visible], -1, -2)
         scores *= inv_sqrt
         if rows > 1:
@@ -410,7 +435,7 @@ def attention(
             hidden = np.arange(visible) >= key_lengths[:, None]
             np.copyto(scores, _MASK_VALUE, where=hidden[:, None, None, :])
         weights = _softmax_last(scores)
-        keep = _dropout_mask((batch, n_heads, rows, visible), p, rng)[live] if p > 0 else None
+        keep = _dropout_mask((kept, n_heads, rows, visible), p, rng) if p > 0 else None
         dropped = weights if keep is None else weights * keep
         out[live, :, s:e] = dropped @ vh[live, :, :visible]
         tiles.append((s, e, live, weights, keep))
@@ -475,20 +500,22 @@ def cross_entropy(
     if safe_targets.min() < 0 or safe_targets.max() >= v:
         raise ValueError("target id outside vocabulary")
 
-    shifted = flat_logits - flat_logits.max(axis=-1, keepdims=True)
-    lse = np.log(np.exp(shifted).sum(axis=-1))
+    exps = flat_logits - flat_logits.max(axis=-1, keepdims=True)
     rows = np.arange(flat_logits.shape[0])
-    logp = shifted[rows, safe_targets] - lse
+    logp = exps[rows, safe_targets]
+    np.exp(exps, out=exps)  # the one exp per logit: the backward reuses it
+    sums = exps.sum(axis=-1)
+    logp -= np.log(sums)
     per_position = np.where(valid, -logp, 0.0)
     data = np.asarray(per_position.sum() / n_valid, dtype=logits.data.dtype)
 
     def backward(g):
         if logits.requires_grad:
-            soft = np.exp(shifted - lse[:, None])
-            soft[rows, safe_targets] -= 1.0
-            soft[~valid] = 0.0
-            grad = (float(g) / n_valid) * soft
-            logits.accumulate_grad(grad.reshape(logits.shape).astype(logits.data.dtype))
+            step = float(g) / n_valid
+            grad = exps * (step / sums)[:, None]  # softmax minus one-hot at the targets, 0 where ignored
+            grad[rows, safe_targets] -= step
+            grad[~valid] = 0.0
+            logits.accumulate_grad(grad.reshape(logits.shape))
 
     loss = _result(data, (logits,), backward, "cross_entropy")
     if return_elementwise:

@@ -112,15 +112,21 @@ def _normalize_tempos(entries: list[tuple[Fraction, float]]) -> list[tuple[Fract
     return sorted(out.items())
 
 
+def _normalize_signature(num: int, den: int) -> tuple[int, int]:
+    """The supported signature nearest num/den: the numerator clamped to
+    1..NUMERATOR_MAX, the denominator the nearest supported one."""
+    num = min(max(num, 1), NUMERATOR_MAX)
+    if den not in SUPPORTED_DENOMINATORS:
+        den = min(SUPPORTED_DENOMINATORS, key=lambda d: abs(d - den))
+    return num, den
+
+
 def _normalize_signatures(entries: list[tuple[int, int, int]]) -> list[tuple[int, int, int]]:
     out: dict[int, tuple[int, int]] = {}
     for bar, num, den in sorted(entries, key=lambda e: e[0]):
         if bar < 0:
             raise ValueError("time signature before bar 0")
-        num = min(max(num, 1), NUMERATOR_MAX)
-        if den not in SUPPORTED_DENOMINATORS:
-            den = min(SUPPORTED_DENOMINATORS, key=lambda d: abs(d - den))
-        out[bar] = (num, den)
+        out[bar] = _normalize_signature(num, den)
     if 0 not in out:
         out = {0: DEFAULT_TIME_SIGNATURE, **out}
     return [(bar, num, den) for bar, (num, den) in sorted(out.items())]
@@ -398,9 +404,7 @@ def parse_midi(data: bytes) -> MidiScore:
     prev_bar, prev_start = 0, Fraction(0)
     cur_num, cur_den = DEFAULT_TIME_SIGNATURE
     for tick, num, den in sorted(sig_ticks):
-        num = min(max(num, 1), NUMERATOR_MAX)
-        if den not in SUPPORTED_DENOMINATORS:
-            den = min(SUPPORTED_DENOMINATORS, key=lambda d: abs(d - den))
+        num, den = _normalize_signature(num, den)
         beat = Fraction(tick, resolution)
         cur_len = bar_length(cur_num, cur_den)
         bar = prev_bar + int((beat - prev_start) // cur_len)

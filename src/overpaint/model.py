@@ -50,8 +50,10 @@ class ModelConfig:
             )
         if self.dtype not in ("float32", "float64"):
             raise ValueError(f"bad dtype {self.dtype}")
-        if not 0 <= self.dropout < 1:
-            raise ValueError(f"bad dropout {self.dropout}")
+        try:
+            ad._quantised_rate(self.dropout)
+        except ValueError as exc:
+            raise ValueError(f"bad dropout {self.dropout}") from exc
 
 
 def preset(name: str, vocab_size: int, **overrides) -> ModelConfig:
@@ -222,10 +224,10 @@ class TransformerLM:
         `ids` is (B, L) int; positions beyond max_len are rejected. Dropout
         runs only when training with a generator supplied. `lengths`, a (B,)
         array in 1..L, marks a right-padded batch whose row b is padding from
-        position lengths[b] on; attention then skips padded query tiles. The
-        logits at padding change, but those at real positions, and the
-        gradients of a loss that ignores padding, are bitwise unchanged. It
-        cannot be combined with a cache. With a cache, each
+        position lengths[b] on. The forward then packs the N = sum(lengths)
+        real positions once, at the embeddings, so every op runs on those
+        alone, and returns their (N, V) logits in row order. It cannot be
+        combined with a cache or last_only. With a cache, each
         row of `ids` continues that row's cached positions: it attends to its
         cached keys and values, and its own are appended. Rows may have read
         different numbers of positions only when each is given one token. A
@@ -253,13 +255,22 @@ class TransformerLM:
             start, key_lengths = cache.lengths[:, None], cache.lengths + length
         if length < 1 or length > room:
             raise ValueError(f"sequence length {length} outside 1..{room}")
+        tokens, positions = ids, start + np.arange(length)
+        if lengths is not None:
+            lengths = np.asarray(lengths)
+            if last_only:
+                raise ValueError("a packed forward (lengths) takes no last_only")
+            if lengths.shape != (batch,) or not ((lengths >= 1) & (lengths <= length)).all():
+                raise ValueError(f"lengths must be {batch} lengths in 1..{length}")
+            real = np.arange(length) < lengths[:, None]
+            tokens, positions = ids[real], np.nonzero(real)[1]
         use_dropout = training and cfg.dropout > 0.0
         if use_dropout and rng is None:
             raise ValueError("training forward needs an rng for dropout")
         p = self.params
 
-        x = ad.add(ad.embedding_lookup(p["tok_emb"], ids),
-                   ad.embedding_lookup(p["pos_emb"], start + np.arange(length)))
+        x = ad.add(ad.embedding_lookup(p["tok_emb"], tokens),
+                   ad.embedding_lookup(p["pos_emb"], positions))
         if use_dropout:
             x = ad.dropout(x, cfg.dropout, rng)
         attn_p = cfg.dropout if use_dropout else 0.0
@@ -463,12 +474,14 @@ def _epoch_pass(
         inputs, targets = ids[:, :-1], ids[:, 1:]
         cells += targets.size
         # each row's inputs before its padding (at least one, for a row too
-        # short to have a target)
+        # short to have a target); the forward packs them, and so do the targets
         lengths = np.array([max(len(s) - 1, 1) for s in chunk])
+        real = np.arange(inputs.shape[1]) < lengths[:, None]
+        packed = targets[real]
         with contextlib.nullcontext() if train else ad.no_grad():
             logits = model.forward(inputs, training=train, rng=rng, lengths=lengths)
             loss, per_position = ad.cross_entropy(
-                logits, targets, ignore_index=PAD, return_elementwise=True
+                logits, packed, ignore_index=PAD, return_elementwise=True
             )
         if train:
             model.zero_grad()
@@ -477,7 +490,7 @@ def _epoch_pass(
         if not math.isfinite(loss.item()):
             raise NonFiniteError("training loss diverged")
         pre_mask, post_mask = _sep_split_masks(targets, inputs)
-        for j, mask in enumerate((targets != PAD, pre_mask, post_mask)):
+        for j, mask in enumerate((packed != PAD, pre_mask[real], post_mask[real])):
             total[j] += float(per_position[mask].sum())
             counts[j] += int(mask.sum())
     with np.errstate(invalid="ignore", divide="ignore"):
@@ -502,6 +515,11 @@ def train(
     """
     if not train_sequences or not val_sequences:
         raise ValueError("need non-empty train and val sets")
+    longest = model_config.max_len + 1  # inputs are a sequence without its last token
+    for split, seqs in (("train", train_sequences), ("val", val_sequences)):
+        for i, seq in enumerate(seqs):
+            if len(seq) > longest:
+                raise ValueError(f"{split} sequence {i} has {len(seq)} tokens; at most {longest} fit")
     seeds = np.random.SeedSequence(train_config.seed).spawn(3)
     init_seed = int(seeds[0].generate_state(1)[0])
     shuffle_rng = np.random.default_rng(seeds[1])

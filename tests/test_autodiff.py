@@ -103,13 +103,14 @@ def attention_instance(name, rng, lengths):
         qkv[1:] = [t64(rng, batch, keys, heads * d_head) for _ in range(2)]
         key_lengths = rng.integers(1, keys + 1, size=batch)
         return lambda q, k, v: attention(q, k, v, heads, key_lengths=key_lengths), qkv
-    if name == "attention_padded":  # a right-padded batch, with dropout
+    if name == "attention_padded":  # a right-padded batch's real rows, packed, with dropout
         query_lengths = rng.integers(1, length + 1, size=batch)
+        packed = [t64(rng, int(query_lengths.sum()), heads * d_head) for _ in range(3)]
         seed = int(rng.integers(0, 1000))
         return (
             lambda q, k, v: attention(q, k, v, heads, 0.4, np.random.default_rng(seed),
                                       query_lengths=query_lengths),
-            qkv,
+            packed,
         )
     seed = int(rng.integers(0, 1000))
     return (
@@ -193,6 +194,21 @@ def test_cross_entropy_means_over_valid_positions():
     assert np.allclose(logits.grad[2], 0.0)
 
 
+@pytest.mark.parametrize("dtype, tol", [(np.float32, 1e-6), (np.float64, 1e-12)])
+def test_cross_entropy_gradient_is_softmax_minus_one_hot(dtype, tol):
+    rng = np.random.default_rng(18)
+    logits = Tensor((rng.standard_normal((2, 3, 7)) * 3).astype(dtype), requires_grad=True)
+    targets = np.array([[1, 9, 6], [0, 9, 2]])  # 9 is ignored
+    loss = cross_entropy(logits, targets, ignore_index=9)
+    loss.backward(np.asarray(2.0))
+    x = logits.data.astype(np.float64)
+    want = np.exp(x - np.logaddexp.reduce(x, axis=-1, keepdims=True))
+    want[np.arange(2)[:, None], np.arange(3), np.where(targets == 9, 0, targets)] -= 1.0
+    want[targets == 9] = 0.0
+    assert logits.grad.dtype == dtype and loss.dtype == dtype
+    assert np.allclose(logits.grad, want * 2.0 / 4, rtol=0, atol=tol)
+
+
 def test_cross_entropy_rejects_bad_targets():
     logits = Tensor(np.zeros((2, 4)), requires_grad=True)
     with pytest.raises(ValueError, match="no valid targets"):
@@ -219,24 +235,33 @@ def test_gelu_limits():
     assert out.data[2] == pytest.approx(20.0, abs=1e-6)
 
 
-def per_head_attention(q, k, v, n_heads, p=0.0, rng=None):
-    """Reference: slice each head, mask, softmax, dropout, concat.
+def keep_masks(rng, p, n_heads, lengths, keys):
+    """The op's dropout masks for rows of the given query lengths, drawn
+    independently: per tile of query rows, in tile order, one uint16 (live
+    rows, H, rows, visible keys) draw each, a row being live while its length
+    exceeds the tile's start; returns (tile start, mask) pairs."""
+    lengths = np.asarray(lengths)
+    length = int(lengths.max())
+    masks = []
+    for s in range(0, length, autodiff._QUERY_TILE):
+        e = min(s + autodiff._QUERY_TILE, length)
+        draw = rng.integers(0, 65536, size=((lengths > s).sum(), n_heads, e - s, e + keys - length),
+                            dtype=np.uint16)
+        masks.append((s, draw >= round(p * 65536)))
+    return masks
 
-    The dropout mask is drawn as the op draws it: per tile of query rows, in
-    tile order, one float32 (B, H, rows, visible keys) draw each.
-    """
+
+def per_head_attention(q, k, v, n_heads, p=0.0, rng=None):
+    """Reference: slice each head, mask, softmax, dropout, concat, with the
+    dropout masks of keep_masks and the scale 1 / (1 - p quantised to 1/65536)."""
     batch, length, width = q.shape
     keys = k.shape[1]
     d_head = width // n_heads
     upper = np.triu(np.full((length, keys), -1e9), k=1 + keys - length)
     keep = np.ones((batch, n_heads, length, keys), dtype=bool)
     if p > 0:
-        for s in range(0, length, autodiff._QUERY_TILE):
-            e = min(s + autodiff._QUERY_TILE, length)
-            visible = e + keys - length
-            keep[:, :, s:e, :visible] = rng.random(
-                (batch, n_heads, e - s, visible), dtype=np.float32
-            ) >= p
+        for s, mask in keep_masks(rng, p, n_heads, [length] * batch, keys):
+            keep[:, :, s:s + mask.shape[2], :mask.shape[3]] = mask
     heads = []
     for h in range(n_heads):
         cols = slice(h * d_head, (h + 1) * d_head)
@@ -245,7 +270,7 @@ def per_head_attention(q, k, v, n_heads, p=0.0, rng=None):
         weights = np.exp(scores - scores.max(axis=-1, keepdims=True))
         weights /= weights.sum(axis=-1, keepdims=True)
         if p > 0:
-            weights = weights * keep[:, h] / (1.0 - p)
+            weights = weights * keep[:, h] / (1.0 - round(p * 65536) / 65536)
         heads.append(weights @ v[:, :, cols])
     return np.concatenate(heads, axis=-1)
 
@@ -350,54 +375,73 @@ def test_attention_key_lengths_hide_trailing_keys():
 @pytest.mark.parametrize("p", [0.0, 0.3])
 @pytest.mark.parametrize("tile", [None, 2])
 def test_attention_query_lengths_skip_only_padding_bitwise(p, tile, monkeypatch):
-    """With query_lengths, real rows' outputs and every q/k/v gradient are
-    bitwise those of the plain op when padding passes back no gradient (as
-    under cross_entropy), and the generator ends in the same state; the rows
-    of a tile wholly past a row's length are 0 and pass back nothing."""
+    """Packed attention (query_lengths) gives bitwise the output and q/k/v
+    gradients of the plain op on the zero-padded batch, taken at the real
+    rows, when both see the same dropout masks. Its masks are drawn only
+    for the rows each tile keeps, (live rows, H, rows, visible) in tile
+    order, and nothing else touches the generator."""
     if tile is not None:
         monkeypatch.setattr(autodiff, "_QUERY_TILE", tile)
     size = autodiff._QUERY_TILE
     rng = np.random.default_rng(16)
-    q, k, v = (rng.standard_normal((3, 150, 12)) for _ in range(3))
-    lengths = np.array([150, 65, 21])  # a real query opens the tile at 64 (and at 20)
+    # a real query opens the tile at 64 (and at 20); a row ends just before it
+    lengths = np.array([150, 65, 64, 21])
     real = np.arange(150) < lengths[:, None]
-    skipped = (np.arange(150) // size * size) >= lengths[:, None]
-    assert skipped.any()
-    probe = rng.standard_normal(q.shape)
+    assert ((np.arange(150) // size * size) >= lengths[:, None]).any()  # tiles leave rows out
+    q, k, v = (rng.standard_normal((4, 150, 12)) * real[:, :, None] for _ in range(3))
+    probe = rng.standard_normal(q.shape) * real[:, :, None]
 
-    def run(seed, **kwargs):
-        gen = np.random.default_rng(9)
-        qkv = [Tensor(x, requires_grad=True) for x in (q, k, v)]
-        out = attention(*qkv, 3, p, gen, **kwargs)
+    drawn = []
+    draw = autodiff._dropout_mask
+
+    def recording(shape, rate, gen):
+        drawn.append(draw(shape, rate, gen))
+        return drawn[-1]
+
+    def replaying(shape, rate, gen):  # the packed op's masks for its live rows, all kept elsewhere
+        keep = np.ones(shape, dtype=bool)
+        s = len(replayed) * size
+        keep[np.flatnonzero(lengths > s)] = drawn[len(replayed)]
+        replayed.append(keep)
+        return keep
+
+    def run(qkv, seed, **kwargs):
+        tensors = [Tensor(x, requires_grad=True) for x in qkv]
+        out = attention(*tensors, 3, p, gen, **kwargs)
         out.backward(seed)
-        return out.data, [t.grad for t in qkv], gen.bit_generator.state
+        return [out.data] + [t.grad for t in tensors]
 
-    padded_zero = probe * real[:, :, None]
-    plain, plain_grads, plain_state = run(padded_zero)
-    out, grads, state = run(padded_zero, query_lengths=lengths)
-    assert np.array_equal(out[real], plain[real])
-    for got, want in zip(grads, plain_grads):
+    gen = np.random.default_rng(9)
+    monkeypatch.setattr(autodiff, "_dropout_mask", recording)
+    packed = run([x[real] for x in (q, k, v)], probe[real], query_lengths=lengths)
+    replayed = []
+    monkeypatch.setattr(autodiff, "_dropout_mask", replaying)
+    plain = run([q, k, v], probe)
+    for got, want in zip(packed, plain):
+        assert np.array_equal(got, want[real])
+
+    expected = np.random.default_rng(9)
+    masks = keep_masks(expected, p, 3, lengths, 150) if p > 0 else []
+    assert len(drawn) == len(masks) == len(replayed)
+    for got, (_, want) in zip(drawn, masks):
         assert np.array_equal(got, want)
-    assert state == plain_state
-    assert not out[skipped].any()
-
-    # only skipped queries see a skipped position's key, so it too gets nothing
-    _, grads, _ = run(probe, query_lengths=lengths)
-    for grad in grads:
-        assert not grad[skipped].any()
+    assert gen.bit_generator.state == expected.bit_generator.state
 
 
 def test_attention_query_lengths_validation():
     rng = np.random.default_rng(17)
-    q, k, v = (Tensor(rng.standard_normal((2, 5, 4))) for _ in range(3))
-    longer = Tensor(rng.standard_normal((2, 6, 4)))
-    for bad in ([5], [0, 5], [2, 6]):
+    q, k, v = (Tensor(rng.standard_normal((7, 4))) for _ in range(3))
+    for bad in ([5], [0, 7], [3, 5], [[3, 4]], []):
         with pytest.raises(ValueError, match="query_lengths must be"):
             attention(q, k, v, 2, query_lengths=bad)
-    with pytest.raises(ValueError, match="as many keys"):
-        attention(q, longer, longer, 2, query_lengths=[5, 5])
+    assert attention(q, k, v, 2, query_lengths=[3, 4]).shape == (7, 4)
+    with pytest.raises(ValueError, match="one shape"):
+        attention(q, Tensor(rng.standard_normal((8, 4))), v, 2, query_lengths=[3, 4])
+    with pytest.raises(ValueError, match="one shape"):
+        padded = Tensor(rng.standard_normal((2, 4, 4)))
+        attention(padded, padded, padded, 2, query_lengths=[3, 4])
     with pytest.raises(ValueError, match="key_lengths"):
-        attention(q, k, v, 2, key_lengths=[5, 5], query_lengths=[5, 5])
+        attention(q, k, v, 2, key_lengths=[4, 4], query_lengths=[3, 4])
 
 
 # --- graph mechanics ------------------------------------------------------------
@@ -526,6 +570,24 @@ def test_dropout_modes():
         dropout(x, 1.0, rng)
     with pytest.raises(ValueError):
         dropout(x, -0.1, rng)
+    with pytest.raises(ValueError, match="round below 1"):  # a rate that rounds to 65536/65536
+        dropout(x, 1 - 1e-6, rng)
+    # a rate between 1/65536 steps keeps what it keeps at 1 / (1 - the rounded rate)
+    out = dropout(x, 0.1, np.random.default_rng(9))
+    assert np.array_equal(np.unique(out.data), [0.0, 65536 / (65536 - 6554)])
+
+
+@pytest.mark.parametrize("p", [0.1, 0.5, 1 / 3, 0.99])
+def test_dropout_mask_keep_rate(p):
+    """Over 2**20 draws the keep rate lies within 5 sigma of 1 - p_q, p_q =
+    round(p * 65536) / 65536."""
+    n = 2**20
+    keep_rate = 1 - autodiff._quantised_rate(p)
+    assert keep_rate == 1 - round(p * 65536) / 65536
+    mask = autodiff._dropout_mask((n,), p, np.random.default_rng(21))
+    assert mask.dtype == bool
+    sigma = math.sqrt(keep_rate * (1 - keep_rate) / n)
+    assert abs(mask.mean() - keep_rate) < 5 * sigma
 
 
 # --- optimizer --------------------------------------------------------------------

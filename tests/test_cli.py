@@ -344,6 +344,22 @@ def test_train_rejects_bad_lr_before_training(pipeline, tmp_path, caplog, lr):
     assert list(tmp_path.iterdir()) == []  # no checkpoint, no epoch log
 
 
+@pytest.mark.parametrize("split", ["train", "val"])
+def test_train_rejects_an_over_long_sequence_before_training(pipeline, tmp_path, caplog, split):
+    tokens = tmp_path / "tokens"
+    shutil.copytree(pipeline["tokens"], tokens)
+    vocab = build_vocabulary()
+    seqs = read_token_file(tokens / f"tokens_{split}.bin", vocab)
+    seqs.insert(1, np.array([BOS] + [SEP] * 1100 + [EOS]))  # 1102 tokens; 1025 fit
+    write_token_file(tokens / f"tokens_{split}.bin", seqs, vocab)
+    out = tmp_path / "out"
+    out.mkdir()
+    assert main(["--quiet", "train", "--tokens", str(tokens),
+                 "--out", str(out / "m.ovpt"), "--epochs", "1"]) == 2
+    assert f"{split} sequence 1 has 1102 tokens" in caplog.text
+    assert list(out.iterdir()) == []  # no checkpoint, no epoch log
+
+
 def test_non_finite_training_exits_4(pipeline, tmp_path, monkeypatch):
     def explode(*args, **kwargs):
         raise NonFiniteError("loss diverged")

@@ -280,6 +280,24 @@ def test_parse_clamps_tempo_and_signature_values():
     assert score.time_signatures == [(0, 12, 16)]
 
 
+def test_parse_normalizes_signatures_before_folding_bars():
+    """A 20/32 signature (bytes 20, 5) reads as 12/16, three beats a bar, and
+    a 0/8 one (bytes 0, 3) at beat 7.5 as 1/8 from bar 2: bars fold with the
+    normalized signature (the raw 20/32's 2.5-beat bars would give bar 3),
+    as make_score normalizes it."""
+    events = [
+        (0, bytes([0xFF, 0x58, 4, 20, 5, 24, 8])),
+        (0, bytes([0x90, 60, 64])),
+        (480, bytes([0x80, 60, 0])),
+        (3120, bytes([0xFF, 0x58, 4, 0, 3, 24, 8])),
+    ]
+    score = parse_midi(smf([track_chunk(events)]))
+    assert score.time_signatures == [(0, 12, 16), (2, 1, 8)]
+    again = make_score(score.notes, score.tempo_map, [(0, 20, 32), (2, 0, 8)], 480)
+    assert again.time_signatures == score.time_signatures
+    assert [bar_start_beat(score, b) for b in range(4)] == [F(0), F(3), F(6), F(13, 2)]
+
+
 def test_parse_mid_bar_signature_snaps_to_bar():
     events = [
         (0, bytes([0x90, 60, 64])),

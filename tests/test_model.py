@@ -15,6 +15,7 @@ from overpaint.model import (
     ModelConfig,
     TrainConfig,
     TransformerLM,
+    _epoch_pass,
     _pad_batch,
     _sep_split_masks,
     generate,
@@ -117,38 +118,70 @@ def test_forward_dropout_is_seeded():
 
 @pytest.mark.parametrize("dtype, tol", [("float32", 1e-5), ("float64", 1e-10)])
 def test_forward_lengths_change_nothing_real(dtype, tol, monkeypatch):
-    """A padded batch's training forward with `lengths` (dropout on) gives the
-    logits at real positions and every parameter gradient of the one without,
-    bitwise; each row's real logits match that row's own forward."""
+    """A padded batch's forward with `lengths` returns (N, V) logits, one row
+    per real position in row order, that match the padded forward's logits
+    at those positions and each row's own forward."""
     monkeypatch.setattr(autodiff, "_QUERY_TILE", 4)  # so short rows skip tiles
     config = ModelConfig(vocab_size=50, n_layers=2, d_model=16, n_heads=4, d_ff=32,
                          max_len=32, dropout=0.2, dtype=dtype)
     model = TransformerLM(config, seed=30)
     rng = np.random.default_rng(31)
     seqs = [rng.integers(4, 50, size=n) for n in (19, 12, 5)]
-    ids = _pad_batch(seqs)
-    inputs, targets = ids[:, :-1], ids[:, 1:]
+    inputs = _pad_batch(seqs)[:, :-1]
     lengths = np.array([len(s) - 1 for s in seqs])
     real = np.arange(inputs.shape[1]) < lengths[:, None]
 
-    def step(**kwargs):
-        model.zero_grad()
-        logits = model.forward(inputs, training=True, rng=np.random.default_rng(32), **kwargs)
-        cross_entropy(logits, targets, ignore_index=PAD).backward()
-        return logits.data, {name: p.grad.copy() for name, p in model.params.items()}
-
-    plain, plain_grads = step()
-    skipping, grads = step(lengths=lengths)
-    assert np.array_equal(skipping[real], plain[real])
-    assert not np.array_equal(skipping[~real], plain[~real])  # tiles were skipped
-    for name, grad in grads.items():
-        assert np.array_equal(grad, plain_grads[name]), name
-
     with no_grad():
-        batched = model.forward(inputs, lengths=lengths).data
-        for b, seq in enumerate(seqs):
-            alone = model.forward(seq[None, :-1]).data[0]
-            assert np.allclose(batched[b, : len(seq) - 1], alone, rtol=0, atol=tol)
+        packed = model.forward(inputs, lengths=lengths).data
+        assert packed.shape == (lengths.sum(), 50) and packed.dtype == dtype
+        assert np.allclose(packed, model.forward(inputs).data[real], rtol=0, atol=tol)
+        for seq, row in zip(seqs, np.split(packed, np.cumsum(lengths)[:-1])):
+            assert np.allclose(row, model.forward(seq[None, :-1]).data[0], rtol=0, atol=tol)
+
+    def dropped(seed):
+        return model.forward(inputs, training=True, rng=np.random.default_rng(seed),
+                             lengths=lengths).data
+
+    assert np.array_equal(dropped(32), dropped(32)) and not np.array_equal(dropped(32), dropped(33))
+    for bad in ([18, 11], [18, 11, 0], [19, 11, 4]):
+        with pytest.raises(ValueError, match="lengths must be"):
+            model.forward(inputs, lengths=bad)
+    with pytest.raises(ValueError, match="last_only"):
+        model.forward(inputs, lengths=lengths, last_only=True)
+
+
+@pytest.mark.parametrize("dtype, tol", [("float32", 1e-6), ("float64", 1e-12)])
+def test_packed_loss_and_gradients_sum_the_rows(dtype, tol, monkeypatch):
+    """With dropout 0, a packed batch's loss times its target count is the
+    sum of each row's own loss times its count, and every parameter gradient
+    is the sum of the rows' gradients: within tol, scaled by the largest
+    entry where that exceeds 1."""
+    monkeypatch.setattr(autodiff, "_QUERY_TILE", 4)
+    config = ModelConfig(vocab_size=50, n_layers=2, d_model=16, n_heads=4, d_ff=32,
+                         max_len=32, dropout=0.0, dtype=dtype)
+    model = TransformerLM(config, seed=34)
+    rng = np.random.default_rng(35)
+    seqs = [rng.integers(4, 50, size=n) for n in (19, 12, 5, 2)]
+    ids = _pad_batch(seqs)
+    lengths = np.array([len(s) - 1 for s in seqs])
+    real = np.arange(ids.shape[1] - 1) < lengths[:, None]
+
+    def step(inputs, targets, count, **kwargs):
+        model.zero_grad()
+        logits = model.forward(inputs, training=True, rng=np.random.default_rng(0), **kwargs)
+        loss = cross_entropy(logits, targets, ignore_index=PAD)
+        loss.backward(np.asarray(float(count), dtype=dtype))
+        return loss.item() * count, {name: p.grad.astype(np.float64) for name, p in model.params.items()}
+
+    packed_loss, packed = step(ids[:, :-1], ids[:, 1:][real], real.sum(), lengths=lengths)
+    rows_loss, rows = 0.0, {name: 0.0 for name in packed}
+    for seq in seqs:
+        loss, grads = step(seq[None, :-1], seq[None, 1:], len(seq) - 1)
+        rows_loss += loss
+        rows = {name: rows[name] + grads[name] for name in rows}
+    assert abs(packed_loss - rows_loss) <= tol * rows_loss
+    for name, grad in packed.items():
+        assert np.abs(grad - rows[name]).max() <= tol * max(1.0, np.abs(rows[name]).max()), name
 
 
 def test_fresh_model_loss_is_near_uniform():
@@ -325,37 +358,79 @@ def test_train_is_deterministic_in_seed():
 
 
 def test_train_passing_lengths_changes_no_weight(monkeypatch):
-    """Two seeded epochs with dropout give bitwise the weights and losses of
-    a run whose forward never receives `lengths`, and count every target."""
+    """Two seeded epochs of packed training (dropout 0) track a run through
+    the padded path, a forward without `lengths` and a loss over the padded
+    targets, and count every target. The key biases are left out: softmax
+    ignores a shift shared by every key, so their true gradient is 0, and
+    Adam turns their rounding noise into steps of up to lr."""
     monkeypatch.setattr(autodiff, "_QUERY_TILE", 3)  # so rows skip tiles, some opened by their last query
     rng = np.random.default_rng(33)
     seqs = [pair_like_sequences(rng, 1, body=n)[0] for n in (2, 7, 4, 6, 3, 5)]
     train_seqs, val_seqs = seqs[:4], seqs[4:]
     config = ModelConfig(vocab_size=50, n_layers=2, d_model=16, n_heads=4, d_ff=32,
-                         max_len=32, dropout=0.2)
+                         max_len=32, dropout=0.0, dtype="float64")
     train_config = TrainConfig(max_epochs=2, batch_size=4, seed=5,
                                scheduler_patience=2, early_stop_patience=3)
-    skipping = train(train_seqs, val_seqs, config, train_config)
+    packed = train(train_seqs, val_seqs, config, train_config)
 
-    forward, given = TransformerLM.forward, []
+    forward, loss = TransformerLM.forward, autodiff.cross_entropy
+    given = []
 
-    def forward_without_lengths(self, ids, *args, lengths=None, **kwargs):
-        given.append(lengths)
+    def padded_forward(self, ids, *args, lengths=None, **kwargs):
+        given.append(np.arange(ids.shape[1]) < lengths[:, None])
         return forward(self, ids, *args, **kwargs)
 
-    monkeypatch.setattr(TransformerLM, "forward", forward_without_lengths)
+    def padded_loss(logits, targets, **kwargs):
+        real = given[-1]
+        full = np.full(real.shape, PAD)
+        full[real] = targets
+        total, per_position = loss(logits, full, **kwargs)
+        return total, per_position[real]
+
+    monkeypatch.setattr(TransformerLM, "forward", padded_forward)
+    monkeypatch.setattr(autodiff, "cross_entropy", padded_loss)
     plain = train(train_seqs, val_seqs, config, train_config)
-    assert len(given) == 4 and all(lengths is not None for lengths in given)  # train and val
-    assert [(log.train_loss, log.val_loss) for log in skipping.logs] == [
-        (log.train_loss, log.val_loss) for log in plain.logs
-    ]
-    for name, arr in skipping.model.state_arrays().items():
-        assert np.array_equal(arr, plain.model.state_arrays()[name]), name
+    assert len(given) == 4  # train and val, two epochs
+    losses = [[(log.train_loss, log.val_loss, log.pre_sep_loss, log.post_sep_loss)
+               for log in run.logs] for run in (packed, plain)]
+    assert np.allclose(*losses, rtol=1e-12, atol=0)
+    for name, arr in packed.model.state_arrays().items():
+        if not name.endswith("attn.bk"):
+            assert np.allclose(arr, plain.model.state_arrays()[name], rtol=0, atol=1e-12), name
 
     real = sum(len(s) - 1 for s in train_seqs)
     width = max(len(s) for s in train_seqs) - 1
-    assert skipping.target_positions == 2 * real
-    assert skipping.padded_positions == 2 * (len(train_seqs) * width - real)
+    assert packed.target_positions == 2 * real
+    assert packed.padded_positions == 2 * (len(train_seqs) * width - real)
+
+
+def test_epoch_pass_losses_are_the_rows_own():
+    """An eval pass over packed batches reports the mean loss, and the means
+    before and after SEP, of every row's own forward, and counts its real and
+    PAD targets; a one-token row adds no target."""
+    config = ModelConfig(vocab_size=50, n_layers=1, d_model=16, n_heads=4, d_ff=32,
+                         max_len=32, dropout=0.0, dtype="float64")
+    model = TransformerLM(config, seed=36)
+    rng = np.random.default_rng(37)
+    seqs = [pair_like_sequences(rng, 1, body=n)[0] for n in (2, 7, 4, 6)]
+    seqs += [np.array([BOS, 5, 6, EOS]), np.array([BOS])]  # no SEP: all pre; no target
+    order = rng.permutation(len(seqs))
+    with no_grad():
+        loss, pre, post, real, padded = _epoch_pass(model, seqs, order, 4, False, None, None, 0.0)
+        sums = np.zeros(3)
+        counts = np.zeros(3)
+        for seq in seqs[:-1]:
+            logits = model.forward(seq[None, :-1])
+            _, each = cross_entropy(logits, seq[None, 1:], return_elementwise=True)
+            sep = list(seq[:-1]).index(SEP) if SEP in seq[:-1] else len(seq)
+            before = np.arange(1, len(seq)) <= sep
+            for j, mask in enumerate((before | ~before, before, ~before)):
+                sums[j] += each[0][mask].sum()
+                counts[j] += mask.sum()
+    assert np.allclose([loss, pre, post], sums / counts, rtol=1e-12, atol=0)
+    assert real == counts[0]
+    widths = [max(len(seqs[i]) for i in order[lo:lo + 4]) - 1 for lo in (0, 4)]
+    assert padded == 4 * widths[0] + 2 * widths[1] - real
 
 
 def test_train_schedules_and_stops_early():
