@@ -331,8 +331,8 @@ _QUERY_TILE = 64
 
 def attention(
     q: Tensor,
-    k: Tensor,
-    v: Tensor,
+    k: Tensor | np.ndarray,
+    v: Tensor | np.ndarray,
     n_heads: int,
     p: float = 0.0,
     rng: np.random.Generator | None = None,
@@ -348,6 +348,10 @@ def attention(
     (B,) array in 1..Lk, further hides keys at index >= key_lengths[b] from
     row b (their scores are set to the mask value), for a batch whose rows
     have read different numbers of positions.
+
+    k and v may instead be arrays already split into heads, (B, H, Lk, d_h),
+    as a KV cache holds them: the op reads them in place, with no copy, and
+    gives them no gradient.
 
     `query_lengths`, a (B,) array of lengths >= 1, says instead that q, k
     and v are packed: (N, D) with N = sum(query_lengths), row b's positions
@@ -365,13 +369,13 @@ def attention(
     keep mask as one (rows it keeps, H, e - s, e + Lk - Lq) uint16 draw, in
     tile order.
     """
+    head_major = isinstance(k, np.ndarray)
     if query_lengths is None:
-        if q.ndim != 3 or k.ndim != 3 or k.shape != v.shape:
-            raise ValueError("attention needs (batch, length, features) q, k, v; k and v one shape")
+        if q.ndim != 3 or k.ndim != 3 + head_major or k.shape != v.shape:
+            raise ValueError("attention needs (batch, length, features) q, k, v, or head-major "
+                             "k, v arrays; k and v one shape")
         batch, length, width = q.shape
-        offset = k.shape[1] - length
-        if k.shape[0] != batch or k.shape[2] != width or offset < 0:
-            raise ValueError(f"key/value shape {k.shape} does not fit queries of shape {q.shape}")
+        offset = k.shape[-2] - length
     else:
         if key_lengths is not None:
             raise ValueError("packed attention (query_lengths) takes no key_lengths")
@@ -387,16 +391,21 @@ def attention(
         real = np.arange(length) < query_lengths[:, None]
     if n_heads < 1 or width % n_heads:
         raise ValueError(f"{width} features do not split into {n_heads} heads")
+    d_head = width // n_heads
+    keys = length + offset
+    if query_lengths is None:
+        fits = (batch, n_heads, keys, d_head) if head_major else (batch, keys, width)
+        if k.shape != fits or offset < 0:
+            raise ValueError(f"key/value shape {k.shape} does not fit queries of shape {q.shape}")
     scale = 1.0 / (1.0 - _quantised_rate(p))
     if p > 0 and rng is None:
         raise ValueError("attention dropout needs an rng")
     if key_lengths is not None:
         key_lengths = np.asarray(key_lengths)
         if key_lengths.shape != (batch,) or not (
-            (key_lengths >= 1).all() and (key_lengths <= k.shape[1]).all()
+            (key_lengths >= 1).all() and (key_lengths <= keys).all()
         ):
-            raise ValueError(f"key_lengths must be {batch} lengths in 1..{k.shape[1]}")
-    d_head = width // n_heads
+            raise ValueError(f"key_lengths must be {batch} lengths in 1..{keys}")
     inv_sqrt = 1.0 / math.sqrt(d_head)
 
     def split(x: np.ndarray) -> np.ndarray:  # (B, L, D) or packed (N, D) -> contiguous (B, H, L, d_h)
@@ -413,7 +422,8 @@ def attention(
             return rows.reshape(batch, x.shape[2], width)
         return rows[real].reshape(-1, width)
 
-    qh, kh, vh = split(q.data), split(k.data), split(v.data)
+    qh = split(q.data)
+    kh, vh = (k, v) if head_major else (split(k.data), split(v.data))
     out = np.zeros_like(qh)  # rows a tile leaves out stay 0
     square = min(_QUERY_TILE, length)  # one mask per call; a one-query call needs none
     causal = None
@@ -442,6 +452,7 @@ def attention(
     if p > 0:
         out *= scale
     data = merge(out)
+    parents = (q,) if head_major else (q, k, v)
 
     def backward(g):
         gh = split(g)
@@ -462,14 +473,11 @@ def attention(
             g_scores *= inv_sqrt
             gq[live, :, s:e] = g_scores @ kh[live, :, :visible]
             gk[live, :, :visible] += np.swapaxes(g_scores, -1, -2) @ qh[live, :, s:e]
-        if q.requires_grad:
-            q.accumulate_grad(merge(gq))
-        if k.requires_grad:
-            k.accumulate_grad(merge(gk))
-        if v.requires_grad:
-            v.accumulate_grad(merge(gv))
+        for operand, grad in zip(parents, (gq, gk, gv)):
+            if operand.requires_grad:
+                operand.accumulate_grad(merge(grad))
 
-    return _result(data, (q, k, v), backward, "attention")
+    return _result(data, parents, backward, "attention")
 
 
 def cross_entropy(

@@ -18,6 +18,7 @@ import hashlib
 import json
 import logging
 import math
+import resource
 import sys
 import time
 from pathlib import Path
@@ -414,8 +415,10 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
     generated = []
     decoded = []
+    decode_seconds = 0.0
     for lo in range(0, len(todo), _GENERATE_BATCH):
         chunk = todo[lo : lo + _GENERATE_BATCH]
+        started = time.perf_counter()
         continuations = generate_batch(
             model,
             [primer for _, primer in chunk],
@@ -424,6 +427,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
             max_new=args.max_new,
             rngs=[np.random.default_rng(streams[i]) for i, _ in chunk],
         )
+        decode_seconds += time.perf_counter() - started
         for (i, _), continuation in zip(chunk, continuations):
             score, repairs = detokenize_with_report(continuation, vocab)
             if repairs:
@@ -439,8 +443,13 @@ def _cmd_generate(args: argparse.Namespace) -> int:
         f"generated {len(generated)} continuations into {out_dir} "
         f"({repaired} needed grammar repairs)"
     )
+    tokens = sum(d["tokens"] for d in decoded)
+    peak_kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss  # this process only
     _write_run_manifest(out_dir, "generate", args, [args.checkpoint, args.tokens], [out_dir], t0,
-                        details={"decoded": decoded, "skipped": skipped})
+                        details={"decoded": decoded, "skipped": skipped,
+                                 "decode_seconds": round(decode_seconds, 6),
+                                 "tokens_per_s": round(tokens / decode_seconds, 1),
+                                 "peak_rss_mb": round(peak_kib / 1024, 1)})
     return 0
 
 

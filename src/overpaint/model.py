@@ -95,6 +95,14 @@ def _param_specs(config: ModelConfig) -> dict[str, tuple[tuple[int, ...], str]]:
     return specs
 
 
+def _trained(name: str) -> bool:
+    """Whether training moves a parameter. The key biases stay at their zero
+    init: softmax ignores a shift shared by every key, so their true
+    gradient is exactly 0, and Adam would turn its rounding noise into steps
+    of up to lr. They stay in the checkpoint layout all the same."""
+    return not name.endswith("attn.bk")
+
+
 def _checked_arrays(config: ModelConfig, arrays: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
     """Copies of `arrays` at the model's dtype, in parameter order, once their
     names and shapes match the configuration's parameters."""
@@ -115,15 +123,16 @@ class KVCache:
     """Keys and values of the positions a model has already read, so that a
     cached forward computes only the positions it is given.
 
-    Holds, per layer, (batch, capacity, d_model) key and value buffers at the
-    model's dtype, where capacity <= max_len is the most positions any row
-    will read; row b has `lengths[b]` positions filled.
+    Holds, per layer, head-major (batch, n_heads, capacity, d_head) key and
+    value buffers at the model's dtype, the layout attention reads, where
+    capacity <= max_len is the most positions any row will read; row b has
+    `lengths[b]` positions filled.
     """
 
     def __init__(self, config: ModelConfig, batch: int, capacity: int):
         if batch < 1 or not 1 <= capacity <= config.max_len:
             raise ValueError(f"bad cache: batch {batch}, capacity {capacity} (max_len {config.max_len})")
-        shape = (batch, capacity, config.d_model)
+        shape = (batch, config.n_heads, capacity, config.d_model // config.n_heads)
         self.capacity = capacity
         # zeros, not empty: a shorter row's unread slots meet a zero attention
         # weight, and 0 * NaN would poison its output
@@ -151,15 +160,19 @@ class KVCache:
         self.values = [v[rows] for v in self.values]
         self.lengths = self.lengths[rows]
 
-    def extend(self, layer: int, k: Tensor, v: Tensor) -> tuple[Tensor, Tensor]:
-        """Write one layer's new key/value rows after each row's filled ones
-        and return the keys and values up to the longest row's new end."""
+    def extend(self, layer: int, k: Tensor, v: Tensor) -> tuple[np.ndarray, np.ndarray]:
+        """Write one layer's new (B, L, D) key/value rows, split into heads,
+        after each row's filled ones, and return views of the head-major keys
+        and values up to the longest row's new end."""
+        keys, values = self.keys[layer], self.values[layer]
+        batch, heads, _, d_head = keys.shape
         positions = self.lengths[:, None] + np.arange(k.shape[1])
-        rows = np.arange(self.batch)[:, None]
-        self.keys[layer][rows, positions] = k.data
-        self.values[layer][rows, positions] = v.data
+        rows = np.arange(batch)[:, None]
+        # indices either side of a slice put the (B, L) index axes first
+        keys[rows, :, positions] = k.data.reshape(batch, -1, heads, d_head)
+        values[rows, :, positions] = v.data.reshape(batch, -1, heads, d_head)
         end = int(self.lengths.max()) + k.shape[1]
-        return Tensor(self.keys[layer][:, :end]), Tensor(self.values[layer][:, :end])
+        return keys[:, :, :end], values[:, :, :end]
 
 
 class TransformerLM:
@@ -173,7 +186,7 @@ class TransformerLM:
 
         self.config = config
         self.params: dict[str, Tensor] = {
-            name: Tensor(init(*spec), requires_grad=True)
+            name: Tensor(init(*spec), requires_grad=_trained(name))
             for name, spec in _param_specs(config).items()
         }
 
@@ -183,13 +196,14 @@ class TransformerLM:
         model = cls.__new__(cls)
         model.config = config
         model.params = {
-            name: Tensor(arr, requires_grad=True)
+            name: Tensor(arr, requires_grad=_trained(name))
             for name, arr in _checked_arrays(config, arrays).items()
         }
         return model
 
     def parameters(self) -> list[Tensor]:
-        return list(self.params.values())
+        """The parameters training moves (every one but the key biases)."""
+        return [p for p in self.params.values() if p.requires_grad]
 
     def param_count(self) -> int:
         return sum(p.data.size for p in self.params.values())
@@ -233,12 +247,20 @@ class TransformerLM:
         different numbers of positions only when each is given one token. A
         cached forward is inference only: it needs autodiff.no_grad and
         training off.
+
+        A last_only forward is inference only too (training off): its final
+        layer projects keys and values for every position (they fill a
+        cache), then runs the queries, attention, feed-forward and output
+        projection on the last position alone.
         """
         cfg = self.config
         ids = np.asarray(ids)
         if ids.ndim != 2:
             raise ValueError("ids must be (batch, length)")
         batch, length = ids.shape
+        if last_only and training:
+            # trimming the final layer would change which dropout masks are drawn
+            raise ValueError("a last_only forward cannot train")
         room, start, key_lengths = cfg.max_len, 0, None
         if cache is not None:
             if lengths is not None:
@@ -278,11 +300,15 @@ class TransformerLM:
         for i in range(cfg.n_layers):
             layer = f"layer{i}."
             a = ad.layer_norm(x, p[layer + "ln1.gain"], p[layer + "ln1.bias"])
-            q = ad.matmul(a, p[layer + "attn.wq"], p[layer + "attn.bq"])
             k = ad.matmul(a, p[layer + "attn.wk"], p[layer + "attn.bk"])
             v = ad.matmul(a, p[layer + "attn.wv"], p[layer + "attn.bv"])
             if cache is not None:
                 k, v = cache.extend(i, k, v)
+            if last_only and i == cfg.n_layers - 1:
+                # k and v above cover (and cache) every position; from here
+                # on only the last position's query side reaches the logits
+                a, x = (ad.narrow(t, 1, length - 1, 1) for t in (a, x))
+            q = ad.matmul(a, p[layer + "attn.wq"], p[layer + "attn.bq"])
             attn = ad.attention(q, k, v, cfg.n_heads, attn_p, rng, key_lengths, lengths)
             attn = ad.matmul(attn, p[layer + "attn.wo"], p[layer + "attn.bo"])
             if use_dropout:
@@ -299,8 +325,6 @@ class TransformerLM:
             cache.lengths += length  # in place: a row() view updates its parent
 
         x = ad.layer_norm(x, p["final_ln.gain"], p["final_ln.bias"])
-        if last_only:
-            x = ad.narrow(x, 1, x.shape[1] - 1, 1)
         return ad.matmul(x, ad.transpose2d(p["tok_emb"]))
 
     def state_arrays(self) -> dict[str, np.ndarray]:

@@ -428,6 +428,35 @@ def test_attention_query_lengths_skip_only_padding_bitwise(p, tile, monkeypatch)
     assert gen.bit_generator.state == expected.bit_generator.state
 
 
+def test_attention_reads_head_major_keys_bitwise():
+    """Keys and values handed over already split into heads, as views of a
+    longer (B, H, capacity, d_h) buffer, give bitwise the output and query
+    gradient of the (B, L, D) form, and take no gradient themselves."""
+    rng = np.random.default_rng(18)
+    q = rng.standard_normal((3, 2, 12))
+    k, v = (rng.standard_normal((3, 7, 12)) for _ in range(2))
+    key_lengths = np.array([3, 7, 5])
+
+    def heads(x):  # (B, L, D) -> a view of a zero-padded (B, H, 9, d_h) buffer
+        buffer = np.zeros((3, 3, 9, 4))
+        buffer[:, :, :7] = x.reshape(3, 7, 3, 4).transpose(0, 2, 1, 3)
+        return buffer[:, :, :7]
+
+    probe = rng.standard_normal(q.shape)
+    grads = []
+    for keys, values in ((Tensor(k), Tensor(v)), (heads(k), heads(v))):
+        qt = Tensor(q, requires_grad=True)
+        out = attention(qt, keys, values, 3, key_lengths=key_lengths)
+        out.backward(probe)
+        grads.append((out.data, qt.grad))
+    assert all(np.array_equal(a, b) for a, b in zip(*grads))
+    assert out._parents == (qt,)
+    with pytest.raises(ValueError, match="does not fit"):
+        attention(Tensor(q), heads(k)[:, :2], heads(v)[:, :2], 3)  # two heads of four features
+    with pytest.raises(ValueError, match="one shape"):
+        attention(Tensor(q), heads(k), heads(v)[:, :, :6], 3)
+
+
 def test_attention_query_lengths_validation():
     rng = np.random.default_rng(17)
     q, k, v = (Tensor(rng.standard_normal((7, 4))) for _ in range(3))

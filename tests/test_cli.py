@@ -139,6 +139,11 @@ def test_generate_stage(pipeline):
         len(detokenize_with_report(s.tolist(), build_vocabulary())[1]) for s in seqs
     ]
     assert sidecar["skipped"] == []
+    # throughput: tokens decoded over the wall time inside generate_batch
+    assert 0 < sidecar["decode_seconds"] <= sidecar["wall_clock_seconds"] + 1e-3
+    assert sidecar["tokens_per_s"] == pytest.approx(
+        sum(len(s) for s in seqs) / sidecar["decode_seconds"], rel=1e-3, abs=0.1)
+    assert sidecar["peak_rss_mb"] > 10
 
 
 def test_generate_records_skipped_primers(pipeline, tmp_path):

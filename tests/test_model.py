@@ -153,9 +153,9 @@ def test_forward_lengths_change_nothing_real(dtype, tol, monkeypatch):
 @pytest.mark.parametrize("dtype, tol", [("float32", 1e-6), ("float64", 1e-12)])
 def test_packed_loss_and_gradients_sum_the_rows(dtype, tol, monkeypatch):
     """With dropout 0, a packed batch's loss times its target count is the
-    sum of each row's own loss times its count, and every parameter gradient
-    is the sum of the rows' gradients: within tol, scaled by the largest
-    entry where that exceeds 1."""
+    sum of each row's own loss times its count, and every trained parameter's
+    gradient is the sum of the rows' gradients: within tol, scaled by the
+    largest entry where that exceeds 1. The frozen key biases get none."""
     monkeypatch.setattr(autodiff, "_QUERY_TILE", 4)
     config = ModelConfig(vocab_size=50, n_layers=2, d_model=16, n_heads=4, d_ff=32,
                          max_len=32, dropout=0.0, dtype=dtype)
@@ -171,7 +171,9 @@ def test_packed_loss_and_gradients_sum_the_rows(dtype, tol, monkeypatch):
         logits = model.forward(inputs, training=True, rng=np.random.default_rng(0), **kwargs)
         loss = cross_entropy(logits, targets, ignore_index=PAD)
         loss.backward(np.asarray(float(count), dtype=dtype))
-        return loss.item() * count, {name: p.grad.astype(np.float64) for name, p in model.params.items()}
+        assert all(p.grad is None for p in model.params.values() if not p.requires_grad)
+        return loss.item() * count, {name: p.grad.astype(np.float64)
+                                     for name, p in model.params.items() if p.requires_grad}
 
     packed_loss, packed = step(ids[:, :-1], ids[:, 1:][real], real.sum(), lengths=lengths)
     rows_loss, rows = 0.0, {name: 0.0 for name in packed}
@@ -357,12 +359,31 @@ def test_train_is_deterministic_in_seed():
     assert [log.train_loss for log in c.logs] != [log.train_loss for log in a.logs]
 
 
+def test_train_keeps_key_biases_at_zero():
+    """Softmax ignores a shift shared by every key, so training leaves each
+    key bias at its zero init (no gradient, no Adam step) while every other
+    bias moves; the checkpoint layout still holds them."""
+    rng = np.random.default_rng(12)
+    config = ModelConfig(vocab_size=50, n_layers=2, d_model=16, n_heads=4, d_ff=32,
+                         max_len=32, dropout=0.1)
+    result = train(pair_like_sequences(rng, 4), pair_like_sequences(rng, 2), config,
+                   TrainConfig(max_epochs=3, batch_size=2, seed=13,
+                               scheduler_patience=2, early_stop_patience=3))
+    arrays = result.model.state_arrays()
+    frozen = [name for name in arrays if name.endswith("attn.bk")]
+    assert frozen == ["layer0.attn.bk", "layer1.attn.bk"]
+    for name in frozen:
+        assert not arrays[name].any(), name
+    for name in ("layer0.attn.bq", "layer1.attn.bv", "layer1.attn.bo"):
+        assert arrays[name].any(), name
+    assert len(result.model.parameters()) == len(arrays) - len(frozen)
+    assert result.model.param_count() == TransformerLM.expected_param_count(config)
+
+
 def test_train_passing_lengths_changes_no_weight(monkeypatch):
     """Two seeded epochs of packed training (dropout 0) track a run through
     the padded path, a forward without `lengths` and a loss over the padded
-    targets, and count every target. The key biases are left out: softmax
-    ignores a shift shared by every key, so their true gradient is 0, and
-    Adam turns their rounding noise into steps of up to lr."""
+    targets, in every weight, and count every target."""
     monkeypatch.setattr(autodiff, "_QUERY_TILE", 3)  # so rows skip tiles, some opened by their last query
     rng = np.random.default_rng(33)
     seqs = [pair_like_sequences(rng, 1, body=n)[0] for n in (2, 7, 4, 6, 3, 5)]
@@ -395,8 +416,7 @@ def test_train_passing_lengths_changes_no_weight(monkeypatch):
                for log in run.logs] for run in (packed, plain)]
     assert np.allclose(*losses, rtol=1e-12, atol=0)
     for name, arr in packed.model.state_arrays().items():
-        if not name.endswith("attn.bk"):
-            assert np.allclose(arr, plain.model.state_arrays()[name], rtol=0, atol=1e-12), name
+        assert np.allclose(arr, plain.model.state_arrays()[name], rtol=0, atol=1e-12), name
 
     real = sum(len(s) - 1 for s in train_seqs)
     width = max(len(s) for s in train_seqs) - 1
@@ -776,6 +796,87 @@ def test_ragged_cache_rejects_multi_token_and_row_overflow():
         assert all(np.array_equal(a, b) for a, b in zip(cache.keys + cache.values, before))
     with pytest.raises(ValueError, match="capacity"):
         KVCache(TINY, batch=1, capacity=TINY.max_len + 1)
+
+
+def test_cache_is_head_major_and_attention_reads_it_in_place(monkeypatch):
+    """The cache holds (B, H, capacity, d_h) buffers; a prefill and a ragged
+    decode step write keys split into heads, and the keys and values
+    attention reads are views of those buffers, not copies."""
+    config = ModelConfig(vocab_size=50, n_layers=2, d_model=16, n_heads=4, d_ff=32,
+                         max_len=20, dropout=0.0, dtype="float64")
+    model = TransformerLM(config, seed=36)
+    cache = KVCache(config, batch=2, capacity=12)
+    assert [k.shape for k in cache.keys + cache.values] == [(2, 4, 12, 4)] * 4
+
+    attention, read = autodiff.attention, []
+
+    def recording(q, k, v, *args):
+        read.append((k, v))
+        return attention(q, k, v, *args)
+
+    monkeypatch.setattr(autodiff, "attention", recording)
+    primers = [[1, 5, 9], [2, 6, 7, 7, 3]]
+    with no_grad():
+        for i, primer in enumerate(primers):
+            model.forward(np.asarray([primer]), last_only=True, cache=cache.row(i))
+        model.forward(np.array([[4], [8]]), cache=cache)
+    assert len(read) == 3 * config.n_layers
+    for step, (k, v) in enumerate(read):
+        layer, row = step % config.n_layers, step // config.n_layers
+        rows = slice(row, row + 1) if row < 2 else slice(None)
+        end = len(primers[row]) if row < 2 else 6
+        assert k.shape == v.shape == (1 if row < 2 else 2, 4, end, 4)
+        assert np.shares_memory(k, cache.keys[layer][rows])
+        assert np.shares_memory(v, cache.values[layer][rows])
+
+    # layer 0's keys, by hand: head h of position t holds columns [4h, 4h+4)
+    p = model.params
+    for i, context in enumerate(([1, 5, 9, 4], [2, 6, 7, 7, 3, 8])):
+        x = p["tok_emb"].data[context] + p["pos_emb"].data[: len(context)]
+        a = autodiff.layer_norm(Tensor(x), p["layer0.ln1.gain"], p["layer0.ln1.bias"]).data
+        keys = a @ p["layer0.attn.wk"].data + p["layer0.attn.bk"].data
+        want = keys.reshape(len(context), 4, 4).transpose(1, 0, 2)
+        assert np.allclose(cache.keys[0][i, :, : len(context)], want, rtol=0, atol=1e-12)
+    assert not cache.keys[0][0, :, 4:].any()  # the shorter row's unread slots stay 0
+
+
+@pytest.mark.parametrize("dtype, tol", [("float32", 1e-6), ("float64", 1e-12)])
+def test_last_only_forward_runs_its_final_query_side_on_one_position(dtype, tol, monkeypatch):
+    """A last_only forward's final layer projects keys and values for every
+    position but runs q, wo, the feed-forward and the output projection on
+    the last position alone; its logits match the full forward's last
+    position and it fills a cache bitwise as a full-output prefill does."""
+    config = ModelConfig(vocab_size=50, n_layers=2, d_model=16, n_heads=4, d_ff=32,
+                         max_len=20, dropout=0.1, dtype=dtype)
+    model = TransformerLM(config, seed=37)
+    ids = np.random.default_rng(38).integers(0, 50, size=(2, 9))
+    full = model.forward(ids).data
+
+    names = {id(t): name for name, t in model.params.items()}
+    matmul, seen = autodiff.matmul, []
+
+    def recording(a, b, bias=None):
+        seen.append((names.get(id(b), "output"), a.shape))
+        return matmul(a, b, bias)
+
+    monkeypatch.setattr(autodiff, "matmul", recording)
+    last = model.forward(ids, last_only=True).data
+    final = {name.split(".", 1)[1]: shape for name, shape in seen if name.startswith("layer1.")}
+    assert final == {"attn.wk": (2, 9, 16), "attn.wv": (2, 9, 16), "attn.wq": (2, 1, 16),
+                     "attn.wo": (2, 1, 16), "ff.w1": (2, 1, 16), "ff.w2": (2, 1, 32)}
+    assert all(shape[1] == 9 for name, shape in seen if name.startswith("layer0."))
+    assert seen[-1] == ("output", (2, 1, 16))
+    assert last.shape == (2, 1, 50) and last.dtype == full.dtype
+    assert np.abs(last[:, 0] - full[:, -1]).max() <= tol
+
+    caches = [KVCache(config, batch=2, capacity=12) for _ in range(2)]
+    with no_grad():
+        model.forward(ids, cache=caches[0])
+        model.forward(ids, last_only=True, cache=caches[1])
+    for a, b in zip(caches[0].keys + caches[0].values, caches[1].keys + caches[1].values):
+        assert np.array_equal(a, b)
+    with pytest.raises(ValueError, match="last_only"):
+        model.forward(ids, training=True, rng=np.random.default_rng(0), last_only=True)
 
 
 PRIMERS = ([BOS], [BOS, 7, 8, 9, SEP], list(range(4, 28)), [BOS, 11, 12, 13, 14, 15, 16, SEP])
