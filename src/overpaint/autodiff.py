@@ -185,22 +185,6 @@ def transpose2d(a: Tensor) -> Tensor:
     return _result(data, (a,), backward, "transpose2d")
 
 
-def narrow(a: Tensor, axis: int, start: int, size: int) -> Tensor:
-    """Contiguous slice along one axis."""
-    index = [slice(None)] * a.ndim
-    index[axis] = slice(start, start + size)
-    index = tuple(index)
-    data = a.data[index].copy()
-
-    def backward(g):
-        if a.requires_grad:
-            full = np.zeros_like(a.data)
-            full[index] = g
-            a.accumulate_grad(full)
-
-    return _result(data, (a,), backward, "narrow")
-
-
 # --- nonlinearities ------------------------------------------------------------
 
 
@@ -339,27 +323,25 @@ def attention(
     key_lengths: np.ndarray | None = None,
     query_lengths: np.ndarray | None = None,
 ) -> Tensor:
-    """Causal multi-head scaled dot-product attention on (B, L, D) projections.
+    """Causal multi-head scaled dot-product attention, in one of two modes.
 
-    Head h uses feature columns [h*d_h, (h+1)*d_h), d_h = D / n_heads. Keys
-    and values may be longer than the queries (Lk >= Lq, as when earlier
-    positions come from a cache): the queries are then the last Lq positions,
-    and query i attends to key positions <= i + Lk - Lq. `key_lengths`, a
-    (B,) array in 1..Lk, further hides keys at index >= key_lengths[b] from
-    row b (their scores are set to the mask value), for a batch whose rows
-    have read different numbers of positions.
+    Head h uses feature columns [h*d_h, (h+1)*d_h), d_h = D / n_heads.
 
-    k and v may instead be arrays already split into heads, (B, H, Lk, d_h),
-    as a KV cache holds them: the op reads them in place, with no copy, and
-    gives them no gradient.
+    Packed (training): `query_lengths`, a (B,) array of lengths >= 1, says
+    that q, k and v are (N, D) Tensors, N = sum(query_lengths), row b's
+    positions 0..query_lengths[b]-1 following row b-1's. The output is packed
+    alike, and all three get gradients. The op scatters them into a
+    zero-padded (B, H, L, d_h) copy, L = max(query_lengths), and gathers the
+    real rows back; no real query sees a padded key (causality).
 
-    `query_lengths`, a (B,) array of lengths >= 1, says instead that q, k
-    and v are packed: (N, D) with N = sum(query_lengths), row b's positions
-    0..query_lengths[b]-1 following row b-1's, and the output is packed
-    alike. The op scatters them into a zero-padded (B, H, L, d_h) copy, L =
-    max(query_lengths), and gathers the real rows back. No real query sees a
-    padded key (causality), so this is the (B, L, D) op on the zero-padded
-    batch, taken at its real positions.
+    Cached (inference): q is a (B, Lq, D) Tensor, and k and v are arrays
+    already split into heads, (B, H, Lk, d_h) with Lk >= Lq, as a KV cache
+    holds them. The op reads them in place, with no copy, and gives only q a
+    gradient. The queries are the last Lq positions: query i attends to key
+    positions <= i + Lk - Lq. `key_lengths`, a (B,) array in 1..Lk, further
+    hides keys at index >= key_lengths[b] from row b (their scores are set to
+    the mask value), for a batch whose rows have read different numbers of
+    positions.
 
     The queries are processed in tiles of rows [s, e): a tile scores only the
     keys it can see, [0, e + Lk - Lq), and masks only its trailing
@@ -369,13 +351,12 @@ def attention(
     keep mask as one (rows it keeps, H, e - s, e + Lk - Lq) uint16 draw, in
     tile order.
     """
-    head_major = isinstance(k, np.ndarray)
     if query_lengths is None:
-        if q.ndim != 3 or k.ndim != 3 + head_major or k.shape != v.shape:
-            raise ValueError("attention needs (batch, length, features) q, k, v, or head-major "
-                             "k, v arrays; k and v one shape")
+        if q.ndim != 3 or not isinstance(k, np.ndarray) or k.ndim != 4 or k.shape != v.shape:
+            raise ValueError("cached attention needs a (batch, length, features) q and head-major "
+                             "k, v arrays of one shape")
         batch, length, width = q.shape
-        offset = k.shape[-2] - length
+        offset = k.shape[2] - length
     else:
         if key_lengths is not None:
             raise ValueError("packed attention (query_lengths) takes no key_lengths")
@@ -393,10 +374,8 @@ def attention(
         raise ValueError(f"{width} features do not split into {n_heads} heads")
     d_head = width // n_heads
     keys = length + offset
-    if query_lengths is None:
-        fits = (batch, n_heads, keys, d_head) if head_major else (batch, keys, width)
-        if k.shape != fits or offset < 0:
-            raise ValueError(f"key/value shape {k.shape} does not fit queries of shape {q.shape}")
+    if query_lengths is None and (k.shape != (batch, n_heads, keys, d_head) or offset < 0):
+        raise ValueError(f"key/value shape {k.shape} does not fit queries of shape {q.shape}")
     scale = 1.0 / (1.0 - _quantised_rate(p))
     if p > 0 and rng is None:
         raise ValueError("attention dropout needs an rng")
@@ -410,7 +389,7 @@ def attention(
 
     def split(x: np.ndarray) -> np.ndarray:  # (B, L, D) or packed (N, D) -> contiguous (B, H, L, d_h)
         if query_lengths is None:
-            heads = x.reshape(batch, x.shape[1], n_heads, d_head).transpose(0, 2, 1, 3)
+            heads = x.reshape(batch, length, n_heads, d_head).transpose(0, 2, 1, 3)
             return np.ascontiguousarray(heads)
         heads = np.zeros((batch, n_heads, length, d_head), dtype=x.dtype)
         heads.transpose(0, 2, 1, 3)[real] = x.reshape(-1, n_heads, d_head)
@@ -419,11 +398,11 @@ def attention(
     def merge(x: np.ndarray) -> np.ndarray:  # (B, H, L, d_h) -> (B, L, D) or packed (N, D)
         rows = x.transpose(0, 2, 1, 3)
         if query_lengths is None:
-            return rows.reshape(batch, x.shape[2], width)
+            return rows.reshape(batch, length, width)
         return rows[real].reshape(-1, width)
 
     qh = split(q.data)
-    kh, vh = (k, v) if head_major else (split(k.data), split(v.data))
+    kh, vh = (k, v) if query_lengths is None else (split(k.data), split(v.data))
     out = np.zeros_like(qh)  # rows a tile leaves out stay 0
     square = min(_QUERY_TILE, length)  # one mask per call; a one-query call needs none
     causal = None
@@ -452,7 +431,7 @@ def attention(
     if p > 0:
         out *= scale
     data = merge(out)
-    parents = (q,) if head_major else (q, k, v)
+    parents = (q,) if query_lengths is None else (q, k, v)
 
     def backward(g):
         gh = split(g)

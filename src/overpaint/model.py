@@ -155,10 +155,17 @@ class KVCache:
         return view
 
     def keep(self, rows) -> None:
-        """Keep only the given rows, in that order (their data is copied)."""
-        self.keys = [k[rows] for k in self.keys]
-        self.values = [v[rows] for v in self.values]
-        self.lengths = self.lengths[rows]
+        """Keep only the given rows, in that order: their filled positions
+        move to the front of each buffer, in place, and the cache keeps views
+        of its first len(rows) rows. A kept row's slots past its length may
+        then hold a dropped row's keys; attention hides them (key_lengths)."""
+        lengths = self.lengths[rows]
+        filled = int(lengths.max())
+        for buffer in self.keys + self.values:
+            buffer[: len(lengths), :, :filled] = buffer[rows, :, :filled]
+        self.keys = [k[: len(lengths)] for k in self.keys]
+        self.values = [v[: len(lengths)] for v in self.values]
+        self.lengths = lengths
 
     def extend(self, layer: int, k: Tensor, v: Tensor) -> tuple[np.ndarray, np.ndarray]:
         """Write one layer's new (B, L, D) key/value rows, split into heads,
@@ -233,34 +240,35 @@ class TransformerLM:
         cache: KVCache | None = None,
         lengths: np.ndarray | None = None,
     ) -> Tensor:
-        """Logits over the vocabulary: (B, L, V), or (B, 1, V) for last_only.
+        """Logits over the vocabulary, from one of two paths.
 
-        `ids` is (B, L) int; positions beyond max_len are rejected. Dropout
-        runs only when training with a generator supplied. `lengths`, a (B,)
-        array in 1..L, marks a right-padded batch whose row b is padding from
-        position lengths[b] on. The forward then packs the N = sum(lengths)
-        real positions once, at the embeddings, so every op runs on those
-        alone, and returns their (N, V) logits in row order. It cannot be
-        combined with a cache or last_only. With a cache, each
-        row of `ids` continues that row's cached positions: it attends to its
-        cached keys and values, and its own are appended. Rows may have read
-        different numbers of positions only when each is given one token. A
-        cached forward is inference only: it needs autodiff.no_grad and
-        training off.
+        `ids` is (B, L) int; positions beyond max_len are rejected.
 
-        A last_only forward is inference only too (training off): its final
-        layer projects keys and values for every position (they fill a
-        cache), then runs the queries, attention, feed-forward and output
+        Packed (training and validation): `lengths`, a (B,) array in 1..L,
+        marks a right-padded batch whose row b is padding from position
+        lengths[b] on. The forward packs the N = sum(lengths) real positions
+        once, at the embeddings, so every op runs on those alone, and returns
+        their (N, V) logits in row order. Dropout runs only when training with
+        a generator supplied.
+
+        Cached (inference): each row of `ids` continues that row's positions
+        in `cache`: it attends to its cached keys and values, and its own are
+        appended. Rows may have read different numbers of positions only when
+        each is given one token. It needs autodiff.no_grad and training off,
+        and returns (B, L, V) logits, or (B, 1, V) for last_only: the final
+        layer then projects keys and values for every position (they fill
+        the cache) but runs the queries, attention, feed-forward and output
         projection on the last position alone.
+
+        With neither `lengths` nor a cache, the forward is inference over
+        whole rows: the cached path, through a throwaway cache, under no_grad.
+        A training forward takes `lengths`.
         """
         cfg = self.config
         ids = np.asarray(ids)
         if ids.ndim != 2:
             raise ValueError("ids must be (batch, length)")
         batch, length = ids.shape
-        if last_only and training:
-            # trimming the final layer would change which dropout masks are drawn
-            raise ValueError("a last_only forward cannot train")
         room, start, key_lengths = cfg.max_len, 0, None
         if cache is not None:
             if lengths is not None:
@@ -277,6 +285,11 @@ class TransformerLM:
             start, key_lengths = cache.lengths[:, None], cache.lengths + length
         if length < 1 or length > room:
             raise ValueError(f"sequence length {length} outside 1..{room}")
+        if cache is None and lengths is None:
+            if training:
+                raise ValueError("a training forward takes lengths (a packed batch)")
+            with ad.no_grad():
+                return self.forward(ids, last_only=last_only, cache=KVCache(cfg, batch, length))
         tokens, positions = ids, start + np.arange(length)
         if lengths is not None:
             lengths = np.asarray(lengths)
@@ -307,7 +320,7 @@ class TransformerLM:
             if last_only and i == cfg.n_layers - 1:
                 # k and v above cover (and cache) every position; from here
                 # on only the last position's query side reaches the logits
-                a, x = (ad.narrow(t, 1, length - 1, 1) for t in (a, x))
+                a, x = (Tensor(t.data[:, -1:]) for t in (a, x))
             q = ad.matmul(a, p[layer + "attn.wq"], p[layer + "attn.bq"])
             attn = ad.attention(q, k, v, cfg.n_heads, attn_p, rng, key_lengths, lengths)
             attn = ad.matmul(attn, p[layer + "attn.wo"], p[layer + "attn.bo"])

@@ -1,7 +1,12 @@
-"""Shared builders for synthetic test data: scores, lead sheets, performances."""
+"""Shared builders for synthetic test data (scores, lead sheets,
+performances) and plain numpy references for attention and the model."""
 
+import math
 from fractions import Fraction
 
+import numpy as np
+
+from overpaint import autodiff
 from overpaint.leadsheet import original_segments, parse_leadsheet
 from overpaint.midi_io import MidiScore, NoteEvent, make_score
 
@@ -100,3 +105,69 @@ def score_from_tuples(rows) -> MidiScore:
         for p, o, d, v in rows
     ]
     return make_score(notes=notes)
+
+
+def keep_masks(rng, p, n_heads, lengths, keys):
+    """Attention's dropout masks for rows of the given query lengths, drawn
+    independently: per tile of query rows, in tile order, one uint16 (live
+    rows, H, rows, visible keys) draw each, a row being live while its length
+    exceeds the tile's start; returns (tile start, mask) pairs."""
+    lengths = np.asarray(lengths)
+    length = int(lengths.max())
+    masks = []
+    for s in range(0, length, autodiff._QUERY_TILE):
+        e = min(s + autodiff._QUERY_TILE, length)
+        draw = rng.integers(0, 65536, size=((lengths > s).sum(), n_heads, e - s, e + keys - length),
+                            dtype=np.uint16)
+        masks.append((s, draw >= round(p * 65536)))
+    return masks
+
+
+def per_head_attention(q, k, v, n_heads, p=0.0, rng=None):
+    """Reference attention on (B, Lq, D) queries, the last Lq of (B, Lk, D)
+    keys and values: slice each head, mask, softmax, dropout, concat, with
+    the dropout masks of keep_masks and the scale 1 / (1 - p quantised to
+    1/65536)."""
+    batch, length, width = q.shape
+    keys = k.shape[1]
+    d_head = width // n_heads
+    upper = np.triu(np.full((length, keys), -1e9), k=1 + keys - length)
+    keep = np.ones((batch, n_heads, length, keys), dtype=bool)
+    if p > 0:
+        for s, mask in keep_masks(rng, p, n_heads, [length] * batch, keys):
+            keep[:, :, s:s + mask.shape[2], :mask.shape[3]] = mask
+    heads = []
+    for h in range(n_heads):
+        cols = slice(h * d_head, (h + 1) * d_head)
+        scores = q[:, :, cols] @ np.swapaxes(k[:, :, cols], -1, -2) / math.sqrt(d_head)
+        scores = scores + upper
+        weights = np.exp(scores - scores.max(axis=-1, keepdims=True))
+        weights /= weights.sum(axis=-1, keepdims=True)
+        if p > 0:
+            weights = weights * keep[:, h] / (1.0 - round(p * 65536) / 65536)
+        heads.append(weights @ v[:, :, cols])
+    return np.concatenate(heads, axis=-1)
+
+
+def _layer_norm(x, gain, bias):
+    centered = x - x.mean(axis=-1, keepdims=True)
+    return centered / np.sqrt((centered**2).mean(axis=-1, keepdims=True) + 1e-5) * gain + bias
+
+
+def reference_forward(model, ids):
+    """A TransformerLM's (B, L, V) logits for whole rows `ids`, in float64
+    numpy from its weights, without autodiff: pre-norm blocks of
+    per_head_attention (explicit causal mask) and a tanh gelu feed-forward,
+    a final layer norm and the tied output projection."""
+    p = {name: t.data.astype(np.float64) for name, t in model.params.items()}
+    ids = np.asarray(ids)
+    x = p["tok_emb"][ids] + p["pos_emb"][: ids.shape[1]]
+    for i in range(model.config.n_layers):
+        w = {name.split(".", 1)[1]: arr for name, arr in p.items() if name.startswith(f"layer{i}.")}
+        a = _layer_norm(x, w["ln1.gain"], w["ln1.bias"])
+        q, k, v = (a @ w[f"attn.w{n}"] + w[f"attn.b{n}"] for n in "qkv")
+        x = x + per_head_attention(q, k, v, model.config.n_heads) @ w["attn.wo"] + w["attn.bo"]
+        h = _layer_norm(x, w["ln2.gain"], w["ln2.bias"]) @ w["ff.w1"] + w["ff.b1"]
+        h = 0.5 * h * (1.0 + np.tanh(math.sqrt(2.0 / math.pi) * (h + 0.044715 * h**3)))
+        x = x + h @ w["ff.w2"] + w["ff.b2"]
+    return _layer_norm(x, p["final_ln.gain"], p["final_ln.bias"]) @ p["tok_emb"].T

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from overpaint import autodiff
+from helpers import keep_masks, per_head_attention
 from overpaint.autodiff import (
     AdamState,
     NonFiniteError,
@@ -19,7 +20,6 @@ from overpaint.autodiff import (
     grad_check,
     layer_norm,
     matmul,
-    narrow,
     no_grad,
     transpose2d,
 )
@@ -54,8 +54,6 @@ def op_instances(name, rng):
         return matmul, [t64(rng, k, n, m), t64(rng, m, j), t64(rng, j)]
     if name == "transpose2d":
         return transpose2d, [t64(rng, n, m)]
-    if name == "narrow":
-        return lambda a: narrow(a, 1, 1, m - 1), [t64(rng, n, m)]
     if name == "gelu":
         return gelu, [t64(rng, n, m)]
     if name == "layer_norm":
@@ -87,42 +85,56 @@ ATTENTION_OPS = ("attention", "attention_dropout", "attention_longer_keys", "att
                  "attention_padded")
 
 
+def head_major(x, n_heads):
+    """(B, L, D) keys or values -> a (B, H, L, d_h) view of a longer, zero
+    (B, H, L + 2, d_h) buffer, as a KV cache hands them to attention."""
+    batch, length, width = x.shape
+    buffer = np.zeros((batch, n_heads, length + 2, width // n_heads), dtype=x.dtype)
+    buffer[:, :, :length] = x.reshape(batch, length, n_heads, -1).transpose(0, 2, 1, 3)
+    return buffer[:, :, :length]
+
+
+def packed(x):
+    """(B, L, D) rows, every one at full length -> the packed (B * L, D) layout."""
+    return x.reshape(-1, x.shape[-1])
+
+
 def attention_instance(name, rng, lengths):
-    """One attention OPS entry with a query length drawn from range(*lengths)."""
+    """One attention OPS entry with a query length drawn from range(*lengths):
+    packed entries check q, k and v; cached ones (head-major k and v) check q."""
     batch, heads = int(rng.integers(1, 3)), int(rng.integers(1, 4))
     length, d_head = int(rng.integers(*lengths)), int(rng.integers(2, 4))
-    qkv = [t64(rng, batch, length, heads * d_head) for _ in range(3)]
-    if name == "attention":
-        return lambda q, k, v: attention(q, k, v, heads), qkv
-    if name == "attention_longer_keys":  # queries are the last positions, as when cached
-        keys = length + int(rng.integers(1, 3))
-        qkv[1:] = [t64(rng, batch, keys, heads * d_head) for _ in range(2)]
-        return lambda q, k, v: attention(q, k, v, heads), qkv
-    if name == "attention_key_lengths":  # rows of a batch that read different lengths
-        keys = length + int(rng.integers(0, 3))
-        qkv[1:] = [t64(rng, batch, keys, heads * d_head) for _ in range(2)]
-        key_lengths = rng.integers(1, keys + 1, size=batch)
-        return lambda q, k, v: attention(q, k, v, heads, key_lengths=key_lengths), qkv
+    if name in ("attention", "attention_dropout"):  # packed, every row at full length
+        qkv = [t64(rng, batch * length, heads * d_head) for _ in range(3)]
+        seed = int(rng.integers(0, 1000))
+        p = 0.4 if name == "attention_dropout" else 0.0
+        return (
+            lambda q, k, v: attention(q, k, v, heads, p, np.random.default_rng(seed),
+                                      query_lengths=[length] * batch),
+            qkv,
+        )
+    if name in ("attention_longer_keys", "attention_key_lengths"):  # queries after cached keys
+        keys = length + int(rng.integers(1 if name == "attention_longer_keys" else 0, 3))
+        q = t64(rng, batch, length, heads * d_head)
+        k, v = (head_major(rng.standard_normal((batch, keys, heads * d_head)), heads) for _ in range(2))
+        key_lengths = rng.integers(1, keys + 1, size=batch) if name == "attention_key_lengths" else None
+        return lambda q: attention(q, k, v, heads, key_lengths=key_lengths), [q]
     if name == "attention_padded":  # a right-padded batch's real rows, packed, with dropout
         query_lengths = rng.integers(1, length + 1, size=batch)
-        packed = [t64(rng, int(query_lengths.sum()), heads * d_head) for _ in range(3)]
+        qkv = [t64(rng, int(query_lengths.sum()), heads * d_head) for _ in range(3)]
         seed = int(rng.integers(0, 1000))
         return (
             lambda q, k, v: attention(q, k, v, heads, 0.4, np.random.default_rng(seed),
                                       query_lengths=query_lengths),
-            packed,
+            qkv,
         )
-    seed = int(rng.integers(0, 1000))
-    return (
-        lambda q, k, v: attention(q, k, v, heads, 0.4, np.random.default_rng(seed)),
-        qkv,
-    )
+    raise AssertionError(name)
 
 
 OPS = [
     "add_same", "add_broadcast",
     "matmul2d", "matmul_batched", "matmul_broadcast", "matmul_bias", "transpose2d",
-    "narrow", "gelu", "layer_norm", "embedding_lookup", "dropout",
+    "gelu", "layer_norm", "embedding_lookup", "dropout",
     "attention", "attention_dropout", "attention_longer_keys", "attention_key_lengths",
     "cross_entropy", "cross_entropy_ignore",
     # appended last, so no earlier entry's acceptance seeds shift
@@ -235,89 +247,71 @@ def test_gelu_limits():
     assert out.data[2] == pytest.approx(20.0, abs=1e-6)
 
 
-def keep_masks(rng, p, n_heads, lengths, keys):
-    """The op's dropout masks for rows of the given query lengths, drawn
-    independently: per tile of query rows, in tile order, one uint16 (live
-    rows, H, rows, visible keys) draw each, a row being live while its length
-    exceeds the tile's start; returns (tile start, mask) pairs."""
-    lengths = np.asarray(lengths)
-    length = int(lengths.max())
-    masks = []
-    for s in range(0, length, autodiff._QUERY_TILE):
-        e = min(s + autodiff._QUERY_TILE, length)
-        draw = rng.integers(0, 65536, size=((lengths > s).sum(), n_heads, e - s, e + keys - length),
-                            dtype=np.uint16)
-        masks.append((s, draw >= round(p * 65536)))
-    return masks
-
-
-def per_head_attention(q, k, v, n_heads, p=0.0, rng=None):
-    """Reference: slice each head, mask, softmax, dropout, concat, with the
-    dropout masks of keep_masks and the scale 1 / (1 - p quantised to 1/65536)."""
-    batch, length, width = q.shape
-    keys = k.shape[1]
-    d_head = width // n_heads
-    upper = np.triu(np.full((length, keys), -1e9), k=1 + keys - length)
-    keep = np.ones((batch, n_heads, length, keys), dtype=bool)
-    if p > 0:
-        for s, mask in keep_masks(rng, p, n_heads, [length] * batch, keys):
-            keep[:, :, s:s + mask.shape[2], :mask.shape[3]] = mask
-    heads = []
-    for h in range(n_heads):
-        cols = slice(h * d_head, (h + 1) * d_head)
-        scores = q[:, :, cols] @ np.swapaxes(k[:, :, cols], -1, -2) / math.sqrt(d_head)
-        scores = scores + upper
-        weights = np.exp(scores - scores.max(axis=-1, keepdims=True))
-        weights /= weights.sum(axis=-1, keepdims=True)
-        if p > 0:
-            weights = weights * keep[:, h] / (1.0 - round(p * 65536) / 65536)
-        heads.append(weights @ v[:, :, cols])
-    return np.concatenate(heads, axis=-1)
-
-
 @pytest.mark.parametrize("p", [0.0, 0.3])
 def test_attention_matches_per_head_reference(p):
+    """Both modes, the packed op with every row at full length and the cached
+    op on head-major keys, match the reference and consume the generator as
+    it does."""
     rng = np.random.default_rng(11)
     q, k, v = (rng.standard_normal((2, 7, 12)) for _ in range(3))
-    fused_rng, ref_rng = np.random.default_rng(4), np.random.default_rng(4)
-    out = attention(Tensor(q), Tensor(k), Tensor(v), 3, p, fused_rng)
+    ref_rng = np.random.default_rng(4)
     want = per_head_attention(q, k, v, 3, p, ref_rng)
-    assert np.allclose(out.data, want, rtol=0, atol=1e-12)
-    # Both consumed the generator equally, so later draws (and checkpoints) agree.
-    assert fused_rng.random() == ref_rng.random()
+    packed_rng, cached_rng = np.random.default_rng(4), np.random.default_rng(4)
+    outs = [
+        attention(*(Tensor(packed(x)) for x in (q, k, v)), 3, p, packed_rng,
+                  query_lengths=[7, 7]).data.reshape(q.shape),
+        attention(Tensor(q), head_major(k, 3), head_major(v, 3), 3, p, cached_rng).data,
+    ]
+    for out, gen in zip(outs, (packed_rng, cached_rng)):
+        assert np.allclose(out, want, rtol=0, atol=1e-12)
+        # Each consumed the generator as the reference did, so later draws (and checkpoints) agree.
+        assert gen.bit_generator.state == ref_rng.bit_generator.state
     if p == 0.0:  # the last queries alone, against every key, as a cached forward asks
-        tail = attention(Tensor(q[:, 4:]), Tensor(k), Tensor(v), 3)
+        tail = attention(Tensor(q[:, 4:]), head_major(k, 3), head_major(v, 3), 3)
         assert np.allclose(tail.data, want[:, 4:], rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("p", [0.0, 0.3])
 @pytest.mark.parametrize("queries, keys", [(150, 150), (131, 170)])
 def test_attention_spanning_tiles_matches_per_head_reference(queries, keys, p):
+    """The cached op, and with as many keys as queries the packed op, over
+    three tiles."""
     assert queries > 2 * autodiff._QUERY_TILE
     rng = np.random.default_rng(13)
     q = rng.standard_normal((2, queries, 12))
     k, v = (rng.standard_normal((2, keys, 12)) for _ in range(2))
-    fused_rng, ref_rng = np.random.default_rng(5), np.random.default_rng(5)
-    out = attention(Tensor(q), Tensor(k), Tensor(v), 3, p, fused_rng)
+    ref_rng = np.random.default_rng(5)
     want = per_head_attention(q, k, v, 3, p, ref_rng)
-    assert np.allclose(out.data, want, rtol=0, atol=1e-12)
-    assert fused_rng.random() == ref_rng.random()
+    runs = [lambda gen: attention(Tensor(q), head_major(k, 3), head_major(v, 3), 3, p, gen).data]
+    if queries == keys:
+        runs.append(lambda gen: attention(*(Tensor(packed(x)) for x in (q, k, v)), 3, p, gen,
+                                          query_lengths=[queries] * 2).data.reshape(q.shape))
+    for run in runs:
+        gen = np.random.default_rng(5)
+        assert np.allclose(run(gen), want, rtol=0, atol=1e-12)
+        assert gen.bit_generator.state == ref_rng.bit_generator.state
 
 
 @pytest.mark.parametrize("dtype, tol", [(np.float64, 1e-12), (np.float32, 1e-5)])
 def test_tiled_attention_matches_one_tile(dtype, tol, monkeypatch):
-    """Outputs and q/k/v gradients over several tiles agree with a single
-    tile holding every query, which scores the whole (Lq, Lk) matrix."""
+    """Outputs and gradients over several tiles agree with a single tile
+    holding every query, which scores the whole (Lq, Lk) matrix: q, k and v
+    gradients of the packed op (rows of 131 and 90 queries), and the q
+    gradient of the cached op (131 queries after 39 cached keys)."""
     rng = np.random.default_rng(14)
     q = rng.standard_normal((2, 131, 16)).astype(dtype)
     k, v = (rng.standard_normal((2, 170, 16)).astype(dtype) for _ in range(2))
     probe = rng.standard_normal((2, 131, 16)).astype(dtype)
+    real = np.arange(131) < np.array([[131], [90]])
 
     def run():
-        qkv = [Tensor(x, requires_grad=True) for x in (q, k, v)]
-        out = attention(*qkv, 4)
-        out.backward(probe)
-        return [out.data] + [t.grad for t in qkv]
+        qkv = [Tensor(x[real], requires_grad=True) for x in (q, k[:, :131], v[:, :131])]
+        out = attention(*qkv, 4, query_lengths=[131, 90])
+        out.backward(probe[real])
+        cached_q = Tensor(q, requires_grad=True)
+        cached = attention(cached_q, head_major(k, 4), head_major(v, 4), 4)
+        cached.backward(probe)
+        return [out.data] + [t.grad for t in qkv] + [cached.data, cached_q.grad]
 
     tiled = run()
     monkeypatch.setattr(autodiff, "_QUERY_TILE", 131)
@@ -330,21 +324,30 @@ def test_tiled_attention_matches_one_tile(dtype, tol, monkeypatch):
 def test_attention_is_causal_bitwise():
     rng = np.random.default_rng(12)
     q, k, v = (rng.standard_normal((2, 6, 8)) for _ in range(3))
-    out = attention(Tensor(q), Tensor(k), Tensor(v), 2).data
+
+    def both(keys, values):  # the cached op's and the packed op's outputs, (B, L, D) each
+        return (attention(Tensor(q), head_major(keys, 2), head_major(values, 2), 2).data,
+                attention(*(Tensor(packed(x)) for x in (q, keys, values)), 2,
+                          query_lengths=[6, 6]).data.reshape(q.shape))
+
+    outs = both(k, v)
     for t in range(5):
         k2, v2 = k.copy(), v.copy()
         k2[:, t + 1:] = rng.standard_normal(k2[:, t + 1:].shape) * 100
         v2[:, t + 1:] = rng.standard_normal(v2[:, t + 1:].shape) * 100
-        moved = attention(Tensor(q), Tensor(k2), Tensor(v2), 2).data
-        assert np.array_equal(moved[:, : t + 1], out[:, : t + 1])
+        for moved, out in zip(both(k2, v2), outs):
+            assert np.array_equal(moved[:, : t + 1], out[:, : t + 1])
+    kh, vh = head_major(k, 2), head_major(v, 2)
     with pytest.raises(ValueError, match="heads"):
-        attention(Tensor(q), Tensor(k), Tensor(v), 3)
+        attention(Tensor(q), kh, vh, 3)
     with pytest.raises(ValueError, match="shape"):
-        attention(Tensor(q), Tensor(k[:, :5]), Tensor(v), 2)
+        attention(Tensor(q), kh[:, :, :5], vh, 2)
     with pytest.raises(ValueError, match="does not fit"):  # fewer keys than queries
-        attention(Tensor(q), Tensor(k[:, :5]), Tensor(v[:, :5]), 2)
+        attention(Tensor(q), kh[:, :, :5], vh[:, :, :5], 2)
     with pytest.raises(ValueError, match="rng"):
-        attention(Tensor(q), Tensor(k), Tensor(v), 2, p=0.1)
+        attention(Tensor(q), kh, vh, 2, p=0.1)
+    with pytest.raises(ValueError, match="head-major"):  # (B, L, D) keys are no mode
+        attention(Tensor(q), Tensor(k), Tensor(v), 2)
 
 
 def test_attention_key_lengths_hide_trailing_keys():
@@ -353,33 +356,36 @@ def test_attention_key_lengths_hide_trailing_keys():
     rng = np.random.default_rng(15)
     q = rng.standard_normal((3, 1, 12))
     k, v = (rng.standard_normal((3, 9, 12)) for _ in range(2))
+    kh, vh = head_major(k, 3), head_major(v, 3)
     key_lengths = np.array([2, 5, 9])
-    out = attention(Tensor(q), Tensor(k), Tensor(v), 3, key_lengths=key_lengths).data
+    out = attention(Tensor(q), kh, vh, 3, key_lengths=key_lengths).data
     for b, n in enumerate(key_lengths):
-        alone = attention(Tensor(q[b : b + 1]), Tensor(k[b : b + 1, :n]), Tensor(v[b : b + 1, :n]), 3)
-        assert np.allclose(out[b], alone.data[0], rtol=0, atol=1e-12)
+        alone = per_head_attention(q[b : b + 1], k[b : b + 1, :n], v[b : b + 1, :n], 3)
+        assert np.allclose(out[b], alone[0], rtol=0, atol=1e-12)
     k2, v2 = k.copy(), v.copy()
     for b, n in enumerate(key_lengths):
         k2[b, n:] = rng.standard_normal(k2[b, n:].shape) * 100
         v2[b, n:] = rng.standard_normal(v2[b, n:].shape) * 100
-    moved = attention(Tensor(q), Tensor(k2), Tensor(v2), 3, key_lengths=key_lengths).data
+    moved = attention(Tensor(q), head_major(k2, 3), head_major(v2, 3), 3, key_lengths=key_lengths).data
     assert np.array_equal(moved, out)
     # every length equal to Lk changes nothing
-    full = attention(Tensor(q), Tensor(k), Tensor(v), 3).data
-    assert np.array_equal(attention(Tensor(q), Tensor(k), Tensor(v), 3, key_lengths=[9] * 3).data, full)
+    full = attention(Tensor(q), kh, vh, 3).data
+    assert np.array_equal(attention(Tensor(q), kh, vh, 3, key_lengths=[9] * 3).data, full)
     for bad in ([2, 5], [0, 5, 9], [2, 5, 10]):
         with pytest.raises(ValueError, match="key_lengths"):
-            attention(Tensor(q), Tensor(k), Tensor(v), 3, key_lengths=bad)
+            attention(Tensor(q), kh, vh, 3, key_lengths=bad)
 
 
 @pytest.mark.parametrize("p", [0.0, 0.3])
 @pytest.mark.parametrize("tile", [None, 2])
 def test_attention_query_lengths_skip_only_padding_bitwise(p, tile, monkeypatch):
-    """Packed attention (query_lengths) gives bitwise the output and q/k/v
-    gradients of the plain op on the zero-padded batch, taken at the real
-    rows, when both see the same dropout masks. Its masks are drawn only
-    for the rows each tile keeps, (live rows, H, rows, visible) in tile
-    order, and nothing else touches the generator."""
+    """Packed attention with rows of mixed lengths gives bitwise the output
+    and q/k/v gradients of the packed op on the zero-padded batch, every row
+    at full length (no tile leaves a row out), taken at the real rows, when
+    both see the same dropout masks; without dropout that is the reference's
+    output too. Its masks are drawn only for the rows each tile keeps, (live
+    rows, H, rows, visible) in tile order, and nothing else touches the
+    generator."""
     if tile is not None:
         monkeypatch.setattr(autodiff, "_QUERY_TILE", tile)
     size = autodiff._QUERY_TILE
@@ -398,27 +404,29 @@ def test_attention_query_lengths_skip_only_padding_bitwise(p, tile, monkeypatch)
         drawn.append(draw(shape, rate, gen))
         return drawn[-1]
 
-    def replaying(shape, rate, gen):  # the packed op's masks for its live rows, all kept elsewhere
+    def replaying(shape, rate, gen):  # the mixed op's masks for its live rows, all kept elsewhere
         keep = np.ones(shape, dtype=bool)
         s = len(replayed) * size
         keep[np.flatnonzero(lengths > s)] = drawn[len(replayed)]
         replayed.append(keep)
         return keep
 
-    def run(qkv, seed, **kwargs):
+    def run(qkv, seed, query_lengths):
         tensors = [Tensor(x, requires_grad=True) for x in qkv]
-        out = attention(*tensors, 3, p, gen, **kwargs)
+        out = attention(*tensors, 3, p, gen, query_lengths=query_lengths)
         out.backward(seed)
         return [out.data] + [t.grad for t in tensors]
 
     gen = np.random.default_rng(9)
     monkeypatch.setattr(autodiff, "_dropout_mask", recording)
-    packed = run([x[real] for x in (q, k, v)], probe[real], query_lengths=lengths)
+    mixed = run([x[real] for x in (q, k, v)], probe[real], lengths)
     replayed = []
     monkeypatch.setattr(autodiff, "_dropout_mask", replaying)
-    plain = run([q, k, v], probe)
-    for got, want in zip(packed, plain):
-        assert np.array_equal(got, want[real])
+    full = run([packed(x) for x in (q, k, v)], packed(probe), [150] * 4)
+    for got, want in zip(mixed, full):
+        assert np.array_equal(got, want.reshape(q.shape)[real])
+    if p == 0.0:
+        assert np.allclose(mixed[0], per_head_attention(q, k, v, 3)[real], rtol=0, atol=1e-12)
 
     expected = np.random.default_rng(9)
     masks = keep_masks(expected, p, 3, lengths, 150) if p > 0 else []
@@ -429,32 +437,36 @@ def test_attention_query_lengths_skip_only_padding_bitwise(p, tile, monkeypatch)
 
 
 def test_attention_reads_head_major_keys_bitwise():
-    """Keys and values handed over already split into heads, as views of a
-    longer (B, H, capacity, d_h) buffer, give bitwise the output and query
-    gradient of the (B, L, D) form, and take no gradient themselves."""
+    """Keys and values handed over as views of a longer (B, H, capacity, d_h)
+    buffer give bitwise the output and query gradient of contiguous copies,
+    match the reference query by query (each sees its keys up to its own
+    position and key_lengths), and take no gradient themselves."""
     rng = np.random.default_rng(18)
     q = rng.standard_normal((3, 2, 12))
     k, v = (rng.standard_normal((3, 7, 12)) for _ in range(2))
     key_lengths = np.array([3, 7, 5])
-
-    def heads(x):  # (B, L, D) -> a view of a zero-padded (B, H, 9, d_h) buffer
-        buffer = np.zeros((3, 3, 9, 4))
-        buffer[:, :, :7] = x.reshape(3, 7, 3, 4).transpose(0, 2, 1, 3)
-        return buffer[:, :, :7]
+    kh, vh = head_major(k, 3), head_major(v, 3)
+    assert not kh.flags.c_contiguous
 
     probe = rng.standard_normal(q.shape)
     grads = []
-    for keys, values in ((Tensor(k), Tensor(v)), (heads(k), heads(v))):
+    for keys, values in ((np.ascontiguousarray(kh), np.ascontiguousarray(vh)), (kh, vh)):
         qt = Tensor(q, requires_grad=True)
         out = attention(qt, keys, values, 3, key_lengths=key_lengths)
         out.backward(probe)
         grads.append((out.data, qt.grad))
     assert all(np.array_equal(a, b) for a, b in zip(*grads))
     assert out._parents == (qt,)
+    for b, n in enumerate(key_lengths):
+        for i in range(2):  # query i is position 5 + i
+            seen = min(n, 6 + i)
+            rows = slice(b, b + 1)
+            want = per_head_attention(q[rows, i : i + 1], k[rows, :seen], v[rows, :seen], 3)
+            assert np.allclose(out.data[b, i], want[0, 0], rtol=0, atol=1e-12)
     with pytest.raises(ValueError, match="does not fit"):
-        attention(Tensor(q), heads(k)[:, :2], heads(v)[:, :2], 3)  # two heads of four features
+        attention(Tensor(q), kh[:, :2], vh[:, :2], 3)  # two heads of four features
     with pytest.raises(ValueError, match="one shape"):
-        attention(Tensor(q), heads(k), heads(v)[:, :, :6], 3)
+        attention(Tensor(q), kh, vh[:, :, :6], 3)
 
 
 def test_attention_query_lengths_validation():
@@ -548,14 +560,6 @@ def test_broadcast_gradient_shapes():
     add(a, b).backward(np.ones((2, 3)))
     assert a.grad.shape == (2, 3) and np.all(a.grad == 1.0)
     assert b.grad.shape == (3,) and np.all(b.grad == 2.0)
-
-
-def test_narrow_gradient_is_zero_outside_slice():
-    x = Tensor(np.ones((4, 6)), requires_grad=True)
-    narrow(x, 0, 1, 2).backward(np.ones((2, 6)))
-    want = np.zeros((4, 6))
-    want[1:3] = 1.0
-    assert np.array_equal(x.grad, want)
 
 
 def test_no_grad_skips_graph_building():

@@ -6,8 +6,9 @@ import struct
 import numpy as np
 import pytest
 
+from helpers import reference_forward
 from overpaint import autodiff
-from overpaint.autodiff import NonFiniteError, Tensor, cross_entropy, no_grad
+from overpaint.autodiff import AdamState, NonFiniteError, Tensor, adam_step, cross_entropy, no_grad
 from overpaint.model import (
     CHECKPOINT_MAGIC,
     CheckpointError,
@@ -88,7 +89,9 @@ def test_forward_shapes_and_validation():
                     max_len=32, dropout=0.2)
     )
     with pytest.raises(ValueError, match="rng"):
-        dropped.forward(ids, training=True)
+        dropped.forward(ids, training=True, lengths=[4, 4])
+    with pytest.raises(ValueError, match="takes lengths"):
+        dropped.forward(ids, training=True, rng=np.random.default_rng(0))
 
 
 def test_forward_is_causal_bitwise():
@@ -109,9 +112,8 @@ def test_forward_dropout_is_seeded():
                          max_len=32, dropout=0.3)
     model = TransformerLM(config, seed=3)
     ids = np.array([[1, 2, 3, 4, 5]])
-    a = model.forward(ids, training=True, rng=np.random.default_rng(7)).data
-    b = model.forward(ids, training=True, rng=np.random.default_rng(7)).data
-    c = model.forward(ids, training=True, rng=np.random.default_rng(8)).data
+    a, b, c = (model.forward(ids, training=True, rng=np.random.default_rng(seed), lengths=[5]).data
+               for seed in (7, 7, 8))
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
 
@@ -119,8 +121,9 @@ def test_forward_dropout_is_seeded():
 @pytest.mark.parametrize("dtype, tol", [("float32", 1e-5), ("float64", 1e-10)])
 def test_forward_lengths_change_nothing_real(dtype, tol, monkeypatch):
     """A padded batch's forward with `lengths` returns (N, V) logits, one row
-    per real position in row order, that match the padded forward's logits
-    at those positions and each row's own forward."""
+    per real position in row order, that match the reference forward's
+    logits of the padded batch at those positions and each row's own
+    (cached) forward."""
     monkeypatch.setattr(autodiff, "_QUERY_TILE", 4)  # so short rows skip tiles
     config = ModelConfig(vocab_size=50, n_layers=2, d_model=16, n_heads=4, d_ff=32,
                          max_len=32, dropout=0.2, dtype=dtype)
@@ -134,7 +137,7 @@ def test_forward_lengths_change_nothing_real(dtype, tol, monkeypatch):
     with no_grad():
         packed = model.forward(inputs, lengths=lengths).data
         assert packed.shape == (lengths.sum(), 50) and packed.dtype == dtype
-        assert np.allclose(packed, model.forward(inputs).data[real], rtol=0, atol=tol)
+        assert np.allclose(packed, reference_forward(model, inputs)[real], rtol=0, atol=tol)
         for seq, row in zip(seqs, np.split(packed, np.cumsum(lengths)[:-1])):
             assert np.allclose(row, model.forward(seq[None, :-1]).data[0], rtol=0, atol=tol)
 
@@ -178,7 +181,7 @@ def test_packed_loss_and_gradients_sum_the_rows(dtype, tol, monkeypatch):
     packed_loss, packed = step(ids[:, :-1], ids[:, 1:][real], real.sum(), lengths=lengths)
     rows_loss, rows = 0.0, {name: 0.0 for name in packed}
     for seq in seqs:
-        loss, grads = step(seq[None, :-1], seq[None, 1:], len(seq) - 1)
+        loss, grads = step(seq[None, :-1], seq[1:], len(seq) - 1, lengths=[len(seq) - 1])
         rows_loss += loss
         rows = {name: rows[name] + grads[name] for name in rows}
     assert abs(packed_loss - rows_loss) <= tol * rows_loss
@@ -380,48 +383,43 @@ def test_train_keeps_key_biases_at_zero():
     assert result.model.param_count() == TransformerLM.expected_param_count(config)
 
 
-def test_train_passing_lengths_changes_no_weight(monkeypatch):
-    """Two seeded epochs of packed training (dropout 0) track a run through
-    the padded path, a forward without `lengths` and a loss over the padded
-    targets, in every weight, and count every target."""
+def test_packed_training_steps_as_rows_alone(monkeypatch):
+    """An epoch of seeded packed training (dropout 0, two batches of two
+    rows) moves every weight as Adam steps do whose gradient is each batch's
+    rows forwarded alone, their losses weighted by their target counts; it
+    reports their mean loss and counts every real and PAD target."""
     monkeypatch.setattr(autodiff, "_QUERY_TILE", 3)  # so rows skip tiles, some opened by their last query
     rng = np.random.default_rng(33)
     seqs = [pair_like_sequences(rng, 1, body=n)[0] for n in (2, 7, 4, 6, 3, 5)]
     train_seqs, val_seqs = seqs[:4], seqs[4:]
     config = ModelConfig(vocab_size=50, n_layers=2, d_model=16, n_heads=4, d_ff=32,
                          max_len=32, dropout=0.0, dtype="float64")
-    train_config = TrainConfig(max_epochs=2, batch_size=4, seed=5,
+    train_config = TrainConfig(max_epochs=1, batch_size=2, seed=5,
                                scheduler_patience=2, early_stop_patience=3)
     packed = train(train_seqs, val_seqs, config, train_config)
 
-    forward, loss = TransformerLM.forward, autodiff.cross_entropy
-    given = []
-
-    def padded_forward(self, ids, *args, lengths=None, **kwargs):
-        given.append(np.arange(ids.shape[1]) < lengths[:, None])
-        return forward(self, ids, *args, **kwargs)
-
-    def padded_loss(logits, targets, **kwargs):
-        real = given[-1]
-        full = np.full(real.shape, PAD)
-        full[real] = targets
-        total, per_position = loss(logits, full, **kwargs)
-        return total, per_position[real]
-
-    monkeypatch.setattr(TransformerLM, "forward", padded_forward)
-    monkeypatch.setattr(autodiff, "cross_entropy", padded_loss)
-    plain = train(train_seqs, val_seqs, config, train_config)
-    assert len(given) == 4  # train and val, two epochs
-    losses = [[(log.train_loss, log.val_loss, log.pre_sep_loss, log.post_sep_loss)
-               for log in run.logs] for run in (packed, plain)]
-    assert np.allclose(*losses, rtol=1e-12, atol=0)
+    # train's own seeding: init, then shuffling
+    seeds = np.random.SeedSequence(train_config.seed).spawn(3)
+    model = TransformerLM(config, seed=int(seeds[0].generate_state(1)[0]))
+    order = np.random.default_rng(seeds[1]).permutation(len(train_seqs))
+    optimizer, padded, total = AdamState(), 0, 0.0
+    for lo in (0, 2):
+        batch = [train_seqs[i] for i in order[lo : lo + 2]]
+        count = sum(len(seq) - 1 for seq in batch)
+        padded += 2 * (max(map(len, batch)) - 1) - count
+        model.zero_grad()
+        for seq in batch:
+            logits = model.forward(seq[None, :-1], training=True, lengths=[len(seq) - 1])
+            loss = cross_entropy(logits, seq[1:])
+            loss.backward(np.asarray((len(seq) - 1) / count))
+            total += loss.item() * (len(seq) - 1)
+        adam_step(model.parameters(), optimizer, train_config.lr)
     for name, arr in packed.model.state_arrays().items():
-        assert np.allclose(arr, plain.model.state_arrays()[name], rtol=0, atol=1e-12), name
-
+        assert np.allclose(arr, model.params[name].data, rtol=0, atol=1e-12), name
     real = sum(len(s) - 1 for s in train_seqs)
-    width = max(len(s) for s in train_seqs) - 1
-    assert packed.target_positions == 2 * real
-    assert packed.padded_positions == 2 * (len(train_seqs) * width - real)
+    assert packed.logs[0].train_loss == pytest.approx(total / real, rel=1e-12, abs=0)
+    assert packed.target_positions == real
+    assert packed.padded_positions == padded > 0
 
 
 def test_epoch_pass_losses_are_the_rows_own():
@@ -669,17 +667,17 @@ def test_cached_forward_matches_full_forward(dtype, tol):
                          max_len=20, dropout=0.1, dtype=dtype)
     model = TransformerLM(config, seed=21)
     ids = np.random.default_rng(22).integers(0, 50, size=(2, 20))
-    full = model.forward(ids).data
+    full = reference_forward(model, ids)
     cache = KVCache(config, batch=2, capacity=config.max_len)
     start = 0
     with no_grad():
         for size in (7, 1, 4, 1, 1, 6):  # prefill, single steps, multi-token chunks
             got = model.forward(ids[:, start : start + size], cache=cache).data
-            assert got.dtype == full.dtype
+            assert got.dtype == dtype
             assert np.abs(got - full[:, start : start + size]).max() < tol
             start += size
             last = model.forward(ids[:, :start], last_only=True).data
-            assert np.abs(got[:, -1:] - last).max() < tol
+            assert np.abs(last - full[:, start - 1 : start]).max() < tol
     assert cache.lengths.tolist() == [config.max_len] * 2
 
 
@@ -696,14 +694,12 @@ def scaled_model(dtype, seed):
 
 
 def uncached_greedy(model, primer, max_new):
-    """Reference decoder: a full forward over the whole context per token."""
+    """Reference decoder: the reference forward over the whole context per token."""
     context, out = list(primer), []
     for _ in range(max_new):
         if len(context) >= model.config.max_len:
             break
-        with no_grad():
-            row = model.forward(np.asarray([context]), last_only=True).data[0, -1]
-        token = int(np.argmax(row))
+        token = int(np.argmax(reference_forward(model, [context])[0, -1]))
         if token == EOS:
             break
         context.append(token)
@@ -753,7 +749,7 @@ def ragged_cache(model, primers, capacity):
 @pytest.mark.parametrize("dtype, tol", [("float32", 1e-5), ("float64", 1e-10)])
 def test_ragged_cached_decode_matches_full_forward(dtype, tol):
     """Rows of 3, 7 and 11 positions step together; at every step each row's
-    logits match an uncached forward of that row's whole context."""
+    logits match the reference forward of that row's whole context."""
     config = ModelConfig(vocab_size=50, n_layers=2, d_model=16, n_heads=4, d_ff=32,
                          max_len=20, dropout=0.0, dtype=dtype)
     model = TransformerLM(config, seed=26)
@@ -767,10 +763,10 @@ def test_ragged_cached_decode_matches_full_forward(dtype, tol):
             context.append(int(token))
         with no_grad():
             got = model.forward(fed[:, None], cache=cache).data
+            assert got.dtype == dtype
             for row, context in enumerate(contexts):
-                want = model.forward(np.asarray([context]), last_only=True).data
-                assert got.dtype == want.dtype
-                assert np.abs(got[row] - want[0]).max() < tol
+                want = reference_forward(model, [context])[0, -1:]
+                assert np.abs(got[row] - want).max() < tol
     assert cache.lengths.tolist() == [8, 12, 16]
 
 
@@ -796,6 +792,66 @@ def test_ragged_cache_rejects_multi_token_and_row_overflow():
         assert all(np.array_equal(a, b) for a, b in zip(cache.keys + cache.values, before))
     with pytest.raises(ValueError, match="capacity"):
         KVCache(TINY, batch=1, capacity=TINY.max_len + 1)
+
+
+def test_cache_keep_compacts_rows_in_place():
+    """keep moves the kept rows' filled positions to the front of the buffers
+    the cache already has and keeps views of them; a decode step after it
+    matches the reference forward of each kept row's context, although a
+    kept row's slots past its length hold a dropped row's keys."""
+    config = ModelConfig(vocab_size=50, n_layers=2, d_model=16, n_heads=4, d_ff=32,
+                         max_len=20, dropout=0.0, dtype="float64")
+    model = TransformerLM(config, seed=39)
+    contexts = [[1, 5, 9], [2, 6, 7, 7, 3, 8, 4], [3, 3], [9, 8, 7, 6, 5]]
+    cache = ragged_cache(model, contexts, capacity=12)
+    before = cache.keys + cache.values
+    filled = [[a[i, :, : len(c)].copy() for a in before] for i, c in enumerate(contexts)]
+    cache.keep([1, 3])
+    assert cache.lengths.tolist() == [7, 5]
+    for old, new in zip(before, cache.keys + cache.values):
+        assert np.shares_memory(old, new) and new.shape == (2,) + old.shape[1:]
+    for j, i in enumerate([1, 3]):
+        for a, want in zip(cache.keys + cache.values, filled[i]):
+            assert np.array_equal(a[j, :, : len(contexts[i])], want)
+    fed = [11, 12]
+    with no_grad():
+        got = model.forward(np.asarray(fed)[:, None], cache=cache).data
+    for j, i in enumerate([1, 3]):
+        want = reference_forward(model, [contexts[i] + [fed[j]]])[0, -1]
+        assert np.abs(got[j, 0] - want).max() < 1e-12
+
+
+@pytest.mark.parametrize("dtype, tol", [("float32", 1e-5), ("float64", 1e-12)])
+@pytest.mark.parametrize("name", ["model1", "model2"])
+def test_every_forward_path_matches_the_reference(name, dtype, tol):
+    """Each preset's packed forward over rows of mixed lengths, its uncached
+    last_only forward, and a cached last_only prefill of each row alone
+    followed by ragged one-token decode steps agree with the reference."""
+    model = TransformerLM(preset(name, 40, dtype=dtype), seed=40)
+    rng = np.random.default_rng(41)
+    seqs = [rng.integers(4, 40, size=n) for n in (70, 33, 6, 1)]
+    ids = _pad_batch(seqs)
+    lengths = np.array([len(s) for s in seqs])
+    want = reference_forward(model, ids)
+
+    def close(got, want):
+        assert got.dtype == dtype and got.shape == want.shape
+        assert np.abs(got - want).max() <= tol
+
+    close(model.forward(ids, lengths=lengths).data, want[np.arange(70) < lengths[:, None]])
+    close(model.forward(ids, last_only=True).data, want[:, -1:])
+    cache = KVCache(model.config, batch=len(seqs), capacity=80)
+    contexts = [list(s) for s in seqs]
+    with no_grad():
+        for i, context in enumerate(contexts):
+            close(model.forward(np.asarray([context]), last_only=True, cache=cache.row(i)).data[0],
+                  reference_forward(model, [context])[0, -1:])
+        for _ in range(3):
+            fed = rng.integers(4, 40, size=len(seqs))
+            got = model.forward(fed[:, None], cache=cache).data
+            for row, (context, token) in enumerate(zip(contexts, fed)):
+                context.append(int(token))
+                close(got[row], reference_forward(model, [context])[0, -1:])
 
 
 def test_cache_is_head_major_and_attention_reads_it_in_place(monkeypatch):
@@ -844,13 +900,13 @@ def test_cache_is_head_major_and_attention_reads_it_in_place(monkeypatch):
 def test_last_only_forward_runs_its_final_query_side_on_one_position(dtype, tol, monkeypatch):
     """A last_only forward's final layer projects keys and values for every
     position but runs q, wo, the feed-forward and the output projection on
-    the last position alone; its logits match the full forward's last
+    the last position alone; its logits match the reference forward's last
     position and it fills a cache bitwise as a full-output prefill does."""
     config = ModelConfig(vocab_size=50, n_layers=2, d_model=16, n_heads=4, d_ff=32,
                          max_len=20, dropout=0.1, dtype=dtype)
     model = TransformerLM(config, seed=37)
     ids = np.random.default_rng(38).integers(0, 50, size=(2, 9))
-    full = model.forward(ids).data
+    full = reference_forward(model, ids)
 
     names = {id(t): name for name, t in model.params.items()}
     matmul, seen = autodiff.matmul, []
@@ -866,7 +922,7 @@ def test_last_only_forward_runs_its_final_query_side_on_one_position(dtype, tol,
                      "attn.wo": (2, 1, 16), "ff.w1": (2, 1, 16), "ff.w2": (2, 1, 32)}
     assert all(shape[1] == 9 for name, shape in seen if name.startswith("layer0."))
     assert seen[-1] == ("output", (2, 1, 16))
-    assert last.shape == (2, 1, 50) and last.dtype == full.dtype
+    assert last.shape == (2, 1, 50) and last.dtype == dtype
     assert np.abs(last[:, 0] - full[:, -1]).max() <= tol
 
     caches = [KVCache(config, batch=2, capacity=12) for _ in range(2)]
@@ -875,7 +931,7 @@ def test_last_only_forward_runs_its_final_query_side_on_one_position(dtype, tol,
         model.forward(ids, last_only=True, cache=caches[1])
     for a, b in zip(caches[0].keys + caches[0].values, caches[1].keys + caches[1].values):
         assert np.array_equal(a, b)
-    with pytest.raises(ValueError, match="last_only"):
+    with pytest.raises(ValueError, match="takes lengths"):  # last_only is inference only
         model.forward(ids, training=True, rng=np.random.default_rng(0), last_only=True)
 
 
