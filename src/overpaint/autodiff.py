@@ -207,24 +207,6 @@ def gelu(a: Tensor) -> Tensor:
     return _result(data, (a,), backward, "gelu")
 
 
-# In place on arrays they allocate: on attention's (B, H, rows, keys) weights,
-# a fresh temporary per step doubles the softmax's time.
-
-
-def _softmax_last(x: np.ndarray) -> np.ndarray:
-    e = x - x.max(axis=-1, keepdims=True)
-    np.exp(e, out=e)
-    e /= e.sum(axis=-1, keepdims=True)
-    return e
-
-
-def _softmax_last_grad(g: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Gradient through a last-axis softmax whose output was `out`."""
-    grad = g - (g * out).sum(axis=-1, keepdims=True)
-    grad *= out
-    return grad
-
-
 def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then affine."""
     x = a.data
@@ -282,8 +264,25 @@ def _quantised_rate(p: float) -> float:
 def _dropout_mask(shape, p: float, rng: np.random.Generator) -> np.ndarray:
     """Inverted-dropout keep mask (bool) from one uint16 draw: an element drops
     when its draw falls below round(p * 65536). Callers scale what it keeps by
-    1 / (1 - _quantised_rate(p)), so the expectation is unchanged."""
-    return rng.integers(0, _DROP_STEPS, size=shape, dtype=np.uint16) >= round(p * _DROP_STEPS)
+    1 / (1 - _quantised_rate(p)), so the expectation is unchanged.
+
+    The draws are rng.integers(0, 65536, size=shape, dtype=np.uint16), and the
+    generator is left where that call leaves it; they are read as the 16-bit
+    quarters of raw 64-bit words, low first, which is how integers splits
+    them, in under half its time. The last count % 4 draws, and every draw
+    from a bit generator that holds a buffered 32-bit half or keeps no such
+    buffer (MT19937, whose raw words are 32-bit), go through integers itself."""
+    threshold = round(p * _DROP_STEPS)
+    count = math.prod(shape)
+    whole = count - count % 4
+    if not whole or rng.bit_generator.state.get("has_uint32") != 0:
+        return rng.integers(0, _DROP_STEPS, size=shape, dtype=np.uint16) >= threshold
+    keep = np.empty(count, dtype=bool)
+    raw = np.asarray(rng.bit_generator.random_raw(whole // 4), dtype="<u8")
+    np.greater_equal(raw.view("<u2"), threshold, out=keep[:whole])
+    if whole < count:
+        keep[whole:] = rng.integers(0, _DROP_STEPS, size=count - whole, dtype=np.uint16) >= threshold
+    return keep.reshape(shape)
 
 
 def dropout(a: Tensor, p: float, rng: np.random.Generator) -> Tensor:
@@ -350,6 +349,13 @@ def attention(
     the rows whose length ends at or before s. With p > 0 each tile draws its
     keep mask as one (rows it keeps, H, e - s, e + Lk - Lq) uint16 draw, in
     tile order.
+
+    A tile's softmax is never normalised in place (Dao et al. 2022,
+    FlashAttention): its exps, times the keep mask, meet v first, and the
+    (rows, d_h) product takes the row factor drop scale / row sum. The
+    backward uses the FlashAttention-2 identity (Dao 2023, section 3.1),
+    rowsum(dP * P) = rowsum(dO * O), and puts every row factor and
+    1 / sqrt(d_h) on the d_h-wide operands, never on the (rows, keys) tiles.
     """
     if query_lengths is None:
         if q.ndim != 3 or not isinstance(k, np.ndarray) or k.ndim != 4 or k.shape != v.shape:
@@ -376,7 +382,7 @@ def attention(
     keys = length + offset
     if query_lengths is None and (k.shape != (batch, n_heads, keys, d_head) or offset < 0):
         raise ValueError(f"key/value shape {k.shape} does not fit queries of shape {q.shape}")
-    scale = 1.0 / (1.0 - _quantised_rate(p))
+    drop_scale = 1.0 / (1.0 - _quantised_rate(p))
     if p > 0 and rng is None:
         raise ValueError("attention dropout needs an rng")
     if key_lengths is not None:
@@ -401,14 +407,14 @@ def attention(
             return rows.reshape(batch, length, width)
         return rows[real].reshape(-1, width)
 
-    qh = split(q.data)
+    qs = split(q.data * inv_sqrt)
     kh, vh = (k, v) if query_lengths is None else (split(k.data), split(v.data))
-    out = np.zeros_like(qh)  # rows a tile leaves out stay 0
+    out = np.zeros_like(qs)  # rows a tile leaves out stay 0
     square = min(_QUERY_TILE, length)  # one mask per call; a one-query call needs none
     causal = None
     if square > 1:
-        causal = np.triu(np.full((square, square), _MASK_VALUE, dtype=qh.dtype), k=1)
-    tiles = []  # (start, end, batch rows, softmax weights, dropout keep mask or None)
+        causal = np.triu(np.full((square, square), _MASK_VALUE, dtype=qs.dtype), k=1)
+    tiles = []  # (start, end, batch rows, exps, drop_scale / row sums, dropout keep mask or None)
     for s in range(0, length, _QUERY_TILE):
         e = min(s + _QUERY_TILE, length)
         rows, visible = e - s, e + offset
@@ -416,44 +422,52 @@ def attention(
         if query_lengths is not None and query_lengths.min() <= s:
             live = np.flatnonzero(query_lengths > s)
             kept = len(live)
-        scores = qh[live, :, s:e] @ np.swapaxes(kh[live, :, :visible], -1, -2)
-        scores *= inv_sqrt
+        scores = qs[live, :, s:e] @ np.swapaxes(kh[live, :, :visible], -1, -2)
         if rows > 1:
             scores[..., visible - rows:] += causal[:rows, :rows]
         if key_lengths is not None:
             hidden = np.arange(visible) >= key_lengths[:, None]
             np.copyto(scores, _MASK_VALUE, where=hidden[:, None, None, :])
-        weights = _softmax_last(scores)
+        scores -= scores.max(axis=-1, keepdims=True)
+        exps = np.exp(scores, out=scores)
+        inv_sum = drop_scale / exps.sum(axis=-1, keepdims=True)
         keep = _dropout_mask((kept, n_heads, rows, visible), p, rng) if p > 0 else None
-        dropped = weights if keep is None else weights * keep
-        out[live, :, s:e] = dropped @ vh[live, :, :visible]
-        tiles.append((s, e, live, weights, keep))
-    if p > 0:
-        out *= scale
+        tile_out = (exps if keep is None else exps * keep) @ vh[live, :, :visible]
+        tile_out *= inv_sum
+        out[live, :, s:e] = tile_out
+        tiles.append((s, e, live, exps, inv_sum, keep))
     data = merge(out)
     parents = (q,) if query_lengths is None else (q, k, v)
 
     def backward(g):
         gh = split(g)
-        if p > 0:  # not in place: with one head, split may return a view of g
-            gh = gh * scale
-        gq = np.zeros_like(qh)
-        gk = np.zeros_like(kh)
-        gv = np.zeros_like(vh)
-        for s, e, live, weights, keep in tiles:
+        delta = split(g * data).sum(axis=-1, keepdims=True)  # rowsum(dO * O), per head
+        delta /= drop_scale
+        wanted = [t.requires_grad for t in parents] + [False] * (3 - len(parents))
+        gq, gk, gv = (np.zeros_like(qs) if want else None for want in wanted)
+        for s, e, live, exps, inv_sum, keep in tiles:
             visible = e + offset
             g_tile = gh[live, :, s:e]
-            dropped = weights if keep is None else weights * keep
-            gv[live, :, :visible] += np.swapaxes(dropped, -1, -2) @ g_tile
-            g_weights = g_tile @ np.swapaxes(vh[live, :, :visible], -1, -2)
+            if gv is not None:
+                dropped = exps if keep is None else exps * keep
+                gv[live, :, :visible] += np.swapaxes(dropped, -1, -2) @ (g_tile * inv_sum)
+            if gq is None and gk is None:
+                continue
+            # The scores' gradient up to the row factor inv_sum / sqrt(d_h), which
+            # the d_h-wide operands take instead.
+            g_scores = g_tile @ np.swapaxes(vh[live, :, :visible], -1, -2)
             if keep is not None:
-                g_weights *= keep
-            g_scores = _softmax_last_grad(g_weights, weights)
-            g_scores *= inv_sqrt
-            gq[live, :, s:e] = g_scores @ kh[live, :, :visible]
-            gk[live, :, :visible] += np.swapaxes(g_scores, -1, -2) @ qh[live, :, s:e]
+                g_scores *= keep
+            g_scores -= delta[live, :, s:e]
+            g_scores *= exps
+            if gq is not None:
+                g_rows = g_scores @ kh[live, :, :visible]
+                g_rows *= inv_sum * inv_sqrt
+                gq[live, :, s:e] = g_rows
+            if gk is not None:
+                gk[live, :, :visible] += np.swapaxes(g_scores, -1, -2) @ (qs[live, :, s:e] * inv_sum)
         for operand, grad in zip(parents, (gq, gk, gv)):
-            if operand.requires_grad:
+            if grad is not None:
                 operand.accumulate_grad(merge(grad))
 
     return _result(data, parents, backward, "attention")

@@ -123,6 +123,15 @@ def keep_masks(rng, p, n_heads, lengths, keys):
     return masks
 
 
+def same_stream(a, b):
+    """Whether generators a and b give the same draws from here on: their bit
+    generators' states agree, the buffered 32-bit half counting only while
+    one is held (a raw-word read leaves a stale, unused one behind)."""
+    sa, sb = a.bit_generator.state, b.bit_generator.state
+    return (sa["state"] == sb["state"] and sa["has_uint32"] == sb["has_uint32"]
+            and (not sa["has_uint32"] or sa["uinteger"] == sb["uinteger"]))
+
+
 def per_head_attention(q, k, v, n_heads, p=0.0, rng=None):
     """Reference attention on (B, Lq, D) queries, the last Lq of (B, Lk, D)
     keys and values: slice each head, mask, softmax, dropout, concat, with
@@ -147,6 +156,35 @@ def per_head_attention(q, k, v, n_heads, p=0.0, rng=None):
             weights = weights * keep[:, h] / (1.0 - round(p * 65536) / 65536)
         heads.append(weights @ v[:, :, cols])
     return np.concatenate(heads, axis=-1)
+
+
+def per_head_attention_grads(q, k, v, g, n_heads, keep=None, p=0.0):
+    """q, k and v gradients of causal self-attention on (B, L, D) rows for the
+    output gradient g, per head in float64, through the textbook softmax
+    Jacobian P * (dP - rowsum(dP * P)); `keep`, a (B, H, L, L) bool array, is
+    the dropout mask, and what it keeps is scaled by 1 / (1 - p quantised to
+    1/65536)."""
+    q, k, v, g = (np.asarray(x, dtype=np.float64) for x in (q, k, v, g))
+    length, width = q.shape[1:]
+    d_head = width // n_heads
+    upper = np.triu(np.full((length, length), -1e9), k=1)
+    scale = 1.0 / (1.0 - round(p * 65536) / 65536)
+    grads = [np.zeros_like(x) for x in (q, k, v)]
+    for h in range(n_heads):
+        cols = slice(h * d_head, (h + 1) * d_head)
+        scores = q[:, :, cols] @ np.swapaxes(k[:, :, cols], -1, -2) / math.sqrt(d_head) + upper
+        weights = np.exp(scores - scores.max(axis=-1, keepdims=True))
+        weights /= weights.sum(axis=-1, keepdims=True)
+        dropped = weights if keep is None else weights * keep[:, h] * scale
+        g_weights = g[:, :, cols] @ np.swapaxes(v[:, :, cols], -1, -2)
+        if keep is not None:
+            g_weights = g_weights * keep[:, h] * scale
+        g_scores = weights * (g_weights - (g_weights * weights).sum(axis=-1, keepdims=True))
+        g_scores /= math.sqrt(d_head)
+        grads[0][:, :, cols] = g_scores @ k[:, :, cols]
+        grads[1][:, :, cols] = np.swapaxes(g_scores, -1, -2) @ q[:, :, cols]
+        grads[2][:, :, cols] = np.swapaxes(dropped, -1, -2) @ g[:, :, cols]
+    return grads
 
 
 def _layer_norm(x, gain, bias):

@@ -10,6 +10,7 @@ import csv
 import json
 import math
 import time
+import zlib
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -191,9 +192,10 @@ def test_01_augmentation_arithmetic():
 def test_02_gradient_checks():
     t0 = time.monotonic()
     worst = 0.0
-    for op_index, name in enumerate(OPS):
+    for name in OPS:
         for seed in range(GRAD_INSTANCES_PER_OP):
-            rng = np.random.default_rng([op_index, seed])
+            # Seeded by the name, so adding or deleting an entry redraws no other's instances.
+            rng = np.random.default_rng([zlib.crc32(name.encode()), seed])
             func, tensors = op_instances(name, rng)
             worst = max(worst, grad_check(func, tensors, seed=seed))
     assert worst < GRAD_TOLERANCE

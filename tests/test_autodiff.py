@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from overpaint import autodiff
-from helpers import keep_masks, per_head_attention
+from helpers import keep_masks, per_head_attention, per_head_attention_grads, same_stream
 from overpaint.autodiff import (
     AdamState,
     NonFiniteError,
@@ -133,12 +133,10 @@ def attention_instance(name, rng, lengths):
 
 OPS = [
     "add_same", "add_broadcast",
-    "matmul2d", "matmul_batched", "matmul_broadcast", "matmul_bias", "transpose2d",
-    "gelu", "layer_norm", "embedding_lookup", "dropout",
-    "attention", "attention_dropout", "attention_longer_keys", "attention_key_lengths",
+    "matmul2d", "matmul_batched", "matmul_broadcast", "matmul_batch_broadcast", "matmul_bias",
+    "transpose2d", "gelu", "layer_norm", "embedding_lookup", "dropout",
+    *ATTENTION_OPS,
     "cross_entropy", "cross_entropy_ignore",
-    # appended last, so no earlier entry's acceptance seeds shift
-    "attention_padded", "matmul_batch_broadcast",
 ]
 
 
@@ -265,7 +263,7 @@ def test_attention_matches_per_head_reference(p):
     for out, gen in zip(outs, (packed_rng, cached_rng)):
         assert np.allclose(out, want, rtol=0, atol=1e-12)
         # Each consumed the generator as the reference did, so later draws (and checkpoints) agree.
-        assert gen.bit_generator.state == ref_rng.bit_generator.state
+        assert same_stream(gen, ref_rng)
     if p == 0.0:  # the last queries alone, against every key, as a cached forward asks
         tail = attention(Tensor(q[:, 4:]), head_major(k, 3), head_major(v, 3), 3)
         assert np.allclose(tail.data, want[:, 4:], rtol=0, atol=1e-12)
@@ -289,7 +287,7 @@ def test_attention_spanning_tiles_matches_per_head_reference(queries, keys, p):
     for run in runs:
         gen = np.random.default_rng(5)
         assert np.allclose(run(gen), want, rtol=0, atol=1e-12)
-        assert gen.bit_generator.state == ref_rng.bit_generator.state
+        assert same_stream(gen, ref_rng)
 
 
 @pytest.mark.parametrize("dtype, tol", [(np.float64, 1e-12), (np.float32, 1e-5)])
@@ -319,6 +317,59 @@ def test_tiled_attention_matches_one_tile(dtype, tol, monkeypatch):
     for got, want in zip(tiled, whole):
         assert got.dtype == dtype
         assert np.allclose(got, want, rtol=0, atol=tol)
+
+
+@pytest.mark.parametrize("p", [0.0, 0.1])
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_attention_gradients_match_per_head_backward(dtype, p):
+    """The packed op's q, k and v gradients at model1's head shape (64
+    features, 8 heads) over rows of mixed lengths spanning three tiles agree
+    with the float64 textbook-Jacobian reference, row by row, under the same
+    dropout masks: within 1e-12 in float64, and within 1e-5 of each
+    gradient's largest entry in float32."""
+    lengths = np.array([150, 97, 64, 3])
+    length = int(lengths.max())
+    assert length > 2 * autodiff._QUERY_TILE
+    real = np.arange(length) < lengths[:, None]
+    rng = np.random.default_rng(19)
+    q, k, v, probe = (rng.standard_normal((4, length, 64)).astype(dtype) for _ in range(4))
+    keep = None
+    if p > 0:
+        keep = np.ones((4, 8, length, length), dtype=bool)
+        for s, mask in keep_masks(np.random.default_rng(7), p, 8, lengths, length):
+            keep[lengths > s, :, s : s + mask.shape[2], : mask.shape[3]] = mask
+    tensors = [Tensor(x[real], requires_grad=True) for x in (q, k, v)]
+    out = attention(*tensors, 8, p, np.random.default_rng(7), query_lengths=lengths)
+    out.backward(probe[real])
+    want = [np.zeros((4, length, 64)) for _ in range(3)]
+    for b, n in enumerate(lengths):
+        rows = (slice(b, b + 1), slice(0, n))
+        row_keep = None if keep is None else keep[b : b + 1, :, :n, :n]
+        for full, grad in zip(want, per_head_attention_grads(*(x[rows] for x in (q, k, v, probe)),
+                                                              8, row_keep, p)):
+            full[rows] = grad
+    for t, full in zip(tensors, want):
+        assert t.grad.dtype == dtype
+        tol = 1e-12 if dtype == np.float64 else 1e-5 * np.abs(full).max()
+        assert np.allclose(t.grad, full[real], rtol=0, atol=tol)
+
+
+def test_attention_computes_only_wanted_gradients():
+    """Operands that need no gradient get none, and the others get bitwise the
+    gradients they get when all three need one."""
+    rng = np.random.default_rng(20)
+    q, k, v = (rng.standard_normal((30, 12)) for _ in range(3))
+    probe = rng.standard_normal((30, 12))
+
+    def grads(wanted):
+        tensors = [Tensor(x, requires_grad=want) for x, want in zip((q, k, v), wanted)]
+        attention(*tensors, 3, 0.2, np.random.default_rng(3), query_lengths=[17, 13]).backward(probe)
+        return [t.grad for t in tensors]
+
+    everything = grads((True, True, True))
+    for wanted in ((True, False, False), (False, True, False), (False, False, True), (True, False, True)):
+        for want, got, full in zip(wanted, grads(wanted), everything):
+            assert got is None if not want else np.array_equal(got, full)
 
 
 def test_attention_is_causal_bitwise():
@@ -433,7 +484,7 @@ def test_attention_query_lengths_skip_only_padding_bitwise(p, tile, monkeypatch)
     assert len(drawn) == len(masks) == len(replayed)
     for got, (_, want) in zip(drawn, masks):
         assert np.array_equal(got, want)
-    assert gen.bit_generator.state == expected.bit_generator.state
+    assert same_stream(gen, expected)
 
 
 def test_attention_reads_head_major_keys_bitwise():
@@ -621,6 +672,30 @@ def test_dropout_mask_keep_rate(p):
     assert mask.dtype == bool
     sigma = math.sqrt(keep_rate * (1 - keep_rate) / n)
     assert abs(mask.mean() - keep_rate) < 5 * sigma
+
+
+def test_dropout_mask_matches_integers_draws():
+    """Masks equal rng.integers(0, 65536, size, dtype=uint16) >= the threshold,
+    and every later draw is the same: for counts 1-9, a 64 x 441 mask and
+    consecutive draws, also from a generator left holding a buffered 32-bit
+    half (which the odd counts leave behind too)."""
+    threshold = round(0.1 * 65536)
+    shapes = [(n,) for n in range(1, 10)] + [(64, 441), (2, 3, 5), (64, 441)]
+    for buffered in (False, True):
+        fast, slow = np.random.default_rng(23), np.random.default_rng(23)
+        if buffered:
+            for gen in (fast, slow):
+                gen.integers(0, 10, dtype=np.uint32)
+            assert fast.bit_generator.state["has_uint32"] == 1
+        for shape in shapes:
+            mask = autodiff._dropout_mask(shape, 0.1, fast)
+            want = slow.integers(0, 65536, size=shape, dtype=np.uint16) >= threshold
+            assert mask.dtype == bool and mask.shape == shape
+            assert np.array_equal(mask, want)
+            assert same_stream(fast, slow)
+        for draw in (lambda g: g.integers(0, 10, size=3, dtype=np.uint32), lambda g: g.random(3),
+                     lambda g: g.integers(0, 65536, size=5, dtype=np.uint16)):
+            assert np.array_equal(draw(fast), draw(slow))
 
 
 # --- optimizer --------------------------------------------------------------------
