@@ -335,12 +335,12 @@ def attention(
 
     Cached (inference): q is a (B, Lq, D) Tensor, and k and v are arrays
     already split into heads, (B, H, Lk, d_h) with Lk >= Lq, as a KV cache
-    holds them. The op reads them in place, with no copy, and gives only q a
-    gradient. The queries are the last Lq positions: query i attends to key
-    positions <= i + Lk - Lq. `key_lengths`, a (B,) array in 1..Lk, further
-    hides keys at index >= key_lengths[b] from row b (their scores are set to
-    the mask value), for a batch whose rows have read different numbers of
-    positions.
+    holds them. The op reads them in place, with no copy, and builds no graph
+    (with gradients on, a q that requires grad raises ValueError). The
+    queries are the last Lq positions: query i attends to key positions
+    <= i + Lk - Lq. `key_lengths`, a (B,) array in 1..Lk, further hides keys
+    at index >= key_lengths[b] from row b (their scores are set to the mask
+    value), for a batch whose rows have read different numbers of positions.
 
     The queries are processed in tiles of rows [s, e): a tile scores only the
     keys it can see, [0, e + Lk - Lq), and masks only its trailing
@@ -361,6 +361,8 @@ def attention(
         if q.ndim != 3 or not isinstance(k, np.ndarray) or k.ndim != 4 or k.shape != v.shape:
             raise ValueError("cached attention needs a (batch, length, features) q and head-major "
                              "k, v arrays of one shape")
+        if _grad_enabled and q.requires_grad:
+            raise ValueError("cached attention builds no graph: call it under no_grad")
         batch, length, width = q.shape
         offset = k.shape[2] - length
     else:
@@ -437,40 +439,34 @@ def attention(
         out[live, :, s:e] = tile_out
         tiles.append((s, e, live, exps, inv_sum, keep))
     data = merge(out)
-    parents = (q,) if query_lengths is None else (q, k, v)
+    if query_lengths is None:
+        return _result(data, (), None, "attention")
 
     def backward(g):
         gh = split(g)
         delta = split(g * data).sum(axis=-1, keepdims=True)  # rowsum(dO * O), per head
         delta /= drop_scale
-        wanted = [t.requires_grad for t in parents] + [False] * (3 - len(parents))
-        gq, gk, gv = (np.zeros_like(qs) if want else None for want in wanted)
-        for s, e, live, exps, inv_sum, keep in tiles:
-            visible = e + offset
+        gq, gk, gv = (np.zeros_like(qs) for _ in range(3))
+        for s, e, live, exps, inv_sum, keep in tiles:  # packed: a tile sees keys [0, e)
             g_tile = gh[live, :, s:e]
-            if gv is not None:
-                dropped = exps if keep is None else exps * keep
-                gv[live, :, :visible] += np.swapaxes(dropped, -1, -2) @ (g_tile * inv_sum)
-            if gq is None and gk is None:
-                continue
+            dropped = exps if keep is None else exps * keep
+            gv[live, :, :e] += np.swapaxes(dropped, -1, -2) @ (g_tile * inv_sum)
             # The scores' gradient up to the row factor inv_sum / sqrt(d_h), which
             # the d_h-wide operands take instead.
-            g_scores = g_tile @ np.swapaxes(vh[live, :, :visible], -1, -2)
+            g_scores = g_tile @ np.swapaxes(vh[live, :, :e], -1, -2)
             if keep is not None:
                 g_scores *= keep
             g_scores -= delta[live, :, s:e]
             g_scores *= exps
-            if gq is not None:
-                g_rows = g_scores @ kh[live, :, :visible]
-                g_rows *= inv_sum * inv_sqrt
-                gq[live, :, s:e] = g_rows
-            if gk is not None:
-                gk[live, :, :visible] += np.swapaxes(g_scores, -1, -2) @ (qs[live, :, s:e] * inv_sum)
-        for operand, grad in zip(parents, (gq, gk, gv)):
-            if grad is not None:
+            g_rows = g_scores @ kh[live, :, :e]
+            g_rows *= inv_sum * inv_sqrt
+            gq[live, :, s:e] = g_rows
+            gk[live, :, :e] += np.swapaxes(g_scores, -1, -2) @ (qs[live, :, s:e] * inv_sum)
+        for operand, grad in zip((q, k, v), (gq, gk, gv)):
+            if operand.requires_grad:
                 operand.accumulate_grad(merge(grad))
 
-    return _result(data, parents, backward, "attention")
+    return _result(data, (q, k, v), backward, "attention")
 
 
 def cross_entropy(

@@ -25,7 +25,7 @@ from .autodiff import AdamState, NonFiniteError, Tensor
 from .tokenizer import BOS, EOS, MAX_LEN, PAD, SEP
 
 CHECKPOINT_MAGIC = b"OVPT"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 class CheckpointError(ValueError):
@@ -82,7 +82,7 @@ def _param_specs(config: ModelConfig) -> dict[str, tuple[tuple[int, ...], str]]:
         specs[layer + "ln1.bias"] = ((d,), "zeros")
         for name in ("wq", "wk", "wv", "wo"):
             specs[layer + "attn." + name] = ((d, d), "normal")
-        for name in ("bq", "bk", "bv", "bo"):
+        for name in ("bq", "bv", "bo"):  # no key bias: softmax ignores a shift shared by every key
             specs[layer + "attn." + name] = ((d,), "zeros")
         specs[layer + "ln2.gain"] = ((d,), "ones")
         specs[layer + "ln2.bias"] = ((d,), "zeros")
@@ -93,14 +93,6 @@ def _param_specs(config: ModelConfig) -> dict[str, tuple[tuple[int, ...], str]]:
     specs["final_ln.gain"] = ((d,), "ones")
     specs["final_ln.bias"] = ((d,), "zeros")
     return specs
-
-
-def _trained(name: str) -> bool:
-    """Whether training moves a parameter. The key biases stay at their zero
-    init: softmax ignores a shift shared by every key, so their true
-    gradient is exactly 0, and Adam would turn its rounding noise into steps
-    of up to lr. They stay in the checkpoint layout all the same."""
-    return not name.endswith("attn.bk")
 
 
 def _checked_arrays(config: ModelConfig, arrays: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
@@ -193,7 +185,7 @@ class TransformerLM:
 
         self.config = config
         self.params: dict[str, Tensor] = {
-            name: Tensor(init(*spec), requires_grad=_trained(name))
+            name: Tensor(init(*spec), requires_grad=True)
             for name, spec in _param_specs(config).items()
         }
 
@@ -203,14 +195,13 @@ class TransformerLM:
         model = cls.__new__(cls)
         model.config = config
         model.params = {
-            name: Tensor(arr, requires_grad=_trained(name))
+            name: Tensor(arr, requires_grad=True)
             for name, arr in _checked_arrays(config, arrays).items()
         }
         return model
 
     def parameters(self) -> list[Tensor]:
-        """The parameters training moves (every one but the key biases)."""
-        return [p for p in self.params.values() if p.requires_grad]
+        return list(self.params.values())
 
     def param_count(self) -> int:
         return sum(p.data.size for p in self.params.values())
@@ -219,7 +210,7 @@ class TransformerLM:
     def expected_param_count(config: ModelConfig) -> int:
         """Closed form for the parameter total (tied output adds nothing)."""
         d, f = config.d_model, config.d_ff
-        per_layer = 2 * d + 4 * (d * d + d) + 2 * d + (d * f + f) + (f * d + d)
+        per_layer = 2 * d + 4 * d * d + 3 * d + 2 * d + (d * f + f) + (f * d + d)
         return (
             config.vocab_size * d
             + config.max_len * d
@@ -313,7 +304,7 @@ class TransformerLM:
         for i in range(cfg.n_layers):
             layer = f"layer{i}."
             a = ad.layer_norm(x, p[layer + "ln1.gain"], p[layer + "ln1.bias"])
-            k = ad.matmul(a, p[layer + "attn.wk"], p[layer + "attn.bk"])
+            k = ad.matmul(a, p[layer + "attn.wk"])
             v = ad.matmul(a, p[layer + "attn.wv"], p[layer + "attn.bv"])
             if cache is not None:
                 k, v = cache.extend(i, k, v)
@@ -343,10 +334,6 @@ class TransformerLM:
     def state_arrays(self) -> dict[str, np.ndarray]:
         return {name: p.data.copy() for name, p in self.params.items()}
 
-    def load_state_arrays(self, arrays: dict[str, np.ndarray]) -> None:
-        for name, arr in _checked_arrays(self.config, arrays).items():
-            self.params[name].data = arr
-
 
 # --- checkpoints ----------------------------------------------------------------
 
@@ -354,7 +341,8 @@ class TransformerLM:
 def save_checkpoint(
     path, model: TransformerLM, vocab_hash: str, epoch: int, val_loss: float
 ) -> None:
-    """OVPT container: magic, version, JSON metadata, little-endian f32 blobs."""
+    """OVPT container: magic, version, JSON metadata, little-endian blobs at
+    the model's dtype."""
     meta = {
         "config": asdict(model.config),
         "vocab_hash": vocab_hash,
@@ -362,6 +350,7 @@ def save_checkpoint(
         "val_loss": val_loss,
     }
     meta_blob = json.dumps(meta, sort_keys=True).encode()
+    blob_dtype = np.dtype(model.config.dtype).newbyteorder("<")
     out = bytearray()
     out += CHECKPOINT_MAGIC
     out += struct.pack("<I", CHECKPOINT_VERSION)
@@ -373,7 +362,7 @@ def save_checkpoint(
         encoded = name.encode()
         out += struct.pack("<H", len(encoded))
         out += encoded
-        arr = p.data.astype("<f4")
+        arr = p.data.astype(blob_dtype, copy=False)
         out += struct.pack("<B", arr.ndim)
         out += struct.pack(f"<{arr.ndim}I", *arr.shape)
         out += arr.tobytes()
@@ -381,17 +370,21 @@ def save_checkpoint(
 
 
 def load_checkpoint(path) -> tuple[TransformerLM, dict]:
+    """Reads version 2, and version 1 (little-endian f4 blobs, plus each
+    layer's key bias `attn.bk`, which must be all zeros and is dropped)."""
     data = Path(path).read_bytes()
     if len(data) < 12 or data[:4] != CHECKPOINT_MAGIC:
         raise CheckpointError(f"not a checkpoint file: {path}")
     (version,) = struct.unpack("<I", data[4:8])
-    if version != CHECKPOINT_VERSION:
+    if version not in (1, CHECKPOINT_VERSION):
         raise CheckpointError(f"unsupported checkpoint version {version}")
     (meta_len,) = struct.unpack("<I", data[8:12])
     try:
         meta = json.loads(data[12 : 12 + meta_len])
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        config = ModelConfig(**meta["config"])
+    except (json.JSONDecodeError, UnicodeDecodeError, KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"bad checkpoint metadata: {exc}") from exc
+    blob_dtype = np.dtype("<f4" if version == 1 else config.dtype).newbyteorder("<")
     pos = 12 + meta_len
     arrays: dict[str, np.ndarray] = {}
     try:
@@ -406,19 +399,19 @@ def load_checkpoint(path) -> tuple[TransformerLM, dict]:
             pos += 1
             shape = struct.unpack(f"<{ndim}I", data[pos : pos + 4 * ndim])
             pos += 4 * ndim
-            count = int(np.prod(shape)) if ndim else 1
+            size = (int(np.prod(shape)) if ndim else 1) * blob_dtype.itemsize
             # a view, not a slice copy: each blob is copied once, into the model
-            blob = memoryview(data)[pos : pos + 4 * count]
-            if len(blob) != 4 * count:
+            blob = memoryview(data)[pos : pos + size]
+            if len(blob) != size:
                 raise CheckpointError(f"truncated blob for {name}")
-            arrays[name] = np.frombuffer(blob, dtype="<f4").reshape(shape)
-            pos += 4 * count
+            arrays[name] = np.frombuffer(blob, dtype=blob_dtype).reshape(shape)
+            pos += size
     except (struct.error, IndexError, UnicodeDecodeError) as exc:
         raise CheckpointError(f"corrupt checkpoint: {exc}") from exc
-    try:
-        config = ModelConfig(**meta["config"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CheckpointError(f"bad checkpoint metadata: {exc}") from exc
+    if version == 1:
+        for name in [name for name in arrays if name.endswith("attn.bk")]:
+            if arrays.pop(name).any():
+                raise CheckpointError(f"version 1 key bias {name} is not all zeros")
     return TransformerLM.from_state_arrays(config, arrays), meta
 
 
@@ -625,7 +618,7 @@ def train(
         if log_file:
             log_file.close()
 
-    model.load_state_arrays(best_state)
+    model = TransformerLM.from_state_arrays(model_config, best_state)
     return TrainResult(model, best_epoch, best_val, logs, target_positions, padded_positions)
 
 

@@ -1,8 +1,11 @@
 """Shared builders for synthetic test data (scores, lead sheets,
-performances) and plain numpy references for attention and the model."""
+performances, checkpoints) and plain numpy references for attention and the
+model."""
 
 import math
+import struct
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 
@@ -203,9 +206,25 @@ def reference_forward(model, ids):
     for i in range(model.config.n_layers):
         w = {name.split(".", 1)[1]: arr for name, arr in p.items() if name.startswith(f"layer{i}.")}
         a = _layer_norm(x, w["ln1.gain"], w["ln1.bias"])
-        q, k, v = (a @ w[f"attn.w{n}"] + w[f"attn.b{n}"] for n in "qkv")
+        q, k, v = a @ w["attn.wq"] + w["attn.bq"], a @ w["attn.wk"], a @ w["attn.wv"] + w["attn.bv"]
         x = x + per_head_attention(q, k, v, model.config.n_heads) @ w["attn.wo"] + w["attn.bo"]
         h = _layer_norm(x, w["ln2.gain"], w["ln2.bias"]) @ w["ff.w1"] + w["ff.b1"]
         h = 0.5 * h * (1.0 + np.tanh(math.sqrt(2.0 / math.pi) * (h + 0.044715 * h**3)))
         x = x + h @ w["ff.w2"] + w["ff.b2"]
     return _layer_norm(x, p["final_ln.gain"], p["final_ln.bias"]) @ p["tok_emb"].T
+
+
+# Written by the version 1 save_checkpoint (little-endian f4 blobs, with each
+# layer's key bias attn.bk, all zeros) from TransformerLM(config, seed=21),
+# config = ModelConfig(vocab_size=50, n_layers=1, d_model=16, n_heads=4,
+# d_ff=32, max_len=32, dropout=0.0), vocab_hash "tiny-v1", epoch 3.
+V1_CHECKPOINT = Path(__file__).with_name("tiny_v1.ovpt")
+
+
+def v1_with_nonzero_key_bias() -> bytes:
+    """The version 1 fixture's bytes with layer0.attn.bk[0] set to 0.5."""
+    data = bytearray(V1_CHECKPOINT.read_bytes())
+    name = b"layer0.attn.bk"
+    at = data.index(name) + len(name) + 1 + 4  # past the name, ndim and the one extent
+    data[at : at + 4] = struct.pack("<f", 0.5)
+    return bytes(data)

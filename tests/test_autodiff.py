@@ -81,8 +81,7 @@ def op_instances(name, rng):
     raise AssertionError(name)
 
 
-ATTENTION_OPS = ("attention", "attention_dropout", "attention_longer_keys", "attention_key_lengths",
-                 "attention_padded")
+ATTENTION_OPS = ("attention", "attention_dropout", "attention_padded")
 
 
 def head_major(x, n_heads):
@@ -100,8 +99,8 @@ def packed(x):
 
 
 def attention_instance(name, rng, lengths):
-    """One attention OPS entry with a query length drawn from range(*lengths):
-    packed entries check q, k and v; cached ones (head-major k and v) check q."""
+    """One attention OPS entry with a query length drawn from range(*lengths),
+    checking q, k and v (the cached mode builds no graph)."""
     batch, heads = int(rng.integers(1, 3)), int(rng.integers(1, 4))
     length, d_head = int(rng.integers(*lengths)), int(rng.integers(2, 4))
     if name in ("attention", "attention_dropout"):  # packed, every row at full length
@@ -113,12 +112,6 @@ def attention_instance(name, rng, lengths):
                                       query_lengths=[length] * batch),
             qkv,
         )
-    if name in ("attention_longer_keys", "attention_key_lengths"):  # queries after cached keys
-        keys = length + int(rng.integers(1 if name == "attention_longer_keys" else 0, 3))
-        q = t64(rng, batch, length, heads * d_head)
-        k, v = (head_major(rng.standard_normal((batch, keys, heads * d_head)), heads) for _ in range(2))
-        key_lengths = rng.integers(1, keys + 1, size=batch) if name == "attention_key_lengths" else None
-        return lambda q: attention(q, k, v, heads, key_lengths=key_lengths), [q]
     if name == "attention_padded":  # a right-padded batch's real rows, packed, with dropout
         query_lengths = rng.integers(1, length + 1, size=batch)
         qkv = [t64(rng, int(query_lengths.sum()), heads * d_head) for _ in range(3)]
@@ -293,9 +286,9 @@ def test_attention_spanning_tiles_matches_per_head_reference(queries, keys, p):
 @pytest.mark.parametrize("dtype, tol", [(np.float64, 1e-12), (np.float32, 1e-5)])
 def test_tiled_attention_matches_one_tile(dtype, tol, monkeypatch):
     """Outputs and gradients over several tiles agree with a single tile
-    holding every query, which scores the whole (Lq, Lk) matrix: q, k and v
-    gradients of the packed op (rows of 131 and 90 queries), and the q
-    gradient of the cached op (131 queries after 39 cached keys)."""
+    holding every query, which scores the whole (Lq, Lk) matrix: the output
+    and q, k and v gradients of the packed op (rows of 131 and 90 queries),
+    and the output of the cached op (131 queries after 39 cached keys)."""
     rng = np.random.default_rng(14)
     q = rng.standard_normal((2, 131, 16)).astype(dtype)
     k, v = (rng.standard_normal((2, 170, 16)).astype(dtype) for _ in range(2))
@@ -306,10 +299,8 @@ def test_tiled_attention_matches_one_tile(dtype, tol, monkeypatch):
         qkv = [Tensor(x[real], requires_grad=True) for x in (q, k[:, :131], v[:, :131])]
         out = attention(*qkv, 4, query_lengths=[131, 90])
         out.backward(probe[real])
-        cached_q = Tensor(q, requires_grad=True)
-        cached = attention(cached_q, head_major(k, 4), head_major(v, 4), 4)
-        cached.backward(probe)
-        return [out.data] + [t.grad for t in qkv] + [cached.data, cached_q.grad]
+        cached = attention(Tensor(q), head_major(k, 4), head_major(v, 4), 4)
+        return [out.data] + [t.grad for t in qkv] + [cached.data]
 
     tiled = run()
     monkeypatch.setattr(autodiff, "_QUERY_TILE", 131)
@@ -370,6 +361,20 @@ def test_attention_computes_only_wanted_gradients():
     for wanted in ((True, False, False), (False, True, False), (False, False, True), (True, False, True)):
         for want, got, full in zip(wanted, grads(wanted), everything):
             assert got is None if not want else np.array_equal(got, full)
+
+
+def test_cached_attention_builds_no_graph():
+    """The cached mode is inference only: a q that requires grad raises with
+    gradients on, and under no_grad gives an output with no graph."""
+    rng = np.random.default_rng(21)
+    q = Tensor(rng.standard_normal((2, 3, 8)), requires_grad=True)
+    kh, vh = (head_major(rng.standard_normal((2, 5, 8)), 2) for _ in range(2))
+    with pytest.raises(ValueError, match="no_grad"):
+        attention(q, kh, vh, 2)
+    with no_grad():
+        out = attention(q, kh, vh, 2)
+    assert not out.requires_grad and out._backward is None and not out._parents
+    assert np.array_equal(out.data, attention(Tensor(q.data), kh, vh, 2).data)
 
 
 def test_attention_is_causal_bitwise():
@@ -489,9 +494,9 @@ def test_attention_query_lengths_skip_only_padding_bitwise(p, tile, monkeypatch)
 
 def test_attention_reads_head_major_keys_bitwise():
     """Keys and values handed over as views of a longer (B, H, capacity, d_h)
-    buffer give bitwise the output and query gradient of contiguous copies,
-    match the reference query by query (each sees its keys up to its own
-    position and key_lengths), and take no gradient themselves."""
+    buffer give bitwise the output of contiguous copies, and match the
+    reference query by query (each sees its keys up to its own position and
+    key_lengths)."""
     rng = np.random.default_rng(18)
     q = rng.standard_normal((3, 2, 12))
     k, v = (rng.standard_normal((3, 7, 12)) for _ in range(2))
@@ -499,15 +504,10 @@ def test_attention_reads_head_major_keys_bitwise():
     kh, vh = head_major(k, 3), head_major(v, 3)
     assert not kh.flags.c_contiguous
 
-    probe = rng.standard_normal(q.shape)
-    grads = []
-    for keys, values in ((np.ascontiguousarray(kh), np.ascontiguousarray(vh)), (kh, vh)):
-        qt = Tensor(q, requires_grad=True)
-        out = attention(qt, keys, values, 3, key_lengths=key_lengths)
-        out.backward(probe)
-        grads.append((out.data, qt.grad))
-    assert all(np.array_equal(a, b) for a, b in zip(*grads))
-    assert out._parents == (qt,)
+    copied = attention(Tensor(q), np.ascontiguousarray(kh), np.ascontiguousarray(vh), 3,
+                       key_lengths=key_lengths)
+    out = attention(Tensor(q), kh, vh, 3, key_lengths=key_lengths)
+    assert np.array_equal(out.data, copied.data)
     for b, n in enumerate(key_lengths):
         for i in range(2):  # query i is position 5 + i
             seen = min(n, 6 + i)

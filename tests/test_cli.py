@@ -5,7 +5,7 @@ import shutil
 import numpy as np
 import pytest
 
-from helpers import write_corpus
+from helpers import v1_with_nonzero_key_bias, write_corpus
 from overpaint.autodiff import NonFiniteError
 from overpaint.cli import main
 from overpaint.dataset import load_manifest
@@ -316,6 +316,15 @@ def test_checkpoint_errors_exit_3(pipeline, tmp_path):
     assert main(["--quiet", "generate", "--checkpoint", str(stale),
                  "--tokens", str(pipeline["tokens"] / "tokens_test.bin"),
                  "--out-dir", str(tmp_path / "g2")]) == 3
+
+
+def test_version_1_checkpoint_with_a_nonzero_key_bias_exits_3(pipeline, tmp_path):
+    bad = tmp_path / "bk.ovpt"
+    bad.write_bytes(v1_with_nonzero_key_bias())
+    assert main(["--quiet", "generate", "--checkpoint", str(bad),
+                 "--tokens", str(pipeline["tokens"] / "tokens_test.bin"),
+                 "--out-dir", str(tmp_path / "g")]) == 3
+    assert not (tmp_path / "g").exists()
 
 
 @pytest.mark.parametrize("flag, value", [("--limit", "-1"), ("--max-new", "0"),

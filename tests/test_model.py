@@ -2,15 +2,17 @@ import csv
 import json
 import math
 import struct
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
-from helpers import reference_forward
+from helpers import V1_CHECKPOINT, reference_forward, v1_with_nonzero_key_bias
 from overpaint import autodiff
 from overpaint.autodiff import AdamState, NonFiniteError, Tensor, adam_step, cross_entropy, no_grad
 from overpaint.model import (
     CHECKPOINT_MAGIC,
+    CHECKPOINT_VERSION,
     CheckpointError,
     KVCache,
     ModelConfig,
@@ -56,12 +58,12 @@ def test_config_validation():
 
 
 def test_parameter_counts():
-    # embeddings + per-layer (two norms, four attention mats with biases,
-    # two ff mats with biases) + final norm; output projection is tied.
+    # embeddings + per-layer (two norms, four attention mats, biases for all
+    # but the keys, two ff mats with biases) + final norm; output projection is tied.
     m1 = TransformerLM(preset("model1", 929))
-    assert m1.param_count() == TransformerLM.expected_param_count(m1.config) == 225_088
+    assert m1.param_count() == TransformerLM.expected_param_count(m1.config) == 224_960
     m2_config = preset("model2", 929)
-    assert TransformerLM.expected_param_count(m2_config) == 1_043_328
+    assert TransformerLM.expected_param_count(m2_config) == 1_042_816
     names = set(m1.params)
     assert {"tok_emb", "pos_emb", "final_ln.gain", "final_ln.bias"} <= names
     assert "layer1.attn.wq" in names and "layer0.ff.w2" in names
@@ -202,38 +204,66 @@ def test_fresh_model_loss_is_near_uniform():
 def test_state_arrays_round_trip():
     model = TransformerLM(TINY, seed=5)
     snapshot = model.state_arrays()
-    model.params["tok_emb"].data[:] = 0.0
-    model.load_state_arrays(snapshot)
-    assert np.array_equal(model.params["tok_emb"].data, snapshot["tok_emb"])
+    rebuilt = TransformerLM.from_state_arrays(TINY, snapshot)
+    snapshot["tok_emb"][:] = 0.0  # the rebuilt model holds copies
+    for name, p in model.params.items():
+        assert np.array_equal(rebuilt.params[name].data, p.data), name
+        assert rebuilt.params[name].requires_grad
 
     extra = dict(snapshot)
     extra["bogus"] = np.zeros(3)
     with pytest.raises(CheckpointError, match="mismatch"):
-        model.load_state_arrays(extra)
+        TransformerLM.from_state_arrays(TINY, extra)
     wrong = dict(snapshot)
     wrong["tok_emb"] = np.zeros((2, 2))
     with pytest.raises(CheckpointError, match="shape"):
-        model.load_state_arrays(wrong)
+        TransformerLM.from_state_arrays(TINY, wrong)
 
 
 # --- checkpoints ------------------------------------------------------------------
 
-def test_checkpoint_round_trip(tmp_path):
-    model = TransformerLM(TINY, seed=6)
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_checkpoint_round_trip(tmp_path, dtype):
+    """Blobs are stored at the model's dtype, so a model round-trips bitwise."""
+    config = ModelConfig(**{**asdict(TINY), "dtype": dtype})
+    model = TransformerLM(config, seed=6)
     path = tmp_path / "model.ovpt"
     save_checkpoint(path, model, vocab_hash="ab" * 32, epoch=17, val_loss=1.25)
     assert path.read_bytes()[:4] == CHECKPOINT_MAGIC
+    assert struct.unpack("<I", path.read_bytes()[4:8]) == (CHECKPOINT_VERSION,)
 
     loaded, meta = load_checkpoint(path)
     assert meta["vocab_hash"] == "ab" * 32
     assert meta["epoch"] == 17 and meta["val_loss"] == 1.25
-    assert loaded.config == TINY
+    assert loaded.config == config
     for name, arr in model.state_arrays().items():
+        assert loaded.params[name].data.dtype == dtype
         assert np.array_equal(loaded.params[name].data, arr), name
         # its own copy, not a view of the file's bytes
         assert loaded.params[name].data.flags.owndata and loaded.params[name].data.flags.writeable
     ids = np.array([[1, 2, 3]])
     assert np.array_equal(loaded.forward(ids).data, model.forward(ids).data)
+
+
+def test_version_1_checkpoint_loads_without_its_key_bias():
+    """A version 1 file (f4 blobs, and each layer's zero key bias) loads to
+    the weights TransformerLM draws for its seed, and the same logits."""
+    loaded, meta = load_checkpoint(V1_CHECKPOINT)
+    assert meta["vocab_hash"] == "tiny-v1" and meta["epoch"] == 3
+    assert loaded.config == TINY
+    fresh = TransformerLM(TINY, seed=21)
+    assert loaded.params.keys() == fresh.params.keys()
+    for name, p in fresh.params.items():
+        assert np.array_equal(loaded.params[name].data, p.data), name
+    ids = np.array([[1, 5, 9, 3], [2, 6, 7, 7]])
+    assert np.array_equal(loaded.forward(ids).data, fresh.forward(ids).data)
+
+
+def test_version_1_checkpoint_with_a_nonzero_key_bias_is_rejected(tmp_path):
+    path = tmp_path / "bk.ovpt"
+    path.write_bytes(v1_with_nonzero_key_bias())
+    with pytest.raises(CheckpointError, match="key bias layer0.attn.bk"):
+        load_checkpoint(path)
 
 
 def test_checkpoint_rejects_corruption(tmp_path):
@@ -362,24 +392,25 @@ def test_train_is_deterministic_in_seed():
     assert [log.train_loss for log in c.logs] != [log.train_loss for log in a.logs]
 
 
-def test_train_keeps_key_biases_at_zero():
-    """Softmax ignores a shift shared by every key, so training leaves each
-    key bias at its zero init (no gradient, no Adam step) while every other
-    bias moves; the checkpoint layout still holds them."""
+def test_train_moves_every_parameter():
+    """The model has no key biases (softmax ignores a shift shared by every
+    key), so every parameter trains, and every bias and gain leaves its
+    initial value."""
     rng = np.random.default_rng(12)
     config = ModelConfig(vocab_size=50, n_layers=2, d_model=16, n_heads=4, d_ff=32,
                          max_len=32, dropout=0.1)
     result = train(pair_like_sequences(rng, 4), pair_like_sequences(rng, 2), config,
                    TrainConfig(max_epochs=3, batch_size=2, seed=13,
                                scheduler_patience=2, early_stop_patience=3))
-    arrays = result.model.state_arrays()
-    frozen = [name for name in arrays if name.endswith("attn.bk")]
-    assert frozen == ["layer0.attn.bk", "layer1.attn.bk"]
-    for name in frozen:
-        assert not arrays[name].any(), name
-    for name in ("layer0.attn.bq", "layer1.attn.bv", "layer1.attn.bo"):
-        assert arrays[name].any(), name
-    assert len(result.model.parameters()) == len(arrays) - len(frozen)
+    params = result.model.params
+    assert not [name for name in params if name.endswith("attn.bk")]
+    assert result.model.parameters() == list(params.values())
+    assert all(p.requires_grad for p in params.values())
+    for name, p in params.items():
+        if name.endswith(("bias", ".bq", ".bv", ".bo", ".b1", ".b2")):
+            assert p.data.any(), name  # zero at init
+        elif name.endswith("gain"):
+            assert (p.data != 1.0).any(), name  # one at init
     assert result.model.param_count() == TransformerLM.expected_param_count(config)
 
 
@@ -890,7 +921,7 @@ def test_cache_is_head_major_and_attention_reads_it_in_place(monkeypatch):
     for i, context in enumerate(([1, 5, 9, 4], [2, 6, 7, 7, 3, 8])):
         x = p["tok_emb"].data[context] + p["pos_emb"].data[: len(context)]
         a = autodiff.layer_norm(Tensor(x), p["layer0.ln1.gain"], p["layer0.ln1.bias"]).data
-        keys = a @ p["layer0.attn.wk"].data + p["layer0.attn.bk"].data
+        keys = a @ p["layer0.attn.wk"].data
         want = keys.reshape(len(context), 4, 4).transpose(1, 0, 2)
         assert np.allclose(cache.keys[0][i, :, : len(context)], want, rtol=0, atol=1e-12)
     assert not cache.keys[0][0, :, 4:].any()  # the shorter row's unread slots stay 0
