@@ -41,12 +41,10 @@ class AlignmentError(ValueError):
 
 @dataclass
 class FrameSequence:
-    """Unit-norm chroma rows (silent rows are zero and flagged)."""
+    """Unit-norm chroma rows (silent rows are zero)."""
 
     frames: np.ndarray  # (n, 12) float64
     hop: float
-    origin: float = 0.0
-    silent: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         self.frames = np.asarray(self.frames, dtype=np.float64)
@@ -54,8 +52,6 @@ class FrameSequence:
             raise ValueError(f"frames must be (n, 12), got {self.frames.shape}")
         if self.hop <= 0:
             raise ValueError("hop must be positive")
-        if self.silent is None:
-            self.silent = np.linalg.norm(self.frames, axis=1) <= _SILENT_NORM
 
     def __len__(self) -> int:
         return len(self.frames)
@@ -66,7 +62,6 @@ class AlignmentPath:
     states: np.ndarray  # (n,) chord slot per frame, monotone
     score: float
     confidence: float  # mean per-frame cosine similarity, in [-1, 1]
-    complete: bool = True
 
 
 def chroma_frames(performance: MidiScore, hop: float = DEFAULT_HOP_SECONDS) -> FrameSequence:
@@ -102,14 +97,13 @@ def chroma_frames(performance: MidiScore, hop: float = DEFAULT_HOP_SECONDS) -> F
     silent = norms <= _SILENT_NORM
     frames[~silent] /= norms[~silent, None]
     frames[silent] = 0.0
-    return FrameSequence(frames, hop, 0.0, silent)
+    return FrameSequence(frames, hop)
 
 
 def viterbi_align(
     frames: FrameSequence,
     templates,
     self_loop: float = DEFAULT_SELF_LOOP,
-    emission_weight: float = DEFAULT_EMISSION_WEIGHT,
 ) -> AlignmentPath:
     """Best monotone frame-to-slot path (start slot 0, end last slot, steps
     stay/advance).
@@ -132,7 +126,7 @@ def viterbi_align(
         raise AlignmentError(f"infeasible: {n} frames for {n_states} slots")
 
     sim = frames.frames @ templates.T  # silent rows are zero vectors: emission 0
-    emit = emission_weight * sim
+    emit = DEFAULT_EMISSION_WEIGHT * sim
     log_stay = math.log(self_loop)
     log_advance = math.log(1.0 - self_loop)
 
@@ -169,7 +163,7 @@ def viterbi_align(
         states[k - 1] = s
 
     confidence = float(np.mean(sim[np.arange(n), states]))
-    return AlignmentPath(states, float(score[n_states - 1]), confidence, True)
+    return AlignmentPath(states, float(score[n_states - 1]), confidence)
 
 
 def extract_pairs(
@@ -213,8 +207,8 @@ def extract_pairs(
         if in_window.size == 0:
             dropped.append(f"{name}: no frames assigned")
             continue
-        t0 = frames.origin + in_window[0] * frames.hop
-        t1 = frames.origin + (in_window[-1] + 1) * frames.hop
+        t0 = in_window[0] * frames.hop
+        t1 = (in_window[-1] + 1) * frames.hop
         b0 = snap_to_resolution(seconds_to_beats(performance, t0), performance.resolution)
         b1 = snap_to_resolution(seconds_to_beats(performance, t1), performance.resolution)
         b0 = max(b0, 0)

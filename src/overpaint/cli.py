@@ -1,11 +1,11 @@
 """Command line pipeline from performances and lead sheets to a trained model.
 
 Subcommands cover the whole workflow in order: extract-pairs, review, augment,
-tokenize, train, generate, evaluate, report. Every command that writes an
-artifact drops a `<output>.run.json` sidecar recording the command, parameters,
-input/output content hashes, seed, and wall-clock time; reruns with the same
-inputs and seed reproduce the primary artifacts byte for byte (the sidecar's
-timing field is the one exception).
+tokenize, train, generate, evaluate, report. Each command returns what it wrote,
+and `main` times it and drops a `<output>.run.json` sidecar recording the
+command, parameters, input/output content hashes, seed, and wall-clock time;
+reruns with the same inputs and seed reproduce the primary artifacts byte for
+byte (the sidecar's timing field is the one exception).
 
 Exit codes: 0 success, 2 unreadable or invalid input, 3 configuration or
 hash mismatch, 4 non-finite numerics.
@@ -103,17 +103,16 @@ def _hash_path(path: Path) -> str:
     return _hash_file(path)
 
 
-def _write_run_manifest(primary, command: str, args: argparse.Namespace,
-                        inputs, outputs, t0: float, details: dict | None = None) -> None:
+def _write_run_manifest(args: argparse.Namespace, t0: float, primary, inputs, outputs,
+                        details: dict | None = None) -> None:
     """Write the sidecar; `details` holds extra command-specific fields."""
-    skip = {"func", "command"}
     params = {
         k: (str(v) if isinstance(v, Path) else v)
         for k, v in sorted(vars(args).items())
-        if k not in skip and not callable(v)
+        if k not in ("func", "command") and not callable(v)
     }
     body = {
-        "command": command,
+        "command": args.command,
         "parameters": params,
         "inputs": {str(p): _hash_path(Path(p)) for p in inputs},
         "outputs": {str(p): _hash_path(Path(p)) for p in outputs},
@@ -137,16 +136,17 @@ def _scan_midi_dir(path: Path):
     return files
 
 
-def _load_midi_dir(path: Path, strict: bool):
-    """(scores, consumed files), skipping unparseable MIDI unless strict."""
+def _load_midi_files(files, strict: bool):
+    """(scores, loaded files): an unreadable file is skipped with a warning,
+    or under `strict` fails the command."""
     scores = []
     used = []
-    for file in _scan_midi_dir(path):
+    for file in files:
         try:
             scores.append(load_midi(file))
         except MidiParseError as exc:
             if strict:
-                raise
+                raise MidiParseError(f"unreadable MIDI {file}: {exc}") from exc
             log.warning("skipping unreadable MIDI %s: %s", file, exc)
             continue
         used.append(file)
@@ -156,8 +156,7 @@ def _load_midi_dir(path: Path, strict: bool):
 # --- extract-pairs ----------------------------------------------------------------
 
 
-def _cmd_extract_pairs(args: argparse.Namespace) -> int:
-    t0 = time.monotonic()
+def _cmd_extract_pairs(args: argparse.Namespace):
     sheets = sorted(Path(args.leadsheets).glob("*.txt"))
     if not sheets:
         raise FileNotFoundError(f"no lead sheets (*.txt) in {args.leadsheets}")
@@ -168,29 +167,29 @@ def _cmd_extract_pairs(args: argparse.Namespace) -> int:
             log.warning("duplicate performance for %s: %s ignored", stem, file)
             continue
         performances[stem] = file
+    matched = {}  # song id -> lead sheet file, in sheet order
+    for sheet_file in sheets:
+        song_id = _normalize_stem(sheet_file.stem)
+        if song_id in matched:
+            log.warning("duplicate lead sheet for %s: %s ignored", song_id, sheet_file)
+        elif song_id in performances:
+            matched[song_id] = sheet_file
+        else:
+            log.warning("no performance matches lead sheet %s", sheet_file.name)
+    for stem, file in performances.items():
+        if stem not in matched:
+            log.warning("no lead sheet matches performance %s", file.name)
 
     pairs = []
     dropped = []
-    skipped = []
     consumed = []
-    matched = set()
-    for sheet_file in sheets:
-        song_id = _normalize_stem(sheet_file.stem)
-        midi_file = performances.get(song_id)
-        if midi_file is None:
-            log.warning("no performance matches lead sheet %s", sheet_file.name)
-            continue
-        matched.add(song_id)
-        sheet = load_leadsheet(sheet_file)
-        try:
-            performance = load_midi(midi_file)
-        except MidiParseError as exc:
-            skipped.append(midi_file.name)
-            log.warning("skipping unreadable MIDI %s: %s", midi_file, exc)
-            continue
+    scores, loaded = _load_midi_files([performances[s] for s in matched], args.strict)
+    for performance, midi_file in zip(scores, loaded):
+        song_id = _normalize_stem(midi_file.stem)
+        sheet_file = matched[song_id]
         song_pairs, song_dropped = extract_pairs(
             performance,
-            sheet,
+            load_leadsheet(sheet_file),
             song_id,
             window=args.window,
             hop=args.hop,
@@ -200,12 +199,6 @@ def _cmd_extract_pairs(args: argparse.Namespace) -> int:
         pairs.extend(song_pairs)
         dropped.extend(song_dropped)
         consumed.extend([sheet_file, midi_file])
-    for stem, file in performances.items():
-        if stem not in matched:
-            log.warning("no lead sheet matches performance %s", file.name)
-
-    if skipped and args.strict:
-        raise MidiParseError(f"unreadable MIDI files: {', '.join(skipped)}")
     if not pairs:
         raise ManifestError("no pairs extracted; nothing to write")
 
@@ -216,20 +209,18 @@ def _cmd_extract_pairs(args: argparse.Namespace) -> int:
 
     accepted = sum(1 for p in pairs if p.status == "accepted")
     print(
-        f"extracted {len(pairs)} pairs from {len(matched) - len(skipped)} songs: "
+        f"extracted {len(pairs)} pairs from {len(loaded)} songs: "
         f"{accepted} accepted, {len(pairs) - accepted} flagged for review, "
-        f"{len(dropped)} windows dropped, {len(skipped)} files skipped"
+        f"{len(dropped)} windows dropped, {len(matched) - len(loaded)} files skipped"
     )
     print(f"wrote {out} and review sheet {review_out}")
-    _write_run_manifest(out, "extract-pairs", args, consumed, [out, review_out], t0)
-    return 0
+    return out, consumed, [out, review_out]
 
 
 # --- review -----------------------------------------------------------------------
 
 
-def _cmd_review(args: argparse.Namespace) -> int:
-    t0 = time.monotonic()
+def _cmd_review(args: argparse.Namespace):
     pairs = load_manifest(args.pairs)
     decisions = read_review_manifest(args.decisions)
     unknown = sorted(set(decisions) - {p.pair_id for p in pairs})
@@ -243,15 +234,13 @@ def _cmd_review(args: argparse.Namespace) -> int:
         counts[p.status] = counts.get(p.status, 0) + 1
     summary = ", ".join(f"{v} {k}" for k, v in sorted(counts.items()))
     print(f"wrote {out} ({summary})")
-    _write_run_manifest(out, "review", args, [args.pairs, args.decisions], [out], t0)
-    return 0
+    return out, [args.pairs, args.decisions], [out]
 
 
 # --- augment ----------------------------------------------------------------------
 
 
-def _cmd_augment(args: argparse.Namespace) -> int:
-    t0 = time.monotonic()
+def _cmd_augment(args: argparse.Namespace):
     pairs = load_manifest(args.pairs)
     accepted = [p for p in pairs if p.status == "accepted"]
     if not accepted:
@@ -269,16 +258,13 @@ def _cmd_augment(args: argparse.Namespace) -> int:
     summary = ", ".join(f"{by_split.get(s, 0)} {s}" for s in ("train", "val", "test"))
     print(f"augmented {len(accepted)} pairs to {len(expanded)} ({summary})")
     print(f"wrote {out}")
-    outputs = [out] + ([Path(args.csv)] if args.csv else [])
-    _write_run_manifest(out, "augment", args, [args.pairs], outputs, t0)
-    return 0
+    return out, [args.pairs], [out] + ([Path(args.csv)] if args.csv else [])
 
 
 # --- tokenize ---------------------------------------------------------------------
 
 
-def _cmd_tokenize(args: argparse.Namespace) -> int:
-    t0 = time.monotonic()
+def _cmd_tokenize(args: argparse.Namespace):
     pairs = load_manifest(args.pairs)
     accepted = [p for p in pairs if p.status == "accepted"]
     if not accepted:
@@ -305,15 +291,13 @@ def _cmd_tokenize(args: argparse.Namespace) -> int:
         lengths = [len(s) for s in seqs] or [0]
         print(f"{split}: {len(seqs)} sequences, longest {max(lengths)} tokens")
     print(f"wrote vocabulary and token files to {out_dir}")
-    _write_run_manifest(out_dir, "tokenize", args, [args.pairs], [out_dir], t0)
-    return 0
+    return out_dir, [args.pairs], [out_dir]
 
 
 # --- train ------------------------------------------------------------------------
 
 
-def _cmd_train(args: argparse.Namespace) -> int:
-    t0 = time.monotonic()
+def _cmd_train(args: argparse.Namespace):
     tokens_dir = Path(args.tokens)
     vocab = build_vocabulary()
     stored = tokens_dir / "vocab.json"
@@ -357,10 +341,8 @@ def _cmd_train(args: argparse.Namespace) -> int:
     )
     print(f"wrote {out} and {log_path}")
     inputs = [p for p in (stored, tokens_dir / "tokens_train.bin", tokens_dir / "tokens_val.bin") if Path(p).exists()]
-    _write_run_manifest(out, "train", args, inputs, [out], t0,
-                        details={"target_positions": result.target_positions,
-                                 "padded_positions": result.padded_positions})
-    return 0
+    return out, inputs, [out], {"target_positions": result.target_positions,
+                                "padded_positions": result.padded_positions}
 
 
 # --- generate ---------------------------------------------------------------------
@@ -370,8 +352,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
 _GENERATE_BATCH = 16
 
 
-def _cmd_generate(args: argparse.Namespace) -> int:
-    t0 = time.monotonic()
+def _cmd_generate(args: argparse.Namespace):
     if args.limit is not None and args.limit < 0:
         raise ValueError(f"--limit must be 0 or more, got {args.limit}")
     if args.max_new < 1:
@@ -445,29 +426,29 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     )
     tokens = sum(d["tokens"] for d in decoded)
     peak_kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss  # this process only
-    _write_run_manifest(out_dir, "generate", args, [args.checkpoint, args.tokens], [out_dir], t0,
-                        details={"decoded": decoded, "skipped": skipped,
-                                 "decode_seconds": round(decode_seconds, 6),
-                                 "tokens_per_s": round(tokens / decode_seconds, 1),
-                                 "peak_rss_mb": round(peak_kib / 1024, 1)})
-    return 0
+    return out_dir, [args.checkpoint, args.tokens], [out_dir], {
+        "decoded": decoded, "skipped": skipped,
+        "decode_seconds": round(decode_seconds, 6),
+        "tokens_per_s": round(tokens / decode_seconds, 1),
+        "peak_rss_mb": round(peak_kib / 1024, 1)}
 
 
 # --- evaluate / report ------------------------------------------------------------
 
 
-def _cmd_evaluate(args: argparse.Namespace) -> int:
-    t0 = time.monotonic()
-    scores, used = _load_midi_dir(Path(args.dir), args.strict)
-    rep = report(scores, args.label)
-    print(render_table([rep]))
-    outputs = []
-    if args.csv:
-        write_report_csv([rep], args.csv)
-        outputs.append(Path(args.csv))
-        print(f"wrote {args.csv}")
-        _write_run_manifest(Path(args.csv), "evaluate", args, used, outputs, t0)
-    return 0
+def _print_reports(args: argparse.Namespace, reports, inputs):
+    """Print the feature table; under --csv also write it, the run's one artifact."""
+    print(render_table(reports))
+    if not args.csv:
+        return None
+    write_report_csv(reports, args.csv)
+    print(f"wrote {args.csv}")
+    return Path(args.csv), inputs, [Path(args.csv)]
+
+
+def _cmd_evaluate(args: argparse.Namespace):
+    scores, used = _load_midi_files(_scan_midi_dir(Path(args.dir)), args.strict)
+    return _print_reports(args, [report(scores, args.label)], used)
 
 
 def _parse_corpus_spec(text: str):
@@ -485,8 +466,7 @@ def _parse_corpus_spec(text: str):
     return label, Path(spec), side
 
 
-def _cmd_report(args: argparse.Namespace) -> int:
-    t0 = time.monotonic()
+def _cmd_report(args: argparse.Namespace):
     reports = []
     inputs = []
     for raw in args.corpus:
@@ -494,7 +474,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
         if path.is_dir():
             if side is not None:
                 raise ValueError(f"corpus {label}: side selector requires a manifest")
-            scores, used = _load_midi_dir(path, args.strict)
+            scores, used = _load_midi_files(_scan_midi_dir(path), args.strict)
             inputs.extend(used)
             reports.append(report(scores, label))
         else:
@@ -504,12 +484,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
             keys = [tuple(p.key) if p.key else None for p in records]
             inputs.append(path)
             reports.append(report(scores, label, keys=keys))
-    print(render_table(reports))
-    if args.csv:
-        write_report_csv(reports, args.csv)
-        print(f"wrote {args.csv}")
-        _write_run_manifest(Path(args.csv), "report", args, inputs, [Path(args.csv)], t0)
-    return 0
+    return _print_reports(args, reports, inputs)
 
 
 # --- parser -----------------------------------------------------------------------
@@ -611,7 +586,11 @@ def main(argv=None) -> int:
         format="%(levelname)s %(name)s: %(message)s",
     )
     try:
-        return args.func(args)
+        t0 = time.monotonic()
+        run = args.func(args)  # (primary, inputs, outputs[, details]), or None if nothing written
+        if run is not None:
+            _write_run_manifest(args, t0, *run)
+        return 0
     except (VocabularyMismatchError, CheckpointError) as exc:
         log.error("%s", exc)
         return 3

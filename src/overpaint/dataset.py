@@ -116,15 +116,14 @@ def _safe_name(pair_id: str) -> str:
     return re.sub(r"[^A-Za-z0-9_+-]", "_", pair_id)
 
 
-def save_manifest(pairs, path, midi_dir=None) -> None:
-    """Write the JSONL manifest plus one .mid per score under `midi_dir`
-    (default: '<stem>_midi' next to the manifest)."""
+def save_manifest(pairs, path) -> None:
+    """Write the JSONL manifest plus one .mid per score under '<stem>_midi'
+    next to the manifest."""
     path = Path(path)
-    midi_dir = Path(midi_dir) if midi_dir else path.parent / f"{path.stem}_midi"
+    midi_dir = path.parent / f"{path.stem}_midi"
     midi_dir.mkdir(parents=True, exist_ok=True)
-    rel = midi_dir.name if midi_dir.parent == path.parent else str(midi_dir)
 
-    lines = [json.dumps({"schema_version": SCHEMA_VERSION, "midi_dir": rel}, sort_keys=True)]
+    lines = [json.dumps({"schema_version": SCHEMA_VERSION, "midi_dir": midi_dir.name}, sort_keys=True)]
     for p in pairs:
         base = _safe_name(p.pair_id)
         orig_name = f"{base}.orig.mid"

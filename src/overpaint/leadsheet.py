@@ -179,15 +179,6 @@ def format_chord(chord: ChordSymbol) -> str:
     return out
 
 
-def transpose_chord(chord: ChordSymbol, semitones: int) -> ChordSymbol:
-    return ChordSymbol(
-        (chord.root + semitones) % 12,
-        chord.quality,
-        chord.extensions,
-        None if chord.bass is None else (chord.bass + semitones) % 12,
-    )
-
-
 def chord_tones(chord: ChordSymbol) -> list[int]:
     """Root-relative intervals sounded by the chord, bass folded in, sorted."""
     tones = set(QUALITY_TONES[chord.quality])
@@ -355,23 +346,18 @@ class Segment:
 
     start_bar: int
     score: MidiScore
-    chords: list[tuple[int, Fraction, ChordSymbol]]
-    has_melody: bool
 
 
-def original_segments(sheet: LeadSheet, window: int = 4, hop: int | None = None) -> list[Segment]:
-    """Tile the sheet into `window`-bar segments every `hop` bars (default hop
-    = window). Melody notes are carried as-is; each chord sounds as a root
-    position block from its onset to the next chord or the window end."""
+def original_segments(sheet: LeadSheet, window: int = 4) -> list[Segment]:
+    """Tile the sheet into consecutive `window`-bar segments. Melody notes are
+    carried as-is; each chord sounds as a root position block from its onset
+    to the next chord or the window end."""
     if window < 1:
         raise ValueError("window must be positive")
-    hop = window if hop is None else hop
-    if hop < 1:
-        raise ValueError("hop must be positive")
 
     bpb = sheet.beats_per_bar
     segments = []
-    for start in range(0, sheet.n_bars - window + 1, hop):
+    for start in range(0, sheet.n_bars - window + 1, window):
         start_beat = start * bpb
         end_beat = (start + window) * bpb
         in_window = [(b, beat, ch) for b, beat, ch in sheet.chords if start <= b < start + window]
@@ -398,5 +384,5 @@ def original_segments(sheet: LeadSheet, window: int = 4, hop: int | None = None)
             notes,
             time_signatures=[(0, *sheet.time_signature)],
         )
-        segments.append(Segment(start, score, in_window, sheet.melody is not None))
+        segments.append(Segment(start, score))
     return segments

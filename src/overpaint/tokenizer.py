@@ -338,11 +338,6 @@ def detokenize_with_report(tokens, vocab: Vocabulary | None = None) -> tuple[Mid
     return make_score(notes, tempo_map, signatures), repairs
 
 
-def detokenize(tokens, vocab: Vocabulary | None = None) -> MidiScore:
-    score, _ = detokenize_with_report(tokens, vocab)
-    return score
-
-
 # --- pair assembly ------------------------------------------------------------
 
 
@@ -404,7 +399,7 @@ def read_token_file(path, vocab: Vocabulary | None = None) -> list[np.ndarray]:
     (count,) = struct.unpack("<I", data[40:44])
     pos = 44
     sequences = []
-    for _ in range(count):
+    for i in range(count):
         if pos + 4 > len(data):
             raise TokenizeError("truncated token file")
         (length,) = struct.unpack("<I", data[pos : pos + 4])
@@ -412,6 +407,10 @@ def read_token_file(path, vocab: Vocabulary | None = None) -> list[np.ndarray]:
         end = pos + 4 * length
         if end > len(data):
             raise TokenizeError("truncated token record")
-        sequences.append(np.frombuffer(data[pos:end], dtype="<u4").astype(np.int64))
+        seq = np.frombuffer(data[pos:end], dtype="<u4").astype(np.int64)
+        if length and seq.max() >= len(vocab):
+            raise TokenizeError(f"{path}: record {i} holds id {seq.max()}, "
+                                f"outside the vocabulary of {len(vocab)}")
+        sequences.append(seq)
         pos = end
     return sequences

@@ -1,6 +1,7 @@
 import csv
 import json
 import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -85,12 +86,43 @@ def test_augment_stage(pipeline):
     assert all(len(s) == 1 for s in song_splits.values())  # songs stay whole
     assert {next(iter(s)) for s in song_splits.values()} == {"train", "val", "test"}
 
-    sidecar = json.loads((pipeline["root"] / "aug.jsonl.run.json").read_text())
-    assert sidecar["command"] == "augment"
-    assert sidecar["seed"] == 0
-    assert str(pipeline["reviewed"]) in sidecar["inputs"]
-    assert str(pipeline["aug"]) in sidecar["outputs"]
+
+@pytest.mark.parametrize("command, primary, source, seed", [
+    ("extract-pairs", "pairs", "sheets", None),
+    ("review", "reviewed", "pairs", None),
+    ("augment", "aug", "reviewed", 0),
+    ("tokenize", "tokens", "aug", None),
+    ("train", "model", "tokens", 0),
+    ("generate", "gen", "model", 1),
+])
+def test_each_command_writes_one_sidecar(pipeline, command, primary, source, seed):
+    """`<primary>.run.json` is the one sidecar naming the command, and it
+    hashes what the command read and wrote."""
+    sidecars = {path: json.loads(path.read_text())
+                for path in pipeline["root"].rglob("*.run.json")}
+    mine = [path for path, body in sidecars.items() if body["command"] == command]
+    assert mine == [Path(str(pipeline[primary]) + ".run.json")]
+    sidecar = sidecars[mine[0]]
+    assert sidecar["seed"] == seed
+    assert any(name.startswith(str(pipeline[source])) for name in sidecar["inputs"])
+    assert str(pipeline[primary]) in sidecar["outputs"]
     assert sidecar["wall_clock_seconds"] >= 0
+
+
+@pytest.mark.parametrize("command", ["evaluate", "report"])
+def test_evaluate_and_report_write_a_sidecar_only_with_csv(pipeline, tmp_path, monkeypatch,
+                                                           command):
+    monkeypatch.chdir(tmp_path)
+    corpus = (["--dir", str(pipeline["gen"])] if command == "evaluate"
+              else ["--corpus", f"g={pipeline['gen']}"])
+    assert main(["--quiet", command, *corpus]) == 0
+    assert list(tmp_path.rglob("*.run.json")) == []
+    assert main(["--quiet", command, *corpus, "--csv", "t.csv"]) == 0
+    assert list(tmp_path.rglob("*.run.json")) == [tmp_path / "t.csv.run.json"]
+    sidecar = json.loads((tmp_path / "t.csv.run.json").read_text())
+    assert sidecar["command"] == command
+    assert sorted(sidecar["inputs"]) == sorted(str(p) for p in pipeline["gen"].glob("*.mid"))
+    assert list(sidecar["outputs"]) == ["t.csv"]
 
 
 def test_tokenize_stage(pipeline):
@@ -256,6 +288,7 @@ def test_input_errors_exit_2(pipeline, tmp_path):
                  "--decisions", str(all_bad), "--out", str(rejected)]) == 0
     assert main(["--quiet", "augment", "--pairs", str(rejected),
                  "--out", str(tmp_path / "a.jsonl")]) == 2
+    assert not (tmp_path / "a.jsonl.run.json").exists()
 
 
 @pytest.mark.parametrize("command, index, edit", [
@@ -374,6 +407,26 @@ def test_train_rejects_an_over_long_sequence_before_training(pipeline, tmp_path,
     assert list(out.iterdir()) == []  # no checkpoint, no epoch log
 
 
+@pytest.mark.parametrize("command", ["train", "generate"])
+def test_out_of_vocabulary_ids_exit_2_and_write_nothing(pipeline, tmp_path, caplog, command):
+    vocab = build_vocabulary()
+    tokens = tmp_path / "tokens"
+    shutil.copytree(pipeline["tokens"], tokens)
+    seqs = read_token_file(tokens / "tokens_train.bin", vocab)
+    seqs[1][3] = len(vocab)
+    write_token_file(tokens / "tokens_train.bin", seqs, vocab)
+    out = tmp_path / "out"
+    out.mkdir()
+    if command == "train":
+        args = ["--tokens", str(tokens), "--out", str(out / "m.ovpt"), "--epochs", "1"]
+    else:
+        args = ["--checkpoint", str(pipeline["model"]), "--tokens",
+                str(tokens / "tokens_train.bin"), "--out-dir", str(out / "g")]
+    assert main(["--quiet", command, *args]) == 2
+    assert f"record 1 holds id {len(vocab)}" in caplog.text
+    assert list(out.iterdir()) == []  # no checkpoint, epoch log or generated files
+
+
 def test_non_finite_training_exits_4(pipeline, tmp_path, monkeypatch):
     def explode(*args, **kwargs):
         raise NonFiniteError("loss diverged")
@@ -399,6 +452,38 @@ def test_strict_skips_or_fails_on_bad_midi(pipeline, tmp_path, capsys):
     assert main(["--quiet", "evaluate", "--dir", str(mixed)]) == 0
     capsys.readouterr()
     assert main(["--quiet", "evaluate", "--dir", str(mixed), "--strict"]) == 2
+
+
+@pytest.mark.parametrize("strict", [False, True], ids=["skip", "strict"])
+def test_extract_pairs_with_an_unreadable_performance(pipeline, tmp_path, capsys, caplog,
+                                                      strict):
+    perfs = tmp_path / "perfs"
+    shutil.copytree(pipeline["perfs"], perfs)
+    (perfs / "Blue Garden.mid").write_bytes(b"MThd garbage")
+    out = tmp_path / "pairs.jsonl"
+    argv = ["--quiet", "extract-pairs", "--performances", str(perfs),
+            "--leadsheets", str(pipeline["sheets"]), "--out", str(out)]
+    if strict:
+        assert main([*argv, "--strict"]) == 2
+        assert "Blue Garden.mid" in caplog.text
+        assert list(tmp_path.glob("pairs*")) == []  # no manifest, review sheet or payloads
+        return
+    assert main(argv) == 0
+    summary = capsys.readouterr().out
+    assert "from 2 songs" in summary and "1 files skipped" in summary
+    assert {p.song_id for p in load_manifest(out)} == {"greenlantern", "redharbor"}
+
+
+def test_extract_pairs_ignores_a_duplicate_lead_sheet(pipeline, tmp_path, capsys, caplog):
+    sheets = tmp_path / "sheets"
+    shutil.copytree(pipeline["sheets"], sheets)
+    (sheets / "BLUE_GARDEN.txt").write_text((sheets / "blue_garden.txt").read_text())
+    out = tmp_path / "pairs.jsonl"  # the pipeline's name, so the manifests compare bytewise
+    assert main(["--quiet", "extract-pairs", "--performances", str(pipeline["perfs"]),
+                 "--leadsheets", str(sheets), "--out", str(out)]) == 0
+    assert "duplicate lead sheet for bluegarden" in caplog.text
+    assert "from 3 songs" in capsys.readouterr().out
+    assert out.read_bytes() == pipeline["pairs"].read_bytes()
 
 
 def test_reruns_reproduce_primary_artifacts(pipeline, tmp_path):

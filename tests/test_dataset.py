@@ -183,16 +183,6 @@ def test_manifest_round_trip(tmp_path):
     assert loaded == pairs
 
 
-def test_manifest_custom_midi_dir(tmp_path):
-    pairs = [make_pair()]
-    path = tmp_path / "nested" / "corpus.jsonl"
-    path.parent.mkdir()
-    midi_dir = tmp_path / "payload"
-    save_manifest(pairs, path, midi_dir=midi_dir)
-    assert (midi_dir / "song_w000.orig.mid").exists()
-    assert load_manifest(path) == pairs
-
-
 def test_manifest_sanitizes_file_names(tmp_path):
     pair = make_pair("we ird/id_w000", "we ird/id")
     path = tmp_path / "m.jsonl"

@@ -19,7 +19,6 @@ from overpaint.tokenizer import (
     VocabularyMismatchError,
     assemble_pair,
     build_vocabulary,
-    detokenize,
     detokenize_with_report,
     load_vocabulary,
     read_token_file,
@@ -275,7 +274,7 @@ def test_round_trip_is_exact_at_bin_centers():
 
 def test_round_trip_snaps_velocity_to_bin_center():
     score = make_score([NoteEvent(60, F(0), F(1), 80)])
-    decoded = detokenize(tokenize(score))
+    decoded = detokenize_with_report(tokenize(score))[0]
     assert decoded.notes[0].velocity == 82  # bin 20 center
     assert decoded.notes[0].pitch == 60
     assert decoded.notes[0].onset == F(0) and decoded.notes[0].duration == F(1)
