@@ -1,7 +1,8 @@
 """Minimal reverse-mode automatic differentiation over dense numpy tensors.
 
-Tensors hold float32/float64 arrays of rank <= 3. Each operation records a
-backward closure; Tensor.backward() walks the implicit graph in reverse
+Tensors hold float32/float64 arrays of rank <= 3. With gradients on (outside
+no_grad), each operation records its operands and a backward closure that hands
+every operand its gradient; Tensor.backward() walks the implicit graph in reverse
 topological order. Every forward result is checked finite (NaN/Inf raises).
 Gradients are verified against central finite differences by grad_check.
 """
@@ -22,7 +23,7 @@ _grad_enabled = True
 
 
 class no_grad:
-    """Context manager: skip building backward graphs inside the block."""
+    """Context manager: the one gradient switch; ops inside the block record no graph."""
 
     def __enter__(self):
         global _grad_enabled
@@ -37,9 +38,12 @@ class no_grad:
 
 
 class Tensor:
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
+    """An array; the result of an op run with gradients on also holds its
+    operands and the backward closure that hands them their gradients."""
 
-    def __init__(self, data, requires_grad: bool = False, dtype=None):
+    __slots__ = ("data", "grad", "_parents", "_backward")
+
+    def __init__(self, data, dtype=None):
         arr = np.asarray(data, dtype=dtype)
         if arr.dtype not in (np.float32, np.float64):
             arr = arr.astype(np.float64)
@@ -47,7 +51,6 @@ class Tensor:
             raise ValueError(f"rank {arr.ndim} tensor not supported (max 3)")
         self.data = arr
         self.grad: np.ndarray | None = None
-        self.requires_grad = requires_grad
         self._parents: tuple[Tensor, ...] = ()
         self._backward = None
 
@@ -102,11 +105,11 @@ class Tensor:
                     stack.append((parent, False))
         self.grad = np.array(grad, dtype=self.data.dtype)
         for node in reversed(topo):
-            if node._backward is not None and node.grad is not None:
+            if node._backward is not None:  # every consumer ran first and handed node its gradient
                 node._backward(node.grad)
 
     def __repr__(self) -> str:
-        return f"Tensor(shape={self.shape}, dtype={self.data.dtype.name}, grad={self.requires_grad})"
+        return f"Tensor(shape={self.shape}, dtype={self.data.dtype.name})"
 
 
 def _check_finite(arr: np.ndarray, op: str) -> None:
@@ -117,8 +120,7 @@ def _check_finite(arr: np.ndarray, op: str) -> None:
 def _result(data: np.ndarray, parents: tuple[Tensor, ...], backward, op: str) -> Tensor:
     _check_finite(data, op)
     out = Tensor(data)
-    if _grad_enabled and any(p.requires_grad for p in parents):
-        out.requires_grad = True
+    if _grad_enabled:
         out._parents = parents
         out._backward = backward
     return out
@@ -141,10 +143,8 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     data = a.data + b.data
 
     def backward(g):
-        if a.requires_grad:
-            a.accumulate_grad(_unbroadcast(g, a.shape))
-        if b.requires_grad:
-            b.accumulate_grad(_unbroadcast(g, b.shape))
+        a.accumulate_grad(_unbroadcast(g, a.shape))
+        b.accumulate_grad(_unbroadcast(g, b.shape))
 
     return _result(data, (a, b), backward, "add")
 
@@ -160,13 +160,9 @@ def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
         data += bias.data
 
     def backward(g):
-        if a.requires_grad:
-            ga = g @ np.swapaxes(b.data, -1, -2)
-            a.accumulate_grad(_unbroadcast(ga, a.shape))
-        if b.requires_grad:
-            gb = np.swapaxes(a.data, -1, -2) @ g
-            b.accumulate_grad(_unbroadcast(gb, b.shape))
-        if bias is not None and bias.requires_grad:
+        a.accumulate_grad(_unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape))
+        b.accumulate_grad(_unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape))
+        if bias is not None:
             bias.accumulate_grad(_unbroadcast(g, bias.shape))
 
     parents = (a, b) if bias is None else (a, b, bias)
@@ -179,8 +175,7 @@ def transpose2d(a: Tensor) -> Tensor:
     data = a.data.T  # a view: a product with it (the output projection) copies nothing
 
     def backward(g):
-        if a.requires_grad:
-            a.accumulate_grad(g.T)
+        a.accumulate_grad(g.T)
 
     return _result(data, (a,), backward, "transpose2d")
 
@@ -199,10 +194,9 @@ def gelu(a: Tensor) -> Tensor:
     data = 0.5 * x * (1.0 + t)
 
     def backward(g):
-        if a.requires_grad:
-            sech2 = 1.0 - t**2
-            d_inner = _GELU_C * (1.0 + 3 * 0.044715 * (x * x))
-            a.accumulate_grad(g * (0.5 * (1.0 + t) + 0.5 * x * sech2 * d_inner))
+        sech2 = 1.0 - t**2
+        d_inner = _GELU_C * (1.0 + 3 * 0.044715 * (x * x))
+        a.accumulate_grad(g * (0.5 * (1.0 + t) + 0.5 * x * sech2 * d_inner))
 
     return _result(data, (a,), backward, "gelu")
 
@@ -218,15 +212,11 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     data = xhat * gain.data + bias.data
 
     def backward(g):
-        n = x.shape[-1]
-        if gain.requires_grad:
-            gain.accumulate_grad(_unbroadcast(g * xhat, gain.shape))
-        if bias.requires_grad:
-            bias.accumulate_grad(_unbroadcast(g, bias.shape))
-        if a.requires_grad:
-            gx = g * gain.data
-            term = gx.sum(axis=-1, keepdims=True) + xhat * (gx * xhat).sum(axis=-1, keepdims=True)
-            a.accumulate_grad(inv_std * (gx - term / n))
+        gain.accumulate_grad(_unbroadcast(g * xhat, gain.shape))
+        bias.accumulate_grad(_unbroadcast(g, bias.shape))
+        gx = g * gain.data
+        term = gx.sum(axis=-1, keepdims=True) + xhat * (gx * xhat).sum(axis=-1, keepdims=True)
+        a.accumulate_grad(inv_std * (gx - term / x.shape[-1]))
 
     return _result(data, (a, gain, bias), backward, "layer_norm")
 
@@ -241,10 +231,9 @@ def embedding_lookup(table: Tensor, ids: np.ndarray) -> Tensor:
     data = table.data[ids]
 
     def backward(g):
-        if table.requires_grad:
-            gt = np.zeros_like(table.data)
-            np.add.at(gt, ids, g)
-            table.accumulate_grad(gt)
+        gt = np.zeros_like(table.data)
+        np.add.at(gt, ids, g)
+        table.accumulate_grad(gt)
 
     return _result(data, (table,), backward, "embedding_lookup")
 
@@ -295,10 +284,9 @@ def dropout(a: Tensor, p: float, rng: np.random.Generator) -> Tensor:
     data *= scale
 
     def backward(g):
-        if a.requires_grad:
-            grad = g * keep
-            grad *= scale
-            a.accumulate_grad(grad)
+        grad = g * keep
+        grad *= scale
+        a.accumulate_grad(grad)
 
     return _result(data, (a,), backward, "dropout")
 
@@ -329,14 +317,14 @@ def attention(
     Packed (training): `query_lengths`, a (B,) array of lengths >= 1, says
     that q, k and v are (N, D) Tensors, N = sum(query_lengths), row b's
     positions 0..query_lengths[b]-1 following row b-1's. The output is packed
-    alike, and all three get gradients. The op scatters them into a
-    zero-padded (B, H, L, d_h) copy, L = max(query_lengths), and gathers the
-    real rows back; no real query sees a padded key (causality).
+    alike. The op scatters q, k and v into a zero-padded (B, H, L, d_h) copy,
+    L = max(query_lengths), and gathers the real rows back; no real query sees
+    a padded key (causality). The backward hands each of the three its gradient.
 
     Cached (inference): q is a (B, Lq, D) Tensor, and k and v are arrays
     already split into heads, (B, H, Lk, d_h) with Lk >= Lq, as a KV cache
     holds them. The op reads them in place, with no copy, and builds no graph
-    (with gradients on, a q that requires grad raises ValueError). The
+    (it runs under no_grad; with gradients on it raises ValueError). The
     queries are the last Lq positions: query i attends to key positions
     <= i + Lk - Lq. `key_lengths`, a (B,) array in 1..Lk, further hides keys
     at index >= key_lengths[b] from row b (their scores are set to the mask
@@ -361,7 +349,7 @@ def attention(
         if q.ndim != 3 or not isinstance(k, np.ndarray) or k.ndim != 4 or k.shape != v.shape:
             raise ValueError("cached attention needs a (batch, length, features) q and head-major "
                              "k, v arrays of one shape")
-        if _grad_enabled and q.requires_grad:
+        if _grad_enabled:
             raise ValueError("cached attention builds no graph: call it under no_grad")
         batch, length, width = q.shape
         offset = k.shape[2] - length
@@ -463,8 +451,7 @@ def attention(
             gq[live, :, s:e] = g_rows
             gk[live, :, :e] += np.swapaxes(g_scores, -1, -2) @ (qs[live, :, s:e] * inv_sum)
         for operand, grad in zip((q, k, v), (gq, gk, gv)):
-            if operand.requires_grad:
-                operand.accumulate_grad(merge(grad))
+            operand.accumulate_grad(merge(grad))
 
     return _result(data, (q, k, v), backward, "attention")
 
@@ -507,12 +494,11 @@ def cross_entropy(
     data = np.asarray(per_position.sum() / n_valid, dtype=logits.data.dtype)
 
     def backward(g):
-        if logits.requires_grad:
-            step = float(g) / n_valid
-            grad = exps * (step / sums)[:, None]  # softmax minus one-hot at the targets, 0 where ignored
-            grad[rows, safe_targets] -= step
-            grad[~valid] = 0.0
-            logits.accumulate_grad(grad.reshape(logits.shape))
+        step = float(g) / n_valid
+        grad = exps * (step / sums)[:, None]  # softmax minus one-hot at the targets, 0 where ignored
+        grad[rows, safe_targets] -= step
+        grad[~valid] = 0.0
+        logits.accumulate_grad(grad.reshape(logits.shape))
 
     loss = _result(data, (logits,), backward, "cross_entropy")
     if return_elementwise:
@@ -555,8 +541,6 @@ def grad_check(func, tensors, seed: int = 0, h: float = 1e-5) -> float:
 
     worst = 0.0
     for i, t in enumerate(tensors):
-        if not t.requires_grad:
-            continue
         analytic = t.grad if t.grad is not None else np.zeros_like(t.data)
         flat = datas[i].reshape(-1)
         numeric = np.zeros_like(flat)

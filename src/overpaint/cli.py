@@ -30,7 +30,6 @@ from .alignment import (
     DEFAULT_HOP_SECONDS,
     DEFAULT_MIN_CONFIDENCE,
     DEFAULT_SELF_LOOP,
-    AlignmentError,
     apply_review,
     extract_pairs,
     read_review_manifest,
@@ -45,7 +44,7 @@ from .dataset import (
     save_manifest,
     split_by_song,
 )
-from .leadsheet import LeadSheetError, load_leadsheet
+from .leadsheet import load_leadsheet
 from .metrics import render_table, report, write_report_csv
 from .midi_io import MidiParseError, load_midi, quantize, save_midi
 from .model import (
@@ -60,7 +59,6 @@ from .model import (
 from .tokenizer import (
     GRID,
     SEP,
-    TokenizeError,
     VocabularyMismatchError,
     assemble_pair,
     build_vocabulary,
@@ -469,6 +467,7 @@ def _parse_corpus_spec(text: str):
 def _cmd_report(args: argparse.Namespace):
     reports = []
     inputs = []
+    manifests = {}  # path -> its accepted records: both sides of a manifest read one load
     for raw in args.corpus:
         label, path, side = _parse_corpus_spec(raw)
         if path.is_dir():
@@ -478,11 +477,13 @@ def _cmd_report(args: argparse.Namespace):
             inputs.extend(used)
             reports.append(report(scores, label))
         else:
-            records = [p for p in load_manifest(path) if p.status == "accepted"]
+            if path not in manifests:
+                manifests[path] = [p for p in load_manifest(path) if p.status == "accepted"]
+                inputs.append(path)
+            records = manifests[path]
             side = side or "variations"
             scores = [p.original if side == "originals" else p.variation for p in records]
             keys = [tuple(p.key) if p.key else None for p in records]
-            inputs.append(path)
             reports.append(report(scores, label, keys=keys))
     return _print_reports(args, reports, inputs)
 
@@ -597,18 +598,7 @@ def main(argv=None) -> int:
     except NonFiniteError as exc:
         log.error("%s", exc)
         return 4
-    except (
-        MidiParseError,
-        LeadSheetError,
-        ManifestError,
-        AlignmentError,
-        TokenizeError,
-        FileNotFoundError,
-        NotADirectoryError,
-        IsADirectoryError,
-        json.JSONDecodeError,
-        ValueError,
-    ) as exc:
+    except (FileNotFoundError, NotADirectoryError, IsADirectoryError, ValueError) as exc:
         log.error("%s", exc)
         return 2
 

@@ -118,14 +118,21 @@ def _safe_name(pair_id: str) -> str:
 
 def save_manifest(pairs, path) -> None:
     """Write the JSONL manifest plus one .mid per score under '<stem>_midi'
-    next to the manifest."""
+    next to the manifest. Two pairs whose ids map to one payload name raise
+    ManifestError before anything is written."""
     path = Path(path)
+    bases: dict[str, str] = {}  # payload base name -> the pair_id it names
+    for p in pairs:
+        base = _safe_name(p.pair_id)
+        if base in bases:
+            raise ManifestError(
+                f"pairs {bases[base]!r} and {p.pair_id!r} share the payload name {base}")
+        bases[base] = p.pair_id
     midi_dir = path.parent / f"{path.stem}_midi"
     midi_dir.mkdir(parents=True, exist_ok=True)
 
     lines = [json.dumps({"schema_version": SCHEMA_VERSION, "midi_dir": midi_dir.name}, sort_keys=True)]
-    for p in pairs:
-        base = _safe_name(p.pair_id)
+    for p, base in zip(pairs, bases):
         orig_name = f"{base}.orig.mid"
         var_name = f"{base}.var.mid"
         save_midi(p.original, midi_dir / orig_name)

@@ -185,7 +185,7 @@ class TransformerLM:
 
         self.config = config
         self.params: dict[str, Tensor] = {
-            name: Tensor(init(*spec), requires_grad=True)
+            name: Tensor(init(*spec))
             for name, spec in _param_specs(config).items()
         }
 
@@ -195,7 +195,7 @@ class TransformerLM:
         model = cls.__new__(cls)
         model.config = config
         model.params = {
-            name: Tensor(arr, requires_grad=True)
+            name: Tensor(arr)
             for name, arr in _checked_arrays(config, arrays).items()
         }
         return model

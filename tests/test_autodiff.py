@@ -28,7 +28,7 @@ TOL = 1e-4  # float64 central differences at h=1e-5
 
 
 def t64(rng, *shape):
-    return Tensor(rng.standard_normal(shape), requires_grad=True, dtype=np.float64)
+    return Tensor(rng.standard_normal(shape), dtype=np.float64)
 
 
 # Each entry builds (func, tensors) from a seeded generator; shapes vary by seed.
@@ -91,6 +91,12 @@ def head_major(x, n_heads):
     buffer = np.zeros((batch, n_heads, length + 2, width // n_heads), dtype=x.dtype)
     buffer[:, :, :length] = x.reshape(batch, length, n_heads, -1).transpose(0, 2, 1, 3)
     return buffer[:, :, :length]
+
+
+def cached_attention(q, k, v, *args, **kwargs):
+    """The cached mode on (B, L, D) queries q, under no_grad as it must run."""
+    with no_grad():
+        return attention(Tensor(q), k, v, *args, **kwargs)
 
 
 def packed(x):
@@ -174,7 +180,7 @@ def test_every_public_op_has_a_gradient_check():
 # --- closed-form spot checks ---------------------------------------------------
 
 def test_cross_entropy_closed_form():
-    logits = Tensor([[10.0, 0.0, 0.0]], requires_grad=True)
+    logits = Tensor([[10.0, 0.0, 0.0]])
     loss = cross_entropy(logits, np.array([0]))
     assert loss.item() == pytest.approx(math.log1p(2 * math.exp(-10)), abs=1e-12)
     loss.backward()
@@ -184,7 +190,7 @@ def test_cross_entropy_closed_form():
 
 
 def test_cross_entropy_means_over_valid_positions():
-    logits = Tensor(np.log([[0.5, 0.5], [0.9, 0.1], [0.2, 0.8]]), requires_grad=True)
+    logits = Tensor(np.log([[0.5, 0.5], [0.9, 0.1], [0.2, 0.8]]))
     targets = np.array([0, 0, 9])
     loss, each = cross_entropy(logits, targets, ignore_index=9, return_elementwise=True)
     want0, want1 = -math.log(0.5), -math.log(0.9)
@@ -200,7 +206,7 @@ def test_cross_entropy_means_over_valid_positions():
 @pytest.mark.parametrize("dtype, tol", [(np.float32, 1e-6), (np.float64, 1e-12)])
 def test_cross_entropy_gradient_is_softmax_minus_one_hot(dtype, tol):
     rng = np.random.default_rng(18)
-    logits = Tensor((rng.standard_normal((2, 3, 7)) * 3).astype(dtype), requires_grad=True)
+    logits = Tensor((rng.standard_normal((2, 3, 7)) * 3).astype(dtype))
     targets = np.array([[1, 9, 6], [0, 9, 2]])  # 9 is ignored
     loss = cross_entropy(logits, targets, ignore_index=9)
     loss.backward(np.asarray(2.0))
@@ -213,7 +219,7 @@ def test_cross_entropy_gradient_is_softmax_minus_one_hot(dtype, tol):
 
 
 def test_cross_entropy_rejects_bad_targets():
-    logits = Tensor(np.zeros((2, 4)), requires_grad=True)
+    logits = Tensor(np.zeros((2, 4)))
     with pytest.raises(ValueError, match="no valid targets"):
         cross_entropy(logits, np.array([7, 7]), ignore_index=7)
     with pytest.raises(ValueError, match="outside vocabulary"):
@@ -251,14 +257,14 @@ def test_attention_matches_per_head_reference(p):
     outs = [
         attention(*(Tensor(packed(x)) for x in (q, k, v)), 3, p, packed_rng,
                   query_lengths=[7, 7]).data.reshape(q.shape),
-        attention(Tensor(q), head_major(k, 3), head_major(v, 3), 3, p, cached_rng).data,
+        cached_attention(q, head_major(k, 3), head_major(v, 3), 3, p, cached_rng).data,
     ]
     for out, gen in zip(outs, (packed_rng, cached_rng)):
         assert np.allclose(out, want, rtol=0, atol=1e-12)
         # Each consumed the generator as the reference did, so later draws (and checkpoints) agree.
         assert same_stream(gen, ref_rng)
     if p == 0.0:  # the last queries alone, against every key, as a cached forward asks
-        tail = attention(Tensor(q[:, 4:]), head_major(k, 3), head_major(v, 3), 3)
+        tail = cached_attention(q[:, 4:], head_major(k, 3), head_major(v, 3), 3)
         assert np.allclose(tail.data, want[:, 4:], rtol=0, atol=1e-12)
 
 
@@ -273,7 +279,7 @@ def test_attention_spanning_tiles_matches_per_head_reference(queries, keys, p):
     k, v = (rng.standard_normal((2, keys, 12)) for _ in range(2))
     ref_rng = np.random.default_rng(5)
     want = per_head_attention(q, k, v, 3, p, ref_rng)
-    runs = [lambda gen: attention(Tensor(q), head_major(k, 3), head_major(v, 3), 3, p, gen).data]
+    runs = [lambda gen: cached_attention(q, head_major(k, 3), head_major(v, 3), 3, p, gen).data]
     if queries == keys:
         runs.append(lambda gen: attention(*(Tensor(packed(x)) for x in (q, k, v)), 3, p, gen,
                                           query_lengths=[queries] * 2).data.reshape(q.shape))
@@ -296,10 +302,10 @@ def test_tiled_attention_matches_one_tile(dtype, tol, monkeypatch):
     real = np.arange(131) < np.array([[131], [90]])
 
     def run():
-        qkv = [Tensor(x[real], requires_grad=True) for x in (q, k[:, :131], v[:, :131])]
+        qkv = [Tensor(x[real]) for x in (q, k[:, :131], v[:, :131])]
         out = attention(*qkv, 4, query_lengths=[131, 90])
         out.backward(probe[real])
-        cached = attention(Tensor(q), head_major(k, 4), head_major(v, 4), 4)
+        cached = cached_attention(q, head_major(k, 4), head_major(v, 4), 4)
         return [out.data] + [t.grad for t in qkv] + [cached.data]
 
     tiled = run()
@@ -329,7 +335,7 @@ def test_attention_gradients_match_per_head_backward(dtype, p):
         keep = np.ones((4, 8, length, length), dtype=bool)
         for s, mask in keep_masks(np.random.default_rng(7), p, 8, lengths, length):
             keep[lengths > s, :, s : s + mask.shape[2], : mask.shape[3]] = mask
-    tensors = [Tensor(x[real], requires_grad=True) for x in (q, k, v)]
+    tensors = [Tensor(x[real]) for x in (q, k, v)]
     out = attention(*tensors, 8, p, np.random.default_rng(7), query_lengths=lengths)
     out.backward(probe[real])
     want = [np.zeros((4, length, 64)) for _ in range(3)]
@@ -345,36 +351,18 @@ def test_attention_gradients_match_per_head_backward(dtype, p):
         assert np.allclose(t.grad, full[real], rtol=0, atol=tol)
 
 
-def test_attention_computes_only_wanted_gradients():
-    """Operands that need no gradient get none, and the others get bitwise the
-    gradients they get when all three need one."""
-    rng = np.random.default_rng(20)
-    q, k, v = (rng.standard_normal((30, 12)) for _ in range(3))
-    probe = rng.standard_normal((30, 12))
-
-    def grads(wanted):
-        tensors = [Tensor(x, requires_grad=want) for x, want in zip((q, k, v), wanted)]
-        attention(*tensors, 3, 0.2, np.random.default_rng(3), query_lengths=[17, 13]).backward(probe)
-        return [t.grad for t in tensors]
-
-    everything = grads((True, True, True))
-    for wanted in ((True, False, False), (False, True, False), (False, False, True), (True, False, True)):
-        for want, got, full in zip(wanted, grads(wanted), everything):
-            assert got is None if not want else np.array_equal(got, full)
-
-
 def test_cached_attention_builds_no_graph():
-    """The cached mode is inference only: a q that requires grad raises with
-    gradients on, and under no_grad gives an output with no graph."""
+    """The cached mode is inference only: any query, a leaf or an op's result,
+    raises with gradients on, and under no_grad gives an output with no graph."""
     rng = np.random.default_rng(21)
-    q = Tensor(rng.standard_normal((2, 3, 8)), requires_grad=True)
-    kh, vh = (head_major(rng.standard_normal((2, 5, 8)), 2) for _ in range(2))
-    with pytest.raises(ValueError, match="no_grad"):
-        attention(q, kh, vh, 2)
-    with no_grad():
-        out = attention(q, kh, vh, 2)
-    assert not out.requires_grad and out._backward is None and not out._parents
-    assert np.array_equal(out.data, attention(Tensor(q.data), kh, vh, 2).data)
+    q, k, v = (rng.standard_normal((2, n, 8)) for n in (3, 5, 5))
+    kh, vh = head_major(k, 2), head_major(v, 2)
+    for query in (Tensor(q), add(Tensor(q), Tensor(np.zeros(8)))):
+        with pytest.raises(ValueError, match="no_grad"):
+            attention(query, kh, vh, 2)
+    out = cached_attention(q, kh, vh, 2)
+    assert out._backward is None and not out._parents
+    assert np.allclose(out.data, per_head_attention(q, k, v, 2), rtol=0, atol=1e-12)
 
 
 def test_attention_is_causal_bitwise():
@@ -382,7 +370,7 @@ def test_attention_is_causal_bitwise():
     q, k, v = (rng.standard_normal((2, 6, 8)) for _ in range(3))
 
     def both(keys, values):  # the cached op's and the packed op's outputs, (B, L, D) each
-        return (attention(Tensor(q), head_major(keys, 2), head_major(values, 2), 2).data,
+        return (cached_attention(q, head_major(keys, 2), head_major(values, 2), 2).data,
                 attention(*(Tensor(packed(x)) for x in (q, keys, values)), 2,
                           query_lengths=[6, 6]).data.reshape(q.shape))
 
@@ -395,15 +383,15 @@ def test_attention_is_causal_bitwise():
             assert np.array_equal(moved[:, : t + 1], out[:, : t + 1])
     kh, vh = head_major(k, 2), head_major(v, 2)
     with pytest.raises(ValueError, match="heads"):
-        attention(Tensor(q), kh, vh, 3)
+        cached_attention(q, kh, vh, 3)
     with pytest.raises(ValueError, match="shape"):
-        attention(Tensor(q), kh[:, :, :5], vh, 2)
+        cached_attention(q, kh[:, :, :5], vh, 2)
     with pytest.raises(ValueError, match="does not fit"):  # fewer keys than queries
-        attention(Tensor(q), kh[:, :, :5], vh[:, :, :5], 2)
+        cached_attention(q, kh[:, :, :5], vh[:, :, :5], 2)
     with pytest.raises(ValueError, match="rng"):
-        attention(Tensor(q), kh, vh, 2, p=0.1)
+        cached_attention(q, kh, vh, 2, p=0.1)
     with pytest.raises(ValueError, match="head-major"):  # (B, L, D) keys are no mode
-        attention(Tensor(q), Tensor(k), Tensor(v), 2)
+        cached_attention(q, Tensor(k), Tensor(v), 2)
 
 
 def test_attention_key_lengths_hide_trailing_keys():
@@ -414,7 +402,7 @@ def test_attention_key_lengths_hide_trailing_keys():
     k, v = (rng.standard_normal((3, 9, 12)) for _ in range(2))
     kh, vh = head_major(k, 3), head_major(v, 3)
     key_lengths = np.array([2, 5, 9])
-    out = attention(Tensor(q), kh, vh, 3, key_lengths=key_lengths).data
+    out = cached_attention(q, kh, vh, 3, key_lengths=key_lengths).data
     for b, n in enumerate(key_lengths):
         alone = per_head_attention(q[b : b + 1], k[b : b + 1, :n], v[b : b + 1, :n], 3)
         assert np.allclose(out[b], alone[0], rtol=0, atol=1e-12)
@@ -422,14 +410,14 @@ def test_attention_key_lengths_hide_trailing_keys():
     for b, n in enumerate(key_lengths):
         k2[b, n:] = rng.standard_normal(k2[b, n:].shape) * 100
         v2[b, n:] = rng.standard_normal(v2[b, n:].shape) * 100
-    moved = attention(Tensor(q), head_major(k2, 3), head_major(v2, 3), 3, key_lengths=key_lengths).data
+    moved = cached_attention(q, head_major(k2, 3), head_major(v2, 3), 3, key_lengths=key_lengths).data
     assert np.array_equal(moved, out)
     # every length equal to Lk changes nothing
-    full = attention(Tensor(q), kh, vh, 3).data
-    assert np.array_equal(attention(Tensor(q), kh, vh, 3, key_lengths=[9] * 3).data, full)
+    full = cached_attention(q, kh, vh, 3).data
+    assert np.array_equal(cached_attention(q, kh, vh, 3, key_lengths=[9] * 3).data, full)
     for bad in ([2, 5], [0, 5, 9], [2, 5, 10]):
         with pytest.raises(ValueError, match="key_lengths"):
-            attention(Tensor(q), kh, vh, 3, key_lengths=bad)
+            cached_attention(q, kh, vh, 3, key_lengths=bad)
 
 
 @pytest.mark.parametrize("p", [0.0, 0.3])
@@ -468,7 +456,7 @@ def test_attention_query_lengths_skip_only_padding_bitwise(p, tile, monkeypatch)
         return keep
 
     def run(qkv, seed, query_lengths):
-        tensors = [Tensor(x, requires_grad=True) for x in qkv]
+        tensors = [Tensor(x) for x in qkv]
         out = attention(*tensors, 3, p, gen, query_lengths=query_lengths)
         out.backward(seed)
         return [out.data] + [t.grad for t in tensors]
@@ -504,9 +492,9 @@ def test_attention_reads_head_major_keys_bitwise():
     kh, vh = head_major(k, 3), head_major(v, 3)
     assert not kh.flags.c_contiguous
 
-    copied = attention(Tensor(q), np.ascontiguousarray(kh), np.ascontiguousarray(vh), 3,
+    copied = cached_attention(q, np.ascontiguousarray(kh), np.ascontiguousarray(vh), 3,
                        key_lengths=key_lengths)
-    out = attention(Tensor(q), kh, vh, 3, key_lengths=key_lengths)
+    out = cached_attention(q, kh, vh, 3, key_lengths=key_lengths)
     assert np.array_equal(out.data, copied.data)
     for b, n in enumerate(key_lengths):
         for i in range(2):  # query i is position 5 + i
@@ -515,9 +503,9 @@ def test_attention_reads_head_major_keys_bitwise():
             want = per_head_attention(q[rows, i : i + 1], k[rows, :seen], v[rows, :seen], 3)
             assert np.allclose(out.data[b, i], want[0, 0], rtol=0, atol=1e-12)
     with pytest.raises(ValueError, match="does not fit"):
-        attention(Tensor(q), kh[:, :2], vh[:, :2], 3)  # two heads of four features
+        cached_attention(q, kh[:, :2], vh[:, :2], 3)  # two heads of four features
     with pytest.raises(ValueError, match="one shape"):
-        attention(Tensor(q), kh, vh[:, :, :6], 3)
+        cached_attention(q, kh, vh[:, :, :6], 3)
 
 
 def test_attention_query_lengths_validation():
@@ -567,7 +555,7 @@ def test_matmul_bias_matches_composed_add(dtype):
     seed = rng.standard_normal((3, 5, 6)).astype(dtype)
 
     def run(fused):
-        a, w, bias = (Tensor(x, requires_grad=True) for x in arrays)
+        a, w, bias = (Tensor(x) for x in arrays)
         out = matmul(a, w, bias) if fused else add(matmul(a, w), bias)
         out.backward(seed)
         return [out.data, a.grad, w.grad, bias.grad]
@@ -578,27 +566,27 @@ def test_matmul_bias_matches_composed_add(dtype):
 
 
 def test_gradients_accumulate_through_shared_nodes():
-    x = Tensor([3.0], requires_grad=True)
+    x = Tensor([3.0])
     y = add(x, x)
     y.backward()
     assert x.grad[0] == 2.0
 
-    x = Tensor([[3.0]], requires_grad=True)
+    x = Tensor([[3.0]])
     z = matmul(x, x, x)  # x^2 + x, dz/dx = 2x + 1
     z.backward()
     assert x.grad[0, 0] == pytest.approx(7.0, abs=1e-12)
 
 
 def test_first_gradient_is_an_own_copy():
-    x = Tensor(np.zeros(3, dtype=np.float32), requires_grad=True)
+    x = Tensor(np.zeros(3, dtype=np.float32))
     g = np.ones(3)
     x.accumulate_grad(g)
     g += 5.0
     assert x.grad.dtype == np.float32 and np.array_equal(x.grad, np.ones(3))
 
     # add hands one gradient array to both operands; a and b must not share it.
-    a = Tensor(np.zeros(2), requires_grad=True)
-    b = Tensor(np.zeros(2), requires_grad=True)
+    a = Tensor(np.zeros(2))
+    b = Tensor(np.zeros(2))
     y = add(a, b)
     add(y, a).backward(np.ones(2))  # y and a receive one array, then y passes its own on
     assert np.array_equal(a.grad, [2.0, 2.0])
@@ -606,20 +594,20 @@ def test_first_gradient_is_an_own_copy():
 
 
 def test_broadcast_gradient_shapes():
-    a = Tensor(np.ones((2, 3)), requires_grad=True)
-    b = Tensor(np.ones(3), requires_grad=True)
+    a = Tensor(np.ones((2, 3)))
+    b = Tensor(np.ones(3))
     add(a, b).backward(np.ones((2, 3)))
     assert a.grad.shape == (2, 3) and np.all(a.grad == 1.0)
     assert b.grad.shape == (3,) and np.all(b.grad == 2.0)
 
 
 def test_no_grad_skips_graph_building():
-    x = Tensor([1.0, 2.0], requires_grad=True)
+    x = Tensor([1.0, 2.0])
     with no_grad():
         y = add(x, x)
-    assert not y.requires_grad and y._parents == ()
-    z = add(x, x)  # flag restored afterwards
-    assert z.requires_grad
+    assert y._parents == () and y._backward is None
+    z = add(x, x)  # gradients back on afterwards
+    assert z._parents == (x, x) and z._backward is not None
 
 
 def test_non_finite_forward_raises():
@@ -629,7 +617,7 @@ def test_non_finite_forward_raises():
 
 
 def test_embedding_lookup_rejects_bad_ids():
-    table = Tensor(np.zeros((5, 3)), requires_grad=True)
+    table = Tensor(np.zeros((5, 3)))
     with pytest.raises(ValueError, match="integers"):
         embedding_lookup(table, np.array([0.5]))
     with pytest.raises(IndexError):
@@ -642,7 +630,7 @@ def test_embedding_lookup_rejects_bad_ids():
 
 def test_dropout_modes():
     rng = np.random.default_rng(8)
-    x = Tensor(np.ones((50, 20)), requires_grad=True)
+    x = Tensor(np.ones((50, 20)))
     assert dropout(x, 0.0, rng) is x
     out = dropout(x, 0.25, np.random.default_rng(9))
     kept = out.data != 0
@@ -704,7 +692,7 @@ def test_adam_first_step_matches_closed_form():
     rng = np.random.default_rng(10)
     start = rng.standard_normal((3, 4))
     grad = rng.standard_normal((3, 4))
-    p = Tensor(start.copy(), requires_grad=True)
+    p = Tensor(start.copy())
     p.grad = grad.copy()
     state = AdamState()
     lr = 1e-2
@@ -716,7 +704,7 @@ def test_adam_first_step_matches_closed_form():
 
 
 def test_adam_accumulates_moments_across_steps():
-    p = Tensor([0.0], requires_grad=True)
+    p = Tensor([0.0])
     state = AdamState()
     p.grad = np.array([1.0])
     adam_step([p], state, lr=0.1)
@@ -729,7 +717,7 @@ def test_adam_accumulates_moments_across_steps():
 
 
 def test_adam_handles_missing_and_bad_gradients():
-    p = Tensor([1.0, 2.0], requires_grad=True)
+    p = Tensor([1.0, 2.0])
     state = AdamState()
     adam_step([p], state, lr=0.5)  # grad None counts as zero
     assert np.array_equal(p.data, [1.0, 2.0])

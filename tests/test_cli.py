@@ -255,6 +255,21 @@ def test_report_compares_corpora(pipeline, capsys, tmp_path):
     assert rows[-1][0] == "Skipped"
 
 
+def test_report_loads_each_manifest_once(pipeline, monkeypatch, capsys):
+    """Both sides of one manifest are scored from a single load."""
+    loads = []
+
+    def counting(path):
+        loads.append(path)
+        return load_manifest(path)
+
+    monkeypatch.setattr("overpaint.cli.load_manifest", counting)
+    assert main(["--quiet", "report", "--corpus", f"o={pipeline['aug']}:originals",
+                 "--corpus", f"v={pipeline['aug']}:variations"]) == 0
+    assert loads == [pipeline["aug"]]
+    assert capsys.readouterr().out.splitlines()[0].split() == ["Feature", "o", "v"]
+
+
 def test_report_rejects_bad_corpus_spec(pipeline):
     assert main(["--quiet", "report", "--corpus", "nodirhere"]) == 2
     assert main(["--quiet", "report",
@@ -332,6 +347,22 @@ def test_malformed_manifest_records_exit_2(pipeline, tmp_path, command, index, e
         args = ["review", "--pairs", str(pipeline["pairs"]), "--decisions", str(edited)]
     assert main(["--quiet", *args, "--out", str(tmp_path / "out.jsonl")]) == 2
     assert not (tmp_path / "out.jsonl").exists()
+
+
+def test_pair_ids_sharing_a_payload_name_exit_2_and_write_nothing(pipeline, tmp_path, caplog):
+    """`x y` and `x_y` both name their payloads x_y.*.mid, so neither pair's
+    MIDI may overwrite the other's."""
+    lines = [json.loads(l) for l in pipeline["pairs"].read_text().splitlines()]
+    lines[0]["midi_dir"] = str(pipeline["pairs"].parent / lines[0]["midi_dir"])
+    lines[1]["pair_id"], lines[2]["pair_id"] = "x y", "x_y"
+    edited = tmp_path / "edited.jsonl"
+    edited.write_text("".join(json.dumps(l) + "\n" for l in lines))
+    decisions = tmp_path / "decisions.jsonl"
+    decisions.write_text("")
+    assert main(["--quiet", "review", "--pairs", str(edited), "--decisions", str(decisions),
+                 "--out", str(tmp_path / "out.jsonl")]) == 2
+    assert "'x y' and 'x_y'" in caplog.text
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["decisions.jsonl", "edited.jsonl"]
 
 
 def test_checkpoint_errors_exit_3(pipeline, tmp_path):
@@ -506,3 +537,75 @@ def test_reruns_reproduce_primary_artifacts(pipeline, tmp_path):
                  "--max-new", "24", "--seed", "1"]) == 0
     for name in ("0000.mid", "0001.mid", "generated_tokens.bin"):
         assert (gen2 / name).read_bytes() == (pipeline["gen"] / name).read_bytes()
+
+
+# --- flags the pipeline leaves at their defaults ------------------------------------
+
+
+def _extract_pairs(pipeline, out, *flags):
+    return main(["--quiet", "extract-pairs", "--performances", str(pipeline["perfs"]),
+                 "--leadsheets", str(pipeline["sheets"]), "--out", str(out), *flags])
+
+
+def test_extract_pairs_window_sets_the_window_length(pipeline, tmp_path):
+    assert _extract_pairs(pipeline, tmp_path / "p.jsonl", "--window", "2") == 0
+    starts = {p.window_start_bar for p in load_manifest(tmp_path / "p.jsonl")}
+    assert starts == {0, 2, 4, 6}  # the default window of 4 bars starts at 0 and 4
+
+
+def test_extract_pairs_hop_sets_the_chroma_frame(pipeline, tmp_path):
+    """One-second frames align more coarsely, so the confidences move."""
+    assert _extract_pairs(pipeline, tmp_path / "p.jsonl", "--hop", "1.0") == 0
+    coarse = {p.pair_id: p.confidence for p in load_manifest(tmp_path / "p.jsonl")}
+    default = {p.pair_id: p.confidence for p in load_manifest(pipeline["pairs"])}
+    assert coarse.keys() == default.keys()
+    assert all(coarse[name] != default[name] for name in coarse)
+
+
+def test_extract_pairs_self_loop_reaches_the_aligner(pipeline, tmp_path, caplog):
+    assert _extract_pairs(pipeline, tmp_path / "p.jsonl", "--self-loop", "1") == 2
+    assert "self_loop must be in (0, 1)" in caplog.text
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_extract_pairs_min_confidence_flags_pairs_for_review(pipeline, tmp_path):
+    assert _extract_pairs(pipeline, tmp_path / "p.jsonl", "--min-confidence", "1.01") == 0
+    pairs = load_manifest(tmp_path / "p.jsonl")
+    assert len(pairs) == 6 and {p.status for p in pairs} == {"needs_review"}
+
+
+def test_extract_pairs_review_out_names_the_review_sheet(pipeline, tmp_path):
+    sheet = tmp_path / "sheets" / "review.jsonl"
+    sheet.parent.mkdir()
+    assert _extract_pairs(pipeline, tmp_path / "p.jsonl", "--review-out", str(sheet)) == 0
+    decisions = [json.loads(line)["pair_id"] for line in sheet.read_text().splitlines()]
+    assert decisions == [p.pair_id for p in load_manifest(tmp_path / "p.jsonl")]
+    assert not (tmp_path / "p.jsonl.review.jsonl").exists()
+
+
+def test_augment_ratios_are_checked(pipeline, tmp_path, caplog):
+    out = tmp_path / "a.jsonl"
+    assert main(["--quiet", "augment", "--pairs", str(pipeline["reviewed"]), "--out", str(out),
+                 "--ratios", "0.5", "0.5", "0"]) == 2
+    assert "bad ratios" in caplog.text
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_augment_csv_writes_one_row_per_augmented_pair(pipeline, tmp_path):
+    out, table = tmp_path / "a.jsonl", tmp_path / "a.csv"
+    assert main(["--quiet", "augment", "--pairs", str(pipeline["reviewed"]), "--out", str(out),
+                 "--csv", str(table)]) == 0
+    with open(table, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [row["pair_id"] for row in rows] == [p.pair_id for p in load_manifest(out)]
+    assert len(rows) == 60
+    assert str(table) in json.loads((tmp_path / "a.jsonl.run.json").read_text())["outputs"]
+
+
+def test_train_stop_at_train_loss_ends_training_early(pipeline, tmp_path):
+    out = tmp_path / "m.ovpt"
+    assert main(["--quiet", "train", "--tokens", str(pipeline["tokens"]), "--out", str(out),
+                 "--epochs", "3", "--batch-size", "8", "--dropout", "0.0",
+                 "--stop-at-train-loss", "1e9"]) == 0
+    with open(str(out) + ".log.csv", newline="") as fh:
+        assert [row[0] for row in csv.reader(fh)] == ["epoch", "1"]

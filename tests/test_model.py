@@ -176,9 +176,8 @@ def test_packed_loss_and_gradients_sum_the_rows(dtype, tol, monkeypatch):
         logits = model.forward(inputs, training=True, rng=np.random.default_rng(0), **kwargs)
         loss = cross_entropy(logits, targets, ignore_index=PAD)
         loss.backward(np.asarray(float(count), dtype=dtype))
-        assert all(p.grad is None for p in model.params.values() if not p.requires_grad)
         return loss.item() * count, {name: p.grad.astype(np.float64)
-                                     for name, p in model.params.items() if p.requires_grad}
+                                     for name, p in model.params.items()}
 
     packed_loss, packed = step(ids[:, :-1], ids[:, 1:][real], real.sum(), lengths=lengths)
     rows_loss, rows = 0.0, {name: 0.0 for name in packed}
@@ -208,7 +207,6 @@ def test_state_arrays_round_trip():
     snapshot["tok_emb"][:] = 0.0  # the rebuilt model holds copies
     for name, p in model.params.items():
         assert np.array_equal(rebuilt.params[name].data, p.data), name
-        assert rebuilt.params[name].requires_grad
 
     extra = dict(snapshot)
     extra["bogus"] = np.zeros(3)
@@ -405,7 +403,6 @@ def test_train_moves_every_parameter():
     params = result.model.params
     assert not [name for name in params if name.endswith("attn.bk")]
     assert result.model.parameters() == list(params.values())
-    assert all(p.requires_grad for p in params.values())
     for name, p in params.items():
         if name.endswith(("bias", ".bq", ".bv", ".bo", ".b1", ".b2")):
             assert p.data.any(), name  # zero at init
