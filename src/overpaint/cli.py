@@ -3,9 +3,10 @@
 Subcommands cover the whole workflow in order: extract-pairs, review, augment,
 tokenize, train, generate, evaluate, report. Each command returns what it wrote,
 and `main` times it and drops a `<output>.run.json` sidecar recording the
-command, parameters, input/output content hashes, seed, and wall-clock time;
-reruns with the same inputs and seed reproduce the primary artifacts byte for
-byte (the sidecar's timing field is the one exception).
+command, parameters, input/output content hashes, seed, wall-clock time and
+the process's peak RSS; reruns with the same inputs and seed reproduce the
+primary artifacts byte for byte (the sidecar's timing and memory fields are
+the exceptions).
 
 Exit codes: 0 success, 2 unreadable or invalid input, 3 configuration or
 hash mismatch, 4 non-finite numerics.
@@ -30,6 +31,7 @@ from .alignment import (
     DEFAULT_HOP_SECONDS,
     DEFAULT_MIN_CONFIDENCE,
     DEFAULT_SELF_LOOP,
+    AlignmentError,
     apply_review,
     extract_pairs,
     read_review_manifest,
@@ -44,7 +46,7 @@ from .dataset import (
     save_manifest,
     split_by_song,
 )
-from .leadsheet import load_leadsheet
+from .leadsheet import LeadSheetError, load_leadsheet
 from .metrics import render_table, report, write_report_csv
 from .midi_io import MidiParseError, load_midi, quantize, save_midi
 from .model import (
@@ -104,6 +106,7 @@ def _hash_path(path: Path) -> str:
 def _write_run_manifest(args: argparse.Namespace, t0: float, primary, inputs, outputs,
                         details: dict | None = None) -> None:
     """Write the sidecar; `details` holds extra command-specific fields."""
+    peak_kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss  # this process only
     params = {
         k: (str(v) if isinstance(v, Path) else v)
         for k, v in sorted(vars(args).items())
@@ -117,6 +120,7 @@ def _write_run_manifest(args: argparse.Namespace, t0: float, primary, inputs, ou
         "seed": getattr(args, "seed", None),
         "version": __version__,
         "wall_clock_seconds": round(time.monotonic() - t0, 3),
+        "peak_rss_mb": round(peak_kib / 1024, 1),
         **(details or {}),
     }
     Path(str(primary) + ".run.json").write_text(
@@ -181,19 +185,24 @@ def _cmd_extract_pairs(args: argparse.Namespace):
     pairs = []
     dropped = []
     consumed = []
-    scores, loaded = _load_midi_files([performances[s] for s in matched], args.strict)
-    for performance, midi_file in zip(scores, loaded):
-        song_id = _normalize_stem(midi_file.stem)
-        sheet_file = matched[song_id]
-        song_pairs, song_dropped = extract_pairs(
-            performance,
-            load_leadsheet(sheet_file),
-            song_id,
-            window=args.window,
-            hop=args.hop,
-            self_loop=args.self_loop,
-            min_confidence=args.min_confidence,
-        )
+    for song_id, sheet_file in matched.items():
+        midi_file = performances[song_id]
+        try:
+            song_pairs, song_dropped = extract_pairs(
+                load_midi(midi_file),
+                load_leadsheet(sheet_file),
+                song_id,
+                window=args.window,
+                hop=args.hop,
+                self_loop=args.self_loop,
+                min_confidence=args.min_confidence,
+            )
+        except (MidiParseError, LeadSheetError, AlignmentError) as exc:
+            reason = f"{midi_file} with {sheet_file}: {exc}"
+            if args.strict:
+                raise type(exc)(reason) from exc
+            log.warning("skipping song %s", reason)
+            continue
         pairs.extend(song_pairs)
         dropped.extend(song_dropped)
         consumed.extend([sheet_file, midi_file])
@@ -206,10 +215,11 @@ def _cmd_extract_pairs(args: argparse.Namespace):
     write_review_manifest(pairs, review_out)
 
     accepted = sum(1 for p in pairs if p.status == "accepted")
+    songs = len(consumed) // 2  # a lead sheet and a performance each
     print(
-        f"extracted {len(pairs)} pairs from {len(loaded)} songs: "
+        f"extracted {len(pairs)} pairs from {songs} songs: "
         f"{accepted} accepted, {len(pairs) - accepted} flagged for review, "
-        f"{len(dropped)} windows dropped, {len(matched) - len(loaded)} files skipped"
+        f"{len(dropped)} windows dropped, {len(matched) - songs} files skipped"
     )
     print(f"wrote {out} and review sheet {review_out}")
     return out, consumed, [out, review_out]
@@ -423,12 +433,10 @@ def _cmd_generate(args: argparse.Namespace):
         f"({repaired} needed grammar repairs)"
     )
     tokens = sum(d["tokens"] for d in decoded)
-    peak_kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss  # this process only
     return out_dir, [args.checkpoint, args.tokens], [out_dir], {
         "decoded": decoded, "skipped": skipped,
         "decode_seconds": round(decode_seconds, 6),
-        "tokens_per_s": round(tokens / decode_seconds, 1),
-        "peak_rss_mb": round(peak_kib / 1024, 1)}
+        "tokens_per_s": round(tokens / decode_seconds, 1)}
 
 
 # --- evaluate / report ------------------------------------------------------------
@@ -512,7 +520,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--min-confidence", type=float, default=DEFAULT_MIN_CONFIDENCE,
                    help="pairs below this cosine go to review")
     p.add_argument("--review-out", default=None, help="review sheet path (default <out>.review.jsonl)")
-    p.add_argument("--strict", action="store_true", help="fail instead of skipping bad MIDI")
+    p.add_argument("--strict", action="store_true", help="fail on a song that cannot be read or aligned")
     p.set_defaults(func=_cmd_extract_pairs)
 
     p = sub.add_parser("review", help="apply an edited review sheet to a manifest")

@@ -230,10 +230,7 @@ def _parse_note_name(token: str, line_no: int) -> int:
         pc += 1
     elif m.group(2) == "b":
         pc -= 1
-    midi = 12 * (int(m.group(3)) + 1) + pc
-    if not 0 <= midi <= 127:
-        raise LeadSheetError(f"line {line_no}: pitch {token!r} out of MIDI range")
-    return midi
+    return 12 * (int(m.group(3)) + 1) + pc
 
 
 def _parse_fraction(token: str, line_no: int, what: str) -> Fraction:
@@ -268,10 +265,15 @@ def parse_leadsheet(text: str) -> LeadSheet:
             if m_bar < 0 or beat < 0 or beat >= sheet.beats_per_bar:
                 raise LeadSheetError(f"line {line_no}: position {where!r} outside its bar")
             pitch = int(pitch_tok) if pitch_tok.lstrip("-").isdigit() else _parse_note_name(pitch_tok, line_no)
+            if not 0 <= pitch <= 127:
+                raise LeadSheetError(f"line {line_no}: pitch {pitch_tok!r} out of MIDI range")
             duration = _parse_fraction(dur_tok, line_no, "duration")
             if duration <= 0:
                 raise LeadSheetError(f"line {line_no}: non-positive duration")
-            velocity = int(parts[3]) if len(parts) == 4 else 80
+            vel_tok = parts[3] if len(parts) == 4 else "80"
+            if not (vel_tok.isdigit() and 1 <= int(vel_tok) <= 127):
+                raise LeadSheetError(f"line {line_no}: velocity {vel_tok!r} not an integer 1-127")
+            velocity = int(vel_tok)
             onset = m_bar * sheet.beats_per_bar + beat
             melody.append(NoteEvent(pitch, onset, duration, velocity))
             continue

@@ -10,7 +10,6 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .midi_io import MidiScore
 

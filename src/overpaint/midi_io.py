@@ -9,9 +9,8 @@ corpus). Same-pitch overlaps are paired first-in-first-out.
 from __future__ import annotations
 
 import logging
-import math
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 log = logging.getLogger("overpaint.midi")
@@ -146,33 +145,29 @@ def signature_at_bar(score: MidiScore, bar: int) -> tuple[int, int]:
     return num, den
 
 
-def bar_start_beat(score: MidiScore, bar: int) -> Fraction:
-    if bar < 0:
-        raise ValueError("negative bar index")
-    beat = Fraction(0)
-    prev_bar, num, den = score.time_signatures[0]
-    for b, n, d in score.time_signatures[1:]:
-        if b >= bar:
-            break
-        beat += (b - prev_bar) * bar_length(num, den)
-        prev_bar, num, den = b, n, d
-    return beat + (bar - prev_bar) * bar_length(num, den)
+def _signature_runs(score: MidiScore):
+    """(first bar, first beat, num, den) for each time-signature entry."""
+    beat, prev_bar, length = Fraction(0), 0, Fraction(0)
+    for bar, num, den in score.time_signatures:
+        beat += (bar - prev_bar) * length
+        yield bar, beat, num, den
+        prev_bar, length = bar, bar_length(num, den)
 
 
-def beat_to_bar(score: MidiScore, beat: Fraction) -> int:
-    """Index of the bar containing `beat`."""
-    beat = Fraction(beat)
-    if beat < 0:
-        raise ValueError("negative beat")
-    prev_bar, num, den = score.time_signatures[0]
-    start = Fraction(0)
-    for b, n, d in score.time_signatures[1:]:
-        seg_end = start + (b - prev_bar) * bar_length(num, den)
-        if seg_end > beat:
-            break
-        start = seg_end
-        prev_bar, num, den = b, n, d
-    return prev_bar + int((beat - start) // bar_length(num, den))
+def _bar_signatures(changes) -> list[tuple[int, int, int]]:
+    """Fold sorted beat-placed (beat, num, den) changes into normalized
+    (bar, num, den) entries. Bars run in 4/4 until the first change; a change
+    inside a bar takes effect at that bar's start."""
+    signatures = []
+    bar, bar_beat = 0, Fraction(0)
+    length = bar_length(*DEFAULT_TIME_SIGNATURE)
+    for beat, num, den in changes:
+        num, den = _normalize_signature(num, den)
+        whole = (beat - bar_beat) // length
+        bar, bar_beat = bar + whole, bar_beat + whole * length
+        signatures.append((bar, num, den))
+        length = bar_length(num, den)
+    return signatures
 
 
 def tempo_at(score: MidiScore, beat: Fraction) -> float:
@@ -223,58 +218,44 @@ def _round_half_up(x: Fraction) -> int:
 def quantize(score: MidiScore, grid: int) -> MidiScore:
     """Snap onsets and durations to the nearest 1/grid beat (durations >= 1/grid).
 
-    Idempotent; tempo map and time signatures pass through untouched.
+    Idempotent; tempo map and time signatures carry over through make_score.
     """
     if grid < 1:
         raise ValueError("grid must be positive")
-    g = Fraction(grid)
     notes = [
-        replace(
-            n,
-            onset=Fraction(_round_half_up(n.onset * g), grid),
-            duration=Fraction(max(_round_half_up(n.duration * g), 1), grid),
-        )
+        NoteEvent(n.pitch, Fraction(_round_half_up(n.onset * grid), grid),
+                  Fraction(max(_round_half_up(n.duration * grid), 1), grid), n.velocity)
         for n in score.notes
     ]
-    return MidiScore(
-        notes=sorted(notes, key=note_sort_key),
-        tempo_map=list(score.tempo_map),
-        time_signatures=list(score.time_signatures),
-        resolution=score.resolution,
-    )
+    return make_score(notes, score.tempo_map, score.time_signatures, score.resolution)
 
 
 def slice_beats(score: MidiScore, start, end) -> MidiScore:
     """Notes with start <= onset < end, re-based to 0, with tempo/signature
-    context at `start` carried into the slice."""
+    context at `start` carried into the slice through make_score. Its bars
+    count from the first bar line at or after `start`, so a slice that starts
+    inside a bar keeps the whole bars between later signature changes."""
     start, end = Fraction(start), Fraction(end)
     if start < 0 or end <= start:
         raise ValueError(f"bad slice range [{start}, {end})")
-    notes = [replace(n, onset=n.onset - start) for n in score.notes if start <= n.onset < end]
+    notes = [NoteEvent(n.pitch, n.onset - start, n.duration, n.velocity)
+             for n in score.notes if start <= n.onset < end]
 
     tempos = [(Fraction(0), tempo_at(score, start))]
     tempos += [(b - start, t) for b, t in score.tempo_map if start < b < end]
 
-    start_bar = beat_to_bar(score, start)
-    sig0 = signature_at_bar(score, start_bar)
-    sigs = [(0, *sig0)]
-    cursor_bar, cursor_beat = 0, Fraction(0)
-    cur_len = bar_length(*sig0)
-    for bar, num, den in score.time_signatures:
-        b = bar_start_beat(score, bar)
-        if not (start < b < end):
-            continue
-        rb = b - start
-        cursor_bar += int((rb - cursor_beat) // cur_len)
-        cursor_beat = rb
-        sigs.append((cursor_bar, num, den))
-        cur_len = bar_length(num, den)
-
-    return make_score(notes, tempos, sigs, score.resolution)
+    runs = list(_signature_runs(score))
+    _, run_beat, num, den = next(r for r in reversed(runs) if r[1] <= start)
+    length = bar_length(num, den)
+    first_line = run_beat - (run_beat - start) // length * length
+    changes = [(0, num, den)]
+    changes += [(b - first_line, n, d) for _, b, n, d in runs if start < b < end]
+    return make_score(notes, tempos, _bar_signatures(changes), score.resolution)
 
 
 def transpose(score: MidiScore, semitones: int) -> MidiScore:
-    """Shift every pitch; notes pushed outside 0-127 fold back by octaves."""
+    """Shift every pitch; notes pushed outside 0-127 fold back by octaves.
+    Tempo map and time signatures carry over through make_score."""
     notes = []
     for n in score.notes:
         p = n.pitch + semitones
@@ -282,13 +263,8 @@ def transpose(score: MidiScore, semitones: int) -> MidiScore:
             p -= 12
         while p < 0:
             p += 12
-        notes.append(replace(n, pitch=p))
-    return MidiScore(
-        notes=sorted(notes, key=note_sort_key),
-        tempo_map=list(score.tempo_map),
-        time_signatures=list(score.time_signatures),
-        resolution=score.resolution,
-    )
+        notes.append(NoteEvent(p, n.onset, n.duration, n.velocity))
+    return make_score(notes, score.tempo_map, score.time_signatures, score.resolution)
 
 
 # --- SMF byte-level helpers ---------------------------------------------------
@@ -398,21 +374,8 @@ def parse_midi(data: bytes) -> MidiScore:
         )
 
     tempo_map = [(Fraction(t, resolution), bpm) for t, bpm in sorted(tempos)]
-
-    # Time signature ticks fold into bar indices by walking earlier signatures.
-    signatures: list[tuple[int, int, int]] = []
-    prev_bar, prev_start = 0, Fraction(0)
-    cur_num, cur_den = DEFAULT_TIME_SIGNATURE
-    for tick, num, den in sorted(sig_ticks):
-        num, den = _normalize_signature(num, den)
-        beat = Fraction(tick, resolution)
-        cur_len = bar_length(cur_num, cur_den)
-        bar = prev_bar + int((beat - prev_start) // cur_len)
-        signatures.append((bar, num, den))
-        prev_start += (bar - prev_bar) * cur_len
-        prev_bar, cur_num, cur_den = bar, num, den
-
-    return make_score(notes, tempo_map, signatures, resolution)
+    changes = [(Fraction(t, resolution), num, den) for t, num, den in sorted(sig_ticks)]
+    return make_score(notes, tempo_map, _bar_signatures(changes), resolution)
 
 
 def _parse_track(body, note_events, tempos, sig_ticks) -> int:
@@ -475,10 +438,9 @@ def write_midi(score: MidiScore) -> bytes:
     # (tick, priority, payload); priority: meta 0, note-on 1, note-off 2 so a
     # re-parse reproduces FIFO pairing (see parse_midi).
     events: list[tuple[int, int, bytes]] = []
-    for bar, num, den in score.time_signatures:
-        tick = to_tick(bar_start_beat(score, bar))
+    for _, beat, num, den in _signature_runs(score):
         dd = den.bit_length() - 1
-        events.append((tick, 0, bytes([0xFF, _META_TIME_SIGNATURE, 4, num, dd, 24, 8])))
+        events.append((to_tick(beat), 0, bytes([0xFF, _META_TIME_SIGNATURE, 4, num, dd, 24, 8])))
     for beat, bpm in score.tempo_map:
         usec = round(60_000_000.0 / bpm)
         payload = usec.to_bytes(3, "big")

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import AdamState, NonFiniteError, Tensor
-from .tokenizer import BOS, EOS, MAX_LEN, PAD, SEP
+from .tokenizer import EOS, MAX_LEN, PAD, SEP
 
 CHECKPOINT_MAGIC = b"OVPT"
 CHECKPOINT_VERSION = 2

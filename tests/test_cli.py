@@ -10,7 +10,7 @@ from helpers import v1_with_nonzero_key_bias, write_corpus
 from overpaint.autodiff import NonFiniteError
 from overpaint.cli import main
 from overpaint.dataset import load_manifest
-from overpaint.midi_io import load_midi
+from overpaint.midi_io import NoteEvent, load_midi, make_score, save_midi
 from overpaint.model import ModelConfig, TransformerLM, load_checkpoint, save_checkpoint
 from overpaint.tokenizer import (
     BOS, EOS, SEP, build_vocabulary, detokenize_with_report, read_token_file,
@@ -107,6 +107,7 @@ def test_each_command_writes_one_sidecar(pipeline, command, primary, source, see
     assert any(name.startswith(str(pipeline[source])) for name in sidecar["inputs"])
     assert str(pipeline[primary]) in sidecar["outputs"]
     assert sidecar["wall_clock_seconds"] >= 0
+    assert sidecar["peak_rss_mb"] > 10  # this process's peak, numpy loaded
 
 
 @pytest.mark.parametrize("command", ["evaluate", "report"])
@@ -503,6 +504,32 @@ def test_extract_pairs_with_an_unreadable_performance(pipeline, tmp_path, capsys
     summary = capsys.readouterr().out
     assert "from 2 songs" in summary and "1 files skipped" in summary
     assert {p.song_id for p in load_manifest(out)} == {"greenlantern", "redharbor"}
+
+
+@pytest.mark.parametrize("strict", [False, True], ids=["skip", "strict"])
+def test_extract_pairs_with_a_song_that_cannot_be_aligned(pipeline, tmp_path, capsys, caplog,
+                                                          strict):
+    """A one-beat performance gives fewer chroma frames than its sheet has
+    chord slots, so that song alone is skipped, or under --strict fails."""
+    perfs = tmp_path / "perfs"
+    shutil.copytree(pipeline["perfs"], perfs)
+    save_midi(make_score([NoteEvent(60, 0, 1, 80)]), perfs / "Blue Garden.mid")
+    out = tmp_path / "pairs.jsonl"
+    argv = ["--quiet", "extract-pairs", "--performances", str(perfs),
+            "--leadsheets", str(pipeline["sheets"]), "--out", str(out)]
+    if strict:
+        assert main([*argv, "--strict"]) == 2
+        assert "Blue Garden.mid" in caplog.text and "infeasible" in caplog.text
+        assert list(tmp_path.glob("pairs*")) == []
+        return
+    assert main(argv) == 0
+    assert "skipping song" in caplog.text and "Blue Garden.mid" in caplog.text
+    assert "blue_garden.txt" in caplog.text and "infeasible" in caplog.text
+    summary = capsys.readouterr().out
+    assert "from 2 songs" in summary and "1 files skipped" in summary
+    assert {p.song_id for p in load_manifest(out)} == {"greenlantern", "redharbor"}
+    sidecar = json.loads(Path(str(out) + ".run.json").read_text())
+    assert not any("Blue Garden" in name or "blue_garden" in name for name in sidecar["inputs"])
 
 
 def test_extract_pairs_ignores_a_duplicate_lead_sheet(pipeline, tmp_path, capsys, caplog):

@@ -191,6 +191,20 @@ def test_parse_leadsheet_errors():
         parse_leadsheet("| C . xyz . |\n")  # bad chord names the line
 
 
+@pytest.mark.parametrize("row, message", [
+    ("0.0 200 1", "line 3: pitch '200' out of MIDI range"),
+    ("0.0 -1 1", "line 3: pitch '-1' out of MIDI range"),
+    ("0.0 G#9 1", "line 3: pitch 'G#9' out of MIDI range"),
+    ("0.0 60 1 300", "line 3: velocity '300' not an integer 1-127"),
+    ("0.0 60 1 0", "line 3: velocity '0' not an integer 1-127"),
+    ("0.0 60 1 x", "line 3: velocity 'x' not an integer 1-127"),
+    ("0.0 60 1 64.0", "line 3: velocity '64.0' not an integer 1-127"),
+])
+def test_melody_row_values_out_of_range_name_the_line(row, message):
+    with pytest.raises(LeadSheetError, match=f"^{message}$"):
+        parse_leadsheet(f"| C . . . |\nmelody:\n{row}\n")
+
+
 # --- segment realization ----------------------------------------------------------
 
 def test_original_segments_realize_chord_blocks():

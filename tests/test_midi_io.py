@@ -1,3 +1,4 @@
+import hashlib
 import logging
 import struct
 from fractions import Fraction as F
@@ -8,8 +9,7 @@ import pytest
 from overpaint.midi_io import (
     MidiParseError,
     NoteEvent,
-    bar_start_beat,
-    beat_to_bar,
+    _signature_runs,
     beats_to_seconds,
     bar_length,
     make_score,
@@ -91,6 +91,16 @@ def test_make_score_clamps_tempo_and_signature():
 
 # --- bar/beat/time walking ------------------------------------------------------
 
+def bar_starts(score, count):
+    """Start beats of the first `count` bars, read from the signature runs."""
+    runs = list(_signature_runs(score))
+    starts = []
+    for bar in range(count):
+        first_bar, first_beat, num, den = [r for r in runs if r[0] <= bar][-1]
+        starts.append(first_beat + (bar - first_bar) * bar_length(num, den))
+    return starts
+
+
 def test_bar_walk_across_signature_change():
     score = make_score(time_signatures=[(0, 3, 4), (2, 4, 4)])
     assert bar_length(3, 4) == F(3)
@@ -98,13 +108,24 @@ def test_bar_walk_across_signature_change():
     assert signature_at_bar(score, 1) == (3, 4)
     assert signature_at_bar(score, 5) == (4, 4)
     # bars start at 0, 3, 6, 10, 14, ...
-    assert [bar_start_beat(score, b) for b in range(5)] == [F(0), F(3), F(6), F(10), F(14)]
-    assert beat_to_bar(score, F(0)) == 0
-    assert beat_to_bar(score, F(29, 10)) == 0
-    assert beat_to_bar(score, F(3)) == 1
-    assert beat_to_bar(score, F(6)) == 2
-    assert beat_to_bar(score, F(99, 10)) == 2
-    assert beat_to_bar(score, F(10)) == 3
+    assert list(_signature_runs(score)) == [(0, F(0), 3, 4), (2, F(6), 4, 4)]
+    assert bar_starts(score, 5) == [F(0), F(3), F(6), F(10), F(14)]
+    # the written signature events sit at the runs' first beats
+    data = write_midi(score)
+    assert data.count(bytes([0xFF, 0x58])) == 2
+    assert bytes([0x00, 0xFF, 0x58, 4, 3, 2]) in data
+    assert vlq(6 * 480) + bytes([0xFF, 0x58, 4, 4, 2]) in data
+    # a slice opens with the signature of the bar holding its start, and
+    # counts its bars from the first bar line at or after that start
+    for start, want in [
+        (F(0), [(0, 3, 4), (2, 4, 4)]),
+        (F(29, 10), [(0, 3, 4), (1, 4, 4)]),
+        (F(3), [(0, 3, 4), (1, 4, 4)]),
+        (F(6), [(0, 4, 4)]),
+        (F(99, 10), [(0, 4, 4)]),
+        (F(10), [(0, 4, 4)]),
+    ]:
+        assert slice_beats(score, start, F(20)).time_signatures == want, start
 
 
 def test_time_conversion_piecewise_tempo():
@@ -295,7 +316,7 @@ def test_parse_normalizes_signatures_before_folding_bars():
     assert score.time_signatures == [(0, 12, 16), (2, 1, 8)]
     again = make_score(score.notes, score.tempo_map, [(0, 20, 32), (2, 0, 8)], 480)
     assert again.time_signatures == score.time_signatures
-    assert [bar_start_beat(score, b) for b in range(4)] == [F(0), F(3), F(6), F(13, 2)]
+    assert bar_starts(score, 4) == [F(0), F(3), F(6), F(13, 2)]
 
 
 def test_parse_mid_bar_signature_snaps_to_bar():
@@ -367,3 +388,57 @@ def test_write_midi_is_format_zero_single_track():
     _, fmt, ntrks, division = struct.unpack(">IHHH", data[4:14])
     assert (fmt, ntrks, division) == (0, 1, 480)
     assert data[14:18] == b"MTrk"
+
+
+# --- multi-signature oracle ----------------------------------------------------------
+
+def _sig_event(num: int, dd: int) -> bytes:
+    return bytes([0xFF, 0x58, 4, num, dd, 24, 8])
+
+
+def _multi_signature_smf() -> bytes:
+    """4/4, then 2/4 at bar 1, 20/32 (read as 12/16) at bar 3, 3/8 at bar 5,
+    and 6/8 declared mid-bar at beat 17.75 (inside the 3/8 bar at 17), with
+    a tempo change and 24 notes."""
+    res = 480
+    timed = [
+        (0, _sig_event(4, 2)),
+        (0, bytes([0xFF, 0x51, 3]) + (500000).to_bytes(3, "big")),
+        (4 * res, _sig_event(2, 2)),
+        (8 * res, _sig_event(20, 5)),
+        (10 * res, bytes([0xFF, 0x51, 3]) + (600000).to_bytes(3, "big")),
+        (14 * res, _sig_event(3, 3)),
+        (17 * res + 360, _sig_event(6, 3)),
+    ]
+    for i in range(24):
+        on = i * res + (i % 3) * 120
+        timed += [(on, bytes([0x90, 48 + i, 40 + i])), (on + 300, bytes([0x80, 48 + i, 0]))]
+    timed.sort(key=lambda e: e[0])
+    ticks = [0] + [t for t, _ in timed]
+    events = [(t - prev, payload) for prev, (t, payload) in zip(ticks, timed)]
+    return smf([track_chunk(events)])
+
+
+def test_multi_signature_oracle():
+    """Pinned parse, slice and write results for several signature changes."""
+    score = parse_midi(_multi_signature_smf())
+    assert score.time_signatures == [(0, 4, 4), (1, 2, 4), (3, 12, 16), (5, 3, 8), (7, 6, 8)]
+    slices = [
+        # mid-bar; the 3.5 beats left of the first 4/4 bar hold more than one 2/4 bar
+        (F(1, 2), F(30), [(0, 2, 4), (2, 12, 16), (4, 3, 8), (6, 6, 8)]),
+        (F(3), F(9), [(0, 2, 4), (2, 12, 16)]),
+        (F(9), F(30), [(0, 12, 16), (1, 3, 8), (3, 6, 8)]),
+        (F(15), F(30), [(0, 3, 8), (1, 6, 8)]),
+        (F(35, 2), F(30), [(0, 6, 8)]),
+        # on a bar
+        (F(4), F(30), [(0, 2, 4), (2, 12, 16), (4, 3, 8), (6, 6, 8)]),
+        (F(8), F(30), [(0, 12, 16), (2, 3, 8), (4, 6, 8)]),
+    ]
+    for start, end, want in slices:
+        assert slice_beats(score, start, end).time_signatures == want, start
+    digest = hashlib.sha256(write_midi(score)).hexdigest()
+    assert digest == "5ee55d96965ebff6bf3b2392a403630aaa2c1b01cbc578d3f697b900774e5364"
+    window = write_midi(slice_beats(score, F(1, 2), F(30)))
+    assert hashlib.sha256(window).hexdigest() == (
+        "c0aa753db32f4ad07bc4c51da9b69d87d3c53d122def39ba703928c823d0ad66"
+    )
