@@ -19,7 +19,7 @@ from .dataset import STATUSES, PairRecord
 from .leadsheet import LeadSheet, chord_template, original_segments
 from .midi_io import (
     MidiScore,
-    beats_to_seconds,
+    note_seconds,
     seconds_to_beats,
     slice_beats,
     snap_to_resolution,
@@ -72,16 +72,12 @@ def chroma_frames(performance: MidiScore, hop: float = DEFAULT_HOP_SECONDS) -> F
     """
     if hop <= 0:
         raise ValueError("hop must be positive")
-    if not performance.notes:
+    if not performance.tick_notes:
         raise AlignmentError("empty performance")
 
-    spans = []
-    total = 0.0
-    for n in performance.notes:
-        a = beats_to_seconds(performance, n.onset)
-        b = beats_to_seconds(performance, n.end)
-        spans.append((a, b, n.pitch % 12, n.velocity))
-        total = max(total, b)
+    spans = [(a, b, pitch % 12, velocity) for (a, b), (_, pitch, _, velocity)
+             in zip(note_seconds(performance), performance.tick_notes)]
+    total = max(b for _, b, _, _ in spans)
 
     n_frames = max(1, math.ceil(total / hop - 1e-9))
     frames = np.zeros((n_frames, 12))
@@ -216,7 +212,7 @@ def extract_pairs(
             dropped.append(f"{name}: degenerate beat span")
             continue
         variation = slice_beats(performance, b0, b1)
-        if not variation.notes:
+        if not variation.tick_notes:
             dropped.append(f"{name}: empty variation slice")
             continue
         confidence = float(np.mean(sim[in_window, path.states[in_window]]))

@@ -27,11 +27,14 @@ from fractions import Fraction
 import numpy as np
 
 from .midi_io import (
+    DEFAULT_RESOLUTION,
     MidiScore,
     NoteEvent,
     bar_length,
+    beats_to_ticks,
     make_score,
     note_sort_key,
+    score_from_ticks,
 )
 
 
@@ -353,38 +356,35 @@ class Segment:
 def original_segments(sheet: LeadSheet, window: int = 4) -> list[Segment]:
     """Tile the sheet into consecutive `window`-bar segments. Melody notes are
     carried as-is; each chord sounds as a root position block from its onset
-    to the next chord or the window end."""
+    to the next chord or the window end. Times round onto the tick grid of
+    DEFAULT_RESOLUTION as make_score rounds them."""
     if window < 1:
         raise ValueError("window must be positive")
 
+    res = DEFAULT_RESOLUTION
     bpb = sheet.beats_per_bar
+    melody = make_score(sheet.melody or (), resolution=res).tick_notes
     segments = []
     for start in range(0, sheet.n_bars - window + 1, window):
-        start_beat = start * bpb
-        end_beat = (start + window) * bpb
+        lo = beats_to_ticks(start * bpb, res)
+        hi = beats_to_ticks((start + window) * bpb, res)
         in_window = [(b, beat, ch) for b, beat, ch in sheet.chords if start <= b < start + window]
 
-        notes = []
-        for n in sheet.melody or ():
-            if start_beat <= n.onset < end_beat:
-                notes.append(NoteEvent(n.pitch, n.onset - start_beat, n.duration, n.velocity))
+        notes = [(on - lo, pitch, dur, vel) for on, pitch, dur, vel in melody if lo <= on < hi]
         for i, (b, beat, chord) in enumerate(in_window):
-            onset = (b - start) * bpb + beat
+            onset = beats_to_ticks((b - start) * bpb + beat, res)
             if i + 1 < len(in_window):
                 nb, nbeat, _ = in_window[i + 1]
-                until = (nb - start) * bpb + nbeat
+                until = beats_to_ticks((nb - start) * bpb + nbeat, res)
             else:
-                until = window * bpb
-            duration = until - onset
-            if duration <= 0:
+                until = beats_to_ticks(window * bpb, res)
+            if until <= onset:
                 continue
             base = _CHORD_BASE_PITCH + chord.root
-            for interval in chord_tones(chord):
-                notes.append(NoteEvent(base + interval, onset, duration, _CHORD_VELOCITY))
+            notes += [(onset, base + interval, until - onset, _CHORD_VELOCITY)
+                      for interval in chord_tones(chord)]
 
-        score = make_score(
-            notes,
-            time_signatures=[(0, *sheet.time_signature)],
-        )
+        score = score_from_ticks(notes, time_signatures=[(0, *sheet.time_signature)],
+                                 resolution=res)
         segments.append(Segment(start, score))
     return segments

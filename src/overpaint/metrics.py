@@ -36,18 +36,24 @@ class FeatureVector:
     ps: float
 
 
+def _pitch_classes(score: MidiScore) -> list[int]:
+    """Note count per pitch class 0-11."""
+    if not score.tick_notes:
+        raise ValueError("empty score")
+    counts = [0] * 12
+    for _, pitch, _, _ in score.tick_notes:
+        counts[pitch % 12] += 1
+    return counts
+
+
 def pitch_class_entropy(score: MidiScore) -> float:
     """Shannon entropy (bits) of the note-count pitch-class histogram.
 
     Terms are summed over sorted counts so transposition, which only permutes
     bins, leaves the result bitwise identical.
     """
-    if not score.notes:
-        raise ValueError("empty score")
-    counts = [0] * 12
-    for n in score.notes:
-        counts[n.pitch % 12] += 1
-    total = len(score.notes)
+    counts = _pitch_classes(score)
+    total = len(score.tick_notes)
     h = 0.0
     for c in sorted(counts):
         if c:
@@ -57,35 +63,40 @@ def pitch_class_entropy(score: MidiScore) -> float:
 
 
 def pitch_range(score: MidiScore) -> float:
-    if not score.notes:
+    if not score.tick_notes:
         raise ValueError("empty score")
-    pitches = [n.pitch for n in score.notes]
+    pitches = [n[1] for n in score.tick_notes]
     return float(max(pitches) - min(pitches))
 
 
 def polyphony(score: MidiScore) -> float:
     """Mean number of simultaneously sounding notes over occupied grid steps.
 
-    A note covers the 1/12-beat steps k with k/12 in [onset, onset + duration).
+    A note covers the 1/12-beat steps k with k/12 in [onset, onset + duration),
+    that is from ceil(onset * 12) up to ceil(end * 12), in ticks ceil-divided
+    by the resolution. Notes come sorted by onset, so the occupied steps are
+    one running union of those ranges.
     """
-    if not score.notes:
+    if not score.tick_notes:
         raise ValueError("empty score")
-    counts: dict[int, int] = {}
-    for n in score.notes:
-        first = math.ceil(n.onset * GRID)
-        last = math.ceil(n.end * GRID)  # exclusive
-        for k in range(first, last):
-            counts[k] = counts.get(k, 0) + 1
-    if not counts:
+    res = score.resolution
+    sounding = occupied = reach = 0  # reach: the end of the union so far
+    for on, _, dur, _ in score.tick_notes:
+        first, last = -(-on * GRID // res), -(-(on + dur) * GRID // res)  # last exclusive
+        if last > first:
+            sounding += last - first
+            occupied += max(last - max(first, reach), 0)
+            reach = max(reach, last)
+    if not occupied:
         # every duration shorter than one step and straddling no grid line
         return 0.0
-    return sum(counts.values()) / len(counts)
+    return sounding / occupied
 
 
 def n_pitches(score: MidiScore) -> float:
-    if not score.notes:
+    if not score.tick_notes:
         raise ValueError("empty score")
-    return float(len({n.pitch for n in score.notes}))
+    return float(len({n[1] for n in score.tick_notes}))
 
 
 def _scale_set(tonic: int, mode: str) -> frozenset[int]:
@@ -98,20 +109,16 @@ def pitch_in_scale(score: MidiScore, key: tuple[int, str] | None = None) -> floa
 
     With no key, the best fit over all 24 major/natural-minor keys is used.
     """
-    if not score.notes:
-        raise ValueError("empty score")
+    counts = _pitch_classes(score)
+    total = len(score.tick_notes)
     if key is not None:
         tonic, mode = key
         if mode not in ("major", "minor"):
             raise ValueError(f"bad mode: {mode}")
-        scale = _scale_set(tonic, mode)
-        hits = sum(1 for n in score.notes if n.pitch % 12 in scale)
-        return hits / len(score.notes)
-    return max(
-        pitch_in_scale(score, (tonic, mode))
-        for mode in ("major", "minor")
-        for tonic in range(12)
-    )
+        keys = [key]
+    else:
+        keys = [(tonic, mode) for mode in ("major", "minor") for tonic in range(12)]
+    return max(sum(counts[pc] for pc in _scale_set(*k)) / total for k in keys)
 
 
 def feature_vector(score: MidiScore, key: tuple[int, str] | None = None) -> FeatureVector:
@@ -155,7 +162,7 @@ def report(
     vectors = []
     skipped = 0
     for score, key in zip(scores, keys):
-        if not score.notes:
+        if not score.tick_notes:
             skipped += 1
             continue
         vectors.append(feature_vector(score, key))

@@ -1,17 +1,24 @@
 """Standard MIDI File reading/writing and score-level time operations.
 
-Scores keep note times in quarter-note beats as exact fractions so grid
-quantization, slicing, and file round-trips stay lossless. SMF formats 0 and 1
-are supported; all channels are merged into a single note stream (piano-only
-corpus). Same-pitch overlaps are paired first-in-first-out.
+A score keeps its notes as integer ticks at its own resolution (ticks per
+quarter note), the unit a file stores, so parsing, transposing, quantizing,
+slicing and writing are integer arithmetic and a file round-trips exactly.
+Beats are a derived view (`MidiScore.notes`); `make_score` rounds beat values
+onto the tick grid as a file write always has. The tempo map and time
+signatures stay in beats and bars. SMF formats 0 and 1 are supported; all
+channels are merged into a single note stream (piano-only corpus). Same-pitch
+overlaps are paired first-in-first-out.
 """
 
 from __future__ import annotations
 
 import logging
+import math
 import struct
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import itemgetter
 
 log = logging.getLogger("overpaint.midi")
 
@@ -67,11 +74,13 @@ def note_sort_key(note: NoteEvent):
 class MidiScore:
     """Notes plus tempo map (beat, BPM) and time signatures (bar, num, den).
 
-    Both maps are sorted, start at 0, and hold unique positions. `resolution`
-    is ticks per quarter note when the score is written to a file.
+    `tick_notes` holds one (onset, pitch, duration, velocity) int tuple per
+    note, sorted, with onset and duration in ticks at `resolution` (ticks per
+    quarter note) and every duration at least one tick. Both maps are sorted,
+    start at 0, and hold unique positions.
     """
 
-    notes: list[NoteEvent] = field(default_factory=list)
+    tick_notes: list[tuple[int, int, int, int]] = field(default_factory=list)
     tempo_map: list[tuple[Fraction, float]] = field(
         default_factory=lambda: [(Fraction(0), DEFAULT_BPM)]
     )
@@ -80,6 +89,13 @@ class MidiScore:
     )
     resolution: int = DEFAULT_RESOLUTION
 
+    @property
+    def notes(self) -> list[NoteEvent]:
+        """The notes in beats, in `tick_notes` order, built on every read."""
+        res = self.resolution
+        return [NoteEvent(p, Fraction(on, res), Fraction(dur, res), vel)
+                for on, p, dur, vel in self.tick_notes]
+
 
 def make_score(
     notes=(),
@@ -87,13 +103,30 @@ def make_score(
     time_signatures=None,
     resolution: int = DEFAULT_RESOLUTION,
 ) -> MidiScore:
-    """Build a normalized score: sorted notes, deduped maps anchored at 0."""
+    """Build a normalized score from beat-valued NoteEvents. Each onset and end
+    rounds half up onto the tick grid and a note keeps at least one tick, as
+    `write_midi` has always written them; the maps are deduped and anchored at 0."""
+    ticks = []
+    for n in notes:
+        on = beats_to_ticks(n.onset, resolution)
+        ticks.append((on, n.pitch, max(beats_to_ticks(n.end, resolution) - on, 1), n.velocity))
+    return score_from_ticks(ticks, tempo_map, time_signatures, resolution)
+
+
+def score_from_ticks(
+    tick_notes=(),
+    tempo_map=None,
+    time_signatures=None,
+    resolution: int = DEFAULT_RESOLUTION,
+) -> MidiScore:
+    """`make_score` for notes already in ticks: valid (onset, pitch, duration,
+    velocity) tuples at `resolution`, sorted here."""
     if resolution < 1:
         raise ValueError("resolution must be positive")
     tempos = [(Fraction(b), float(bpm)) for b, bpm in (tempo_map or [])]
     sigs = [(int(b), int(n), int(d)) for b, n, d in (time_signatures or [])]
     return MidiScore(
-        notes=sorted(notes, key=note_sort_key),
+        tick_notes=sorted(tick_notes),
         tempo_map=_normalize_tempos(tempos),
         time_signatures=_normalize_signatures(sigs),
         resolution=resolution,
@@ -182,14 +215,29 @@ def tempo_at(score: MidiScore, beat: Fraction) -> float:
 def beats_to_seconds(score: MidiScore, beat: Fraction) -> float:
     """Seconds from beat 0 under the piecewise-constant tempo map."""
     beat = Fraction(beat)
+    return _seconds_at(score, beat.numerator, beat.denominator)
+
+
+def note_seconds(score: MidiScore) -> list[tuple[float, float]]:
+    """(start, end) seconds of each note in `tick_notes`, as beats_to_seconds
+    gives them, without building a Fraction per note."""
+    res = score.resolution
+    return [(_seconds_at(score, on, res), _seconds_at(score, on + dur, res))
+            for on, _, dur, _ in score.tick_notes]
+
+
+def _seconds_at(score: MidiScore, num: int, den: int) -> float:
+    """Seconds at beat num/den. The last segment is one correctly rounded
+    integer division, so it equals float() of the exact Fraction difference."""
     total = 0.0
     prev_beat, prev_bpm = score.tempo_map[0]
     for b, bpm in score.tempo_map[1:]:
-        if b >= beat:
+        if b.numerator * den >= num * b.denominator:
             break
         total += float(b - prev_beat) * 60.0 / prev_bpm
         prev_beat, prev_bpm = b, bpm
-    return total + float(beat - prev_beat) * 60.0 / prev_bpm
+    d = prev_beat.denominator
+    return total + (num * d - prev_beat.numerator * den) / (den * d) * 60.0 / prev_bpm
 
 
 def seconds_to_beats(score: MidiScore, seconds: float) -> float:
@@ -211,60 +259,66 @@ def snap_to_resolution(beats: float, resolution: int) -> Fraction:
     return Fraction(round(beats * resolution), resolution)
 
 
-def _round_half_up(x: Fraction) -> int:
-    return int((2 * x + 1) // 2)
+def beats_to_ticks(beat, resolution: int) -> int:
+    """The tick nearest `beat` at `resolution`; a half tick rounds up."""
+    return int((2 * Fraction(beat) * resolution + 1) // 2)
 
 
 def quantize(score: MidiScore, grid: int) -> MidiScore:
-    """Snap onsets and durations to the nearest 1/grid beat (durations >= 1/grid).
-
-    Idempotent; tempo map and time signatures carry over through make_score.
-    """
+    """Snap onsets and durations to the nearest 1/grid beat, half up (durations
+    >= 1/grid). Idempotent. The result keeps the score's resolution when grid
+    divides it, else takes lcm(resolution, grid); the tempo map and time
+    signatures carry over."""
     if grid < 1:
         raise ValueError("grid must be positive")
-    notes = [
-        NoteEvent(n.pitch, Fraction(_round_half_up(n.onset * grid), grid),
-                  Fraction(max(_round_half_up(n.duration * grid), 1), grid), n.velocity)
-        for n in score.notes
-    ]
-    return make_score(notes, score.tempo_map, score.time_signatures, score.resolution)
+    res = score.resolution
+    out = res if res % grid == 0 else math.lcm(res, grid)
+    scale, twice = out // grid, 2 * res
+    # round_half_up(t * grid / res) == (2 * t * grid + res) // (2 * res)
+    ticks = [((2 * on * grid + res) // twice * scale, p,
+              max((2 * dur * grid + res) // twice, 1) * scale, vel)
+             for on, p, dur, vel in score.tick_notes]
+    return score_from_ticks(ticks, score.tempo_map, score.time_signatures, out)
 
 
 def slice_beats(score: MidiScore, start, end) -> MidiScore:
     """Notes with start <= onset < end, re-based to 0, with tempo/signature
-    context at `start` carried into the slice through make_score. Its bars
-    count from the first bar line at or after `start`, so a slice that starts
-    inside a bar keeps the whole bars between later signature changes."""
+    context at `start` carried into the slice. Both bounds must lie on the
+    score's tick grid. A later signature change keeps its beat in the slice,
+    and like any change inside a bar it takes effect at that bar's start."""
     start, end = Fraction(start), Fraction(end)
     if start < 0 or end <= start:
         raise ValueError(f"bad slice range [{start}, {end})")
-    notes = [NoteEvent(n.pitch, n.onset - start, n.duration, n.velocity)
-             for n in score.notes if start <= n.onset < end]
+    res = score.resolution
+    lo, hi = start * res, end * res
+    if lo.denominator != 1 or hi.denominator != 1:
+        raise ValueError(f"slice range [{start}, {end}) is off the 1/{res}-beat tick grid")
+    lo, hi = int(lo), int(hi)
+    notes = score.tick_notes
+    ticks = [(on - lo, p, dur, vel)
+             for on, p, dur, vel in notes[bisect_left(notes, (lo,)):bisect_left(notes, (hi,))]]
 
     tempos = [(Fraction(0), tempo_at(score, start))]
     tempos += [(b - start, t) for b, t in score.tempo_map if start < b < end]
 
     runs = list(_signature_runs(score))
-    _, run_beat, num, den = next(r for r in reversed(runs) if r[1] <= start)
-    length = bar_length(num, den)
-    first_line = run_beat - (run_beat - start) // length * length
-    changes = [(0, num, den)]
-    changes += [(b - first_line, n, d) for _, b, n, d in runs if start < b < end]
-    return make_score(notes, tempos, _bar_signatures(changes), score.resolution)
+    _, _, num, den = next(r for r in reversed(runs) if r[1] <= start)
+    changes = [(0, num, den)] + [(b - start, n, d) for _, b, n, d in runs if start < b < end]
+    return score_from_ticks(ticks, tempos, _bar_signatures(changes), res)
 
 
 def transpose(score: MidiScore, semitones: int) -> MidiScore:
     """Shift every pitch; notes pushed outside 0-127 fold back by octaves.
-    Tempo map and time signatures carry over through make_score."""
-    notes = []
-    for n in score.notes:
-        p = n.pitch + semitones
+    Tempo map and time signatures carry over."""
+    ticks = []
+    for on, p, dur, vel in score.tick_notes:
+        p += semitones
         while p > 127:
             p -= 12
         while p < 0:
             p += 12
-        notes.append(NoteEvent(p, n.onset, n.duration, n.velocity))
-    return make_score(notes, score.tempo_map, score.time_signatures, score.resolution)
+        ticks.append((on, p, dur, vel))
+    return score_from_ticks(ticks, score.tempo_map, score.time_signatures, score.resolution)
 
 
 # --- SMF byte-level helpers ---------------------------------------------------
@@ -343,42 +397,32 @@ def parse_midi(data: bytes) -> MidiScore:
 
     # FIFO pairing per pitch; note-ons sort before note-offs at equal ticks so
     # legato re-strikes close the older note.
-    note_events.sort(key=lambda e: (e[0], e[1]))
+    note_events.sort(key=itemgetter(0, 1))
     open_notes: dict[int, list[tuple[int, int]]] = {}
-    raw_notes: list[tuple[int, int, int, int]] = []  # (on_tick, off_tick, pitch, vel)
+    ticks: list[tuple[int, int, int, int]] = []  # (onset, pitch, duration, velocity)
     for tick, kind, pitch, velocity in note_events:
         if kind == _ON:
-            open_notes.setdefault(pitch, []).append((tick, velocity))
+            open_notes.setdefault(pitch, []).append((tick, min(velocity, 127)))
         else:
             queue = open_notes.get(pitch)
             if not queue:
                 log.warning("dangling note-off for pitch %d at tick %d", pitch, tick)
                 continue
             on_tick, vel = queue.pop(0)
-            raw_notes.append((on_tick, tick, pitch, vel))
+            ticks.append((on_tick, pitch, max(tick - on_tick, 1), vel))
     for pitch, queue in open_notes.items():
         for on_tick, vel in queue:
             log.warning("dangling note-on for pitch %d at tick %d; clipped", pitch, on_tick)
-            raw_notes.append((on_tick, max_tick, pitch, vel))
-
-    notes = []
-    for on_tick, off_tick, pitch, vel in raw_notes:
-        dur_ticks = max(off_tick - on_tick, 1)
-        notes.append(
-            NoteEvent(
-                pitch=pitch,
-                onset=Fraction(on_tick, resolution),
-                duration=Fraction(dur_ticks, resolution),
-                velocity=min(max(vel, 1), 127),
-            )
-        )
+            ticks.append((on_tick, pitch, max(max_tick - on_tick, 1), vel))
 
     tempo_map = [(Fraction(t, resolution), bpm) for t, bpm in sorted(tempos)]
     changes = [(Fraction(t, resolution), num, den) for t, num, den in sorted(sig_ticks)]
-    return make_score(notes, tempo_map, _bar_signatures(changes), resolution)
+    return score_from_ticks(ticks, tempo_map, _bar_signatures(changes), resolution)
 
 
 def _parse_track(body, note_events, tempos, sig_ticks) -> int:
+    """Append one track's events; returns its last tick. Only channel events
+    set the running status: meta and sysex events leave it in place."""
     pos = 0
     tick = 0
     status = None
@@ -387,14 +431,17 @@ def _parse_track(body, note_events, tempos, sig_ticks) -> int:
         tick += delta
         if pos >= len(body):
             raise MidiParseError("truncated event")
-        byte = body[pos]
-        if byte & 0x80:
-            status = byte
+        kind = body[pos]
+        if kind & 0x80:
             pos += 1
+            if kind < 0xF0:
+                status = kind
         elif status is None:
             raise MidiParseError("data byte with no running status")
+        else:
+            kind = status
 
-        if status == 0xFF:
+        if kind == 0xFF:
             if pos >= len(body):
                 raise MidiParseError("truncated meta event")
             meta_type = body[pos]
@@ -411,51 +458,50 @@ def _parse_track(body, note_events, tempos, sig_ticks) -> int:
                 sig_ticks.append((tick, payload[0], 1 << payload[1]))
             elif meta_type == _META_END_OF_TRACK:
                 return tick
-        elif status in (0xF0, 0xF7):
+        elif kind in (0xF0, 0xF7):
             length, pos = _read_varlen(body, pos)
             pos += length
         else:
-            hi = status & 0xF0
+            hi = kind & 0xF0
             n_data = 1 if hi in (0xC0, 0xD0) else 2
             if pos + n_data > len(body):
                 raise MidiParseError("truncated channel event")
             d = body[pos : pos + n_data]
             pos += n_data
-            if hi == 0x90 and d[1] > 0:
-                note_events.append((tick, _ON, d[0], d[1]))
-            elif hi == 0x80 or (hi == 0x90 and d[1] == 0):
-                note_events.append((tick, _OFF, d[0], 0))
+            if hi == 0x80 or hi == 0x90:
+                if d[0] > 0x7F:
+                    raise MidiParseError(f"note event with pitch byte {d[0]}")
+                if hi == 0x90 and d[1] > 0:
+                    note_events.append((tick, _ON, d[0], d[1]))
+                else:
+                    note_events.append((tick, _OFF, d[0], 0))
     return tick
 
 
 def write_midi(score: MidiScore) -> bytes:
-    """Serialize to SMF format 0. Beats round to the score's tick grid."""
+    """Serialize to SMF format 0 at the score's resolution. Notes are written
+    at their ticks; tempo and signature beats round half up to the grid."""
     res = score.resolution
-
-    def to_tick(beat: Fraction) -> int:
-        return _round_half_up(Fraction(beat) * res)
-
     # (tick, priority, payload); priority: meta 0, note-on 1, note-off 2 so a
     # re-parse reproduces FIFO pairing (see parse_midi).
     events: list[tuple[int, int, bytes]] = []
     for _, beat, num, den in _signature_runs(score):
-        dd = den.bit_length() - 1
-        events.append((to_tick(beat), 0, bytes([0xFF, _META_TIME_SIGNATURE, 4, num, dd, 24, 8])))
+        meta = bytes([0xFF, _META_TIME_SIGNATURE, 4, num, den.bit_length() - 1, 24, 8])
+        events.append((beats_to_ticks(beat, res), 0, meta))
     for beat, bpm in score.tempo_map:
         usec = round(60_000_000.0 / bpm)
         payload = usec.to_bytes(3, "big")
-        events.append((to_tick(beat), 0, bytes([0xFF, _META_TEMPO, 3]) + payload))
-    for n in score.notes:
-        on = to_tick(n.onset)
-        off = max(to_tick(n.end), on + 1)
-        events.append((on, 1, bytes([0x90, n.pitch, n.velocity])))
-        events.append((off, 2, bytes([0x80, n.pitch, 0])))
+        events.append((beats_to_ticks(beat, res), 0, bytes([0xFF, _META_TEMPO, 3]) + payload))
+    for on, pitch, dur, vel in score.tick_notes:
+        events.append((on, 1, bytes((0x90, pitch, vel))))
+        events.append((on + dur, 2, bytes((0x80, pitch, 0))))
 
-    events.sort(key=lambda e: (e[0], e[1]))
+    events.sort(key=itemgetter(0, 1))
     out = bytearray()
     prev_tick = 0
     for tick, _, payload in events:
-        out += _write_varlen(tick - prev_tick)
+        delta = tick - prev_tick
+        out += _write_varlen(delta) if delta > 0x7F else bytes((delta,))
         out += payload
         prev_tick = tick
     out += _write_varlen(0) + bytes([0xFF, _META_END_OF_TRACK, 0])

@@ -21,18 +21,17 @@ from pathlib import Path
 import numpy as np
 
 from .midi_io import (
+    DEFAULT_RESOLUTION,
     NUMERATOR_MAX,
     SUPPORTED_DENOMINATORS,
     MidiScore,
-    NoteEvent,
-    bar_length,
-    make_score,
-    note_sort_key,
+    score_from_ticks,
     signature_at_bar,
     tempo_at,
 )
 
 GRID = 12  # subdivisions per quarter note
+_TICKS_PER_STEP = DEFAULT_RESOLUTION // GRID  # detokenized scores sit at DEFAULT_RESOLUTION
 PAD, BOS, EOS, SEP = 0, 1, 2, 3
 
 TEMPO_BINS = 32
@@ -208,48 +207,49 @@ def load_vocabulary(path) -> Vocabulary:
 # --- encoding -----------------------------------------------------------------
 
 
-def _as_grid_steps(value: Fraction, what: str, context: str) -> int:
-    scaled = value * GRID
-    if scaled.denominator != 1:
-        raise TokenizeError(f"{what} {value} of {context} is off the 1/{GRID} grid")
-    return int(scaled)
+def _grid_steps(ticks: int, resolution: int, what: str, index: int) -> int:
+    steps, rest = divmod(ticks * GRID, resolution)
+    if rest:
+        raise TokenizeError(f"{what} {Fraction(ticks, resolution)} of note {index} "
+                            f"is off the 1/{GRID} grid")
+    return steps
 
 
 def tokenize(score: MidiScore, vocab: Vocabulary | None = None) -> list[int]:
     """Encode a grid-quantized score. Raises TokenizeError on off-grid notes."""
     vocab = vocab or build_vocabulary()
-    notes = sorted(score.notes, key=note_sort_key)
+    res = score.resolution
+    notes = [(_grid_steps(on, res, "onset", i), pitch, _grid_steps(dur, res, "duration", i), vel)
+             for i, (on, pitch, dur, vel) in enumerate(score.tick_notes)]
 
-    last_onset = notes[-1].onset if notes else Fraction(0)
+    last_onset = notes[-1][0] if notes else 0
     tokens: list[int] = []
     prev_sig: tuple[int, int] | None = None
     prev_tempo_bin: int | None = None
     note_i = 0
     bar = 0
-    bar_start = Fraction(0)
+    bar_start = 0  # grid steps, as are the note times
     while bar_start <= last_onset or bar == 0:
         sig = signature_at_bar(score, bar)
-        length = bar_length(*sig)
         tokens.append(vocab.bar)
         if sig != prev_sig:
             tokens.append(vocab.timesig(*sig))
             prev_sig = sig
-        tempo_bin = vocab.tempo_bin(tempo_at(score, bar_start))
+        tempo_bin = vocab.tempo_bin(tempo_at(score, Fraction(bar_start, GRID)))
         if tempo_bin != prev_tempo_bin:
             tokens.append(vocab.tempo(tempo_bin))
             prev_tempo_bin = tempo_bin
 
-        bar_end = bar_start + length
+        bar_end = bar_start + steps_per_bar(*sig)
         current_position = None
-        while note_i < len(notes) and notes[note_i].onset < bar_end:
-            n = notes[note_i]
-            step = _as_grid_steps(n.onset - bar_start, "onset", f"note {note_i}")
+        while note_i < len(notes) and notes[note_i][0] < bar_end:
+            onset, pitch, dur_steps, velocity = notes[note_i]
+            step = onset - bar_start
             if step != current_position:
                 tokens.append(vocab.position(step))
                 current_position = step
-            dur_steps = _as_grid_steps(n.duration, "duration", f"note {note_i}")
-            tokens.append(vocab.pitch(n.pitch))
-            tokens.append(vocab.velocity(velocity_bin(n.velocity)))
+            tokens.append(vocab.pitch(pitch))
+            tokens.append(vocab.velocity(velocity_bin(velocity)))
             tokens.append(vocab.duration(dur_steps))
             note_i += 1
         bar_start = bar_end
@@ -270,12 +270,12 @@ def detokenize_with_report(tokens, vocab: Vocabulary | None = None) -> tuple[Mid
     """
     vocab = vocab or build_vocabulary()
     repairs: list[str] = []
-    notes: list[NoteEvent] = []
+    notes: list[tuple[int, int, int, int]] = []  # ticks at DEFAULT_RESOLUTION
     tempo_map: list[tuple[Fraction, float]] = []
     signatures: list[tuple[int, int, int]] = []
 
     bar = -1
-    bar_start = Fraction(0)
+    bar_start = 0  # in grid steps
     sig = (4, 4)
     position: int | None = None
     pending_pitch: int | None = None
@@ -290,7 +290,7 @@ def detokenize_with_report(tokens, vocab: Vocabulary | None = None) -> tuple[Mid
     def open_bar() -> None:
         nonlocal bar, bar_start, position
         if bar >= 0:
-            bar_start += bar_length(*sig)
+            bar_start += steps_per_bar(*sig)
         bar += 1
         position = None
 
@@ -306,9 +306,8 @@ def detokenize_with_report(tokens, vocab: Vocabulary | None = None) -> tuple[Mid
             elif family == "Velocity":
                 pending_velocity = value
             else:
-                onset = bar_start + Fraction(position, GRID)
-                velocity = velocity_center(pending_velocity)
-                notes.append(NoteEvent(pending_pitch, onset, Fraction(value, GRID), velocity))
+                notes.append(((bar_start + position) * _TICKS_PER_STEP, pending_pitch,
+                              value * _TICKS_PER_STEP, velocity_center(pending_velocity)))
                 pending_pitch = pending_velocity = None
             continue
         drop_pending(f"token {i}: {family} interrupts a note triple")
@@ -318,7 +317,7 @@ def detokenize_with_report(tokens, vocab: Vocabulary | None = None) -> tuple[Mid
             sig = value
             signatures.append((max(bar, 0), *sig))
         elif family == "Tempo":
-            tempo_map.append((bar_start, vocab.tempo_centers[value]))
+            tempo_map.append((Fraction(bar_start, GRID), vocab.tempo_centers[value]))
         elif family == "Position":
             if bar < 0:
                 repairs.append(f"token {i}: Position before any Bar, Bar inserted")
@@ -335,7 +334,7 @@ def detokenize_with_report(tokens, vocab: Vocabulary | None = None) -> tuple[Mid
                 pending_pitch = value
     drop_pending("sequence ended inside a note triple")
 
-    return make_score(notes, tempo_map, signatures), repairs
+    return score_from_ticks(notes, tempo_map, signatures), repairs
 
 
 # --- pair assembly ------------------------------------------------------------

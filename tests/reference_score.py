@@ -1,0 +1,112 @@
+"""Fraction-valued score operations used only to cross-check the tick paths.
+
+The same rules `overpaint.midi_io` and `overpaint.tokenizer` implemented when
+scores kept beat values as exact fractions: notes are plain
+(pitch, onset, duration, velocity) rows in beats, and nothing here touches a
+score's `tick_notes`. The tempo map and time signatures are read from the
+score they came with, through the map walkers, which the tick paths share.
+"""
+
+import struct
+from fractions import Fraction
+
+from overpaint.midi_io import bar_length, signature_at_bar, tempo_at
+
+GRID = 12
+
+
+def rows(tick_notes, resolution):
+    """(pitch, onset, duration, velocity) beat rows of (onset, pitch, duration, velocity) ticks."""
+    return [(p, Fraction(on, resolution), Fraction(dur, resolution), vel)
+            for on, p, dur, vel in tick_notes]
+
+
+def _round_half_up(x: Fraction) -> int:
+    return int((2 * x + 1) // 2)
+
+
+def _sort(note_rows):
+    return sorted(note_rows, key=lambda n: (n[1], n[0], n[2], n[3]))
+
+
+def quantize(note_rows, grid):
+    """Onsets and durations to the nearest 1/grid beat, half up, durations >= 1/grid."""
+    return _sort((p, Fraction(_round_half_up(on * grid), grid),
+                  Fraction(max(_round_half_up(dur * grid), 1), grid), vel)
+                 for p, on, dur, vel in note_rows)
+
+
+def tokenize(note_rows, score, vocab):
+    """REMI ids of grid-quantized beat rows under `score`'s maps."""
+    notes = _sort(note_rows)
+    last_onset = notes[-1][1] if notes else Fraction(0)
+    tokens, prev_sig, prev_tempo = [], None, None
+    note_i, bar, bar_start = 0, 0, Fraction(0)
+    while bar_start <= last_onset or bar == 0:
+        sig = signature_at_bar(score, bar)
+        tokens.append(vocab.bar)
+        if sig != prev_sig:
+            tokens.append(vocab.timesig(*sig))
+            prev_sig = sig
+        tempo = vocab.tempo_bin(tempo_at(score, bar_start))
+        if tempo != prev_tempo:
+            tokens.append(vocab.tempo(tempo))
+            prev_tempo = tempo
+        bar_end = bar_start + bar_length(*sig)
+        position = None
+        while note_i < len(notes) and notes[note_i][1] < bar_end:
+            p, on, dur, vel = notes[note_i]
+            step = (on - bar_start) * GRID
+            steps = dur * GRID
+            assert step.denominator == 1 and steps.denominator == 1, "off the grid"
+            if step != position:
+                tokens.append(vocab.position(int(step)))
+                position = step
+            tokens += [vocab.pitch(p), vocab.velocity(min(vel // 4, 31)),
+                       vocab.duration(int(steps))]
+            note_i += 1
+        bar_start, bar = bar_end, bar + 1
+    return tokens
+
+
+def _varlen(value):
+    out = [value & 0x7F]
+    value >>= 7
+    while value:
+        out.append(0x80 | (value & 0x7F))
+        value >>= 7
+    return bytes(reversed(out))
+
+
+def write_midi(note_rows, score):
+    """Format-0 SMF bytes of beat rows under `score`'s maps and resolution:
+    every beat value rounds half up to the tick grid, notes last >= 1 tick."""
+    res = score.resolution
+
+    def tick(beat):
+        return _round_half_up(Fraction(beat) * res)
+
+    events = []
+    sigs = score.time_signatures
+    beat = Fraction(0)
+    for i, (bar, num, den) in enumerate(sigs):
+        if i:
+            prev_bar, prev_num, prev_den = sigs[i - 1]
+            beat += (bar - prev_bar) * Fraction(4 * prev_num, prev_den)
+        meta = bytes([0xFF, 0x58, 4, num, den.bit_length() - 1, 24, 8])
+        events.append((tick(beat), 0, meta))
+    for beat, bpm in score.tempo_map:
+        usec = round(60_000_000.0 / bpm)
+        events.append((tick(beat), 0, bytes([0xFF, 0x51, 3]) + usec.to_bytes(3, "big")))
+    for p, on, dur, vel in _sort(note_rows):
+        start = tick(on)
+        events.append((start, 1, bytes([0x90, p, vel])))
+        events.append((max(tick(on + dur), start + 1), 2, bytes([0x80, p, 0])))
+    events.sort(key=lambda e: (e[0], e[1]))
+    body, prev = bytearray(), 0
+    for t, _, payload in events:
+        body += _varlen(t - prev) + payload
+        prev = t
+    body += bytes([0, 0xFF, 0x2F, 0])
+    return (b"MThd" + struct.pack(">IHHH", 6, 0, 1, res)
+            + b"MTrk" + struct.pack(">I", len(body)) + bytes(body))

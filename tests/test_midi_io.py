@@ -12,11 +12,11 @@ from overpaint.midi_io import (
     _signature_runs,
     beats_to_seconds,
     bar_length,
+    beats_to_ticks,
     make_score,
     note_sort_key,
     parse_midi,
     quantize,
-    _round_half_up,
     seconds_to_beats,
     signature_at_bar,
     slice_beats,
@@ -115,8 +115,8 @@ def test_bar_walk_across_signature_change():
     assert data.count(bytes([0xFF, 0x58])) == 2
     assert bytes([0x00, 0xFF, 0x58, 4, 3, 2]) in data
     assert vlq(6 * 480) + bytes([0xFF, 0x58, 4, 4, 2]) in data
-    # a slice opens with the signature of the bar holding its start, and
-    # counts its bars from the first bar line at or after that start
+    # a slice opens with the signature of the bar holding its start, and a
+    # later change takes effect at the slice bar holding its slice beat
     for start, want in [
         (F(0), [(0, 3, 4), (2, 4, 4)]),
         (F(29, 10), [(0, 3, 4), (1, 4, 4)]),
@@ -143,10 +143,11 @@ def test_time_conversion_piecewise_tempo():
 
 
 def test_round_half_up_and_snap():
-    assert _round_half_up(F(1, 2)) == 1
-    assert _round_half_up(F(3, 2)) == 2
-    assert _round_half_up(F(5, 2)) == 3
-    assert _round_half_up(F(7, 4)) == 2
+    assert beats_to_ticks(F(1, 2), 1) == 1
+    assert beats_to_ticks(F(3, 2), 1) == 2
+    assert beats_to_ticks(F(5, 2), 1) == 3
+    assert beats_to_ticks(F(7, 4), 1) == 2
+    assert beats_to_ticks(F(1, 960), 480) == 1 and beats_to_ticks(F(1, 961), 480) == 0
     assert snap_to_resolution(0.5004, 480) == F(1, 2)
     assert snap_to_resolution(1.0, 480) == F(1)
 
@@ -271,6 +272,32 @@ def test_parse_running_status_and_velocity_zero_off():
         (60, F(0), F(1)),
         (62, F(1), F(1, 2)),
     ]
+
+
+def test_running_status_survives_meta_and_sysex_events():
+    """Meta and sysex events leave the last channel status in place, so data
+    bytes after them continue the note-on running status."""
+    events = [
+        (0, bytes([0x90, 60, 64])),
+        (0, bytes([0xFF, 0x51, 3]) + (500000).to_bytes(3, "big")),  # tempo meta
+        (480, bytes([60, 0])),                                        # note-on status kept: off
+        (0, bytes([0xF0, 2, 0x7E, 0xF7])),                            # sysex
+        (0, bytes([62, 72])),                                         # still note-on
+        (240, bytes([62, 0])),
+    ]
+    score = parse_midi(smf([track_chunk(events)]))
+    assert score.tick_notes == [(0, 60, 480, 64), (480, 62, 240, 72)]
+    assert score.tempo_map == [(F(0), 120.0)]
+    # a data byte with no channel event before it still has no status to run on
+    orphan = [(0, bytes([0xFF, 0x51, 3]) + (500000).to_bytes(3, "big")), (0, bytes([60, 64]))]
+    with pytest.raises(MidiParseError, match="no running status"):
+        parse_midi(smf([track_chunk(orphan)]))
+
+
+def test_note_pitch_byte_above_127_is_a_parse_error():
+    events = [(0, bytes([0x90, 0x80 | 60, 64])), (480, bytes([0x80, 60, 0]))]
+    with pytest.raises(MidiParseError, match="pitch byte 188"):
+        parse_midi(smf([track_chunk(events)]))
 
 
 def test_parse_merges_tracks_and_reads_metas():
@@ -424,10 +451,11 @@ def test_multi_signature_oracle():
     score = parse_midi(_multi_signature_smf())
     assert score.time_signatures == [(0, 4, 4), (1, 2, 4), (3, 12, 16), (5, 3, 8), (7, 6, 8)]
     slices = [
-        # mid-bar; the 3.5 beats left of the first 4/4 bar hold more than one 2/4 bar
-        (F(1, 2), F(30), [(0, 2, 4), (2, 12, 16), (4, 3, 8), (6, 6, 8)]),
+        # mid-bar: each later change sits at its slice beat and takes effect at
+        # the start of the slice bar holding it (2/4 at slice beat 3.5 opens bar 0)
+        (F(1, 2), F(30), [(0, 2, 4), (3, 12, 16), (5, 3, 8), (8, 6, 8)]),
         (F(3), F(9), [(0, 2, 4), (2, 12, 16)]),
-        (F(9), F(30), [(0, 12, 16), (1, 3, 8), (3, 6, 8)]),
+        (F(9), F(30), [(0, 12, 16), (1, 3, 8), (4, 6, 8)]),
         (F(15), F(30), [(0, 3, 8), (1, 6, 8)]),
         (F(35, 2), F(30), [(0, 6, 8)]),
         # on a bar
@@ -440,5 +468,5 @@ def test_multi_signature_oracle():
     assert digest == "5ee55d96965ebff6bf3b2392a403630aaa2c1b01cbc578d3f697b900774e5364"
     window = write_midi(slice_beats(score, F(1, 2), F(30)))
     assert hashlib.sha256(window).hexdigest() == (
-        "c0aa753db32f4ad07bc4c51da9b69d87d3c53d122def39ba703928c823d0ad66"
+        "5aa83a5c75c63d10ef69ee0db8507f53e1d51ecf16768278bae7dd2384191057"
     )

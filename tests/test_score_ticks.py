@@ -1,0 +1,100 @@
+"""The integer-tick score paths against the Fraction reference in reference_score.py."""
+
+import math
+from fractions import Fraction as F
+
+import numpy as np
+import pytest
+
+import reference_metrics
+import reference_score as ref
+
+from overpaint.metrics import polyphony
+from overpaint.midi_io import (
+    NoteEvent,
+    make_score,
+    parse_midi,
+    quantize,
+    score_from_ticks,
+    slice_beats,
+    write_midi,
+)
+from overpaint.tokenizer import build_vocabulary, tokenize
+
+VOCAB = build_vocabulary()
+RESOLUTIONS = (480, 96, 100)
+
+
+def random_tick_score(rng, res):
+    """Distinct pitches (so FIFO pairing re-reads every note as written), random
+    ticks, a tempo change and up to two signature changes on the tick grid."""
+    n = int(rng.integers(1, 40))
+    pitches = rng.choice(128, size=n, replace=False)
+    ticks = [(int(rng.integers(0, 24 * res)), int(p), int(rng.integers(1, 4 * res)),
+              int(rng.integers(1, 128))) for p in pitches]
+    tempo = [(0, 120.0), (F(int(rng.integers(1, 64)), 4), float(rng.uniform(40, 200)))]
+    sigs = [(0, 4, 4)]
+    for bar in sorted(rng.choice(np.arange(1, 8), size=int(rng.integers(0, 3)), replace=False)):
+        sigs.append((int(bar), int(rng.integers(1, 13)), int(rng.choice([4, 8, 16]))))
+    return score_from_ticks(ticks, tempo, sigs, res)
+
+
+@pytest.mark.parametrize("res", RESOLUTIONS)
+def test_tick_paths_match_the_fraction_reference(res):
+    rng = np.random.default_rng(res)
+    for _ in range(20):
+        score = random_tick_score(rng, res)
+        beat_rows = ref.rows(score.tick_notes, res)
+        assert score.notes == [NoteEvent(*row) for row in beat_rows]
+
+        data = write_midi(score)
+        assert data == ref.write_midi(beat_rows, score)
+        back = parse_midi(data)
+        assert back.tick_notes == score.tick_notes and back.resolution == res
+        assert back.time_signatures == score.time_signatures
+        assert [b for b, _ in back.tempo_map] == [b for b, _ in score.tempo_map]
+        assert write_midi(back) == data
+
+        q = quantize(score, 12)
+        assert q.resolution == (res if res % 12 == 0 else math.lcm(res, 12))
+        want = ref.quantize(beat_rows, 12)
+        assert ref.rows(q.tick_notes, q.resolution) == want
+        assert quantize(q, 12).tick_notes == q.tick_notes
+        assert tokenize(q, VOCAB) == ref.tokenize(want, q, VOCAB)
+        assert polyphony(score) == reference_metrics.polyphony(score)
+        assert polyphony(q) == reference_metrics.polyphony(q)
+
+
+def test_quantize_lifts_a_resolution_the_grid_does_not_divide():
+    """100 ticks a beat hold no 1/12 beat: the quantized score is at 300."""
+    score = score_from_ticks([(33, 60, 10, 64), (50, 62, 17, 64)], resolution=100)
+    q = quantize(score, 12)
+    assert q.resolution == 300
+    assert q.tick_notes == [(100, 60, 25, 64), (150, 62, 50, 64)]
+    assert [(n.onset, n.duration) for n in q.notes] == [(F(1, 3), F(1, 12)), (F(1, 2), F(1, 6))]
+    assert parse_midi(write_midi(q)).tick_notes == q.tick_notes
+
+
+def test_make_score_rounds_beats_as_the_writer_did():
+    """Beat values off the tick grid round half up once, in make_score, to the
+    ticks the Fraction writer gave them; a note keeps at least one tick."""
+    rng = np.random.default_rng(5)
+    for res in RESOLUTIONS:
+        # one note per tick slot, so rounding cannot reorder notes
+        slots = rng.choice(30 * res, size=12, replace=False)
+        rows = [(int(p), F(int(k), res) + F(int(rng.integers(-49, 50)), 100 * res),
+                 F(int(rng.integers(1, 400)), 7 * res), int(rng.integers(1, 128)))
+                for p, k in zip(rng.choice(128, size=12, replace=False), slots)]
+        rows = [(p, max(on, F(0)), dur, vel) for p, on, dur, vel in rows]
+        score = make_score([NoteEvent(*row) for row in rows], resolution=res)
+        assert write_midi(score) == ref.write_midi(rows, score)
+        assert all(dur >= 1 for _, _, dur, _ in score.tick_notes)
+
+
+def test_slice_bounds_must_lie_on_the_tick_grid():
+    score = score_from_ticks([(0, 60, 100, 64), (100, 62, 100, 64)], resolution=100)
+    assert slice_beats(score, F(1), F(2)).tick_notes == [(0, 62, 100, 64)]
+    with pytest.raises(ValueError, match="tick grid"):
+        slice_beats(score, F(1, 300), F(2))
+    with pytest.raises(ValueError, match="tick grid"):
+        slice_beats(score, F(0), F(5, 3))
