@@ -11,6 +11,7 @@ import json
 import logging
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -20,9 +21,8 @@ from .leadsheet import LeadSheet, chord_template, original_segments
 from .midi_io import (
     MidiScore,
     note_seconds,
-    seconds_to_beats,
+    seconds_to_ticks,
     slice_beats,
-    snap_to_resolution,
 )
 
 log = logging.getLogger("overpaint.alignment")
@@ -205,13 +205,12 @@ def extract_pairs(
             continue
         t0 = in_window[0] * frames.hop
         t1 = (in_window[-1] + 1) * frames.hop
-        b0 = snap_to_resolution(seconds_to_beats(performance, t0), performance.resolution)
-        b1 = snap_to_resolution(seconds_to_beats(performance, t1), performance.resolution)
-        b0 = max(b0, 0)
-        if b1 <= b0:
+        lo, hi = seconds_to_ticks(performance, t0), seconds_to_ticks(performance, t1)
+        if hi <= lo:
             dropped.append(f"{name}: degenerate beat span")
             continue
-        variation = slice_beats(performance, b0, b1)
+        res = performance.resolution
+        variation = slice_beats(performance, Fraction(lo, res), Fraction(hi, res))
         if not variation.tick_notes:
             dropped.append(f"{name}: empty variation slice")
             continue

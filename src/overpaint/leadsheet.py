@@ -28,6 +28,8 @@ import numpy as np
 
 from .midi_io import (
     DEFAULT_RESOLUTION,
+    NUMERATOR_MAX,
+    SUPPORTED_DENOMINATORS,
     MidiScore,
     NoteEvent,
     bar_length,
@@ -295,12 +297,18 @@ def parse_leadsheet(text: str) -> LeadSheet:
             m = re.fullmatch(r"(\d+)\s*/\s*(\d+)", line[5:].strip())
             if m is None:
                 raise LeadSheetError(f"line {line_no}: bad time signature")
-            sheet.time_signature = (int(m.group(1)), int(m.group(2)))
+            num, den = int(m.group(1)), int(m.group(2))
+            if not 1 <= num <= NUMERATOR_MAX or den not in SUPPORTED_DENOMINATORS:
+                raise LeadSheetError(f"line {line_no}: unsupported time signature {num}/{den}")
+            sheet.time_signature = (num, den)
         elif line.lower().startswith("key:"):
             parts = line[4:].strip().split()
             if len(parts) != 2 or parts[1].lower() not in ("major", "minor"):
                 raise LeadSheetError(f"line {line_no}: key is e.g. 'Eb major'")
-            tonic, _ = _parse_pitch_class(parts[0], 0, parts[0])
+            try:
+                tonic, _ = _parse_pitch_class(parts[0], 0, parts[0])
+            except ChordParseError as exc:
+                raise LeadSheetError(f"line {line_no}: bad key tonic: {exc}") from exc
             sheet.key = (tonic, parts[1].lower())
         else:
             raise LeadSheetError(f"line {line_no}: unrecognized line {line!r}")

@@ -3,9 +3,10 @@
 A score keeps its notes as integer ticks at its own resolution (ticks per
 quarter note), the unit a file stores, so parsing, transposing, quantizing,
 slicing and writing are integer arithmetic and a file round-trips exactly.
-Beats are a derived view (`MidiScore.notes`); `make_score` rounds beat values
-onto the tick grid as a file write always has. The tempo map and time
-signatures stay in beats and bars. SMF formats 0 and 1 are supported; all
+The tempo map is (tick, bpm) in the same unit. Beats are a derived view
+(`MidiScore.notes`); `make_score` rounds beat values onto the tick grid as a
+file write always has. Time signatures are placed by bar, and their bar
+geometry is in beats. SMF formats 0 and 1 are supported; all
 channels are merged into a single note stream (piano-only corpus). Same-pitch
 overlaps are paired first-in-first-out.
 """
@@ -72,7 +73,7 @@ def note_sort_key(note: NoteEvent):
 
 @dataclass
 class MidiScore:
-    """Notes plus tempo map (beat, BPM) and time signatures (bar, num, den).
+    """Notes plus tempo map (tick, BPM) and time signatures (bar, num, den).
 
     `tick_notes` holds one (onset, pitch, duration, velocity) int tuple per
     note, sorted, with onset and duration in ticks at `resolution` (ticks per
@@ -81,9 +82,7 @@ class MidiScore:
     """
 
     tick_notes: list[tuple[int, int, int, int]] = field(default_factory=list)
-    tempo_map: list[tuple[Fraction, float]] = field(
-        default_factory=lambda: [(Fraction(0), DEFAULT_BPM)]
-    )
+    tempo_map: list[tuple[int, float]] = field(default_factory=lambda: [(0, DEFAULT_BPM)])
     time_signatures: list[tuple[int, int, int]] = field(
         default_factory=lambda: [(0, *DEFAULT_TIME_SIGNATURE)]
     )
@@ -103,14 +102,16 @@ def make_score(
     time_signatures=None,
     resolution: int = DEFAULT_RESOLUTION,
 ) -> MidiScore:
-    """Build a normalized score from beat-valued NoteEvents. Each onset and end
-    rounds half up onto the tick grid and a note keeps at least one tick, as
-    `write_midi` has always written them; the maps are deduped and anchored at 0."""
+    """Build a normalized score from beat-valued NoteEvents and (beat, bpm)
+    tempos. Each onset, end and tempo beat rounds half up onto the tick grid
+    and a note keeps at least one tick, as `write_midi` has always written
+    them; the maps are deduped and anchored at 0."""
     ticks = []
     for n in notes:
         on = beats_to_ticks(n.onset, resolution)
         ticks.append((on, n.pitch, max(beats_to_ticks(n.end, resolution) - on, 1), n.velocity))
-    return score_from_ticks(ticks, tempo_map, time_signatures, resolution)
+    tempos = [(beats_to_ticks(b, resolution), bpm) for b, bpm in tempo_map or ()]
+    return score_from_ticks(ticks, tempos, time_signatures, resolution)
 
 
 def score_from_ticks(
@@ -119,11 +120,12 @@ def score_from_ticks(
     time_signatures=None,
     resolution: int = DEFAULT_RESOLUTION,
 ) -> MidiScore:
-    """`make_score` for notes already in ticks: valid (onset, pitch, duration,
-    velocity) tuples at `resolution`, sorted here."""
+    """`make_score` for notes and tempos already in ticks: valid (onset, pitch,
+    duration, velocity) tuples and (tick, bpm) pairs at `resolution`, sorted
+    here; of two tempos at one tick the later wins."""
     if resolution < 1:
         raise ValueError("resolution must be positive")
-    tempos = [(Fraction(b), float(bpm)) for b, bpm in (tempo_map or [])]
+    tempos = [(int(t), float(bpm)) for t, bpm in (tempo_map or [])]
     sigs = [(int(b), int(n), int(d)) for b, n, d in (time_signatures or [])]
     return MidiScore(
         tick_notes=sorted(tick_notes),
@@ -133,15 +135,13 @@ def score_from_ticks(
     )
 
 
-def _normalize_tempos(entries: list[tuple[Fraction, float]]) -> list[tuple[Fraction, float]]:
-    out: dict[Fraction, float] = {}
-    for beat, bpm in sorted(entries, key=lambda e: e[0]):
-        if beat < 0:
-            raise ValueError("tempo entry before beat 0")
-        out[beat] = min(max(float(bpm), BPM_MIN), BPM_MAX)
-    if Fraction(0) not in out:
-        out = {Fraction(0): DEFAULT_BPM, **out}
-    return sorted(out.items())
+def _normalize_tempos(entries: list[tuple[int, float]]) -> list[tuple[int, float]]:
+    out = {0: DEFAULT_BPM}
+    for tick, bpm in sorted(entries, key=itemgetter(0)):
+        if tick < 0:
+            raise ValueError("tempo entry before tick 0")
+        out[tick] = min(max(bpm, BPM_MIN), BPM_MAX)
+    return list(out.items())
 
 
 def _normalize_signature(num: int, den: int) -> tuple[int, int]:
@@ -203,60 +203,45 @@ def _bar_signatures(changes) -> list[tuple[int, int, int]]:
     return signatures
 
 
-def tempo_at(score: MidiScore, beat: Fraction) -> float:
-    bpm = score.tempo_map[0][1]
-    for b, t in score.tempo_map:
-        if b > beat:
+def tempo_at(score: MidiScore, tick: int) -> float:
+    return next(bpm for t, bpm in reversed(score.tempo_map) if t <= tick)
+
+
+def seconds_at(score: MidiScore, tick: int) -> float:
+    """Seconds from tick 0 under the piecewise-constant tempo map. Each segment
+    is one correctly rounded integer division by the resolution, so it equals
+    float() of the exact beat Fraction."""
+    res = score.resolution
+    total = 0.0
+    prev_tick, prev_bpm = score.tempo_map[0]
+    for t, bpm in score.tempo_map[1:]:
+        if t >= tick:
             break
-        bpm = t
-    return bpm
-
-
-def beats_to_seconds(score: MidiScore, beat: Fraction) -> float:
-    """Seconds from beat 0 under the piecewise-constant tempo map."""
-    beat = Fraction(beat)
-    return _seconds_at(score, beat.numerator, beat.denominator)
+        total += (t - prev_tick) / res * 60.0 / prev_bpm
+        prev_tick, prev_bpm = t, bpm
+    return total + (tick - prev_tick) / res * 60.0 / prev_bpm
 
 
 def note_seconds(score: MidiScore) -> list[tuple[float, float]]:
-    """(start, end) seconds of each note in `tick_notes`, as beats_to_seconds
-    gives them, without building a Fraction per note."""
-    res = score.resolution
-    return [(_seconds_at(score, on, res), _seconds_at(score, on + dur, res))
+    """(start, end) seconds of each note in `tick_notes`."""
+    return [(seconds_at(score, on), seconds_at(score, on + dur))
             for on, _, dur, _ in score.tick_notes]
 
 
-def _seconds_at(score: MidiScore, num: int, den: int) -> float:
-    """Seconds at beat num/den. The last segment is one correctly rounded
-    integer division, so it equals float() of the exact Fraction difference."""
-    total = 0.0
-    prev_beat, prev_bpm = score.tempo_map[0]
-    for b, bpm in score.tempo_map[1:]:
-        if b.numerator * den >= num * b.denominator:
-            break
-        total += float(b - prev_beat) * 60.0 / prev_bpm
-        prev_beat, prev_bpm = b, bpm
-    d = prev_beat.denominator
-    return total + (num * d - prev_beat.numerator * den) / (den * d) * 60.0 / prev_bpm
-
-
-def seconds_to_beats(score: MidiScore, seconds: float) -> float:
+def seconds_to_ticks(score: MidiScore, seconds: float) -> int:
+    """The tick nearest `seconds` under the tempo map."""
     if seconds < 0:
         raise ValueError("negative time")
+    res = score.resolution
     elapsed = 0.0
-    prev_beat, prev_bpm = score.tempo_map[0]
-    for b, bpm in score.tempo_map[1:]:
-        seg = float(b - prev_beat) * 60.0 / prev_bpm
+    prev_tick, prev_bpm = score.tempo_map[0]
+    for t, bpm in score.tempo_map[1:]:
+        seg = (t - prev_tick) / res * 60.0 / prev_bpm
         if elapsed + seg > seconds:
             break
         elapsed += seg
-        prev_beat, prev_bpm = b, bpm
-    return float(prev_beat) + (seconds - elapsed) * prev_bpm / 60.0
-
-
-def snap_to_resolution(beats: float, resolution: int) -> Fraction:
-    """Snap a float beat value onto the tick grid."""
-    return Fraction(round(beats * resolution), resolution)
+        prev_tick, prev_bpm = t, bpm
+    return prev_tick + round((seconds - elapsed) * prev_bpm / 60.0 * res)
 
 
 def beats_to_ticks(beat, resolution: int) -> int:
@@ -267,8 +252,8 @@ def beats_to_ticks(beat, resolution: int) -> int:
 def quantize(score: MidiScore, grid: int) -> MidiScore:
     """Snap onsets and durations to the nearest 1/grid beat, half up (durations
     >= 1/grid). Idempotent. The result keeps the score's resolution when grid
-    divides it, else takes lcm(resolution, grid); the tempo map and time
-    signatures carry over."""
+    divides it, else takes lcm(resolution, grid), with the tempo ticks scaled to
+    match; the time signatures carry over."""
     if grid < 1:
         raise ValueError("grid must be positive")
     res = score.resolution
@@ -278,7 +263,8 @@ def quantize(score: MidiScore, grid: int) -> MidiScore:
     ticks = [((2 * on * grid + res) // twice * scale, p,
               max((2 * dur * grid + res) // twice, 1) * scale, vel)
              for on, p, dur, vel in score.tick_notes]
-    return score_from_ticks(ticks, score.tempo_map, score.time_signatures, out)
+    tempos = [(t * (out // res), bpm) for t, bpm in score.tempo_map]
+    return score_from_ticks(ticks, tempos, score.time_signatures, out)
 
 
 def slice_beats(score: MidiScore, start, end) -> MidiScore:
@@ -298,8 +284,8 @@ def slice_beats(score: MidiScore, start, end) -> MidiScore:
     ticks = [(on - lo, p, dur, vel)
              for on, p, dur, vel in notes[bisect_left(notes, (lo,)):bisect_left(notes, (hi,))]]
 
-    tempos = [(Fraction(0), tempo_at(score, start))]
-    tempos += [(b - start, t) for b, t in score.tempo_map if start < b < end]
+    tempos = [(0, tempo_at(score, lo))]
+    tempos += [(t - lo, bpm) for t, bpm in score.tempo_map if lo < t < hi]
 
     runs = list(_signature_runs(score))
     _, _, num, den = next(r for r in reversed(runs) if r[1] <= start)
@@ -374,7 +360,7 @@ def parse_midi(data: bytes) -> MidiScore:
 
     pos = 8 + header_len
     note_events: list[tuple[int, int, int, int]] = []  # (tick, kind, pitch, velocity)
-    tempos: list[tuple[int, float]] = []
+    tempos: list[tuple[int, float]] = []  # (tick, bpm) in file order
     sig_ticks: list[tuple[int, int, int]] = []
     max_tick = 0
     tracks_seen = 0
@@ -415,9 +401,10 @@ def parse_midi(data: bytes) -> MidiScore:
             log.warning("dangling note-on for pitch %d at tick %d; clipped", pitch, on_tick)
             ticks.append((on_tick, pitch, max(max_tick - on_tick, 1), vel))
 
-    tempo_map = [(Fraction(t, resolution), bpm) for t, bpm in sorted(tempos)]
-    changes = [(Fraction(t, resolution), num, den) for t, num, den in sorted(sig_ticks)]
-    return score_from_ticks(ticks, tempo_map, _bar_signatures(changes), resolution)
+    # Of two changes at one tick the later in the file wins: both sorts are stable.
+    changes = [(Fraction(t, resolution), num, den)
+               for t, num, den in sorted(sig_ticks, key=itemgetter(0))]
+    return score_from_ticks(ticks, tempos, _bar_signatures(changes), resolution)
 
 
 def _parse_track(body, note_events, tempos, sig_ticks) -> int:
@@ -479,8 +466,8 @@ def _parse_track(body, note_events, tempos, sig_ticks) -> int:
 
 
 def write_midi(score: MidiScore) -> bytes:
-    """Serialize to SMF format 0 at the score's resolution. Notes are written
-    at their ticks; tempo and signature beats round half up to the grid."""
+    """Serialize to SMF format 0 at the score's resolution. Notes and tempos
+    are written at their ticks; signature beats round half up to the grid."""
     res = score.resolution
     # (tick, priority, payload); priority: meta 0, note-on 1, note-off 2 so a
     # re-parse reproduces FIFO pairing (see parse_midi).
@@ -488,10 +475,9 @@ def write_midi(score: MidiScore) -> bytes:
     for _, beat, num, den in _signature_runs(score):
         meta = bytes([0xFF, _META_TIME_SIGNATURE, 4, num, den.bit_length() - 1, 24, 8])
         events.append((beats_to_ticks(beat, res), 0, meta))
-    for beat, bpm in score.tempo_map:
+    for tick, bpm in score.tempo_map:
         usec = round(60_000_000.0 / bpm)
-        payload = usec.to_bytes(3, "big")
-        events.append((beats_to_ticks(beat, res), 0, bytes([0xFF, _META_TEMPO, 3]) + payload))
+        events.append((tick, 0, bytes([0xFF, _META_TEMPO, 3]) + usec.to_bytes(3, "big")))
     for on, pitch, dur, vel in score.tick_notes:
         events.append((on, 1, bytes((0x90, pitch, vel))))
         events.append((on + dur, 2, bytes((0x80, pitch, 0))))

@@ -13,8 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 import struct
-from dataclasses import dataclass
-from fractions import Fraction
+from dataclasses import dataclass, field
 from functools import lru_cache
 from pathlib import Path
 
@@ -90,6 +89,7 @@ class Vocabulary:
     tempo_centers: tuple[float, ...]
     digest: str
     _decoded: tuple[tuple[str, object], ...]  # (family, value) per id
+    _log_centers: np.ndarray = field(repr=False, compare=False)
 
     def __len__(self) -> int:
         return len(self.names)
@@ -113,8 +113,7 @@ class Vocabulary:
 
     def tempo_bin(self, bpm: float) -> int:
         bpm = min(max(bpm, TEMPO_MIN), TEMPO_MAX)
-        logs = np.log(np.asarray(self.tempo_centers))
-        return int(np.argmin(np.abs(logs - np.log(bpm))))
+        return int(np.argmin(np.abs(self._log_centers - np.log(bpm))))
 
     def position(self, step: int) -> int:
         if not 0 <= step < MAX_POSITIONS:
@@ -186,6 +185,7 @@ def build_vocabulary() -> Vocabulary:
         tempo_centers=tempo_centers,
         digest=_vocab_digest(names_t, tempo_centers),
         _decoded=tuple(decoded),
+        _log_centers=np.log(np.asarray(tempo_centers)),
     )
 
 
@@ -210,7 +210,7 @@ def load_vocabulary(path) -> Vocabulary:
 def _grid_steps(ticks: int, resolution: int, what: str, index: int) -> int:
     steps, rest = divmod(ticks * GRID, resolution)
     if rest:
-        raise TokenizeError(f"{what} {Fraction(ticks, resolution)} of note {index} "
+        raise TokenizeError(f"{what} {ticks}/{resolution} of note {index} "
                             f"is off the 1/{GRID} grid")
     return steps
 
@@ -235,7 +235,7 @@ def tokenize(score: MidiScore, vocab: Vocabulary | None = None) -> list[int]:
         if sig != prev_sig:
             tokens.append(vocab.timesig(*sig))
             prev_sig = sig
-        tempo_bin = vocab.tempo_bin(tempo_at(score, Fraction(bar_start, GRID)))
+        tempo_bin = vocab.tempo_bin(tempo_at(score, bar_start * res // GRID))
         if tempo_bin != prev_tempo_bin:
             tokens.append(vocab.tempo(tempo_bin))
             prev_tempo_bin = tempo_bin
@@ -271,7 +271,7 @@ def detokenize_with_report(tokens, vocab: Vocabulary | None = None) -> tuple[Mid
     vocab = vocab or build_vocabulary()
     repairs: list[str] = []
     notes: list[tuple[int, int, int, int]] = []  # ticks at DEFAULT_RESOLUTION
-    tempo_map: list[tuple[Fraction, float]] = []
+    tempo_map: list[tuple[int, float]] = []  # ticks at DEFAULT_RESOLUTION
     signatures: list[tuple[int, int, int]] = []
 
     bar = -1
@@ -317,7 +317,7 @@ def detokenize_with_report(tokens, vocab: Vocabulary | None = None) -> tuple[Mid
             sig = value
             signatures.append((max(bar, 0), *sig))
         elif family == "Tempo":
-            tempo_map.append((Fraction(bar_start, GRID), vocab.tempo_centers[value]))
+            tempo_map.append((bar_start * _TICKS_PER_STEP, vocab.tempo_centers[value]))
         elif family == "Position":
             if bar < 0:
                 repairs.append(f"token {i}: Position before any Bar, Bar inserted")

@@ -2,15 +2,16 @@
 
 The same rules `overpaint.midi_io` and `overpaint.tokenizer` implemented when
 scores kept beat values as exact fractions: notes are plain
-(pitch, onset, duration, velocity) rows in beats, and nothing here touches a
-score's `tick_notes`. The tempo map and time signatures are read from the
-score they came with, through the map walkers, which the tick paths share.
+(pitch, onset, duration, velocity) rows and tempos plain (beat, bpm) rows, both
+in beats, and nothing here touches a score's `tick_notes`. Time signatures are
+read from the score they came with, through the bar walkers, which the tick
+paths share.
 """
 
 import struct
 from fractions import Fraction
 
-from overpaint.midi_io import bar_length, signature_at_bar, tempo_at
+from overpaint.midi_io import bar_length, signature_at_bar
 
 GRID = 12
 
@@ -19,6 +20,28 @@ def rows(tick_notes, resolution):
     """(pitch, onset, duration, velocity) beat rows of (onset, pitch, duration, velocity) ticks."""
     return [(p, Fraction(on, resolution), Fraction(dur, resolution), vel)
             for on, p, dur, vel in tick_notes]
+
+
+def tempo_rows(score):
+    """(beat, bpm) rows of a score's (tick, bpm) tempo map."""
+    return [(Fraction(t, score.resolution), bpm) for t, bpm in score.tempo_map]
+
+
+def tempo_at(tempos, beat):
+    """The bpm of the last tempo row at or before `beat`."""
+    return [bpm for b, bpm in tempos if b <= beat][-1]
+
+
+def seconds_at(tempos, beat):
+    """Seconds at `beat` as the beat-valued code summed them: float() of each
+    exact segment's beats, times 60, over its bpm."""
+    total, (prev, bpm) = 0.0, tempos[0]
+    for b, next_bpm in tempos[1:]:
+        if b >= beat:
+            break
+        total += float(b - prev) * 60.0 / bpm
+        prev, bpm = b, next_bpm
+    return total + float(beat - prev) * 60.0 / bpm
 
 
 def _round_half_up(x: Fraction) -> int:
@@ -38,6 +61,7 @@ def quantize(note_rows, grid):
 
 def tokenize(note_rows, score, vocab):
     """REMI ids of grid-quantized beat rows under `score`'s maps."""
+    tempos = tempo_rows(score)
     notes = _sort(note_rows)
     last_onset = notes[-1][1] if notes else Fraction(0)
     tokens, prev_sig, prev_tempo = [], None, None
@@ -48,7 +72,7 @@ def tokenize(note_rows, score, vocab):
         if sig != prev_sig:
             tokens.append(vocab.timesig(*sig))
             prev_sig = sig
-        tempo = vocab.tempo_bin(tempo_at(score, bar_start))
+        tempo = vocab.tempo_bin(tempo_at(tempos, bar_start))
         if tempo != prev_tempo:
             tokens.append(vocab.tempo(tempo))
             prev_tempo = tempo
@@ -78,9 +102,10 @@ def _varlen(value):
     return bytes(reversed(out))
 
 
-def write_midi(note_rows, score):
-    """Format-0 SMF bytes of beat rows under `score`'s maps and resolution:
-    every beat value rounds half up to the tick grid, notes last >= 1 tick."""
+def write_midi(note_rows, tempos, score):
+    """Format-0 SMF bytes of beat rows and (beat, bpm) tempos under `score`'s
+    signatures and resolution: every beat value rounds half up to the tick
+    grid, notes last >= 1 tick."""
     res = score.resolution
 
     def tick(beat):
@@ -95,7 +120,7 @@ def write_midi(note_rows, score):
             beat += (bar - prev_bar) * Fraction(4 * prev_num, prev_den)
         meta = bytes([0xFF, 0x58, 4, num, den.bit_length() - 1, 24, 8])
         events.append((tick(beat), 0, meta))
-    for beat, bpm in score.tempo_map:
+    for beat, bpm in tempos:
         usec = round(60_000_000.0 / bpm)
         events.append((tick(beat), 0, bytes([0xFF, 0x51, 3]) + usec.to_bytes(3, "big")))
     for p, on, dur, vel in _sort(note_rows):

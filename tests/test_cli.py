@@ -532,6 +532,28 @@ def test_extract_pairs_with_a_song_that_cannot_be_aligned(pipeline, tmp_path, ca
     assert not any("Blue Garden" in name or "blue_garden" in name for name in sidecar["inputs"])
 
 
+@pytest.mark.parametrize("strict", [False, True], ids=["skip", "strict"])
+def test_extract_pairs_with_an_unsupported_time_header(pipeline, tmp_path, capsys, caplog,
+                                                       strict):
+    """`time: 4/0` in one lead sheet skips that song, or under --strict exits 2."""
+    sheets = tmp_path / "sheets"
+    shutil.copytree(pipeline["sheets"], sheets)
+    sheet = sheets / "blue_garden.txt"
+    sheet.write_text(sheet.read_text().replace("time: 4/4", "time: 4/0"))
+    out = tmp_path / "pairs.jsonl"
+    argv = ["--quiet", "extract-pairs", "--performances", str(pipeline["perfs"]),
+            "--leadsheets", str(sheets), "--out", str(out)]
+    if strict:
+        assert main([*argv, "--strict"]) == 2
+        assert "unsupported time signature 4/0" in caplog.text
+        assert list(tmp_path.glob("pairs*")) == []
+        return
+    assert main(argv) == 0
+    assert "skipping song" in caplog.text and "unsupported time signature 4/0" in caplog.text
+    assert "from 2 songs" in capsys.readouterr().out
+    assert {p.song_id for p in load_manifest(out)} == {"greenlantern", "redharbor"}
+
+
 def test_extract_pairs_ignores_a_duplicate_lead_sheet(pipeline, tmp_path, capsys, caplog):
     sheets = tmp_path / "sheets"
     shutil.copytree(pipeline["sheets"], sheets)

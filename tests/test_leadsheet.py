@@ -179,6 +179,8 @@ def test_parse_leadsheet_errors():
         parse_leadsheet("time: four/4\n| C |\n")
     with pytest.raises(LeadSheetError, match="key"):
         parse_leadsheet("key: C lydian\n| C . . . |\n")
+    with pytest.raises(LeadSheetError, match="^line 1: bad key tonic"):
+        parse_leadsheet("key: H major\n| C . . . |\n")
     with pytest.raises(LeadSheetError, match="outside its bar"):
         parse_leadsheet("| C . . . |\nmelody:\n0.4 60 1\n")
     with pytest.raises(LeadSheetError, match="melody rows"):
@@ -189,6 +191,14 @@ def test_parse_leadsheet_errors():
         parse_leadsheet("| C . . .\n")
     with pytest.raises(LeadSheetError):
         parse_leadsheet("| C . xyz . |\n")  # bad chord names the line
+
+
+@pytest.mark.parametrize("header", ["4/0", "13/4", "5/3", "4/32", "0/4"])
+def test_unsupported_time_header_names_the_line(header):
+    """A signature outside 1..12 over 1, 2, 4, 8 or 16 would be renormalized in
+    every segment score (13/4 windows would say 12/4), or divide by zero."""
+    with pytest.raises(LeadSheetError, match=f"^line 2: unsupported time signature {header}$"):
+        parse_leadsheet(f"title: T\ntime: {header}\n| C |\n")
 
 
 @pytest.mark.parametrize("row, message", [

@@ -10,17 +10,16 @@ from overpaint.midi_io import (
     MidiParseError,
     NoteEvent,
     _signature_runs,
-    beats_to_seconds,
     bar_length,
     beats_to_ticks,
     make_score,
     note_sort_key,
     parse_midi,
     quantize,
-    seconds_to_beats,
+    seconds_at,
+    seconds_to_ticks,
     signature_at_bar,
     slice_beats,
-    snap_to_resolution,
     tempo_at,
     transpose,
     write_midi,
@@ -75,7 +74,7 @@ def test_make_score_sorts_and_anchors():
     score = make_score(notes, tempo_map=[(F(4), 90.0)], time_signatures=[(2, 3, 4)])
     assert [n.pitch for n in score.notes] == [60, 60, 62]
     assert score.notes[0].duration == F(1, 2)  # shorter duplicate first
-    assert score.tempo_map[0] == (F(0), 120.0)  # anchored at beat 0
+    assert score.tempo_map == [(0, 120.0), (4 * 480, 90.0)]  # anchored at tick 0
     assert score.time_signatures[0] == (0, 4, 4)
     assert sorted(score.notes, key=note_sort_key) == score.notes
 
@@ -85,7 +84,7 @@ def test_make_score_clamps_tempo_and_signature():
         tempo_map=[(F(0), 5.0), (F(4), 1000.0)],
         time_signatures=[(0, 40, 4), (1, 4, 32)],
     )
-    assert score.tempo_map == [(F(0), 20.0), (F(4), 320.0)]
+    assert score.tempo_map == [(0, 20.0), (4 * 480, 320.0)]
     assert score.time_signatures == [(0, 12, 4), (1, 4, 16)]
 
 
@@ -130,16 +129,15 @@ def test_bar_walk_across_signature_change():
 
 def test_time_conversion_piecewise_tempo():
     score = make_score(tempo_map=[(F(0), 120.0), (F(4), 60.0)])
-    assert beats_to_seconds(score, F(4)) == pytest.approx(2.0)
-    assert beats_to_seconds(score, F(6)) == pytest.approx(4.0)
-    assert seconds_to_beats(score, 4.0) == pytest.approx(6.0)
-    assert tempo_at(score, F(399, 100)) == 120.0
-    assert tempo_at(score, F(4)) == 60.0
+    assert seconds_at(score, 4 * 480) == 2.0
+    assert seconds_at(score, 6 * 480) == 4.0
+    assert seconds_to_ticks(score, 4.0) == 6 * 480
+    assert tempo_at(score, 4 * 480 - 1) == 120.0
+    assert tempo_at(score, 4 * 480) == 60.0
     rng = np.random.default_rng(3)
     for _ in range(50):
-        beat = F(int(rng.integers(0, 1000)), 100)
-        again = seconds_to_beats(score, beats_to_seconds(score, beat))
-        assert again == pytest.approx(float(beat), abs=1e-9)
+        tick = int(rng.integers(0, 10 * 480))
+        assert seconds_to_ticks(score, seconds_at(score, tick)) == tick
 
 
 def test_round_half_up_and_snap():
@@ -148,8 +146,11 @@ def test_round_half_up_and_snap():
     assert beats_to_ticks(F(5, 2), 1) == 3
     assert beats_to_ticks(F(7, 4), 1) == 2
     assert beats_to_ticks(F(1, 960), 480) == 1 and beats_to_ticks(F(1, 961), 480) == 0
-    assert snap_to_resolution(0.5004, 480) == F(1, 2)
-    assert snap_to_resolution(1.0, 480) == F(1)
+    # seconds snap to the nearest tick: 0.2502 s at 120 bpm is 240.19 ticks
+    assert seconds_to_ticks(make_score(), 0.2502) == 240
+    assert seconds_to_ticks(make_score(), 0.5) == 480
+    with pytest.raises(ValueError, match="negative"):
+        seconds_to_ticks(make_score(), -0.1)
 
 
 def test_quantize_snaps_and_keeps_short_notes():
@@ -169,7 +170,7 @@ def test_slice_rebases_and_carries_context():
     score = make_score(notes, tempo_map=[(F(0), 120.0), (F(2), 90.0)])
     window = slice_beats(score, F(1), F(3))
     assert [(n.pitch, n.onset) for n in window.notes] == [(61, F(0)), (62, F(1))]
-    assert window.tempo_map == [(F(0), 120.0), (F(1), 90.0)]
+    assert window.tempo_map == [(0, 120.0), (480, 90.0)]
     with pytest.raises(ValueError):
         slice_beats(score, F(3), F(3))
 
@@ -226,7 +227,7 @@ def test_write_parse_round_trip_random_scores():
 def test_empty_score_round_trip():
     back = parse_midi(write_midi(make_score()))
     assert back.notes == []
-    assert back.tempo_map == [(F(0), 120.0)]
+    assert back.tempo_map == [(0, 120.0)]
     assert back.time_signatures == [(0, 4, 4)]
 
 
@@ -287,7 +288,7 @@ def test_running_status_survives_meta_and_sysex_events():
     ]
     score = parse_midi(smf([track_chunk(events)]))
     assert score.tick_notes == [(0, 60, 480, 64), (480, 62, 240, 72)]
-    assert score.tempo_map == [(F(0), 120.0)]
+    assert score.tempo_map == [(0, 120.0)]
     # a data byte with no channel event before it still has no status to run on
     orphan = [(0, bytes([0xFF, 0x51, 3]) + (500000).to_bytes(3, "big")), (0, bytes([60, 64]))]
     with pytest.raises(MidiParseError, match="no running status"):
@@ -311,7 +312,7 @@ def test_parse_merges_tracks_and_reads_metas():
         (480, bytes([0x80, 60, 0])),
     ])
     score = parse_midi(smf([meta, notes]))
-    assert score.tempo_map == [(F(0), 120.0), (F(2), 60.0)]
+    assert score.tempo_map == [(0, 120.0), (960, 60.0)]
     assert score.time_signatures == [(0, 4, 4), (1, 3, 4)]
     assert len(score.notes) == 1
 
@@ -324,7 +325,7 @@ def test_parse_clamps_tempo_and_signature_values():
         (480, bytes([0x80, 60, 0])),
     ]
     score = parse_midi(smf([track_chunk(events)]))
-    assert score.tempo_map == [(F(0), 20.0)]
+    assert score.tempo_map == [(0, 20.0)]
     assert score.time_signatures == [(0, 12, 16)]
 
 
@@ -341,9 +342,26 @@ def test_parse_normalizes_signatures_before_folding_bars():
     ]
     score = parse_midi(smf([track_chunk(events)]))
     assert score.time_signatures == [(0, 12, 16), (2, 1, 8)]
-    again = make_score(score.notes, score.tempo_map, [(0, 20, 32), (2, 0, 8)], 480)
+    again = make_score(score.notes, time_signatures=[(0, 20, 32), (2, 0, 8)])
     assert again.time_signatures == score.time_signatures
     assert bar_starts(score, 4) == [F(0), F(3), F(6), F(13, 2)]
+
+
+def _tempo_event(usec: int) -> bytes:
+    return bytes([0xFF, 0x51, 3]) + usec.to_bytes(3, "big")
+
+
+def test_same_tick_tempo_and_signature_keep_the_later_event():
+    """Of two tempo or two signature events at one tick, the later in the file
+    wins, whichever value sorts first."""
+    for first, second in [((400000, 6, 3), (600000, 3, 2)), ((600000, 3, 2), (400000, 6, 3))]:
+        events = [(0, _tempo_event(first[0])), (0, _tempo_event(second[0])),
+                  (0, bytes([0xFF, 0x58, 4, first[1], first[2], 24, 8])),
+                  (0, bytes([0xFF, 0x58, 4, second[1], second[2], 24, 8])),
+                  (0, bytes([0x90, 60, 64])), (480, bytes([0x80, 60, 0]))]
+        score = parse_midi(smf([track_chunk(events)]))
+        assert score.tempo_map == [(0, 60_000_000 / second[0])]
+        assert score.time_signatures == [(0, second[1], 1 << second[2])]
 
 
 def test_parse_mid_bar_signature_snaps_to_bar():

@@ -6,7 +6,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from overpaint.midi_io import MidiScore, NoteEvent, make_score
+from overpaint.midi_io import MidiScore, NoteEvent, make_score, write_midi
 from overpaint.tokenizer import (
     BOS,
     EOS,
@@ -342,6 +342,8 @@ _FAMILY_WEIGHTS /= _FAMILY_WEIGHTS.sum()
 # SHA-256 of the detokenizer's repairs, notes and maps over `_fuzz_streams()`, pinned
 # from the per-family detokenizer that the family table replaced.
 FUZZ_DIGEST = "d23d766bf6cae86e1d78a48884dbe7a1e713b5d147c15aba2cfc999f25f96b59"
+# SHA-256 of `write_midi` over the same decoded scores.
+FUZZ_MIDI_DIGEST = "fbb726520116360f9095828619825c49b566a56f65a9ae0dc6d51a5f58d330cd"
 
 
 def _grammar_walk(rng, length):
@@ -399,12 +401,20 @@ def test_detokenize_fuzz_digest_is_pinned():
         record = [
             repairs,
             [[n.pitch, str(n.onset), str(n.duration), n.velocity] for n in score.notes],
-            [[str(beat), repr(bpm)] for beat, bpm in score.tempo_map],
+            [[str(F(tick, score.resolution)), repr(bpm)] for tick, bpm in score.tempo_map],
             [list(sig) for sig in score.time_signatures],
         ]
         h.update(json.dumps(record).encode())
     assert min(totals) > 0  # the fuzz reaches both the repair and the note paths
     assert h.hexdigest() == FUZZ_DIGEST, (h.hexdigest(), totals)
+
+
+def test_detokenized_midi_bytes_are_pinned():
+    """The bytes `generate` writes: each fuzz stream's decoded score as SMF."""
+    h = hashlib.sha256()
+    for stream in _fuzz_streams():
+        h.update(write_midi(detokenize_with_report(stream)[0]))
+    assert h.hexdigest() == FUZZ_MIDI_DIGEST
 
 
 def test_detokenize_never_raises_on_in_vocab_ids():
