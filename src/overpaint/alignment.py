@@ -2,7 +2,9 @@
 
 Chroma frames summarize the performance at a fixed hop; a monotone Viterbi
 path maps every frame to one chord slot (all slots visited, in order). Frame
-spans per lead-sheet window then locate the matching performance excerpt.
+spans per lead-sheet window then locate the matching performance excerpt: a
+window's slots are the chords whose ticks fall in its bars, and the frames
+on them map back to performance ticks.
 """
 
 from __future__ import annotations
@@ -10,8 +12,8 @@ from __future__ import annotations
 import json
 import logging
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
-from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +25,7 @@ from .midi_io import (
     note_seconds,
     seconds_to_ticks,
     slice_beats,
+    ticks_to_beats,
 )
 
 log = logging.getLogger("overpaint.alignment")
@@ -181,7 +184,8 @@ def extract_pairs(
     slots = sheet.chords
     if not slots:
         raise AlignmentError("lead sheet has no chords")
-    templates = np.stack([chord_template(ch) for _, _, ch in slots])
+    templates = np.stack([chord_template(ch) for _, ch in slots])
+    slot_ticks = [tick for tick, _ in slots]
     path = viterbi_align(frames, templates, self_loop)
     sim = frames.frames @ templates.T
 
@@ -190,19 +194,13 @@ def extract_pairs(
     for segment in original_segments(sheet, window=window):
         start_bar = segment.start_bar
         name = f"{song_id}_w{start_bar:03d}"
-        slot_lo = next(
-            (i for i, (b, _, _) in enumerate(slots) if b >= start_bar), len(slots)
-        )
-        slot_hi = next(
-            (i for i, (b, _, _) in enumerate(slots) if b >= start_bar + window), len(slots)
-        )
+        slot_lo = bisect_left(slot_ticks, start_bar * sheet.bar_ticks)
+        slot_hi = bisect_left(slot_ticks, (start_bar + window) * sheet.bar_ticks)
         if slot_lo >= slot_hi:
             dropped.append(f"{name}: no chords in window")
             continue
+        # the path visits every slot, so each window with a slot has frames
         in_window = np.nonzero((path.states >= slot_lo) & (path.states < slot_hi))[0]
-        if in_window.size == 0:
-            dropped.append(f"{name}: no frames assigned")
-            continue
         t0 = in_window[0] * frames.hop
         t1 = (in_window[-1] + 1) * frames.hop
         lo, hi = seconds_to_ticks(performance, t0), seconds_to_ticks(performance, t1)
@@ -210,7 +208,7 @@ def extract_pairs(
             dropped.append(f"{name}: degenerate beat span")
             continue
         res = performance.resolution
-        variation = slice_beats(performance, Fraction(lo, res), Fraction(hi, res))
+        variation = slice_beats(performance, ticks_to_beats(lo, res), ticks_to_beats(hi, res))
         if not variation.tick_notes:
             dropped.append(f"{name}: empty variation slice")
             continue

@@ -16,6 +16,11 @@ Each `|` line is one bar. Chord tokens sit on an even subdivision of the bar
 Melody rows are "bar.beat pitch duration [velocity]" with beat and duration in
 quarter notes; pitch is a MIDI number or a note name like Eb5 (C4 = 60).
 Bars count from 0 in melody rows, matching the order of the `|` lines.
+
+Parsing places chords and melody on the tick grid of DEFAULT_RESOLUTION once:
+a chord sits at its exact tick (a chord slot is a whole number of ticks in
+every supported meter), and a melody note rounds as `make_score` rounds one
+(half up, at least one tick). Realization and alignment then work on ints.
 """
 
 from __future__ import annotations
@@ -31,11 +36,8 @@ from .midi_io import (
     NUMERATOR_MAX,
     SUPPORTED_DENOMINATORS,
     MidiScore,
-    NoteEvent,
     bar_length,
     beats_to_ticks,
-    make_score,
-    note_sort_key,
     score_from_ticks,
 )
 
@@ -93,17 +95,7 @@ _QUALITY_SURFACES: list[tuple[str, str]] = sorted(
     key=lambda s: -len(s[0]),
 )
 
-# Canonical spelling used by format_chord (parse_chord(format_chord(c)) == c).
-_CANONICAL_SURFACE = {
-    "maj": "", "min": "m", "dom7": "7", "maj7": "maj7", "min7": "m7",
-    "min7b5": "m7b5", "dim": "dim", "dim7": "dim7", "aug": "aug",
-    "sus4": "sus4", "sus2": "sus2", "maj6": "6", "min6": "m6",
-}
-
 _EXTENSION_SURFACES = sorted(EXTENSION_OFFSETS, key=len, reverse=True)
-_EXTENSION_ORDER = ("b9", "9", "#11", "13", "b13")
-
-_PC_NAMES = ("C", "C#", "D", "Eb", "E", "F", "F#", "G", "Ab", "A", "Bb", "B")
 
 
 @dataclass(frozen=True)
@@ -170,20 +162,6 @@ def parse_chord(text: str) -> ChordSymbol:
     return ChordSymbol(root, quality, frozenset(extensions), bass)
 
 
-def format_chord(chord: ChordSymbol) -> str:
-    quality = _CANONICAL_SURFACE[chord.quality]
-    if chord.quality == "maj" and chord.extensions:
-        # Keep "maj" explicit so e.g. B with a b9 is not misread as Bb9.
-        quality = "maj"
-    out = _PC_NAMES[chord.root] + quality
-    for ext in _EXTENSION_ORDER:
-        if ext in chord.extensions:
-            out += ext
-    if chord.bass is not None:
-        out += "/" + _PC_NAMES[chord.bass]
-    return out
-
-
 def chord_tones(chord: ChordSymbol) -> list[int]:
     """Root-relative intervals sounded by the chord, bass folded in, sorted."""
     tones = set(QUALITY_TONES[chord.quality])
@@ -209,21 +187,22 @@ class LeadSheet:
     title: str
     time_signature: tuple[int, int] = (4, 4)
     key: tuple[int, str] | None = None  # (tonic pitch class, "major"|"minor")
-    chords: list[tuple[int, Fraction, ChordSymbol]] = field(default_factory=list)
-    melody: list[NoteEvent] | None = None
+    # (tick, chord) and sorted (onset, pitch, duration, velocity), in ticks
+    # at DEFAULT_RESOLUTION from the sheet's start
+    chords: list[tuple[int, ChordSymbol]] = field(default_factory=list)
+    melody: list[tuple[int, int, int, int]] | None = None
 
     @property
-    def beats_per_bar(self) -> Fraction:
-        return bar_length(*self.time_signature)
+    def bar_ticks(self) -> int:
+        """Ticks per bar; exact, as every supported denominator divides 16."""
+        num, den = self.time_signature
+        return DEFAULT_RESOLUTION * 4 * num // den
 
     @property
     def n_bars(self) -> int:
-        last = 0
-        if self.chords:
-            last = max(last, self.chords[-1][0])
-        for n in self.melody or ():
-            last = max(last, int(n.onset // self.beats_per_bar))
-        return last + 1
+        last = [self.chords[-1][0]] if self.chords else []
+        last += [self.melody[-1][0]] if self.melody else []
+        return max(last, default=0) // self.bar_ticks + 1
 
 
 def _parse_note_name(token: str, line_no: int) -> int:
@@ -248,15 +227,12 @@ def _parse_fraction(token: str, line_no: int, what: str) -> Fraction:
 def parse_leadsheet(text: str) -> LeadSheet:
     sheet = LeadSheet(title="")
     bar = 0
-    in_melody = False
-    melody: list[NoteEvent] = []
-    saw_melody_header = False
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
             continue
-        if in_melody:
+        if sheet.melody is not None:
             parts = line.split()
             if len(parts) not in (3, 4):
                 raise LeadSheetError(f"line {line_no}: melody rows are 'bar.beat pitch dur [vel]'")
@@ -267,7 +243,8 @@ def parse_leadsheet(text: str) -> LeadSheet:
             except ValueError:
                 raise LeadSheetError(f"line {line_no}: bad bar index {bar_txt!r}") from None
             beat = _parse_fraction(beat_txt or "0", line_no, "beat")
-            if m_bar < 0 or beat < 0 or beat >= sheet.beats_per_bar:
+            beats_per_bar = bar_length(*sheet.time_signature)
+            if m_bar < 0 or beat < 0 or beat >= beats_per_bar:
                 raise LeadSheetError(f"line {line_no}: position {where!r} outside its bar")
             pitch = int(pitch_tok) if pitch_tok.lstrip("-").isdigit() else _parse_note_name(pitch_tok, line_no)
             if not 0 <= pitch <= 127:
@@ -278,17 +255,17 @@ def parse_leadsheet(text: str) -> LeadSheet:
             vel_tok = parts[3] if len(parts) == 4 else "80"
             if not (vel_tok.isdigit() and 1 <= int(vel_tok) <= 127):
                 raise LeadSheetError(f"line {line_no}: velocity {vel_tok!r} not an integer 1-127")
-            velocity = int(vel_tok)
-            onset = m_bar * sheet.beats_per_bar + beat
-            melody.append(NoteEvent(pitch, onset, duration, velocity))
+            onset = m_bar * beats_per_bar + beat
+            on = beats_to_ticks(onset, DEFAULT_RESOLUTION)
+            off = beats_to_ticks(onset + duration, DEFAULT_RESOLUTION)
+            sheet.melody.append((on, pitch, max(off - on, 1), int(vel_tok)))
             continue
 
         if line.startswith("|"):
             _parse_bar_line(sheet, line, bar, line_no)
             bar += 1
         elif line.lower().rstrip(":") == "melody":
-            in_melody = True
-            saw_melody_header = True
+            sheet.melody = []
         elif bar > 0:
             raise LeadSheetError(f"line {line_no}: headers must precede bar lines")
         elif line.lower().startswith("title:"):
@@ -315,8 +292,8 @@ def parse_leadsheet(text: str) -> LeadSheet:
 
     if not sheet.chords:
         raise LeadSheetError("lead sheet has no chords")
-    if saw_melody_header:
-        sheet.melody = sorted(melody, key=note_sort_key)
+    if sheet.melody:
+        sheet.melody.sort()
     return sheet
 
 
@@ -326,12 +303,12 @@ def _parse_bar_line(sheet: LeadSheet, line: str, bar: int, line_no: int) -> None
     tokens = line[1:-1].split()
     if not tokens:
         raise LeadSheetError(f"line {line_no}: empty bar")
-    numerator, denominator = sheet.time_signature
+    numerator = sheet.time_signature[0]
     if numerator % len(tokens) != 0:
         raise LeadSheetError(
             f"line {line_no}: {len(tokens)} chord slots do not divide {numerator} beats"
         )
-    stride = Fraction(numerator, len(tokens)) * Fraction(4, denominator)
+    stride = sheet.bar_ticks // len(tokens)
     for i, token in enumerate(tokens):
         if token == ".":
             continue
@@ -339,7 +316,7 @@ def _parse_bar_line(sheet: LeadSheet, line: str, bar: int, line_no: int) -> None
             chord = parse_chord(token)
         except ChordParseError as exc:
             raise LeadSheetError(f"line {line_no}: {exc}") from exc
-        sheet.chords.append((bar, i * stride, chord))
+        sheet.chords.append((bar * sheet.bar_ticks + i * stride, chord))
 
 
 def load_leadsheet(path) -> LeadSheet:
@@ -362,37 +339,25 @@ class Segment:
 
 
 def original_segments(sheet: LeadSheet, window: int = 4) -> list[Segment]:
-    """Tile the sheet into consecutive `window`-bar segments. Melody notes are
-    carried as-is; each chord sounds as a root position block from its onset
-    to the next chord or the window end. Times round onto the tick grid of
-    DEFAULT_RESOLUTION as make_score rounds them."""
+    """Tile the sheet into consecutive `window`-bar segments at
+    DEFAULT_RESOLUTION. Melody notes are carried as-is; each chord sounds as a
+    root position block from its tick to the next chord or the window end."""
     if window < 1:
         raise ValueError("window must be positive")
 
-    res = DEFAULT_RESOLUTION
-    bpb = sheet.beats_per_bar
-    melody = make_score(sheet.melody or (), resolution=res).tick_notes
     segments = []
     for start in range(0, sheet.n_bars - window + 1, window):
-        lo = beats_to_ticks(start * bpb, res)
-        hi = beats_to_ticks((start + window) * bpb, res)
-        in_window = [(b, beat, ch) for b, beat, ch in sheet.chords if start <= b < start + window]
-
-        notes = [(on - lo, pitch, dur, vel) for on, pitch, dur, vel in melody if lo <= on < hi]
-        for i, (b, beat, chord) in enumerate(in_window):
-            onset = beats_to_ticks((b - start) * bpb + beat, res)
-            if i + 1 < len(in_window):
-                nb, nbeat, _ = in_window[i + 1]
-                until = beats_to_ticks((nb - start) * bpb + nbeat, res)
-            else:
-                until = beats_to_ticks(window * bpb, res)
-            if until <= onset:
-                continue
+        lo, hi = start * sheet.bar_ticks, (start + window) * sheet.bar_ticks
+        notes = [(on - lo, pitch, dur, vel)
+                 for on, pitch, dur, vel in sheet.melody or () if lo <= on < hi]
+        blocks = [(tick - lo, chord) for tick, chord in sheet.chords if lo <= tick < hi]
+        ends = [onset for onset, _ in blocks[1:]] + [hi - lo]
+        for (onset, chord), until in zip(blocks, ends):
             base = _CHORD_BASE_PITCH + chord.root
             notes += [(onset, base + interval, until - onset, _CHORD_VELOCITY)
                       for interval in chord_tones(chord)]
 
         score = score_from_ticks(notes, time_signatures=[(0, *sheet.time_signature)],
-                                 resolution=res)
+                                 resolution=DEFAULT_RESOLUTION)
         segments.append(Segment(start, score))
     return segments

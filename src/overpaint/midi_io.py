@@ -67,10 +67,6 @@ class NoteEvent:
         return self.onset + self.duration
 
 
-def note_sort_key(note: NoteEvent):
-    return (note.onset, note.pitch, note.duration, note.velocity)
-
-
 @dataclass
 class MidiScore:
     """Notes plus tempo map (tick, BPM) and time signatures (bar, num, den).
@@ -247,6 +243,11 @@ def seconds_to_ticks(score: MidiScore, seconds: float) -> int:
 def beats_to_ticks(beat, resolution: int) -> int:
     """The tick nearest `beat` at `resolution`; a half tick rounds up."""
     return int((2 * Fraction(beat) * resolution + 1) // 2)
+
+
+def ticks_to_beats(tick: int, resolution: int) -> Fraction:
+    """The exact beat of `tick` at `resolution`."""
+    return Fraction(tick, resolution)
 
 
 def quantize(score: MidiScore, grid: int) -> MidiScore:

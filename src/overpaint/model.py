@@ -408,6 +408,8 @@ def load_checkpoint(path) -> tuple[TransformerLM, dict]:
             pos += size
     except (struct.error, IndexError, UnicodeDecodeError) as exc:
         raise CheckpointError(f"corrupt checkpoint: {exc}") from exc
+    if pos != len(data):
+        raise CheckpointError(f"{path}: {len(data) - pos} bytes after the last blob")
     if version == 1:
         for name in [name for name in arrays if name.endswith("attn.bk")]:
             if arrays.pop(name).any():
@@ -503,9 +505,8 @@ def _epoch_pass(
         ids = _pad_batch(chunk)
         inputs, targets = ids[:, :-1], ids[:, 1:]
         cells += targets.size
-        # each row's inputs before its padding (at least one, for a row too
-        # short to have a target); the forward packs them, and so do the targets
-        lengths = np.array([max(len(s) - 1, 1) for s in chunk])
+        # each row's inputs before its padding; the forward packs them, as do the targets
+        lengths = np.array([len(s) - 1 for s in chunk])
         real = np.arange(inputs.shape[1]) < lengths[:, None]
         packed = targets[real]
         with contextlib.nullcontext() if train else ad.no_grad():
@@ -548,8 +549,8 @@ def train(
     longest = model_config.max_len + 1  # inputs are a sequence without its last token
     for split, seqs in (("train", train_sequences), ("val", val_sequences)):
         for i, seq in enumerate(seqs):
-            if len(seq) > longest:
-                raise ValueError(f"{split} sequence {i} has {len(seq)} tokens; at most {longest} fit")
+            if not 2 <= len(seq) <= longest:  # at least one input and one target
+                raise ValueError(f"{split} sequence {i} has {len(seq)} tokens; 2 to {longest} fit")
     seeds = np.random.SeedSequence(train_config.seed).spawn(3)
     init_seed = int(seeds[0].generate_state(1)[0])
     shuffle_rng = np.random.default_rng(seeds[1])
@@ -652,7 +653,10 @@ def nucleus_sample(
         raise NonFiniteError("non-finite logits passed to nucleus_sample")
     rng = rng or np.random.default_rng()
 
-    scaled = logits / temperature
+    with np.errstate(over="ignore"):
+        scaled = logits / temperature
+    if not np.isfinite(scaled).all():
+        raise NonFiniteError(f"logits overflow at temperature {temperature}")
     scaled -= scaled.max()
     probs = np.exp(scaled)
     probs /= probs.sum()

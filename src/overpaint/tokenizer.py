@@ -412,4 +412,6 @@ def read_token_file(path, vocab: Vocabulary | None = None) -> list[np.ndarray]:
                                 f"outside the vocabulary of {len(vocab)}")
         sequences.append(seq)
         pos = end
+    if pos != len(data):
+        raise TokenizeError(f"{path}: {len(data) - pos} bytes after the last record")
     return sequences

@@ -270,7 +270,7 @@ def test_extract_pairs_drops_chordless_window():
 
 def test_extract_pairs_requires_chords():
     # the parser refuses chordless sheets, so build the degenerate one by hand
-    melody = [NoteEvent(60 + i, F(4 * i), F(1), 80) for i in range(4)]
+    melody = [(1920 * i, 60 + i, 480, 80) for i in range(4)]
     sheet = LeadSheet(title="bare", chords=[], melody=melody)
     performance = make_score([NoteEvent(60, F(0), F(16), 90)])
     with pytest.raises(AlignmentError, match="no chords"):

@@ -383,6 +383,27 @@ def test_checkpoint_errors_exit_3(pipeline, tmp_path):
                  "--out-dir", str(tmp_path / "g2")]) == 3
 
 
+def test_trailing_bytes_exit_3_for_a_checkpoint_and_2_for_tokens(pipeline, tmp_path):
+    checkpoint = tmp_path / "long.ovpt"
+    checkpoint.write_bytes(pipeline["model"].read_bytes() + b"\0")
+    tokens = tmp_path / "long.bin"
+    tokens.write_bytes((pipeline["tokens"] / "tokens_test.bin").read_bytes() + b"\0")
+    for model, primers, code in [(checkpoint, pipeline["tokens"] / "tokens_test.bin", 3),
+                                 (pipeline["model"], tokens, 2)]:
+        assert main(["--quiet", "generate", "--checkpoint", str(model), "--tokens", str(primers),
+                     "--out-dir", str(tmp_path / "g")]) == code
+        assert not (tmp_path / "g").exists()
+
+
+def test_overflowing_temperature_exits_4_and_writes_no_tokens(pipeline, tmp_path, caplog):
+    out = tmp_path / "g"
+    assert main(["--quiet", "generate", "--checkpoint", str(pipeline["model"]),
+                 "--tokens", str(pipeline["tokens"] / "tokens_test.bin"),
+                 "--out-dir", str(out), "--temperature", "1e-310"]) == 4
+    assert "logits overflow" in caplog.text
+    assert not (out / "generated_tokens.bin").exists()
+
+
 def test_version_1_checkpoint_with_a_nonzero_key_bias_exits_3(pipeline, tmp_path):
     bad = tmp_path / "bk.ovpt"
     bad.write_bytes(v1_with_nonzero_key_bias())
@@ -436,6 +457,24 @@ def test_train_rejects_an_over_long_sequence_before_training(pipeline, tmp_path,
     assert main(["--quiet", "train", "--tokens", str(tokens),
                  "--out", str(out / "m.ovpt"), "--epochs", "1"]) == 2
     assert f"{split} sequence 1 has 1102 tokens" in caplog.text
+    assert list(out.iterdir()) == []  # no checkpoint, no epoch log
+
+
+@pytest.mark.parametrize("split, tokens", [("train", [BOS]), ("val", [])],
+                         ids=["train-one-token", "val-empty"])
+def test_train_rejects_a_short_sequence_before_training(pipeline, tmp_path, caplog, split, tokens):
+    """A sequence needs one input and one target token."""
+    directory = tmp_path / "tokens"
+    shutil.copytree(pipeline["tokens"], directory)
+    vocab = build_vocabulary()
+    seqs = read_token_file(directory / f"tokens_{split}.bin", vocab)
+    seqs.insert(1, np.array(tokens, dtype=np.int64))
+    write_token_file(directory / f"tokens_{split}.bin", seqs, vocab)
+    out = tmp_path / "out"
+    out.mkdir()
+    assert main(["--quiet", "train", "--tokens", str(directory),
+                 "--out", str(out / "m.ovpt"), "--epochs", "1"]) == 2
+    assert f"{split} sequence 1 has {len(tokens)} tokens" in caplog.text
     assert list(out.iterdir()) == []  # no checkpoint, no epoch log
 
 

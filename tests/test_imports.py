@@ -1,4 +1,5 @@
-"""numpy stays the package's only runtime dependency, and every import is used."""
+"""numpy stays the package's only runtime dependency, every import is used, and
+only the beat boundary imports fractions."""
 
 import ast
 import sys
@@ -7,27 +8,37 @@ from pathlib import Path
 import overpaint
 
 
+SOURCES = sorted(Path(overpaint.__file__).parent.glob("*.py"))
+
+
+def absolute_imports(path):
+    """Names of the modules `path` imports, relative imports left out."""
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and not node.level:  # level > 0: relative
+            yield node.module
+
+
 def test_package_imports_only_numpy_and_the_standard_library():
     allowed = set(sys.stdlib_module_names) | {"numpy"}
-    sources = sorted(Path(overpaint.__file__).parent.glob("*.py"))
-    assert sources
-    outside = []
-    for path in sources:
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Import):
-                names = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom) and not node.level:  # level > 0: relative
-                names = [node.module]
-            else:
-                continue
-            outside += [f"{path.name}: {name}" for name in names if name.split(".")[0] not in allowed]
+    assert SOURCES
+    outside = [f"{path.name}: {name}" for path in SOURCES for name in absolute_imports(path)
+               if name.split(".")[0] not in allowed]
     assert not outside, outside
 
 
+def test_only_the_beat_boundary_imports_fractions():
+    """Beats enter and leave through midi_io (NoteEvent, make_score,
+    slice_beats' bounds, bar geometry) and leadsheet (text parsing); every
+    other module keeps time in ints."""
+    importers = [path.name for path in SOURCES if "fractions" in absolute_imports(path)]
+    assert importers == ["leadsheet.py", "midi_io.py"]
+
+
 def test_every_module_level_import_is_used():
-    sources = sorted(Path(overpaint.__file__).parent.glob("*.py"))
     unused = []
-    for path in sources:
+    for path in SOURCES:
         tree = ast.parse(path.read_text(encoding="utf-8"))
         bound = [
             alias.asname or alias.name.split(".")[0]
@@ -39,3 +50,4 @@ def test_every_module_level_import_is_used():
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         unused += [f"{path.name}: {name}" for name in bound if name not in used]
     assert not unused, unused
+

@@ -8,10 +8,9 @@ from overpaint.leadsheet import (
     ChordSymbol,
     EXTENSION_OFFSETS,
     LeadSheetError,
-    QUALITY_TONES,
+    _QUALITY_SURFACES,
     chord_template,
     chord_tones,
-    format_chord,
     original_segments,
     parse_chord,
     parse_leadsheet,
@@ -92,15 +91,12 @@ def test_chord_symbol_validation():
         ChordSymbol(root=0, bass=-1)
 
 
-def test_format_chord_round_trips_everything():
-    extension_sets = [frozenset()] + [frozenset({e}) for e in EXTENSION_OFFSETS]
-    extension_sets.append(frozenset({"b9", "13"}))
-    for root in range(12):
-        for quality in QUALITY_TONES:
-            for extensions in extension_sets:
-                for bass in (None, (root + 7) % 12):
-                    chord = ChordSymbol(root, quality, extensions, bass)
-                    assert parse_chord(format_chord(chord)) == chord
+def test_parse_chord_maps_every_surface():
+    for surface, quality in _QUALITY_SURFACES:
+        assert parse_chord("D" + surface) == ChordSymbol(2, quality), surface
+    for extension in EXTENSION_OFFSETS:
+        assert parse_chord("G7" + extension) == ChordSymbol(7, "dom7", {extension}), extension
+    assert parse_chord("Ebmaj7#11/Bb") == ChordSymbol(3, "maj7", {"#11"}, 10)
 
 
 def test_chord_tones_and_template():
@@ -127,22 +123,24 @@ def test_parse_leadsheet_full_song():
     assert sheet.key == (3, "major")
     assert sheet.time_signature == (4, 4)
     assert sheet.n_bars == 8
-    assert sheet.beats_per_bar == F(4)
+    assert sheet.bar_ticks == 4 * 480
     assert len(sheet.melody) == 32
     # bar 5 holds two chords: Fm7 on beat 0 and Bb7 on beat 2
-    bar5 = [(beat, format_chord(ch)) for bar, beat, ch in sheet.chords if bar == 5]
-    assert bar5 == [(F(0), "Fm7"), (F(2), "Bb7")]
+    bar5 = [(tick, ch) for tick, ch in sheet.chords if tick // sheet.bar_ticks == 5]
+    assert bar5 == [(5 * 1920, ChordSymbol(5, "min7")), (5 * 1920 + 960, ChordSymbol(10, "dom7"))]
 
 
 def test_parse_leadsheet_chord_grid_strides():
-    sheet = parse_leadsheet("| C . G7 . |\n")
-    assert [(b, beat) for b, beat, _ in sheet.chords] == [(0, F(0)), (0, F(2))]
+    sheet = parse_leadsheet("| C . G7 . |\n| F |\n")
+    assert [tick for tick, _ in sheet.chords] == [0, 960, 1920]
     sheet = parse_leadsheet("| C G7 |\n")
-    assert [beat for _, beat, _ in sheet.chords] == [F(0), F(2)]
-    sheet = parse_leadsheet("time: 3/4\n| C . G7 |\n")
-    assert [beat for _, beat, _ in sheet.chords] == [F(0), F(2)]
+    assert [tick for tick, _ in sheet.chords] == [0, 960]
+    sheet = parse_leadsheet("time: 3/4\n| C . G7 |\n| F . . |\n")
+    assert [tick for tick, _ in sheet.chords] == [0, 960, 1440]
     sheet = parse_leadsheet("time: 6/8\n| C . . G7 . . |\n")
-    assert [beat for _, beat, _ in sheet.chords] == [F(0), F(3, 2)]
+    assert [tick for tick, _ in sheet.chords] == [0, 720]
+    sheet = parse_leadsheet("time: 5/16\n| C . . . G7 |\n| F |\n")
+    assert [tick for tick, _ in sheet.chords] == [0, 480, 600]
 
 
 def test_parse_leadsheet_melody_rows():
@@ -154,16 +152,22 @@ def test_parse_leadsheet_melody_rows():
         "0.2 C4 0.5 99\n"
     )
     sheet = parse_leadsheet(text)
-    assert [(n.pitch, n.onset, n.duration, n.velocity) for n in sheet.melody] == [
-        (60, F(0), F(1), 80),
-        (75, F(1, 2), F(1, 2), 80),
-        (60, F(2), F(1, 2), 99),
-    ]
+    assert sheet.melody == [(0, 60, 480, 80), (240, 75, 240, 80), (960, 60, 240, 99)]
 
 
 def test_n_bars_covers_melody_extent():
     sheet = parse_leadsheet("| C . . . |\nmelody:\n3.0 60 1\n")
     assert sheet.n_bars == 4
+
+
+def test_melody_rounds_onto_the_tick_grid():
+    # 1/7 beat is off the 480 grid: onset 480/7 ticks rounds to 69, end 960/7 to 137
+    sheet = parse_leadsheet("| C . . . |\nmelody:\n0.1/7 60 1/7\n0.2 62 1/1000\n")
+    assert sheet.melody == [(69, 60, 68, 80), (960, 62, 1, 80)]
+    # an onset that rounds onto a bar line belongs to the next bar
+    sheet = parse_leadsheet("| C . . . |\nmelody:\n0.7999/2000 60 1\n")
+    assert sheet.melody[0][0] == 1920 and sheet.n_bars == 2
+    assert [n[:2] for n in original_segments(sheet, window=1)[1].score.tick_notes] == [(0, 60)]
 
 
 def test_parse_leadsheet_errors():

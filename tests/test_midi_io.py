@@ -2,6 +2,7 @@ import hashlib
 import logging
 import struct
 from fractions import Fraction as F
+from operator import attrgetter
 
 import numpy as np
 import pytest
@@ -13,7 +14,6 @@ from overpaint.midi_io import (
     bar_length,
     beats_to_ticks,
     make_score,
-    note_sort_key,
     parse_midi,
     quantize,
     seconds_at,
@@ -24,6 +24,8 @@ from overpaint.midi_io import (
     transpose,
     write_midi,
 )
+
+note_order = attrgetter("onset", "pitch", "duration", "velocity")
 
 
 # --- independent SMF byte builder (kept separate from the writer under test) ---
@@ -76,7 +78,7 @@ def test_make_score_sorts_and_anchors():
     assert score.notes[0].duration == F(1, 2)  # shorter duplicate first
     assert score.tempo_map == [(0, 120.0), (4 * 480, 90.0)]  # anchored at tick 0
     assert score.time_signatures[0] == (0, 4, 4)
-    assert sorted(score.notes, key=note_sort_key) == score.notes
+    assert sorted(score.notes, key=note_order) == score.notes
 
 
 def test_make_score_clamps_tempo_and_signature():
@@ -237,7 +239,7 @@ def test_same_pitch_legato_round_trip():
         NoteEvent(60, F(2), F(2), 90),  # restruck exactly at the first one's end
     ]
     back = parse_midi(write_midi(make_score(notes)))
-    assert back.notes == sorted(notes, key=note_sort_key)
+    assert back.notes == sorted(notes, key=note_order)
 
 
 def test_same_pitch_nesting_normalizes_to_crossing():

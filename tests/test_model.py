@@ -285,6 +285,10 @@ def test_checkpoint_rejects_corruption(tmp_path):
     with pytest.raises(CheckpointError):
         load_checkpoint(bad)
 
+    bad.write_bytes(blob + b"\0")
+    with pytest.raises(CheckpointError, match="1 bytes after the last blob"):
+        load_checkpoint(bad)
+
     garbled = bytearray(blob)
     (meta_len,) = struct.unpack("<I", blob[8:12])
     garbled[12 : 12 + 4] = b"}{x!"
@@ -453,19 +457,19 @@ def test_packed_training_steps_as_rows_alone(monkeypatch):
 def test_epoch_pass_losses_are_the_rows_own():
     """An eval pass over packed batches reports the mean loss, and the means
     before and after SEP, of every row's own forward, and counts its real and
-    PAD targets; a one-token row adds no target."""
+    PAD targets."""
     config = ModelConfig(vocab_size=50, n_layers=1, d_model=16, n_heads=4, d_ff=32,
                          max_len=32, dropout=0.0, dtype="float64")
     model = TransformerLM(config, seed=36)
     rng = np.random.default_rng(37)
     seqs = [pair_like_sequences(rng, 1, body=n)[0] for n in (2, 7, 4, 6)]
-    seqs += [np.array([BOS, 5, 6, EOS]), np.array([BOS])]  # no SEP: all pre; no target
+    seqs.append(np.array([BOS, 5, 6, EOS]))  # no SEP: all pre
     order = rng.permutation(len(seqs))
     with no_grad():
         loss, pre, post, real, padded = _epoch_pass(model, seqs, order, 4, False, None, None, 0.0)
         sums = np.zeros(3)
         counts = np.zeros(3)
-        for seq in seqs[:-1]:
+        for seq in seqs:
             logits = model.forward(seq[None, :-1])
             _, each = cross_entropy(logits, seq[None, 1:], return_elementwise=True)
             sep = list(seq[:-1]).index(SEP) if SEP in seq[:-1] else len(seq)
@@ -476,7 +480,7 @@ def test_epoch_pass_losses_are_the_rows_own():
     assert np.allclose([loss, pre, post], sums / counts, rtol=1e-12, atol=0)
     assert real == counts[0]
     widths = [max(len(seqs[i]) for i in order[lo:lo + 4]) - 1 for lo in (0, 4)]
-    assert padded == 4 * widths[0] + 2 * widths[1] - real
+    assert padded == 4 * widths[0] + widths[1] - real
 
 
 def test_train_schedules_and_stops_early():
@@ -545,6 +549,9 @@ def test_nucleus_sample_validation():
             nucleus_sample(FIXTURE_LOGITS, 0.9, temperature=bad_t, rng=rng)
     with pytest.raises(NonFiniteError):
         nucleus_sample(np.array([0.0, np.nan]), 0.9, rng=rng)
+    # finite logits over a tiny temperature overflow; the draw would be PAD
+    with pytest.raises(NonFiniteError, match="overflow at temperature 1e-310"):
+        nucleus_sample(FIXTURE_LOGITS, 0.9, temperature=1e-310, rng=rng)
     with pytest.raises(ValueError, match="vector"):
         nucleus_sample(np.zeros((2, 2)), 0.9, rng=rng)
 

@@ -492,3 +492,7 @@ def test_token_file_rejects_corruption(tmp_path):
     (tmp_path / "cut.bin").write_bytes(bytes(blob[:-4]))
     with pytest.raises(TokenizeError, match="truncated"):
         read_token_file(tmp_path / "cut.bin")
+
+    (tmp_path / "long.bin").write_bytes(bytes(blob) + b"junk")
+    with pytest.raises(TokenizeError, match="4 bytes after the last record"):
+        read_token_file(tmp_path / "long.bin")
