@@ -381,8 +381,6 @@ def _cmd_generate(args: argparse.Namespace):
     if args.limit is not None:
         primers = primers[: args.limit]
 
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     # Primer i samples from its own stream, child i of the seed (a child does
     # not depend on how many are spawned), so neither --limit nor skipped
     # primers nor batching changes any other primer's output.
@@ -404,6 +402,7 @@ def _cmd_generate(args: argparse.Namespace):
 
     generated = []
     decoded = []
+    scores = []  # (primer, score), written only once every batch has decoded
     decode_seconds = 0.0
     for lo in range(0, len(todo), _GENERATE_BATCH):
         chunk = todo[lo : lo + _GENERATE_BATCH]
@@ -421,11 +420,15 @@ def _cmd_generate(args: argparse.Namespace):
             score, repairs = detokenize_with_report(continuation, vocab)
             if repairs:
                 log.info("sequence %d needed %d grammar repairs", i, len(repairs))
-            save_midi(score, out_dir / f"{i:04d}.mid")
+            scores.append((i, score))
             generated.append(continuation)
             decoded.append({"primer": i, "tokens": len(continuation), "repairs": len(repairs)})
     if not generated:
         raise ManifestError("no sequences could be generated")
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for i, score in scores:
+        save_midi(score, out_dir / f"{i:04d}.mid")
     write_token_file(out_dir / "generated_tokens.bin", generated, vocab)
     repaired = sum(d["repairs"] > 0 for d in decoded)
     print(

@@ -2,7 +2,11 @@
 
 A manifest is JSONL: a header line with the schema version, then one record
 per pair. MIDI payloads live as sibling .mid files referenced by relative
-path, so manifests stay diffable and the corpus stays playable.
+path, so manifests stay diffable. In schema v2 a record's payloads hold its
+scores before its transposition: the transposed records of one source share
+the two payloads of its untransposed record, and load_manifest transposes them
+on read. Untransposed payloads are playable; transposed scores exist only in
+memory. v1 manifests, whose payloads are already transposed, still load.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from pathlib import Path
 
 from .midi_io import MidiScore, load_midi, save_midi, transpose
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 STATUSES = ("accepted", "needs_review", "rejected")
 SPLITS = ("train", "val", "test", "unassigned")
 TRANSPOSITIONS = tuple(range(-5, 7))  # 12 semitone shifts including identity
@@ -37,6 +41,7 @@ class PairRecord:
     split: str = "unassigned"
     window_start_bar: int | None = None
     key: tuple[int, str] | None = None
+    source: str | None = None  # pair_id of the untransposed pair whose payloads this one shares
 
     def __post_init__(self) -> None:
         if self.status not in STATUSES:
@@ -50,8 +55,8 @@ class PairRecord:
 def augment(pairs) -> list[PairRecord]:
     """Expand each untransposed pair into 12 transposed copies (-5..+6).
 
-    Every output pair_id encodes its base pair and shift; out-of-range pitches
-    fold back by octaves inside transpose().
+    Every output pair_id encodes its base pair and shift, and its source is the
+    base pair's id; out-of-range pitches fold back by octaves inside transpose().
     """
     out = []
     for pair in pairs:
@@ -66,6 +71,7 @@ def augment(pairs) -> list[PairRecord]:
                     variation=transpose(pair.variation, t),
                     transposition=t,
                     key=None if pair.key is None else ((pair.key[0] + t) % 12, pair.key[1]),
+                    source=pair.pair_id,
                 )
             )
     return out
@@ -116,18 +122,31 @@ def _safe_name(pair_id: str) -> str:
     return re.sub(r"[^A-Za-z0-9_+-]", "_", pair_id)
 
 
+def _source(pair: PairRecord) -> str:
+    """The id whose payloads a pair's record names: its source, else itself."""
+    return pair.pair_id if pair.source is None else pair.source
+
+
 def save_manifest(pairs, path) -> None:
-    """Write the JSONL manifest plus one .mid per score under '<stem>_midi'
-    next to the manifest. Two pairs whose ids map to one payload name raise
-    ManifestError before anything is written."""
+    """Write the JSONL manifest plus each source's two payloads under
+    '<stem>_midi' next to the manifest, from the source's untransposed record
+    only; its transposed records name the same files. A transposed record with
+    no untransposed record of its source in `pairs`, or two sources that map
+    to one payload name, raise ManifestError before anything is written."""
     path = Path(path)
-    bases: dict[str, str] = {}  # payload base name -> the pair_id it names
-    for p in pairs:
-        base = _safe_name(p.pair_id)
-        if base in bases:
-            raise ManifestError(
-                f"pairs {bases[base]!r} and {p.pair_id!r} share the payload name {base}")
-        bases[base] = p.pair_id
+    bases = [_safe_name(_source(p)) for p in pairs]
+    writers: dict[str, PairRecord] = {}  # payload base name -> the record that writes it
+    for p, base in zip(pairs, bases):
+        if p.transposition == 0:
+            if base in writers:
+                raise ManifestError(f"pairs {writers[base].pair_id!r} and {p.pair_id!r} "
+                                    f"share the payload name {base}")
+            writers[base] = p
+    for p, base in zip(pairs, bases):
+        writer = writers.get(base)
+        if writer is None or _source(writer) != _source(p):
+            raise ManifestError(f"pair {p.pair_id!r} has no untransposed record of its "
+                                f"source {_source(p)!r} to share payloads with")
     midi_dir = path.parent / f"{path.stem}_midi"
     midi_dir.mkdir(parents=True, exist_ok=True)
 
@@ -135,13 +154,15 @@ def save_manifest(pairs, path) -> None:
     for p, base in zip(pairs, bases):
         orig_name = f"{base}.orig.mid"
         var_name = f"{base}.var.mid"
-        save_midi(p.original, midi_dir / orig_name)
-        save_midi(p.variation, midi_dir / var_name)
+        if p.transposition == 0:
+            save_midi(p.original, midi_dir / orig_name)
+            save_midi(p.variation, midi_dir / var_name)
         lines.append(
             json.dumps(
                 {
                     "pair_id": p.pair_id,
                     "song_id": p.song_id,
+                    "source": p.source,
                     "original": orig_name,
                     "variation": var_name,
                     "transposition": p.transposition,
@@ -165,6 +186,7 @@ _OPTIONAL_FIELDS = {
     "status": ((str,), "accepted"),
     "split": ((str,), "unassigned"),
     "window_start_bar": ((int, type(None)), None),
+    "source": ((str, type(None)), None),
 }
 
 
@@ -188,8 +210,10 @@ def _record_fields(rec: dict) -> dict:
 
 
 def load_manifest(path) -> list[PairRecord]:
-    """Load a manifest and its MIDI payloads. Wrong version or any missing
-    file fails the whole load (no partial results)."""
+    """Load a manifest and its MIDI payloads, each payload file parsed once. A
+    v2 record's scores are its payloads transposed by its transposition; a v1
+    record's payloads are its scores. Wrong version or any missing file fails
+    the whole load (no partial results)."""
     path = Path(path)
     try:
         lines = path.read_text(encoding="utf-8").splitlines()
@@ -203,15 +227,22 @@ def load_manifest(path) -> list[PairRecord]:
         raise ManifestError(f"bad manifest header: {exc}") from exc
     if not isinstance(header, dict):
         raise ManifestError("bad manifest header: not a JSON object")
-    if header.get("schema_version") != SCHEMA_VERSION:
+    version = header.get("schema_version")
+    if version not in (1, SCHEMA_VERSION):
         raise ManifestError(
-            f"unsupported schema_version {header.get('schema_version')!r} "
-            f"(expected {SCHEMA_VERSION})"
+            f"unsupported schema_version {version!r} (expected 1 or {SCHEMA_VERSION})"
         )
     midi_dir = header.get("midi_dir", f"{path.stem}_midi")
     if not isinstance(midi_dir, str):
         raise ManifestError(f"bad manifest header: midi_dir {midi_dir!r} is not a string")
     midi_dir = path.parent / midi_dir
+
+    scores: dict[str, MidiScore] = {}  # payload name -> its parsed score
+
+    def payload(name) -> MidiScore:
+        if name not in scores:
+            scores[name] = load_midi(midi_dir / name)
+        return scores[name]
 
     pairs = []
     for i, line in enumerate(lines[1:], start=2):
@@ -225,18 +256,20 @@ def load_manifest(path) -> list[PairRecord]:
             isinstance(rec.get(name), str) for name in ("pair_id", "song_id")
         ):
             raise ManifestError(f"line {i}: not a pair record with a string pair_id and song_id")
-        try:
-            original = load_midi(midi_dir / rec["original"])
-            variation = load_midi(midi_dir / rec["variation"])
-        except (OSError, KeyError, TypeError) as exc:
-            raise ManifestError(
-                f"pair {rec.get('pair_id', '?')!r}: missing MIDI payload ({exc})"
-            ) from exc
         fields = _record_fields(rec)
         try:
-            pairs.append(PairRecord(rec["pair_id"], rec["song_id"], original, variation, **fields))
+            original = payload(rec["original"])
+            variation = payload(rec["variation"])
+        except (OSError, KeyError, TypeError) as exc:
+            raise ManifestError(f"pair {rec['pair_id']!r}: missing MIDI payload ({exc})") from exc
+        try:
+            pair = PairRecord(rec["pair_id"], rec["song_id"], original, variation, **fields)
         except ValueError as exc:  # a value outside its range (status, split, transposition)
             raise ManifestError(f"pair {rec['pair_id']!r}: {exc}") from exc
+        if version > 1 and pair.transposition:
+            pair.original = transpose(original, pair.transposition)
+            pair.variation = transpose(variation, pair.transposition)
+        pairs.append(pair)
     return pairs
 
 

@@ -323,6 +323,7 @@ def test_input_errors_exit_2(pipeline, tmp_path):
     ("augment", 1, lambda rec: {**rec, "split": ["train"]}),
     ("augment", 1, lambda rec: {**rec, "window_start_bar": "3"}),
     ("augment", 1, lambda rec: {**rec, "original": 5}),
+    ("augment", 1, lambda rec: {**rec, "source": 5}),
     ("augment", 0, lambda rec: {**rec, "midi_dir": 5}),
     ("review", 0, lambda rec: [1]),
     ("review", 0, lambda rec: {"status": "accepted"}),
@@ -330,6 +331,7 @@ def test_input_errors_exit_2(pipeline, tmp_path):
 ], ids=["header-list", "record-list", "no-pair-id", "no-song-id", "pair-id-list",
         "key-int", "key-short", "key-str-tonic", "transposition-str", "window-start-bool",
         "confidence-str", "status-int", "split-list", "window-start-str", "original-int",
+        "source-int",
         "header-midi-dir-int",
         "decision-list", "decision-no-pair-id", "decision-pair-id-list"])
 def test_malformed_manifest_records_exit_2(pipeline, tmp_path, command, index, edit):
@@ -364,6 +366,20 @@ def test_pair_ids_sharing_a_payload_name_exit_2_and_write_nothing(pipeline, tmp_
                  "--out", str(tmp_path / "out.jsonl")]) == 2
     assert "'x y' and 'x_y'" in caplog.text
     assert sorted(p.name for p in tmp_path.iterdir()) == ["decisions.jsonl", "edited.jsonl"]
+
+
+def test_tokenize_exits_2_when_a_shared_source_payload_is_missing(pipeline, tmp_path):
+    """Every transposition of a source reads that source's payloads, so losing
+    one file fails the whole manifest."""
+    aug = tmp_path / "aug.jsonl"
+    shutil.copy(pipeline["aug"], aug)
+    shutil.copytree(pipeline["root"] / "aug_midi", tmp_path / "aug_midi")
+    rec = json.loads(aug.read_text().splitlines()[1])
+    assert rec["source"] is not None and rec["transposition"] != 0
+    (tmp_path / "aug_midi" / rec["variation"]).unlink()
+    assert main(["--quiet", "tokenize", "--pairs", str(aug),
+                 "--out-dir", str(tmp_path / "tok")]) == 2
+    assert not (tmp_path / "tok").exists()
 
 
 def test_checkpoint_errors_exit_3(pipeline, tmp_path):
@@ -402,6 +418,14 @@ def test_overflowing_temperature_exits_4_and_writes_no_tokens(pipeline, tmp_path
                  "--out-dir", str(out), "--temperature", "1e-310"]) == 4
     assert "logits overflow" in caplog.text
     assert not (out / "generated_tokens.bin").exists()
+
+
+def test_generate_failing_in_decode_leaves_no_out_dir(pipeline, tmp_path):
+    out = tmp_path / "g"
+    assert main(["--quiet", "generate", "--checkpoint", str(pipeline["model"]),
+                 "--tokens", str(pipeline["tokens"] / "tokens_test.bin"),
+                 "--out-dir", str(out), "--temperature", "1e-310"]) == 4
+    assert not out.exists()
 
 
 def test_version_1_checkpoint_with_a_nonzero_key_bias_exits_3(pipeline, tmp_path):

@@ -1,11 +1,13 @@
 import csv
 import json
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
 
 import helpers
 
+from overpaint import dataset
 from overpaint.dataset import (
     TRANSPOSITIONS,
     ManifestError,
@@ -16,7 +18,7 @@ from overpaint.dataset import (
     save_manifest,
     split_by_song,
 )
-from overpaint.midi_io import NoteEvent, make_score
+from overpaint.midi_io import NoteEvent, load_midi, make_score, save_midi, transpose
 
 
 def make_pair(pair_id="song_w000", song_id="song", key=(0, "major"), **kw):
@@ -160,22 +162,28 @@ def test_split_rejects_bad_inputs():
 # --- manifests ---------------------------------------------------------------------
 
 def test_manifest_round_trip(tmp_path):
+    c_untransposed, c_up3 = (
+        p for p in augment([make_pair("c_w000", "c", key=(0, "minor"), split="test")])
+        if p.transposition in (0, 3)
+    )
     pairs = [
         make_pair("a_w000", "a", split="train"),
         make_pair("b_w004", "b", key=None, confidence=0.75, status="needs_review"),
-        make_pair("c_w000_t+3", "c", transposition=3, key=(3, "minor"), split="test"),
+        c_untransposed,
+        c_up3,
     ]
+    assert c_up3.pair_id == "c_w000_t+3" and c_up3.key == (3, "minor")
     path = tmp_path / "corpus.jsonl"
     save_manifest(pairs, path)
 
     lines = path.read_text(encoding="utf-8").splitlines()
     header = json.loads(lines[0])
-    assert header == {"midi_dir": "corpus_midi", "schema_version": 1}
-    assert len(lines) == 4
+    assert header == {"midi_dir": "corpus_midi", "schema_version": 2}
+    assert len(lines) == 5
     midi_dir = tmp_path / "corpus_midi"
     assert sorted(f.name for f in midi_dir.iterdir()) == sorted(
-        f"{p.pair_id.replace('+', '+')}{suffix}"
-        for p in pairs
+        f"{base}{suffix}"
+        for base in ("a_w000", "b_w004", "c_w000")
         for suffix in (".orig.mid", ".var.mid")
     )
 
@@ -224,6 +232,86 @@ def test_manifest_rejects_malformed_files(tmp_path):
     bad_line.write_text('{"schema_version": 1, "midi_dir": "x"}\n{oops\n', encoding="utf-8")
     with pytest.raises(ManifestError, match="line 2"):
         load_manifest(bad_line)
+
+
+def _edge_pairs():
+    """Two base pairs whose pitches sit near 0 and near 127, so transposing folds octaves."""
+    low = PairRecord("low_w000", "low", helpers.simple_score([1, 4, 60]),
+                     helpers.simple_score([0, 2, 5, 7]), key=(0, "major"), split="train")
+    high = PairRecord("high_w004", "high", helpers.simple_score([120, 124, 127]),
+                      helpers.simple_score([118, 122, 125, 126]), key=(9, "minor"), split="val")
+    return [low, high]
+
+
+def test_augmented_manifest_writes_and_parses_each_payload_once(tmp_path, monkeypatch):
+    pairs = augment(_edge_pairs())
+    assert {p.source for p in pairs} == {"low_w000", "high_w004"}
+    by_t = {(p.source, p.transposition): p for p in pairs}
+    assert by_t["low_w000", -5].original.tick_notes[0][1] == 8  # 1 - 5 folds up an octave
+    assert by_t["high_w004", 6].original.tick_notes[-1][1] == 121  # 127 + 6 folds down
+    path = tmp_path / "aug.jsonl"
+    save_manifest(pairs, path)
+    assert sorted(f.name for f in (tmp_path / "aug_midi").iterdir()) == [
+        "high_w004.orig.mid", "high_w004.var.mid", "low_w000.orig.mid", "low_w000.var.mid",
+    ]
+
+    read = []
+
+    def counting_load_midi(file):
+        read.append(file.name)
+        return load_midi(file)
+
+    monkeypatch.setattr(dataset, "load_midi", counting_load_midi)
+    loaded = load_manifest(path)
+    assert sorted(read) == sorted(f.name for f in (tmp_path / "aug_midi").iterdir())
+    assert loaded == pairs
+
+
+def test_version_1_manifest_loads_to_the_version_2_records(tmp_path):
+    """v1 payloads hold each record's transposed scores, and load without a
+    transpose on read."""
+    pairs = augment(_edge_pairs())
+    save_manifest(pairs, tmp_path / "v2.jsonl")
+    v2 = load_manifest(tmp_path / "v2.jsonl")
+
+    base = {p.pair_id: p for p in _edge_pairs()}
+    midi_dir = tmp_path / "v1_midi"
+    midi_dir.mkdir()
+    lines = [json.dumps({"schema_version": 1, "midi_dir": "v1_midi"})]
+    for p in pairs:
+        for side in ("original", "variation"):
+            save_midi(transpose(getattr(base[p.source], side), p.transposition),
+                      midi_dir / f"{p.pair_id}.{side}.mid")
+        lines.append(json.dumps({
+            "pair_id": p.pair_id, "song_id": p.song_id,
+            "original": f"{p.pair_id}.original.mid", "variation": f"{p.pair_id}.variation.mid",
+            "transposition": p.transposition, "confidence": p.confidence, "status": p.status,
+            "split": p.split, "window_start_bar": p.window_start_bar, "key": list(p.key),
+        }))
+    (tmp_path / "v1.jsonl").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    v1 = load_manifest(tmp_path / "v1.jsonl")
+    assert all(p.source is None for p in v1)
+    assert v1 == [replace(p, source=None) for p in v2]
+
+
+def test_transposed_record_without_its_untransposed_sibling_writes_nothing(tmp_path):
+    orphan = [p for p in augment(_edge_pairs()) if p.pair_id != "high_w004_t+0"]
+    with pytest.raises(ManifestError, match="'high_w004_t-5' has no untransposed record"):
+        save_manifest(orphan, tmp_path / "m.jsonl")
+    unsourced = [make_pair("x_w000_t+2", "x", transposition=2)]
+    # x_y's payload name is x y's, but the record there is x y's, not x_y's
+    other_source = [augment([make_pair("x y", "x")])[5], augment([make_pair("x_y", "x")])[6]]
+    for pairs in (unsourced, other_source):
+        with pytest.raises(ManifestError, match="no untransposed record"):
+            save_manifest(pairs, tmp_path / "m.jsonl")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_two_sources_sharing_a_payload_name_write_nothing(tmp_path):
+    clash = augment([make_pair("x y", "x"), make_pair("x_y", "x")])
+    with pytest.raises(ManifestError, match="share the payload name x_y"):
+        save_manifest(clash, tmp_path / "m.jsonl")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_manifest_tolerates_blank_lines(tmp_path):

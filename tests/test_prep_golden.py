@@ -4,7 +4,9 @@ The benchmark's seeded corpus (`bench/corpus.py`, read only) goes through the
 five prep commands in-process: extract-pairs, review, augment, tokenize and
 report. Every primary artifact must keep the SHA-256 pinned here, so a change
 to MIDI I/O, alignment, the dataset, the tokenizer or the metrics that moves
-one byte of them fails in tier-1, not only in a benchmark run.
+one byte of them fails in tier-1, not only in a benchmark run. The number of
+MIDI payloads beside each manifest is pinned too: augment writes each
+accepted pair's two payloads once, however many transpositions share them.
 """
 
 import hashlib
@@ -16,14 +18,17 @@ import pytest
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 SEED_1 = {
-    "pairs.jsonl": "5d1daab5d87eed484e22517ae03c1e62b7202c5450635721de3d77967af0837c",
-    "reviewed.jsonl": "fec2d6c605c5e188f6d0f9224ddeb4e7513737b153ebb8303de269a64d661abc",
-    "aug.jsonl": "397a32559927ecdd1e27b6b0c4c761520439cf9b8233a2dc6c99472b9078d310",
+    "pairs.jsonl": "7d8129c706091149c6273ed8f0a0f11bac237c410f21cac817d65675ad053603",
+    "reviewed.jsonl": "6c83047b5c3ffb5b12106b0c079ad57dcc4aefe7bfac1dcee9cd92c8eb1d6ba5",
+    "aug.jsonl": "b200eae663df4f06aadbdaed84cc5e5a0234c0ac266870a09764482f9789742d",
     "report.csv": "cb8d02a2e8d29817521e32560f89d824c1920318362921240c834d53dd821ba1",
     "tokens/tokens_train.bin": "d15c6ff045808a0b607f57633ca963be025a28b4b986646b22834c65e97cb4d7",
     "tokens/tokens_val.bin": "aef38f6ea12773337b2fa9865fed1aaf67cfb7fa0ebb3340587332d7b6699253",
     "tokens/tokens_test.bin": "dcefc20349799b13971429bfbd37e7366b535ad9608c060fc43943c540791cef",
 }
+# Payload files per manifest: two per pair from extract-pairs and review (32
+# pairs), and two per accepted source from augment (30 sources, 360 records).
+PAYLOADS = {"pairs_midi": 64, "reviewed_midi": 64, "aug_midi": 60}
 
 
 @pytest.fixture
@@ -66,3 +71,4 @@ def test_prep_artifacts_at_seed_1_keep_their_digests(tmp_path, bench_modules):
     assert commands.failures == []
     digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in SEED_1}
     assert digests == SEED_1
+    assert {name: len(list((out / name).iterdir())) for name in PAYLOADS} == PAYLOADS
