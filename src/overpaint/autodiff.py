@@ -292,11 +292,9 @@ def dropout(a: Tensor, p: float, rng: np.random.Generator) -> Tensor:
 
 
 _MASK_VALUE = -1e9  # large-but-finite so downstream checks stay clean
-# Query rows per step of attention's loop: at L = 440 (the longest training
-# pairs), tiles of 64 skip 43% of the (L, L) scores while each product stays
-# large enough for BLAS. In a packed batch a tile also leaves out the rows
-# whose length ends before it, so short rows stop paying for the longest
-# one's tiles.
+# Query rows per block of attention's loop: at L = 440 (the longest training
+# pairs) blocks of 64 score 57% of the (L, L) matrix, and each product stays
+# large enough for BLAS. A packed row is tiled on its own, with no padding.
 _QUERY_TILE = 64
 
 
@@ -314,12 +312,13 @@ def attention(
 
     Head h uses feature columns [h*d_h, (h+1)*d_h), d_h = D / n_heads.
 
-    Packed (training): `query_lengths`, a (B,) array of lengths >= 1, says
-    that q, k and v are (N, D) Tensors, N = sum(query_lengths), row b's
+    Packed (training): `query_lengths`, a (B,) integer array of lengths >= 1,
+    says that q, k and v are (N, D) Tensors, N = sum(query_lengths), row b's
     positions 0..query_lengths[b]-1 following row b-1's. The output is packed
-    alike. The op scatters q, k and v into a zero-padded (B, H, L, d_h) copy,
-    L = max(query_lengths), and gathers the real rows back; no real query sees
-    a padded key (causality). The backward hands each of the three its gradient.
+    alike. q / sqrt(d_h), k and v are copied once each into head-major
+    (H, N, d_h) order, and each row attends to its own keys alone, with
+    nothing padded. The backward hands each of the three its gradient and
+    consumes what the forward kept, so a second one raises ValueError.
 
     Cached (inference): q is a (B, Lq, D) Tensor, and k and v are arrays
     already split into heads, (B, H, Lk, d_h) with Lk >= Lq, as a KV cache
@@ -330,20 +329,19 @@ def attention(
     at index >= key_lengths[b] from row b (their scores are set to the mask
     value), for a batch whose rows have read different numbers of positions.
 
-    The queries are processed in tiles of rows [s, e): a tile scores only the
-    keys it can see, [0, e + Lk - Lq), and masks only its trailing
-    (e - s) x (e - s) square, so the hidden upper triangle is never computed
-    (a one-token decode step is one unmasked tile). A packed tile leaves out
-    the rows whose length ends at or before s. With p > 0 each tile draws its
-    keep mask as one (rows it keeps, H, e - s, e + Lk - Lq) uint16 draw, in
-    tile order.
+    Queries are processed in blocks of rows [s, e) of one packed row, or of
+    every cached row: a block scores only the keys it can see, [0, e + Lk - Lq),
+    and masks only its trailing (e - s) x (e - s) square, so the hidden upper
+    triangle is never computed. With p > 0 a block draws its keep mask as one
+    uint16 draw of its scores' shape: (H, e - s, e), rows in order and each
+    row's tiles in order (packed), or (B, H, e - s, e + Lk - Lq) (cached).
 
-    A tile's softmax is never normalised in place (Dao et al. 2022,
+    A block's softmax is never normalised in place (Dao et al. 2022,
     FlashAttention): its exps, times the keep mask, meet v first, and the
     (rows, d_h) product takes the row factor drop scale / row sum. The
     backward uses the FlashAttention-2 identity (Dao 2023, section 3.1),
     rowsum(dP * P) = rowsum(dO * O), and puts every row factor and
-    1 / sqrt(d_h) on the d_h-wide operands, never on the (rows, keys) tiles.
+    1 / sqrt(d_h) on the d_h-wide operands, never on the (rows, keys) blocks.
     """
     if query_lengths is None:
         if q.ndim != 3 or not isinstance(k, np.ndarray) or k.ndim != 4 or k.shape != v.shape:
@@ -359,13 +357,10 @@ def attention(
         if q.ndim != 2 or k.shape != q.shape or v.shape != q.shape:
             raise ValueError("packed attention needs (positions, features) q, k, v of one shape")
         query_lengths = np.asarray(query_lengths)
-        if query_lengths.ndim != 1 or not query_lengths.size or not (
-            (query_lengths >= 1).all() and query_lengths.sum() == q.shape[0]
-        ):
-            raise ValueError(f"query_lengths must be lengths >= 1 summing to {q.shape[0]}")
-        batch, length, width = len(query_lengths), int(query_lengths.max()), q.shape[1]
-        offset = 0
-        real = np.arange(length) < query_lengths[:, None]
+        if (query_lengths.ndim != 1 or not query_lengths.size or query_lengths.dtype.kind not in "iu"
+                or query_lengths.min() < 1 or query_lengths.sum() != q.shape[0]):
+            raise ValueError(f"query_lengths must be integer lengths >= 1 summing to {q.shape[0]}")
+        batch, length, width, offset = 1, int(query_lengths.max()), q.shape[1], 0
     if n_heads < 1 or width % n_heads:
         raise ValueError(f"{width} features do not split into {n_heads} heads")
     d_head = width // n_heads
@@ -377,81 +372,86 @@ def attention(
         raise ValueError("attention dropout needs an rng")
     if key_lengths is not None:
         key_lengths = np.asarray(key_lengths)
-        if key_lengths.shape != (batch,) or not (
-            (key_lengths >= 1).all() and (key_lengths <= keys).all()
-        ):
+        if key_lengths.shape != (batch,) or not ((key_lengths >= 1) & (key_lengths <= keys)).all():
             raise ValueError(f"key_lengths must be {batch} lengths in 1..{keys}")
     inv_sqrt = 1.0 / math.sqrt(d_head)
-
-    def split(x: np.ndarray) -> np.ndarray:  # (B, L, D) or packed (N, D) -> contiguous (B, H, L, d_h)
-        if query_lengths is None:
-            heads = x.reshape(batch, length, n_heads, d_head).transpose(0, 2, 1, 3)
-            return np.ascontiguousarray(heads)
-        heads = np.zeros((batch, n_heads, length, d_head), dtype=x.dtype)
-        heads.transpose(0, 2, 1, 3)[real] = x.reshape(-1, n_heads, d_head)
-        return heads
-
-    def merge(x: np.ndarray) -> np.ndarray:  # (B, H, L, d_h) -> (B, L, D) or packed (N, D)
-        rows = x.transpose(0, 2, 1, 3)
-        if query_lengths is None:
-            return rows.reshape(batch, length, width)
-        return rows[real].reshape(-1, width)
-
-    qs = split(q.data * inv_sqrt)
-    kh, vh = (k, v) if query_lengths is None else (split(k.data), split(v.data))
-    out = np.zeros_like(qs)  # rows a tile leaves out stay 0
     square = min(_QUERY_TILE, length)  # one mask per call; a one-query call needs none
-    causal = None
-    if square > 1:
-        causal = np.triu(np.full((square, square), _MASK_VALUE, dtype=qs.dtype), k=1)
-    tiles = []  # (start, end, batch rows, exps, drop_scale / row sums, dropout keep mask or None)
-    for s in range(0, length, _QUERY_TILE):
-        e = min(s + _QUERY_TILE, length)
-        rows, visible = e - s, e + offset
-        live, kept = slice(None), batch  # the batch rows this tile computes; a slice indexes views
-        if query_lengths is not None and query_lengths.min() <= s:
-            live = np.flatnonzero(query_lengths > s)
-            kept = len(live)
-        scores = qs[live, :, s:e] @ np.swapaxes(kh[live, :, :visible], -1, -2)
+    causal = np.triu(np.full((square, square), _MASK_VALUE, dtype=q.dtype), k=1) if square > 1 else None
+    # The largest block's dropped weights, and in the backward its scores' gradient.
+    scratch = np.empty(batch * n_heads * square * keys if p > 0 or _grad_enabled else 0, q.dtype)
+
+    def attend(queries, seen_k, seen_v, out, hidden=None, ones=None):
+        """One block's output into `out`; returns (exps, drop_scale / row sums, keep mask or None).
+        Packed blocks sum rows as one product with a column of `ones`, about 4x faster than sum()."""
+        scores = queries @ np.swapaxes(seen_k, -1, -2)
+        rows, visible = scores.shape[-2:]
         if rows > 1:
             scores[..., visible - rows:] += causal[:rows, :rows]
-        if key_lengths is not None:
-            hidden = np.arange(visible) >= key_lengths[:, None]
-            np.copyto(scores, _MASK_VALUE, where=hidden[:, None, None, :])
-        scores -= scores.max(axis=-1, keepdims=True)
+        if hidden is not None:
+            np.copyto(scores, _MASK_VALUE, where=hidden)
+        scores -= np.fmax.reduce(scores, axis=-1, keepdims=True)
         exps = np.exp(scores, out=scores)
-        inv_sum = drop_scale / exps.sum(axis=-1, keepdims=True)
-        keep = _dropout_mask((kept, n_heads, rows, visible), p, rng) if p > 0 else None
-        tile_out = (exps if keep is None else exps * keep) @ vh[live, :, :visible]
-        tile_out *= inv_sum
-        out[live, :, s:e] = tile_out
-        tiles.append((s, e, live, exps, inv_sum, keep))
-    data = merge(out)
+        inv_sum = drop_scale / (exps.sum(axis=-1, keepdims=True) if ones is None else exps @ ones[:visible])
+        keep = _dropout_mask(exps.shape, p, rng) if p > 0 else None
+        dropped = exps if keep is None else np.multiply(
+            exps, keep, out=scratch[: exps.size].reshape(exps.shape))
+        np.matmul(dropped, seen_v, out=out)
+        out *= inv_sum
+        return exps, inv_sum, keep
+
     if query_lengths is None:
-        return _result(data, (), None, "attention")
+        qs = np.ascontiguousarray((q.data * inv_sqrt).reshape(batch, length, n_heads, d_head)
+                                  .transpose(0, 2, 1, 3))
+        out = np.empty_like(qs)
+        for s in range(0, length, _QUERY_TILE):
+            e = min(s + _QUERY_TILE, length)
+            visible, hidden = e + offset, None
+            if key_lengths is not None:
+                hidden = (np.arange(visible) >= key_lengths[:, None])[:, None, None, :]
+            attend(qs[:, :, s:e], k[:, :, :visible], v[:, :, :visible], out[:, :, s:e], hidden)
+        return _result(out.transpose(0, 2, 1, 3).reshape(batch, length, width), (), None, "attention")
+
+    def heads(x: np.ndarray) -> np.ndarray:  # packed (N, D) -> an (H, N, d_h) view
+        return x.reshape(-1, n_heads, d_head).transpose(1, 0, 2)
+
+    kh, vh = (np.ascontiguousarray(heads(x.data)) for x in (k, v))
+    qs = np.multiply(heads(q.data), inv_sqrt, out=np.empty_like(kh))
+    out, ones = np.empty_like(qs), np.ones((length, 1), dtype=qs.dtype)
+    blocks = []  # (query rows, key rows, exps, drop_scale / row sums, keep mask or None)
+    for start, n in zip((np.cumsum(query_lengths) - query_lengths).tolist(), query_lengths.tolist()):
+        for s in range(0, n, _QUERY_TILE):
+            e = min(s + _QUERY_TILE, n)
+            rows, seen = slice(start + s, start + e), slice(start, start + e)
+            saved = attend(qs[:, rows], kh[:, seen], vh[:, seen], out[:, rows], ones=ones)
+            if _grad_enabled:
+                blocks.append((rows, seen, *saved))
+    data = out.transpose(1, 0, 2).reshape(-1, width)
 
     def backward(g):
-        gh = split(g)
-        delta = split(g * data).sum(axis=-1, keepdims=True)  # rowsum(dO * O), per head
-        delta /= drop_scale
-        gq, gk, gv = (np.zeros_like(qs) for _ in range(3))
-        for s, e, live, exps, inv_sum, keep in tiles:  # packed: a tile sees keys [0, e)
-            g_tile = gh[live, :, s:e]
-            dropped = exps if keep is None else exps * keep
-            gv[live, :, :e] += np.swapaxes(dropped, -1, -2) @ (g_tile * inv_sum)
+        if not blocks:
+            raise ValueError("attention's saved blocks were consumed by an earlier backward")
+        gh = np.ascontiguousarray(heads(g))
+        delta = heads(g * data).sum(axis=-1, keepdims=True) / drop_scale  # rowsum(dO * O), per head
+        gq, gk, gv = np.empty_like(qs), np.zeros_like(kh), np.zeros_like(vh)
+        for rows, seen, exps, inv_sum, keep in blocks:
+            g_rows = gh[:, rows]
             # The scores' gradient up to the row factor inv_sum / sqrt(d_h), which
             # the d_h-wide operands take instead.
-            g_scores = g_tile @ np.swapaxes(vh[live, :, :e], -1, -2)
+            g_scores = np.matmul(g_rows, np.swapaxes(vh[:, seen], -1, -2),
+                                 out=scratch[: exps.size].reshape(exps.shape))
             if keep is not None:
                 g_scores *= keep
-            g_scores -= delta[live, :, s:e]
+            g_scores -= delta[:, rows]
             g_scores *= exps
-            g_rows = g_scores @ kh[live, :, :e]
-            g_rows *= inv_sum * inv_sqrt
-            gq[live, :, s:e] = g_rows
-            gk[live, :, :e] += np.swapaxes(g_scores, -1, -2) @ (qs[live, :, s:e] * inv_sum)
+            if keep is not None:
+                exps *= keep  # the block's last use: its exps become the dropped weights
+            gv[:, seen] += np.swapaxes(exps, -1, -2) @ (g_rows * inv_sum)
+            np.matmul(g_scores, kh[:, seen], out=gq[:, rows])
+            gq[:, rows] *= inv_sum * inv_sqrt
+            gk[:, seen] += np.swapaxes(g_scores, -1, -2) @ (qs[:, rows] * inv_sum)
+        blocks.clear()
         for operand, grad in zip((q, k, v), (gq, gk, gv)):
-            operand.accumulate_grad(merge(grad))
+            operand.accumulate_grad(grad.transpose(1, 0, 2).reshape(-1, width))
 
     return _result(data, (q, k, v), backward, "attention")
 

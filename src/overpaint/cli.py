@@ -19,6 +19,7 @@ import hashlib
 import json
 import logging
 import math
+import os
 import resource
 import sys
 import time
@@ -101,6 +102,15 @@ def _hash_path(path: Path) -> str:
             digest.update(bytes.fromhex(_hash_file(child)))
         return digest.hexdigest()
     return _hash_file(path)
+
+
+def _numeric_env() -> dict:
+    """What byte-identical reruns of `train` and `generate` depend on beyond
+    the seed: numpy, its BLAS build and the BLAS thread variables, as this
+    process sees them."""
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    return {"numpy": np.__version__, "blas_name": blas.get("name"), "blas_version": blas.get("version"),
+            **{name: os.environ.get(name) for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}}
 
 
 def _write_run_manifest(args: argparse.Namespace, t0: float, primary, inputs, outputs,
@@ -349,8 +359,11 @@ def _cmd_train(args: argparse.Namespace):
     )
     print(f"wrote {out} and {log_path}")
     inputs = [p for p in (stored, tokens_dir / "tokens_train.bin", tokens_dir / "tokens_val.bin") if Path(p).exists()]
+    train_seconds = sum(entry.seconds for entry in result.logs)
     return out, inputs, [out], {"target_positions": result.target_positions,
-                                "padded_positions": result.padded_positions}
+                                "padded_positions": result.padded_positions,
+                                "train_tokens_per_s": round(result.target_positions / train_seconds, 1),
+                                "numeric_env": _numeric_env()}
 
 
 # --- generate ---------------------------------------------------------------------
@@ -439,7 +452,7 @@ def _cmd_generate(args: argparse.Namespace):
     return out_dir, [args.checkpoint, args.tokens], [out_dir], {
         "decoded": decoded, "skipped": skipped,
         "decode_seconds": round(decode_seconds, 6),
-        "tokens_per_s": round(tokens / decode_seconds, 1)}
+        "tokens_per_s": round(tokens / decode_seconds, 1), "numeric_env": _numeric_env()}
 
 
 # --- evaluate / report ------------------------------------------------------------

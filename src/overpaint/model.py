@@ -455,6 +455,8 @@ class EpochLog:
     pre_sep_loss: float
     post_sep_loss: float
     seconds: float
+    tokens_per_s: float  # real train targets / seconds
+    grad_norm: float  # mean over the epoch's steps of the gradients' global L2 norm
 
 
 @dataclass
@@ -494,9 +496,11 @@ def _epoch_pass(
     rng: np.random.Generator | None,
     optimizer: AdamState | None,
     lr: float,
+    grad_norms: list[float] | None = None,
 ) -> tuple[float, float, float, int, int]:
     """One pass over `sequences`; returns (loss, pre_sep_loss, post_sep_loss,
-    real target positions, PAD target positions)."""
+    real target positions, PAD target positions). A training pass appends
+    each step's global gradient L2 norm, as Adam receives it, to `grad_norms`."""
     total = np.zeros(3)
     counts = np.zeros(3)
     cells = 0
@@ -517,6 +521,9 @@ def _epoch_pass(
         if train:
             model.zero_grad()
             loss.backward()
+            if grad_norms is not None:
+                grads = [t.grad for t in model.parameters() if t.grad is not None]
+                grad_norms.append(math.sqrt(sum(float(np.vdot(g, g)) for g in grads)))
             ad.adam_step(model.parameters(), optimizer, lr)
         if not math.isfinite(loss.item()):
             raise NonFiniteError("training loss diverged")
@@ -572,15 +579,17 @@ def train(
     if log_file:
         writer = csv.writer(log_file)
         writer.writerow(
-            ["epoch", "lr", "train_loss", "val_loss", "pre_sep_loss", "post_sep_loss", "seconds"]
+            ["epoch", "lr", "train_loss", "val_loss", "pre_sep_loss", "post_sep_loss", "seconds",
+             "tokens_per_s", "grad_norm"]
         )
     try:
         for epoch in range(1, train_config.max_epochs + 1):
             t0 = time.monotonic()
             order = shuffle_rng.permutation(len(train_sequences))
+            norms: list[float] = []
             train_loss, pre_loss, post_loss, real, padded = _epoch_pass(
                 model, train_sequences, order, train_config.batch_size,
-                True, dropout_rng, optimizer, lr,
+                True, dropout_rng, optimizer, lr, norms,
             )
             target_positions += real
             padded_positions += padded
@@ -589,12 +598,14 @@ def train(
                 train_config.batch_size, False, None, None, lr,
             )
             seconds = time.monotonic() - t0
-            entry = EpochLog(epoch, lr, train_loss, val_loss, pre_loss, post_loss, seconds)
+            entry = EpochLog(epoch, lr, train_loss, val_loss, pre_loss, post_loss, seconds,
+                             real / seconds, sum(norms) / len(norms))
             logs.append(entry)
             if writer:
                 writer.writerow(
                     [epoch, repr(lr), repr(train_loss), repr(val_loss),
-                     repr(pre_loss), repr(post_loss), f"{seconds:.3f}"]
+                     repr(pre_loss), repr(post_loss), f"{seconds:.3f}",
+                     f"{entry.tokens_per_s:.1f}", repr(entry.grad_norm)]
                 )
             if progress:
                 progress(entry)

@@ -110,20 +110,28 @@ def score_from_tuples(rows) -> MidiScore:
     return make_score(notes=notes)
 
 
-def keep_masks(rng, p, n_heads, lengths, keys):
-    """Attention's dropout masks for rows of the given query lengths, drawn
-    independently: per tile of query rows, in tile order, one uint16 (live
-    rows, H, rows, visible keys) draw each, a row being live while its length
-    exceeds the tile's start; returns (tile start, mask) pairs."""
+def keep_masks(rng, p, n_heads, lengths, keys=None):
+    """Attention's dropout keep masks, drawn as the op draws them, as one
+    (B, H, L, L or keys) bool array, L = max(lengths); entries the op never
+    scores are True. Packed (keys None): each row is tiled on its own over
+    its own keys, one uint16 (H, rows, visible keys) draw per block, rows in
+    order and each row's tiles in order. Cached (every row of length L,
+    after keys - L cached keys): one (B, H, rows, visible keys) draw per
+    tile, in tile order."""
     lengths = np.asarray(lengths)
-    length = int(lengths.max())
-    masks = []
-    for s in range(0, length, autodiff._QUERY_TILE):
-        e = min(s + autodiff._QUERY_TILE, length)
-        draw = rng.integers(0, 65536, size=((lengths > s).sum(), n_heads, e - s, e + keys - length),
-                            dtype=np.uint16)
-        masks.append((s, draw >= round(p * 65536)))
-    return masks
+    length, tile = int(lengths.max()), autodiff._QUERY_TILE
+    keep = np.ones((len(lengths), n_heads, length, keys or length), dtype=bool)
+    threshold = round(p * 65536)
+    # (batch rows, their length, keys before the first query, leading draw axes)
+    spans = [(slice(b, b + 1), n, 0, ()) for b, n in enumerate(lengths)]
+    if keys is not None:
+        spans = [(slice(None), length, keys - length, (len(lengths),))]
+    for rows, n, offset, lead in spans:
+        for s in range(0, n, tile):
+            e = min(s + tile, n)
+            draw = rng.integers(0, 65536, size=(*lead, n_heads, e - s, e + offset), dtype=np.uint16)
+            keep[rows, :, s:e, : e + offset] = draw >= threshold
+    return keep
 
 
 def same_stream(a, b):
@@ -135,19 +143,18 @@ def same_stream(a, b):
             and (not sa["has_uint32"] or sa["uinteger"] == sb["uinteger"]))
 
 
-def per_head_attention(q, k, v, n_heads, p=0.0, rng=None):
+def per_head_attention(q, k, v, n_heads, p=0.0, rng=None, packed=False):
     """Reference attention on (B, Lq, D) queries, the last Lq of (B, Lk, D)
     keys and values: slice each head, mask, softmax, dropout, concat, with
-    the dropout masks of keep_masks and the scale 1 / (1 - p quantised to
+    the dropout masks of keep_masks (the packed op's draw order when
+    `packed`, with Lq == Lk) and the scale 1 / (1 - p quantised to
     1/65536)."""
     batch, length, width = q.shape
     keys = k.shape[1]
     d_head = width // n_heads
     upper = np.triu(np.full((length, keys), -1e9), k=1 + keys - length)
-    keep = np.ones((batch, n_heads, length, keys), dtype=bool)
     if p > 0:
-        for s, mask in keep_masks(rng, p, n_heads, [length] * batch, keys):
-            keep[:, :, s:s + mask.shape[2], :mask.shape[3]] = mask
+        keep = keep_masks(rng, p, n_heads, [length] * batch, None if packed else keys)
     heads = []
     for h in range(n_heads):
         cols = slice(h * d_head, (h + 1) * d_head)

@@ -251,16 +251,15 @@ def test_attention_matches_per_head_reference(p):
     it does."""
     rng = np.random.default_rng(11)
     q, k, v = (rng.standard_normal((2, 7, 12)) for _ in range(3))
-    ref_rng = np.random.default_rng(4)
-    want = per_head_attention(q, k, v, 3, p, ref_rng)
-    packed_rng, cached_rng = np.random.default_rng(4), np.random.default_rng(4)
-    outs = [
-        attention(*(Tensor(packed(x)) for x in (q, k, v)), 3, p, packed_rng,
-                  query_lengths=[7, 7]).data.reshape(q.shape),
-        cached_attention(q, head_major(k, 3), head_major(v, 3), 3, p, cached_rng).data,
-    ]
-    for out, gen in zip(outs, (packed_rng, cached_rng)):
-        assert np.allclose(out, want, rtol=0, atol=1e-12)
+    runs = {
+        True: lambda gen: attention(*(Tensor(packed(x)) for x in (q, k, v)), 3, p, gen,
+                                    query_lengths=[7, 7]).data.reshape(q.shape),
+        False: lambda gen: cached_attention(q, head_major(k, 3), head_major(v, 3), 3, p, gen).data,
+    }
+    for is_packed, run in runs.items():
+        ref_rng, gen = np.random.default_rng(4), np.random.default_rng(4)
+        want = per_head_attention(q, k, v, 3, p, ref_rng, packed=is_packed)
+        assert np.allclose(run(gen), want, rtol=0, atol=1e-12)
         # Each consumed the generator as the reference did, so later draws (and checkpoints) agree.
         assert same_stream(gen, ref_rng)
     if p == 0.0:  # the last queries alone, against every key, as a cached forward asks
@@ -277,14 +276,13 @@ def test_attention_spanning_tiles_matches_per_head_reference(queries, keys, p):
     rng = np.random.default_rng(13)
     q = rng.standard_normal((2, queries, 12))
     k, v = (rng.standard_normal((2, keys, 12)) for _ in range(2))
-    ref_rng = np.random.default_rng(5)
-    want = per_head_attention(q, k, v, 3, p, ref_rng)
-    runs = [lambda gen: cached_attention(q, head_major(k, 3), head_major(v, 3), 3, p, gen).data]
+    runs = {False: lambda gen: cached_attention(q, head_major(k, 3), head_major(v, 3), 3, p, gen).data}
     if queries == keys:
-        runs.append(lambda gen: attention(*(Tensor(packed(x)) for x in (q, k, v)), 3, p, gen,
-                                          query_lengths=[queries] * 2).data.reshape(q.shape))
-    for run in runs:
-        gen = np.random.default_rng(5)
+        runs[True] = lambda gen: attention(*(Tensor(packed(x)) for x in (q, k, v)), 3, p, gen,
+                                           query_lengths=[queries] * 2).data.reshape(q.shape)
+    for is_packed, run in runs.items():
+        ref_rng, gen = np.random.default_rng(5), np.random.default_rng(5)
+        want = per_head_attention(q, k, v, 3, p, ref_rng, packed=is_packed)
         assert np.allclose(run(gen), want, rtol=0, atol=1e-12)
         assert same_stream(gen, ref_rng)
 
@@ -330,11 +328,7 @@ def test_attention_gradients_match_per_head_backward(dtype, p):
     real = np.arange(length) < lengths[:, None]
     rng = np.random.default_rng(19)
     q, k, v, probe = (rng.standard_normal((4, length, 64)).astype(dtype) for _ in range(4))
-    keep = None
-    if p > 0:
-        keep = np.ones((4, 8, length, length), dtype=bool)
-        for s, mask in keep_masks(np.random.default_rng(7), p, 8, lengths, length):
-            keep[lengths > s, :, s : s + mask.shape[2], : mask.shape[3]] = mask
+    keep = keep_masks(np.random.default_rng(7), p, 8, lengths) if p > 0 else None
     tensors = [Tensor(x[real]) for x in (q, k, v)]
     out = attention(*tensors, 8, p, np.random.default_rng(7), query_lengths=lengths)
     out.backward(probe[real])
@@ -422,62 +416,54 @@ def test_attention_key_lengths_hide_trailing_keys():
 
 @pytest.mark.parametrize("p", [0.0, 0.3])
 @pytest.mark.parametrize("tile", [None, 2])
-def test_attention_query_lengths_skip_only_padding_bitwise(p, tile, monkeypatch):
-    """Packed attention with rows of mixed lengths gives bitwise the output
-    and q/k/v gradients of the packed op on the zero-padded batch, every row
-    at full length (no tile leaves a row out), taken at the real rows, when
-    both see the same dropout masks; without dropout that is the reference's
-    output too. Its masks are drawn only for the rows each tile keeps, (live
-    rows, H, rows, visible) in tile order, and nothing else touches the
-    generator."""
+@pytest.mark.parametrize("dtype, tol", [(np.float64, 1e-12), (np.float32, 1e-5)])
+def test_packed_attention_rows_are_independent_bitwise(dtype, tol, tile, p, monkeypatch):
+    """A packed batch gives bitwise the output and q/k/v gradients of each
+    of its rows run alone, one after another, on the same generator: rows of
+    130, 1, 64, 65 and 63 positions, over tiles of 64 and of 2. The masks
+    are drawn as keep_masks draws them and nothing else touches the
+    generator; without dropout each row is the reference's output too."""
     if tile is not None:
         monkeypatch.setattr(autodiff, "_QUERY_TILE", tile)
-    size = autodiff._QUERY_TILE
+    lengths = np.array([130, 1, 64, 65, 63])
+    ends = np.cumsum(lengths).tolist()
     rng = np.random.default_rng(16)
-    # a real query opens the tile at 64 (and at 20); a row ends just before it
-    lengths = np.array([150, 65, 64, 21])
-    real = np.arange(150) < lengths[:, None]
-    assert ((np.arange(150) // size * size) >= lengths[:, None]).any()  # tiles leave rows out
-    q, k, v = (rng.standard_normal((4, 150, 12)) * real[:, :, None] for _ in range(3))
-    probe = rng.standard_normal(q.shape) * real[:, :, None]
+    q, k, v, probe = (rng.standard_normal((ends[-1], 12)).astype(dtype) for _ in range(4))
 
-    drawn = []
-    draw = autodiff._dropout_mask
-
-    def recording(shape, rate, gen):
-        drawn.append(draw(shape, rate, gen))
-        return drawn[-1]
-
-    def replaying(shape, rate, gen):  # the mixed op's masks for its live rows, all kept elsewhere
-        keep = np.ones(shape, dtype=bool)
-        s = len(replayed) * size
-        keep[np.flatnonzero(lengths > s)] = drawn[len(replayed)]
-        replayed.append(keep)
-        return keep
-
-    def run(qkv, seed, query_lengths):
-        tensors = [Tensor(x) for x in qkv]
+    def run(rows, query_lengths, gen):
+        tensors = [Tensor(x[rows]) for x in (q, k, v)]
         out = attention(*tensors, 3, p, gen, query_lengths=query_lengths)
-        out.backward(seed)
+        out.backward(probe[rows])
         return [out.data] + [t.grad for t in tensors]
 
-    gen = np.random.default_rng(9)
-    monkeypatch.setattr(autodiff, "_dropout_mask", recording)
-    mixed = run([x[real] for x in (q, k, v)], probe[real], lengths)
-    replayed = []
-    monkeypatch.setattr(autodiff, "_dropout_mask", replaying)
-    full = run([packed(x) for x in (q, k, v)], packed(probe), [150] * 4)
-    for got, want in zip(mixed, full):
-        assert np.array_equal(got, want.reshape(q.shape)[real])
-    if p == 0.0:
-        assert np.allclose(mixed[0], per_head_attention(q, k, v, 3)[real], rtol=0, atol=1e-12)
-
+    batch_gen, row_gen = np.random.default_rng(9), np.random.default_rng(9)
+    batch = run(slice(None), lengths, batch_gen)
+    rows = [run(slice(end - n, end), [n], row_gen) for end, n in zip(ends, lengths)]
+    for i, got in enumerate(batch):
+        assert got.dtype == dtype
+        assert np.array_equal(got, np.concatenate([row[i] for row in rows]))
     expected = np.random.default_rng(9)
-    masks = keep_masks(expected, p, 3, lengths, 150) if p > 0 else []
-    assert len(drawn) == len(masks) == len(replayed)
-    for got, (_, want) in zip(drawn, masks):
-        assert np.array_equal(got, want)
-    assert same_stream(gen, expected)
+    if p > 0:
+        keep_masks(expected, p, 3, lengths)
+    assert same_stream(batch_gen, expected) and same_stream(row_gen, expected)
+    if p == 0.0:
+        for end, n, row in zip(ends, lengths, rows):
+            want = per_head_attention(*(x[None, end - n : end] for x in (q, k, v)), 3)[0]
+            assert np.allclose(row[0], want, rtol=0, atol=tol)
+
+
+def test_packed_attention_backward_runs_once():
+    """The backward consumes the blocks the forward kept (dropout's keep mask
+    is applied to the saved exps in place), so a second backward through the
+    graph raises instead of returning wrong gradients, with dropout or not."""
+    rng = np.random.default_rng(20)
+    for p in (0.0, 0.3):
+        tensors = [Tensor(rng.standard_normal((9, 8))) for _ in range(3)]
+        out = attention(*tensors, 2, p, np.random.default_rng(1), query_lengths=[4, 5])
+        seed = rng.standard_normal(out.shape)
+        out.backward(seed)
+        with pytest.raises(ValueError, match="earlier backward"):
+            out.backward(seed)
 
 
 def test_attention_reads_head_major_keys_bitwise():
@@ -511,7 +497,7 @@ def test_attention_reads_head_major_keys_bitwise():
 def test_attention_query_lengths_validation():
     rng = np.random.default_rng(17)
     q, k, v = (Tensor(rng.standard_normal((7, 4))) for _ in range(3))
-    for bad in ([5], [0, 7], [3, 5], [[3, 4]], []):
+    for bad in ([5], [0, 7], [3, 5], [[3, 4]], [], [3.5, 3.5], [True] * 7):
         with pytest.raises(ValueError, match="query_lengths must be"):
             attention(q, k, v, 2, query_lengths=bad)
     assert attention(q, k, v, 2, query_lengths=[3, 4]).shape == (7, 4)

@@ -1,5 +1,6 @@
 import csv
 import json
+import os
 import shutil
 from pathlib import Path
 
@@ -8,7 +9,7 @@ import pytest
 
 from helpers import v1_with_nonzero_key_bias, write_corpus
 from overpaint.autodiff import NonFiniteError
-from overpaint.cli import main
+from overpaint.cli import _numeric_env, main
 from overpaint.dataset import load_manifest
 from overpaint.midi_io import NoteEvent, load_midi, make_score, save_midi
 from overpaint.model import ModelConfig, TransformerLM, load_checkpoint, save_checkpoint
@@ -177,6 +178,25 @@ def test_generate_stage(pipeline):
     assert sidecar["tokens_per_s"] == pytest.approx(
         sum(len(s) for s in seqs) / sidecar["decode_seconds"], rel=1e-3, abs=0.1)
     assert sidecar["peak_rss_mb"] > 10
+
+
+def test_train_and_generate_sidecars_record_throughput_and_numeric_env(pipeline):
+    """The train sidecar's train_tokens_per_s is its real train targets over
+    its epochs' seconds, as the one-epoch log's tokens_per_s reads it; both
+    sidecars record numpy, the BLAS build and the BLAS thread variables, as
+    JSON."""
+    train_run = json.loads((pipeline["root"] / "model.ovpt.run.json").read_text())
+    with open(str(pipeline["model"]) + ".log.csv", newline="") as fh:
+        (epoch,) = list(csv.DictReader(fh))
+    assert train_run["train_tokens_per_s"] == pytest.approx(float(epoch["tokens_per_s"]), abs=0.1)
+    assert train_run["train_tokens_per_s"] > 0 and float(epoch["grad_norm"]) > 0
+    env = _numeric_env()
+    assert json.loads(json.dumps(env)) == env
+    assert env["numpy"] == np.__version__ and env["blas_name"] and env["blas_version"]
+    assert env["OPENBLAS_NUM_THREADS"] == os.environ.get("OPENBLAS_NUM_THREADS")
+    assert env["OMP_NUM_THREADS"] == os.environ.get("OMP_NUM_THREADS")
+    for sidecar in (train_run, json.loads((pipeline["gen"].parent / "gen.run.json").read_text())):
+        assert sidecar["numeric_env"] == env
 
 
 def test_generate_records_skipped_primers(pipeline, tmp_path):

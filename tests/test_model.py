@@ -361,9 +361,12 @@ def test_train_runs_and_learns(tmp_path):
     with open(log_path, newline="") as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["epoch", "lr", "train_loss", "val_loss",
-                       "pre_sep_loss", "post_sep_loss", "seconds"]
+                       "pre_sep_loss", "post_sep_loss", "seconds", "tokens_per_s", "grad_norm"]
     assert len(rows) == 1 + len(result.logs)
     assert float(rows[1][6]) >= 0.0
+    for row, log in zip(rows[1:], result.logs):
+        assert float(row[7]) == pytest.approx(log.tokens_per_s, abs=0.05) and log.tokens_per_s > 0
+        assert float(row[8]) == log.grad_norm and 0 < log.grad_norm < math.inf
 
     # the returned model carries the best-validation weights
     batch = np.full((len(val_seqs), max(map(len, val_seqs))), PAD, dtype=np.int64)
@@ -420,7 +423,7 @@ def test_packed_training_steps_as_rows_alone(monkeypatch):
     rows) moves every weight as Adam steps do whose gradient is each batch's
     rows forwarded alone, their losses weighted by their target counts; it
     reports their mean loss and counts every real and PAD target."""
-    monkeypatch.setattr(autodiff, "_QUERY_TILE", 3)  # so rows skip tiles, some opened by their last query
+    monkeypatch.setattr(autodiff, "_QUERY_TILE", 3)  # so rows span tiles, some opened by their last query
     rng = np.random.default_rng(33)
     seqs = [pair_like_sequences(rng, 1, body=n)[0] for n in (2, 7, 4, 6, 3, 5)]
     train_seqs, val_seqs = seqs[:4], seqs[4:]
@@ -452,6 +455,26 @@ def test_packed_training_steps_as_rows_alone(monkeypatch):
     assert packed.logs[0].train_loss == pytest.approx(total / real, rel=1e-12, abs=0)
     assert packed.target_positions == real
     assert packed.padded_positions == padded > 0
+
+
+def test_grad_norms_are_read_only():
+    """A training pass that records each step's global gradient L2 norm
+    leaves bitwise the weights of one that does not, and its last norm is
+    that of the gradients Adam last received."""
+    rng = np.random.default_rng(38)
+    seqs = pair_like_sequences(rng, 4)
+    runs = []
+    for norms in (None, []):
+        model = TransformerLM(TINY, seed=39)
+        _epoch_pass(model, seqs, np.arange(4), 2, True, np.random.default_rng(40), AdamState(),
+                    1e-3, norms)
+        runs.append(model)
+    assert len(norms) == 2
+    grads = [t.grad for t in runs[1].parameters()]
+    assert norms[-1] == pytest.approx(math.sqrt(sum(float((g.astype(np.float64) ** 2).sum())
+                                                    for g in grads)), rel=1e-5)
+    for a, b in zip(*(model.state_arrays().values() for model in runs)):
+        assert np.array_equal(a, b)
 
 
 def test_epoch_pass_losses_are_the_rows_own():
