@@ -46,6 +46,7 @@ from .dataset import (
     load_manifest,
     save_manifest,
     split_by_song,
+    transposition_bases,
 )
 from .leadsheet import LeadSheetError, load_leadsheet
 from .metrics import render_table, report, write_report_csv
@@ -69,6 +70,7 @@ from .tokenizer import (
     load_vocabulary,
     read_token_file,
     tokenize,
+    transpose_tokens,
     write_token_file,
 )
 
@@ -283,11 +285,10 @@ def _cmd_augment(args: argparse.Namespace):
 
 
 def _cmd_tokenize(args: argparse.Namespace):
-    pairs = load_manifest(args.pairs)
-    accepted = [p for p in pairs if p.status == "accepted"]
+    accepted = [r for r in transposition_bases(load_manifest(args.pairs)) if r[0].status == "accepted"]
     if not accepted:
         raise ManifestError("no accepted pairs to tokenize")
-    unassigned = [p.pair_id for p in accepted if p.split == "unassigned"]
+    unassigned = [p.pair_id for p, _, _ in accepted if p.split == "unassigned"]
     if unassigned:
         raise ManifestError(
             f"{len(unassigned)} pairs have no split (run augment first), "
@@ -296,10 +297,13 @@ def _cmd_tokenize(args: argparse.Namespace):
 
     vocab = build_vocabulary()
     sequences = {"train": [], "val": [], "test": []}
-    for pair in accepted:
-        original = tokenize(quantize(pair.original, GRID), vocab)
-        variation = tokenize(quantize(pair.variation, GRID), vocab)
-        sequences[pair.split].append(assemble_pair(original, variation))
+    encoded = {}  # id(base record) -> its assembled sequence
+    for pair, base, shift in accepted:
+        if id(base) not in encoded:
+            original = tokenize(quantize(base.original, GRID), vocab)
+            variation = tokenize(quantize(base.variation, GRID), vocab)
+            encoded[id(base)] = assemble_pair(original, variation)
+        sequences[pair.split].append(transpose_tokens(encoded[id(base)], shift, vocab))
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -491,7 +495,7 @@ def _parse_corpus_spec(text: str):
 def _cmd_report(args: argparse.Namespace):
     reports = []
     inputs = []
-    manifests = {}  # path -> its accepted records: both sides of a manifest read one load
+    manifests = {}  # path -> its accepted (record, base, shift): both sides read one load
     for raw in args.corpus:
         label, path, side = _parse_corpus_spec(raw)
         if path.is_dir():
@@ -502,12 +506,12 @@ def _cmd_report(args: argparse.Namespace):
             reports.append(report(scores, label))
         else:
             if path not in manifests:
-                manifests[path] = [p for p in load_manifest(path) if p.status == "accepted"]
+                manifests[path] = [r for r in transposition_bases(load_manifest(path)) if r[0].status == "accepted"]
                 inputs.append(path)
             records = manifests[path]
             side = side or "variations"
-            scores = [p.original if side == "originals" else p.variation for p in records]
-            keys = [tuple(p.key) if p.key else None for p in records]
+            scores = [b.original if side == "originals" else b.variation for _, b, _ in records]
+            keys = [p.key and ((p.key[0] - t) % 12, p.key[1]) for p, _, t in records]  # shifted back too
             reports.append(report(scores, label, keys=keys))
     return _print_reports(args, reports, inputs)
 

@@ -212,8 +212,9 @@ def _record_fields(rec: dict) -> dict:
 def load_manifest(path) -> list[PairRecord]:
     """Load a manifest and its MIDI payloads, each payload file parsed once. A
     v2 record's scores are its payloads transposed by its transposition; a v1
-    record's payloads are its scores. Wrong version or any missing file fails
-    the whole load (no partial results)."""
+    record's payloads are its scores, and it has no source. Wrong version, any
+    missing file, or a v2 source with two untransposed records or with a
+    transposed record naming other payloads fails the whole load."""
     path = Path(path)
     try:
         lines = path.read_text(encoding="utf-8").splitlines()
@@ -245,6 +246,7 @@ def load_manifest(path) -> list[PairRecord]:
         return scores[name]
 
     pairs = []
+    names = []  # (original, variation) payload names per record
     for i, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
@@ -257,6 +259,8 @@ def load_manifest(path) -> list[PairRecord]:
         ):
             raise ManifestError(f"line {i}: not a pair record with a string pair_id and song_id")
         fields = _record_fields(rec)
+        if version == 1:  # v1 has no source: each record's payloads are its own scores
+            fields["source"] = None
         try:
             original = payload(rec["original"])
             variation = payload(rec["variation"])
@@ -270,7 +274,30 @@ def load_manifest(path) -> list[PairRecord]:
             pair.original = transpose(original, pair.transposition)
             pair.variation = transpose(variation, pair.transposition)
         pairs.append(pair)
+        names.append((rec["original"], rec["variation"]))
+    if version > 1:
+        base_names = {}  # source -> the payload names of its untransposed record
+        for p, named in zip(pairs, names):
+            if p.transposition == 0 and base_names.setdefault(_source(p), named) is not named:
+                raise ManifestError(f"source {_source(p)!r} has two untransposed records")
+        for p, named in zip(pairs, names):
+            if base_names.get(_source(p), named) != named:
+                raise ManifestError(f"pair {p.pair_id!r} names other payloads than its source {_source(p)!r}")
     return pairs
+
+
+def transposition_bases(pairs) -> list[tuple[PairRecord, PairRecord, int]]:
+    """(pair, base, shift) per loaded pair, its scores being its base's moved by `shift`: its
+    source's untransposed record unless a note there leaves 0-127 under the shift, else itself."""
+    untransposed = {p.source: p for p in pairs if p.source is not None and p.transposition == 0}
+    pitches = {source: [n[1] for s in (p.original, p.variation) for n in s.tick_notes] or [0, 127]
+               for source, p in untransposed.items()}  # no notes: [0, 127] folds under any shift
+    out = []
+    for p in pairs:
+        t, notes = p.transposition, pitches.get(p.source, [0, 127])
+        out.append((p, untransposed[p.source], t) if t and 0 <= min(notes) + t and max(notes) + t <= 127
+                   else (p, p, 0))
+    return out
 
 
 def export_csv(pairs, path) -> None:

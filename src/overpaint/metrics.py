@@ -151,21 +151,23 @@ def report(
 
     `keys` is an optional parallel sequence of per-score keys for the
     pitch-in-scale metric (None entries fall back to the 24-key maximum).
+    Each distinct (score object, key) is measured once.
     """
     scores = list(scores)
-    if keys is None:
-        keys = [None] * len(scores)
-    keys = list(keys)
+    keys = [None] * len(scores) if keys is None else list(keys)
     if len(keys) != len(scores):
         raise ValueError("keys must parallel scores")
 
     vectors = []
     skipped = 0
+    measured = {}  # (id(score), key) -> its features
     for score, key in zip(scores, keys):
         if not score.tick_notes:
             skipped += 1
             continue
-        vectors.append(feature_vector(score, key))
+        if (id(score), key) not in measured:
+            measured[id(score), key] = feature_vector(score, key)
+        vectors.append(measured[id(score), key])
 
     stats: dict[str, tuple[float, float]] = {}
     for metric_key, _ in METRIC_NAMES:

@@ -257,6 +257,12 @@ def tokenize(score: MidiScore, vocab: Vocabulary | None = None) -> list[int]:
     return tokens
 
 
+def transpose_tokens(tokens, semitones: int, vocab: Vocabulary) -> list[int]:
+    """`tokens` with each Pitch id moved: the transposed score's if no note leaves 0-127."""
+    low, high = vocab.pitch(0), vocab.pitch(127)
+    return [t + semitones if low <= t <= high else t for t in tokens]
+
+
 # --- decoding with repair -----------------------------------------------------
 
 

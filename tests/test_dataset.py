@@ -7,7 +7,7 @@ import pytest
 
 import helpers
 
-from overpaint import dataset
+from overpaint import cli, dataset, metrics
 from overpaint.dataset import (
     TRANSPOSITIONS,
     ManifestError,
@@ -17,8 +17,11 @@ from overpaint.dataset import (
     load_manifest,
     save_manifest,
     split_by_song,
+    transposition_bases,
 )
-from overpaint.midi_io import NoteEvent, load_midi, make_score, save_midi, transpose
+from overpaint.metrics import report, write_report_csv
+from overpaint.midi_io import NoteEvent, load_midi, make_score, quantize, save_midi, transpose
+from overpaint.tokenizer import GRID, assemble_pair, build_vocabulary, tokenize, write_token_file
 
 
 def make_pair(pair_id="song_w000", song_id="song", key=(0, "major"), **kw):
@@ -292,6 +295,131 @@ def test_version_1_manifest_loads_to_the_version_2_records(tmp_path):
     v1 = load_manifest(tmp_path / "v1.jsonl")
     assert all(p.source is None for p in v1)
     assert v1 == [replace(p, source=None) for p in v2]
+
+
+def _edit_manifest(path, out, edit):
+    """Copy manifest `path` to `out` with `edit(records)` applied to its records;
+    the copy's header points at the original payload directory."""
+    header, *records = [json.loads(line) for line in path.read_text().splitlines()]
+    header["midi_dir"] = str(path.parent / header["midi_dir"])
+    out.write_text("".join(json.dumps(r) + "\n" for r in [header, *edit(records)]))
+    return out
+
+
+def test_load_refuses_what_save_refuses_to_write(tmp_path):
+    """A v2 source has one untransposed record, and its transposed records name
+    that record's payloads: load_manifest refuses a hand-edited manifest that
+    breaks either, as save_manifest refuses to write one."""
+    path = tmp_path / "aug.jsonl"
+    save_manifest(augment(_edge_pairs()), path)
+
+    def twice(records):  # low_w000_t+1 claims to be untransposed
+        return [{**r, "transposition": 0} if r["pair_id"] == "low_w000_t+1" else r for r in records]
+
+    def borrowed(records):  # high_w004_t+2 names low_w000's original
+        return [{**r, "original": "low_w000.orig.mid"} if r["pair_id"] == "high_w004_t+2" else r
+                for r in records]
+
+    with pytest.raises(ManifestError, match="'low_w000' has two untransposed records"):
+        load_manifest(_edit_manifest(path, tmp_path / "twice.jsonl", twice))
+    with pytest.raises(ManifestError, match="'high_w004_t\\+2' names other payloads"):
+        load_manifest(_edit_manifest(path, tmp_path / "borrowed.jsonl", borrowed))
+    assert cli.main(["--quiet", "tokenize", "--pairs", str(tmp_path / "borrowed.jsonl"),
+                     "--out-dir", str(tmp_path / "tok")]) == 2
+    assert not (tmp_path / "tok").exists()
+
+    # With its untransposed record deleted, a source's records still load, and
+    # each is its own base: nothing is derived from a record that is not there.
+    orphans = load_manifest(_edit_manifest(
+        path, tmp_path / "orphans.jsonl",
+        lambda records: [r for r in records if r["pair_id"] != "low_w000_t+0"]))
+    assert orphans == [p for p in load_manifest(path) if p.pair_id != "low_w000_t+0"]
+    assert [(b is p, t) for p, b, t in transposition_bases(orphans) if p.source == "low_w000"] == [
+        (True, 0)] * 11
+
+    # A v1 record has no source, even one a hand edit gave it, so it is its own base too.
+    v1 = _edit_manifest(path, tmp_path / "v1.jsonl", lambda records: records)
+    v1.write_text(v1.read_text().replace('"schema_version": 2', '"schema_version": 1', 1))
+    assert all(p.source is None and b is p and t == 0 for p, b, t in transposition_bases(load_manifest(v1)))
+
+
+def test_transposition_bases_derive_only_records_that_do_not_fold():
+    pairs = augment(_edge_pairs())
+    bases = {p.pair_id: (b.pair_id, t) for p, b, t in transposition_bases(pairs)}
+    # low_w000's notes span 0-60: a downward shift past 0 folds, so those take
+    # the slow path; high_w004's span 118-127: any upward shift folds.
+    assert bases["low_w000_t-1"] == ("low_w000_t-1", 0)
+    assert bases["low_w000_t+6"] == ("low_w000_t+0", 6)
+    assert bases["high_w004_t+1"] == ("high_w004_t+1", 0)
+    assert bases["high_w004_t-5"] == ("high_w004_t+0", -5)
+    assert sum(b != pair_id for pair_id, (b, _) in bases.items()) == 6 + 5
+
+
+def _mid_pair():
+    """A base pair whose notes stay inside 0-127 under every shift."""
+    return PairRecord("mid_w008", "mid", helpers.simple_score([48, 55, 60, 64]),
+                      helpers.simple_score([50, 57, 62, 65, 67]), key=None, split="test")
+
+
+def _slow_tokens_and_report(manifest, out):
+    """Token files and report.csv computed record by record from load_manifest's
+    transposed scores: the path that the derivation in tokenize and report replaces."""
+    accepted = [p for p in load_manifest(manifest) if p.status == "accepted"]
+    vocab = build_vocabulary()
+    out.mkdir()
+    for split in ("train", "val", "test"):
+        seqs = [assemble_pair(tokenize(quantize(p.original, GRID), vocab),
+                              tokenize(quantize(p.variation, GRID), vocab))
+                for p in accepted if p.split == split]
+        write_token_file(out / f"tokens_{split}.bin", seqs, vocab)
+    keys = [p.key for p in accepted]
+    write_report_csv([report([p.original for p in accepted], "orig", keys=keys),
+                      report([p.variation for p in accepted], "var", keys=keys)], out / "report.csv")
+
+
+def test_tokenize_and_report_match_the_record_by_record_oracle(tmp_path):
+    """Derived records (no fold) and measured ones (every fold) together give
+    the bytes of encoding and measuring each record on its own."""
+    pairs = augment([*_edge_pairs(), _mid_pair()])
+    # mid's untransposed record is not accepted, yet its siblings derive from it
+    pairs = [replace(p, status="rejected") if p.pair_id == "mid_w008_t+0" else p for p in pairs]
+    manifest = tmp_path / "aug.jsonl"
+    save_manifest(pairs, manifest)
+    assert sum(b is not p for p, b, _ in transposition_bases(load_manifest(manifest))) == 11 + 11
+
+    fast = tmp_path / "fast"
+    assert cli.main(["--quiet", "tokenize", "--pairs", str(manifest), "--out-dir", str(fast)]) == 0
+    assert cli.main(["--quiet", "report", "--corpus", f"orig={manifest}:originals",
+                     "--corpus", f"var={manifest}:variations", "--csv", str(fast / "report.csv")]) == 0
+    slow = tmp_path / "slow"
+    _slow_tokens_and_report(manifest, slow)
+    for name in ("tokens_train.bin", "tokens_val.bin", "tokens_test.bin", "report.csv"):
+        assert (fast / name).read_bytes() == (slow / name).read_bytes(), name
+
+
+def test_tokenize_and_report_encode_and_measure_each_source_once(tmp_path, monkeypatch):
+    """With no fold, tokenize encodes each source's two scores once and report
+    measures each distinct (score, key) once, however many transpositions share them."""
+    sources = [_mid_pair(), replace(_mid_pair(), pair_id="mid_w012", key=(2, "major")),
+               replace(_mid_pair(), pair_id="other_w000", song_id="other", split="train")]
+    manifest = tmp_path / "aug.jsonl"
+    save_manifest(augment(sources), manifest)
+    calls = {"tokenize": 0, "feature_vector": 0}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(cli, "tokenize", counting("tokenize", cli.tokenize))
+    monkeypatch.setattr(metrics, "feature_vector", counting("feature_vector", metrics.feature_vector))
+    assert cli.main(["--quiet", "tokenize", "--pairs", str(manifest),
+                     "--out-dir", str(tmp_path / "tok")]) == 0
+    assert calls["tokenize"] == 2 * len(sources)
+    assert cli.main(["--quiet", "report", "--corpus", f"orig={manifest}:originals",
+                     "--corpus", f"var={manifest}:variations"]) == 0
+    assert calls["feature_vector"] == 2 * len(sources)  # (score, key) per source and side
 
 
 def test_transposed_record_without_its_untransposed_sibling_writes_nothing(tmp_path):

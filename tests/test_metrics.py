@@ -130,6 +130,23 @@ def test_transposition_invariance():
         key = (4, "major")
         co_key = ((key[0] + shift) % 12, key[1])
         assert pitch_in_scale(moved, co_key) == pitch_in_scale(score, key)
+        assert pitch_in_scale(moved) == pitch_in_scale(score)  # the 24-key maximum
+        assert feature_vector(moved, co_key) == feature_vector(score, key)
+        assert feature_vector(moved) == feature_vector(score)
+
+    # A fold moves a note by octaves, not by the shift: pitch classes and timing
+    # still follow the shift, range and distinct pitches need not. So a
+    # transposed record whose notes fold is measured, not derived.
+    score = helpers.simple_score([60, 115, 127, 64])
+    moved = transpose(score, 6)  # 127 + 6 folds down to 121, onto 115 + 6
+    assert [n[1] for n in moved.tick_notes] == [66, 121, 121, 70]
+    key, co_key = (9, "minor"), (3, "minor")
+    assert pitch_class_entropy(moved) == pitch_class_entropy(score)
+    assert polyphony(moved) == polyphony(score)
+    assert pitch_in_scale(moved, co_key) == pitch_in_scale(score, key)
+    assert pitch_in_scale(moved) == pitch_in_scale(score)
+    assert (pitch_range(moved), n_pitches(moved)) == (55.0, 3.0)
+    assert (pitch_range(score), n_pitches(score)) == (67.0, 4.0)
 
 
 # --- aggregation ------------------------------------------------------------------

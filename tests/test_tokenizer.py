@@ -6,7 +6,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from overpaint.midi_io import MidiScore, NoteEvent, make_score, write_midi
+from overpaint.midi_io import MidiScore, NoteEvent, make_score, transpose, write_midi
 from overpaint.tokenizer import (
     BOS,
     EOS,
@@ -24,6 +24,7 @@ from overpaint.tokenizer import (
     read_token_file,
     steps_per_bar,
     tokenize,
+    transpose_tokens,
     velocity_bin,
     velocity_center,
     write_token_file,
@@ -425,6 +426,23 @@ def test_detokenize_never_raises_on_in_vocab_ids():
         assert isinstance(score, MidiScore)
         for n in score.notes:
             assert 0 <= n.pitch < 128 and n.duration > 0
+
+
+def test_transpose_tokens_moves_only_pitch_ids():
+    """Without a fold, a transposed score's tokens are its source's with the
+    Pitch ids moved; every other family, velocities and durations included,
+    keeps its ids."""
+    rng = np.random.default_rng(24)
+    for _ in range(20):
+        notes = [NoteEvent(int(rng.integers(5, 122)), F(int(rng.integers(0, 96)), 12),
+                           F(int(rng.integers(1, 24)), 12), int(rng.integers(1, 128)))
+                 for _ in range(int(rng.integers(1, 30)))]
+        score = make_score(notes, tempo_map=[(0, 96.0), (8, 140.0)])
+        tokens = tokenize(score, VOCAB)
+        for shift in (-5, 0, 6):
+            assert transpose_tokens(tokens, shift, VOCAB) == tokenize(transpose(score, shift), VOCAB)
+    edges = [VOCAB.pitch(0) - 1, VOCAB.pitch(0), VOCAB.pitch(127), VOCAB.pitch(127) + 1]
+    assert transpose_tokens(edges, 1, VOCAB) == [edges[0], edges[1] + 1, edges[2] + 1, edges[3]]
 
 
 # --- pair assembly -----------------------------------------------------------------
