@@ -2,11 +2,12 @@
 
 A manifest is JSONL: a header line with the schema version, then one record
 per pair. MIDI payloads live as sibling .mid files referenced by relative
-path, so manifests stay diffable. In schema v2 a record's payloads hold its
-scores before its transposition: the transposed records of one source share
-the two payloads of its untransposed record, and load_manifest transposes them
-on read. Untransposed payloads are playable; transposed scores exist only in
-memory. v1 manifests, whose payloads are already transposed, still load.
+path, so manifests stay diffable. In schema v2 the transposed records of one
+source share the two payloads of its untransposed record. A record with a
+source holds its source's untransposed scores, in memory as on disk; one
+without holds its own, as every v1 record does (its payloads are already
+transposed). For a t = 0 record the two are the same. transposition_bases is
+the one reader that applies a record's shift.
 """
 
 from __future__ import annotations
@@ -31,6 +32,10 @@ class ManifestError(ValueError):
 
 @dataclass
 class PairRecord:
+    """One Original/Variation pair. With a `source`, its scores are that source's
+    untransposed scores and `transposition` is still to be applied; without one,
+    its scores are its own."""
+
     pair_id: str
     song_id: str
     original: MidiScore
@@ -53,11 +58,9 @@ class PairRecord:
 
 
 def augment(pairs) -> list[PairRecord]:
-    """Expand each untransposed pair into 12 transposed copies (-5..+6).
-
-    Every output pair_id encodes its base pair and shift, and its source is the
-    base pair's id; out-of-range pitches fold back by octaves inside transpose().
-    """
+    """Relabel each untransposed pair as 12 records (-5..+6) that share its two
+    scores: each pair_id encodes the base pair and shift, the key moves with the
+    shift, and the source is the base pair's id. No score is transposed here."""
     out = []
     for pair in pairs:
         if pair.transposition != 0:
@@ -67,8 +70,6 @@ def augment(pairs) -> list[PairRecord]:
                 replace(
                     pair,
                     pair_id=f"{pair.pair_id}_t{t:+d}",
-                    original=transpose(pair.original, t),
-                    variation=transpose(pair.variation, t),
                     transposition=t,
                     key=None if pair.key is None else ((pair.key[0] + t) % 12, pair.key[1]),
                     source=pair.pair_id,
@@ -210,11 +211,11 @@ def _record_fields(rec: dict) -> dict:
 
 
 def load_manifest(path) -> list[PairRecord]:
-    """Load a manifest and its MIDI payloads, each payload file parsed once. A
-    v2 record's scores are its payloads transposed by its transposition; a v1
-    record's payloads are its scores, and it has no source. Wrong version, any
-    missing file, or a v2 source with two untransposed records or with a
-    transposed record naming other payloads fails the whole load."""
+    """Load a manifest and its MIDI payloads, each payload file parsed once;
+    every record's scores are its payloads, and a v1 record has no source.
+    Wrong version, any missing file, a v2 transposed record with no source, or
+    a v2 source with two untransposed records or with a transposed record
+    naming other payloads fails the whole load."""
     path = Path(path)
     try:
         lines = path.read_text(encoding="utf-8").splitlines()
@@ -270,9 +271,8 @@ def load_manifest(path) -> list[PairRecord]:
             pair = PairRecord(rec["pair_id"], rec["song_id"], original, variation, **fields)
         except ValueError as exc:  # a value outside its range (status, split, transposition)
             raise ManifestError(f"pair {rec['pair_id']!r}: {exc}") from exc
-        if version > 1 and pair.transposition:
-            pair.original = transpose(original, pair.transposition)
-            pair.variation = transpose(variation, pair.transposition)
+        if version > 1 and pair.transposition and pair.source is None:
+            raise ManifestError(f"pair {pair.pair_id!r} is transposed but has no source")
         pairs.append(pair)
         names.append((rec["original"], rec["variation"]))
     if version > 1:
@@ -287,16 +287,22 @@ def load_manifest(path) -> list[PairRecord]:
 
 
 def transposition_bases(pairs) -> list[tuple[PairRecord, PairRecord, int]]:
-    """(pair, base, shift) per loaded pair, its scores being its base's moved by `shift`: its
-    source's untransposed record unless a note there leaves 0-127 under the shift, else itself."""
+    """(pair, base, shift) per pair, its scores being its base's moved by `shift`: for a record
+    with a source and a shift, the source's untransposed record, or if a note there would leave
+    0-127 or that record is absent, a copy transposed there at shift 0; any other record, itself."""
     untransposed = {p.source: p for p in pairs if p.source is not None and p.transposition == 0}
     pitches = {source: [n[1] for s in (p.original, p.variation) for n in s.tick_notes] or [0, 127]
                for source, p in untransposed.items()}  # no notes: [0, 127] folds under any shift
     out = []
     for p in pairs:
         t, notes = p.transposition, pitches.get(p.source, [0, 127])
-        out.append((p, untransposed[p.source], t) if t and 0 <= min(notes) + t and max(notes) + t <= 127
-                   else (p, p, 0))
+        if p.source is None or not t:
+            out.append((p, p, 0))
+        elif 0 <= min(notes) + t and max(notes) + t <= 127:
+            out.append((p, untransposed[p.source], t))
+        else:
+            original, variation = (transpose(s, t) for s in (p.original, p.variation))
+            out.append((p, replace(p, original=original, variation=variation, source=None), 0))
     return out
 
 

@@ -682,20 +682,6 @@ def nucleus_sample(
     return int(kept[cdf.searchsorted(rng.random(), side="right")])
 
 
-def generate(
-    model: TransformerLM,
-    primer: list[int] | np.ndarray,
-    p: float = 0.9,
-    temperature: float = 1.0,
-    max_new: int = 512,
-    rng: np.random.Generator | None = None,
-) -> list[int]:
-    """Continue a BOS...SEP primer; returns only the newly sampled tokens
-    (EOS excluded). p <= 0 selects greedy argmax decoding."""
-    return generate_batch(model, [primer], p, temperature, max_new,
-                          rngs=[rng or np.random.default_rng()])[0]
-
-
 def generate_batch(
     model: TransformerLM,
     primers: list[list[int] | np.ndarray],
@@ -705,8 +691,8 @@ def generate_batch(
     rngs: list[np.random.Generator] | None = None,
 ) -> list[list[int]]:
     """Continue several BOS...SEP primers together, primer i sampling from
-    rngs[i]; returns each one's new tokens (EOS excluded), as `generate`
-    would for that primer and generator alone. p <= 0 decodes greedily.
+    rngs[i]; returns each one's new tokens (EOS excluded), as a batch of that
+    primer and generator alone would. p <= 0 decodes greedily.
 
     Each primer is read once, alone (prefill) into its row of one cache sized
     to the decode budget. Then every step feeds all unfinished rows their

@@ -30,7 +30,7 @@ from overpaint.metrics import (
     polyphony,
 )
 from overpaint.midi_io import NoteEvent, make_score
-from overpaint.model import TrainConfig, TransformerLM, generate, nucleus_sample, preset, train
+from overpaint.model import TrainConfig, TransformerLM, generate_batch, nucleus_sample, preset, train
 from overpaint.tokenizer import (
     BOS,
     EOS,
@@ -214,7 +214,7 @@ def test_03_overfit_smoke(overfit):
 def test_04_memorized_generation(overfit):
     model = overfit.result.model
     for orig, var in overfit.pairs:
-        out = generate(model, [BOS] + orig + [SEP], p=0.0, max_new=len(var) + 40)
+        out = generate_batch(model, [[BOS] + orig + [SEP]], p=0.0, max_new=len(var) + 40)[0]
         matches = sum(a == b for a, b in zip(out, var))
         assert matches / len(var) >= MEMORIZATION_MIN
         _, repairs = detokenize_with_report(out, VOCAB)

@@ -7,7 +7,7 @@ import pytest
 
 import helpers
 
-from overpaint import cli, dataset, metrics
+from overpaint import cli, dataset, metrics, midi_io
 from overpaint.dataset import (
     TRANSPOSITIONS,
     ManifestError,
@@ -70,15 +70,24 @@ def test_augment_identity_shift_preserves_scores():
     assert identity.variation == pair.variation
 
 
+def _pitches(pairs):
+    """Each record's original pitches by transposition, as transposition_bases
+    gives them: its base's pitches moved by the shift."""
+    return {p.transposition: [n[1] + t for n in b.original.tick_notes]
+            for p, b, t in transposition_bases(pairs)}
+
+
 def test_augment_shifts_pitches_and_key_together():
+    """augment moves the key and shares the pair's scores; transposition_bases
+    moves the pitches by the same shift."""
     pair = make_pair(key=(3, "major"))
-    by_t = {p.transposition: p for p in augment([pair])}
-    up = by_t[6]
-    assert [n.pitch for n in up.original.notes] == [66, 70, 73]
-    assert up.key == (9, "major")
-    down = by_t[-5]
-    assert [n.pitch for n in down.original.notes] == [55, 59, 62]
-    assert down.key == (10, "major")
+    out = augment([pair])
+    assert all(p.original is pair.original and p.variation is pair.variation for p in out)
+    by_t = {p.transposition: p for p in out}
+    assert by_t[6].key == (9, "major")
+    assert by_t[-5].key == (10, "major")
+    assert _pitches(out)[6] == [66, 70, 73]
+    assert _pitches(out)[-5] == [55, 59, 62]
     no_key = augment([make_pair(key=None)])
     assert all(p.key is None for p in no_key)
 
@@ -90,8 +99,11 @@ def test_augment_folds_pitches_back_into_range():
         original=make_score([NoteEvent(125, F(0), F(1), 80)]),
         variation=make_score([NoteEvent(125, F(0), F(1), 80)]),
     )
-    by_t = {p.transposition: p for p in augment([high])}
-    assert by_t[6].original.notes[0].pitch == 119  # 131 folds down an octave
+    by_t = {p.transposition: (b, t) for p, b, t in transposition_bases(augment([high]))}
+    base, shift = by_t[6]
+    assert shift == 0 and base.source is None
+    assert base.original.notes[0].pitch == base.variation.notes[0].pitch == 119  # 131 folds down an octave
+    assert _pitches(augment([high]))[-5] == [120]  # no fold: the shared score moved by -5
 
 
 def test_augment_carries_split_assignment():
@@ -249,9 +261,6 @@ def _edge_pairs():
 def test_augmented_manifest_writes_and_parses_each_payload_once(tmp_path, monkeypatch):
     pairs = augment(_edge_pairs())
     assert {p.source for p in pairs} == {"low_w000", "high_w004"}
-    by_t = {(p.source, p.transposition): p for p in pairs}
-    assert by_t["low_w000", -5].original.tick_notes[0][1] == 8  # 1 - 5 folds up an octave
-    assert by_t["high_w004", 6].original.tick_notes[-1][1] == 121  # 127 + 6 folds down
     path = tmp_path / "aug.jsonl"
     save_manifest(pairs, path)
     assert sorted(f.name for f in (tmp_path / "aug_midi").iterdir()) == [
@@ -268,14 +277,24 @@ def test_augmented_manifest_writes_and_parses_each_payload_once(tmp_path, monkey
     loaded = load_manifest(path)
     assert sorted(read) == sorted(f.name for f in (tmp_path / "aug_midi").iterdir())
     assert loaded == pairs
+    by_t = {(p.source, p.transposition): (b, t) for p, b, t in transposition_bases(loaded)}
+    assert by_t["low_w000", -5][0].original.tick_notes[0][1] == 8  # 1 - 5 folds up an octave
+    assert by_t["high_w004", 6][0].original.tick_notes[-1][1] == 121  # 127 + 6 folds down
+    assert by_t["low_w000", -5][1] == by_t["high_w004", 6][1] == 0
 
 
-def test_version_1_manifest_loads_to_the_version_2_records(tmp_path):
-    """v1 payloads hold each record's transposed scores, and load without a
-    transpose on read."""
+def _tokens_and_report(manifest, out):
+    """Run tokenize and report on `manifest`, writing into directory `out`."""
+    assert cli.main(["--quiet", "tokenize", "--pairs", str(manifest), "--out-dir", str(out)]) == 0
+    assert cli.main(["--quiet", "report", "--corpus", f"orig={manifest}:originals",
+                     "--corpus", f"var={manifest}:variations", "--csv", str(out / "report.csv")]) == 0
+
+
+def test_version_1_and_2_manifests_of_one_augmentation_give_the_same_tokens_and_report(tmp_path):
+    """v1 payloads hold each record's transposed scores and load as written, with
+    no source; v2 records hold their source's scores. Both encode and measure alike."""
     pairs = augment(_edge_pairs())
     save_manifest(pairs, tmp_path / "v2.jsonl")
-    v2 = load_manifest(tmp_path / "v2.jsonl")
 
     base = {p.pair_id: p for p in _edge_pairs()}
     midi_dir = tmp_path / "v1_midi"
@@ -294,7 +313,11 @@ def test_version_1_manifest_loads_to_the_version_2_records(tmp_path):
     (tmp_path / "v1.jsonl").write_text("\n".join(lines) + "\n", encoding="utf-8")
     v1 = load_manifest(tmp_path / "v1.jsonl")
     assert all(p.source is None for p in v1)
-    assert v1 == [replace(p, source=None) for p in v2]
+    assert [p.pair_id for p in v1] == [p.pair_id for p in load_manifest(tmp_path / "v2.jsonl")]
+    for version in ("v1", "v2"):
+        _tokens_and_report(tmp_path / f"{version}.jsonl", tmp_path / f"out_{version}")
+    for name in ("tokens_train.bin", "tokens_val.bin", "tokens_test.bin", "vocab.json", "report.csv"):
+        assert (tmp_path / "out_v1" / name).read_bytes() == (tmp_path / "out_v2" / name).read_bytes(), name
 
 
 def _edit_manifest(path, out, edit):
@@ -329,18 +352,37 @@ def test_load_refuses_what_save_refuses_to_write(tmp_path):
     assert not (tmp_path / "tok").exists()
 
     # With its untransposed record deleted, a source's records still load, and
-    # each is its own base: nothing is derived from a record that is not there.
+    # each base is a copy transposed there: nothing is derived from a record that is not there.
     orphans = load_manifest(_edit_manifest(
         path, tmp_path / "orphans.jsonl",
         lambda records: [r for r in records if r["pair_id"] != "low_w000_t+0"]))
     assert orphans == [p for p in load_manifest(path) if p.pair_id != "low_w000_t+0"]
-    assert [(b is p, t) for p, b, t in transposition_bases(orphans) if p.source == "low_w000"] == [
-        (True, 0)] * 11
+    low = [(p, b, t) for p, b, t in transposition_bases(orphans) if p.source == "low_w000"]
+    assert len(low) == 11
+    for p, b, t in low:
+        assert b is not p and t == 0 and b.source is None
+        assert b.original == transpose(p.original, p.transposition)
+        assert b.variation == transpose(p.variation, p.transposition)
 
     # A v1 record has no source, even one a hand edit gave it, so it is its own base too.
     v1 = _edit_manifest(path, tmp_path / "v1.jsonl", lambda records: records)
     v1.write_text(v1.read_text().replace('"schema_version": 2', '"schema_version": 1', 1))
     assert all(p.source is None and b is p and t == 0 for p, b, t in transposition_bases(load_manifest(v1)))
+
+
+def test_load_refuses_a_transposed_record_without_a_source(tmp_path):
+    """save_manifest refuses to write a v2 transposed record with no source, and
+    load_manifest refuses to read one: its payloads would pass for its scores."""
+    path = tmp_path / "aug.jsonl"
+    save_manifest(augment(_edge_pairs()), path)
+    unsourced = _edit_manifest(path, tmp_path / "unsourced.jsonl", lambda records: [
+        {k: v for k, v in r.items() if k != "source"} if r["pair_id"] == "high_w004_t-3" else r
+        for r in records])
+    with pytest.raises(ManifestError, match="'high_w004_t-3' is transposed but has no source"):
+        load_manifest(unsourced)
+    assert cli.main(["--quiet", "tokenize", "--pairs", str(unsourced),
+                     "--out-dir", str(tmp_path / "tok")]) == 2
+    assert not (tmp_path / "tok").exists()
 
 
 def test_transposition_bases_derive_only_records_that_do_not_fold():
@@ -362,19 +404,21 @@ def _mid_pair():
 
 
 def _slow_tokens_and_report(manifest, out):
-    """Token files and report.csv computed record by record from load_manifest's
-    transposed scores: the path that the derivation in tokenize and report replaces."""
+    """Token files and report.csv computed record by record, each record's two
+    scores transposed here: the path that the derivation in tokenize and report replaces."""
     accepted = [p for p in load_manifest(manifest) if p.status == "accepted"]
+    scores = [(transpose(p.original, p.transposition), transpose(p.variation, p.transposition))
+              for p in accepted]
     vocab = build_vocabulary()
     out.mkdir()
     for split in ("train", "val", "test"):
-        seqs = [assemble_pair(tokenize(quantize(p.original, GRID), vocab),
-                              tokenize(quantize(p.variation, GRID), vocab))
-                for p in accepted if p.split == split]
+        seqs = [assemble_pair(tokenize(quantize(original, GRID), vocab),
+                              tokenize(quantize(variation, GRID), vocab))
+                for p, (original, variation) in zip(accepted, scores) if p.split == split]
         write_token_file(out / f"tokens_{split}.bin", seqs, vocab)
     keys = [p.key for p in accepted]
-    write_report_csv([report([p.original for p in accepted], "orig", keys=keys),
-                      report([p.variation for p in accepted], "var", keys=keys)], out / "report.csv")
+    write_report_csv([report([o for o, _ in scores], "orig", keys=keys),
+                      report([v for _, v in scores], "var", keys=keys)], out / "report.csv")
 
 
 def test_tokenize_and_report_match_the_record_by_record_oracle(tmp_path):
@@ -385,16 +429,23 @@ def test_tokenize_and_report_match_the_record_by_record_oracle(tmp_path):
     pairs = [replace(p, status="rejected") if p.pair_id == "mid_w008_t+0" else p for p in pairs]
     manifest = tmp_path / "aug.jsonl"
     save_manifest(pairs, manifest)
-    assert sum(b is not p for p, b, _ in transposition_bases(load_manifest(manifest))) == 11 + 11
+    derived = sum(t != 0 for _, _, t in transposition_bases(load_manifest(manifest)))
+    assert derived == 11 + 11  # the 11 folding records are copies at shift 0
 
     fast = tmp_path / "fast"
-    assert cli.main(["--quiet", "tokenize", "--pairs", str(manifest), "--out-dir", str(fast)]) == 0
-    assert cli.main(["--quiet", "report", "--corpus", f"orig={manifest}:originals",
-                     "--corpus", f"var={manifest}:variations", "--csv", str(fast / "report.csv")]) == 0
+    _tokens_and_report(manifest, fast)
     slow = tmp_path / "slow"
     _slow_tokens_and_report(manifest, slow)
     for name in ("tokens_train.bin", "tokens_val.bin", "tokens_test.bin", "report.csv"):
         assert (fast / name).read_bytes() == (slow / name).read_bytes(), name
+
+
+def _counting(calls, name, fn):
+    """`fn`, counting each call in calls[name]."""
+    def wrapper(*args, **kwargs):
+        calls[name] += 1
+        return fn(*args, **kwargs)
+    return wrapper
 
 
 def test_tokenize_and_report_encode_and_measure_each_source_once(tmp_path, monkeypatch):
@@ -405,21 +456,32 @@ def test_tokenize_and_report_encode_and_measure_each_source_once(tmp_path, monke
     manifest = tmp_path / "aug.jsonl"
     save_manifest(augment(sources), manifest)
     calls = {"tokenize": 0, "feature_vector": 0}
-
-    def counting(name, fn):
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-        return wrapper
-
-    monkeypatch.setattr(cli, "tokenize", counting("tokenize", cli.tokenize))
-    monkeypatch.setattr(metrics, "feature_vector", counting("feature_vector", metrics.feature_vector))
+    monkeypatch.setattr(cli, "tokenize", _counting(calls, "tokenize", cli.tokenize))
+    monkeypatch.setattr(metrics, "feature_vector", _counting(calls, "feature_vector", metrics.feature_vector))
     assert cli.main(["--quiet", "tokenize", "--pairs", str(manifest),
                      "--out-dir", str(tmp_path / "tok")]) == 0
     assert calls["tokenize"] == 2 * len(sources)
     assert cli.main(["--quiet", "report", "--corpus", f"orig={manifest}:originals",
                      "--corpus", f"var={manifest}:variations"]) == 0
     assert calls["feature_vector"] == 2 * len(sources)  # (score, key) per source and side
+
+
+def test_prep_transposes_only_the_records_that_fold(tmp_path, monkeypatch):
+    """From augment through report, a score is transposed only where a note
+    folds: twice (original and variation) per folding record, each time
+    transposition_bases runs, and never for records that derive."""
+    calls = {"transpose": 0, "transposition_bases": 0}
+    monkeypatch.setattr(midi_io, "transpose", _counting(calls, "transpose", midi_io.transpose))
+    monkeypatch.setattr(dataset, "transpose", midi_io.transpose)
+    monkeypatch.setattr(cli, "transposition_bases", _counting(calls, "transposition_bases", transposition_bases))
+    for sources, folding in (([_mid_pair(), replace(_mid_pair(), pair_id="other_w000", song_id="other",
+                                                     split="train")], 0),
+                             (_edge_pairs(), 11)):
+        calls.update(transpose=0, transposition_bases=0)
+        manifest = tmp_path / f"aug{folding}.jsonl"
+        save_manifest(augment(sources), manifest)
+        _tokens_and_report(manifest, tmp_path / f"out{folding}")
+        assert calls == {"transpose": 2 * folding * 2, "transposition_bases": 2}
 
 
 def test_transposed_record_without_its_untransposed_sibling_writes_nothing(tmp_path):

@@ -21,7 +21,6 @@ from overpaint.model import (
     _epoch_pass,
     _pad_batch,
     _sep_split_masks,
-    generate,
     generate_batch,
     load_checkpoint,
     nucleus_sample,
@@ -684,36 +683,36 @@ class ScriptedModel:
 
 def test_generate_follows_logits_and_stops_at_eos():
     model = ScriptedModel([5, 6, 7, EOS, 8])
-    out = generate(model, [BOS, 4, SEP], p=0.0)  # greedy
+    out = generate_batch(model, [[BOS, 4, SEP]], p=0.0)[0]  # greedy
     assert out == [5, 6, 7]
     assert model.calls == 4  # EOS step consumed, nothing after
 
 
 def test_generate_respects_max_new_and_context_window():
     model = ScriptedModel([5] * 50)
-    assert generate(model, [BOS], p=0.0, max_new=7) == [5] * 7
+    assert generate_batch(model, [[BOS]], p=0.0, max_new=7)[0] == [5] * 7
     small = ScriptedModel([5] * 50, max_len=6)
-    assert generate(small, [BOS, 4, SEP, 4], p=0.0, max_new=100) == [5, 5]
+    assert generate_batch(small, [[BOS, 4, SEP, 4]], p=0.0, max_new=100)[0] == [5, 5]
 
 
 def test_generate_nucleus_path_matches_peaked_logits():
     model = ScriptedModel([5, 6, EOS])
-    out = generate(model, [BOS], p=0.9, rng=np.random.default_rng(0))
+    out = generate_batch(model, [[BOS]], p=0.9, rngs=[np.random.default_rng(0)])[0]
     assert out == [5, 6]
 
 
 def test_generate_validates_primer():
     model = ScriptedModel([5])
     with pytest.raises(ValueError, match="empty"):
-        generate(model, [])
+        generate_batch(model, [[]])
     with pytest.raises(ValueError, match="context window"):
-        generate(model, list(range(16)))
+        generate_batch(model, [list(range(16))])
 
 
 def test_generate_greedy_is_deterministic():
     model = TransformerLM(TINY, seed=20)
-    a = generate(model, [1, 5, 9], p=0.0, max_new=12)
-    b = generate(model, [1, 5, 9], p=0.0, max_new=12)
+    a = generate_batch(model, [[1, 5, 9]], p=0.0, max_new=12)[0]
+    b = generate_batch(model, [[1, 5, 9]], p=0.0, max_new=12)[0]
     assert a == b and len(a) <= 12
 
 
@@ -770,7 +769,7 @@ def test_cached_greedy_generate_matches_uncached_loop(dtype):
     model = scaled_model(dtype, seed=23)
     for primer in ([BOS], [BOS, 7, 8, 9, SEP], list(range(4, 28))):
         want = uncached_greedy(model, primer, max_new=40)
-        assert generate(model, primer, p=0.0, max_new=40) == want
+        assert generate_batch(model, [primer], p=0.0, max_new=40)[0] == want
         assert len(primer) + len(want) == model.config.max_len  # ran into the context window
 
 
@@ -1000,7 +999,7 @@ PRIMERS = ([BOS], [BOS, 7, 8, 9, SEP], list(range(4, 28)), [BOS, 11, 12, 13, 14,
 def test_greedy_generate_batch_matches_per_row_generate(dtype):
     model = scaled_model(dtype, seed=23)
     for max_new in (3, 8, 40):  # rows leave the batch on max_new or the window
-        want = [generate(model, primer, p=0.0, max_new=max_new) for primer in PRIMERS]
+        want = [generate_batch(model, [primer], p=0.0, max_new=max_new)[0] for primer in PRIMERS]
         assert generate_batch(model, PRIMERS, p=0.0, max_new=max_new) == want
     # at 40 every row ran into the window, so the rows left at different steps
     assert [len(p) + len(w) for p, w in zip(PRIMERS, want)] == [model.config.max_len] * 4
@@ -1037,8 +1036,8 @@ def test_generate_batch_reversed_order_permutes_outputs():
     forward = run([0, 1, 2])
     assert run([2, 1, 0]) == forward[::-1]
     for i in range(3):  # and each row is what it decodes alone from its stream
-        assert generate(model, primers[i], p=0.9, max_new=12,
-                        rng=np.random.default_rng(seeds[i])) == forward[i]
+        assert generate_batch(model, [primers[i]], p=0.9, max_new=12,
+                              rngs=[np.random.default_rng(seeds[i])])[0] == forward[i]
 
 
 def test_generate_batch_validation():
