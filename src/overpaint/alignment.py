@@ -24,8 +24,7 @@ from .midi_io import (
     MidiScore,
     note_seconds,
     seconds_to_ticks,
-    slice_beats,
-    ticks_to_beats,
+    slice_ticks,
 )
 
 log = logging.getLogger("overpaint.alignment")
@@ -207,8 +206,7 @@ def extract_pairs(
         if hi <= lo:
             dropped.append(f"{name}: degenerate beat span")
             continue
-        res = performance.resolution
-        variation = slice_beats(performance, ticks_to_beats(lo, res), ticks_to_beats(hi, res))
+        variation = slice_ticks(performance, lo, hi)
         if not variation.tick_notes:
             dropped.append(f"{name}: empty variation slice")
             continue

@@ -36,7 +36,7 @@ from .midi_io import (
     NUMERATOR_MAX,
     SUPPORTED_DENOMINATORS,
     MidiScore,
-    bar_length,
+    bar_ticks,
     beats_to_ticks,
     score_from_ticks,
 )
@@ -194,9 +194,8 @@ class LeadSheet:
 
     @property
     def bar_ticks(self) -> int:
-        """Ticks per bar; exact, as every supported denominator divides 16."""
-        num, den = self.time_signature
-        return DEFAULT_RESOLUTION * 4 * num // den
+        """Ticks per bar at DEFAULT_RESOLUTION."""
+        return bar_ticks(*self.time_signature, DEFAULT_RESOLUTION)
 
     @property
     def n_bars(self) -> int:
@@ -243,7 +242,7 @@ def parse_leadsheet(text: str) -> LeadSheet:
             except ValueError:
                 raise LeadSheetError(f"line {line_no}: bad bar index {bar_txt!r}") from None
             beat = _parse_fraction(beat_txt or "0", line_no, "beat")
-            beats_per_bar = bar_length(*sheet.time_signature)
+            beats_per_bar = Fraction(sheet.bar_ticks, DEFAULT_RESOLUTION)
             if m_bar < 0 or beat < 0 or beat >= beats_per_bar:
                 raise LeadSheetError(f"line {line_no}: position {where!r} outside its bar")
             pitch = int(pitch_tok) if pitch_tok.lstrip("-").isdigit() else _parse_note_name(pitch_tok, line_no)

@@ -5,8 +5,9 @@ quarter note), the unit a file stores, so parsing, transposing, quantizing,
 slicing and writing are integer arithmetic and a file round-trips exactly.
 The tempo map is (tick, bpm) in the same unit. Beats are a derived view
 (`MidiScore.notes`); `make_score` rounds beat values onto the tick grid as a
-file write always has. Time signatures are placed by bar, and their bar
-geometry is in beats. SMF formats 0 and 1 are supported; all
+file write always has. Time signatures are placed by bar, and a bar is
+`bar_ticks` long, walked and folded in 1/16 ticks so that bar starts between
+ticks stay exact. SMF formats 0 and 1 are supported; all
 channels are merged into a single note stream (piano-only corpus). Same-pitch
 overlaps are paired first-in-first-out.
 """
@@ -160,9 +161,10 @@ def _normalize_signatures(entries: list[tuple[int, int, int]]) -> list[tuple[int
     return [(bar, num, den) for bar, (num, den) in sorted(out.items())]
 
 
-def bar_length(numerator: int, denominator: int) -> Fraction:
-    """Bar length in quarter-note beats."""
-    return Fraction(numerator * 4, denominator)
+def bar_ticks(numerator: int, denominator: int, resolution: int) -> int:
+    """Ticks per bar at `resolution` ticks a beat; exact when 4 divides the
+    resolution, as every supported denominator divides 16."""
+    return resolution * 4 * numerator // denominator
 
 
 def signature_at_bar(score: MidiScore, bar: int) -> tuple[int, int]:
@@ -175,27 +177,27 @@ def signature_at_bar(score: MidiScore, bar: int) -> tuple[int, int]:
 
 
 def _signature_runs(score: MidiScore):
-    """(first bar, first beat, num, den) for each time-signature entry."""
-    beat, prev_bar, length = Fraction(0), 0, Fraction(0)
+    """(first bar, its start in 1/16 ticks, num, den) for each time-signature entry."""
+    at, prev_bar, length = 0, 0, 0
     for bar, num, den in score.time_signatures:
-        beat += (bar - prev_bar) * length
-        yield bar, beat, num, den
-        prev_bar, length = bar, bar_length(num, den)
+        at += (bar - prev_bar) * length
+        yield bar, at, num, den
+        prev_bar, length = bar, bar_ticks(num, den, 16 * score.resolution)
 
 
-def _bar_signatures(changes) -> list[tuple[int, int, int]]:
-    """Fold sorted beat-placed (beat, num, den) changes into normalized
-    (bar, num, den) entries. Bars run in 4/4 until the first change; a change
-    inside a bar takes effect at that bar's start."""
+def _bar_signatures(changes, resolution: int) -> list[tuple[int, int, int]]:
+    """Fold sorted (1/16 tick, num, den) changes into normalized (bar, num, den)
+    entries. Bars run in 4/4 until the first change; a change inside a bar
+    takes effect at that bar's start."""
     signatures = []
-    bar, bar_beat = 0, Fraction(0)
-    length = bar_length(*DEFAULT_TIME_SIGNATURE)
-    for beat, num, den in changes:
+    bar, bar_at = 0, 0
+    length = bar_ticks(*DEFAULT_TIME_SIGNATURE, 16 * resolution)
+    for at, num, den in changes:
         num, den = _normalize_signature(num, den)
-        whole = (beat - bar_beat) // length
-        bar, bar_beat = bar + whole, bar_beat + whole * length
+        whole = (at - bar_at) // length
+        bar, bar_at = bar + whole, bar_at + whole * length
         signatures.append((bar, num, den))
-        length = bar_length(num, den)
+        length = bar_ticks(num, den, 16 * resolution)
     return signatures
 
 
@@ -245,11 +247,6 @@ def beats_to_ticks(beat, resolution: int) -> int:
     return int((2 * Fraction(beat) * resolution + 1) // 2)
 
 
-def ticks_to_beats(tick: int, resolution: int) -> Fraction:
-    """The exact beat of `tick` at `resolution`."""
-    return Fraction(tick, resolution)
-
-
 def quantize(score: MidiScore, grid: int) -> MidiScore:
     """Snap onsets and durations to the nearest 1/grid beat, half up (durations
     >= 1/grid). Idempotent. The result keeps the score's resolution when grid
@@ -268,19 +265,14 @@ def quantize(score: MidiScore, grid: int) -> MidiScore:
     return score_from_ticks(ticks, tempos, score.time_signatures, out)
 
 
-def slice_beats(score: MidiScore, start, end) -> MidiScore:
-    """Notes with start <= onset < end, re-based to 0, with tempo/signature
-    context at `start` carried into the slice. Both bounds must lie on the
-    score's tick grid. A later signature change keeps its beat in the slice,
-    and like any change inside a bar it takes effect at that bar's start."""
-    start, end = Fraction(start), Fraction(end)
-    if start < 0 or end <= start:
-        raise ValueError(f"bad slice range [{start}, {end})")
+def slice_ticks(score: MidiScore, lo: int, hi: int) -> MidiScore:
+    """Notes with lo <= onset < hi (ticks), re-based to 0, with tempo/signature
+    context at `lo` carried into the slice. A later signature change keeps its
+    place in the slice, and like any change inside a bar it takes effect at
+    that bar's start."""
+    if lo < 0 or hi <= lo:
+        raise ValueError(f"bad slice range [{lo}, {hi})")
     res = score.resolution
-    lo, hi = start * res, end * res
-    if lo.denominator != 1 or hi.denominator != 1:
-        raise ValueError(f"slice range [{start}, {end}) is off the 1/{res}-beat tick grid")
-    lo, hi = int(lo), int(hi)
     notes = score.tick_notes
     ticks = [(on - lo, p, dur, vel)
              for on, p, dur, vel in notes[bisect_left(notes, (lo,)):bisect_left(notes, (hi,))]]
@@ -289,9 +281,10 @@ def slice_beats(score: MidiScore, start, end) -> MidiScore:
     tempos += [(t - lo, bpm) for t, bpm in score.tempo_map if lo < t < hi]
 
     runs = list(_signature_runs(score))
+    start, end = 16 * lo, 16 * hi
     _, _, num, den = next(r for r in reversed(runs) if r[1] <= start)
-    changes = [(0, num, den)] + [(b - start, n, d) for _, b, n, d in runs if start < b < end]
-    return score_from_ticks(ticks, tempos, _bar_signatures(changes), res)
+    changes = [(0, num, den)] + [(at - start, n, d) for _, at, n, d in runs if start < at < end]
+    return score_from_ticks(ticks, tempos, _bar_signatures(changes, res), res)
 
 
 def transpose(score: MidiScore, semitones: int) -> MidiScore:
@@ -403,9 +396,8 @@ def parse_midi(data: bytes) -> MidiScore:
             ticks.append((on_tick, pitch, max(max_tick - on_tick, 1), vel))
 
     # Of two changes at one tick the later in the file wins: both sorts are stable.
-    changes = [(Fraction(t, resolution), num, den)
-               for t, num, den in sorted(sig_ticks, key=itemgetter(0))]
-    return score_from_ticks(ticks, tempos, _bar_signatures(changes), resolution)
+    changes = [(16 * t, num, den) for t, num, den in sorted(sig_ticks, key=itemgetter(0))]
+    return score_from_ticks(ticks, tempos, _bar_signatures(changes, resolution), resolution)
 
 
 def _parse_track(body, note_events, tempos, sig_ticks) -> int:
@@ -449,6 +441,8 @@ def _parse_track(body, note_events, tempos, sig_ticks) -> int:
         elif kind in (0xF0, 0xF7):
             length, pos = _read_varlen(body, pos)
             pos += length
+            if pos > len(body):
+                raise MidiParseError("truncated sysex event")
         else:
             hi = kind & 0xF0
             n_data = 1 if hi in (0xC0, 0xD0) else 2
@@ -468,14 +462,15 @@ def _parse_track(body, note_events, tempos, sig_ticks) -> int:
 
 def write_midi(score: MidiScore) -> bytes:
     """Serialize to SMF format 0 at the score's resolution. Notes and tempos
-    are written at their ticks; signature beats round half up to the grid."""
+    are written at their ticks; a signature's bar start rounds half up to the
+    tick grid."""
     res = score.resolution
     # (tick, priority, payload); priority: meta 0, note-on 1, note-off 2 so a
     # re-parse reproduces FIFO pairing (see parse_midi).
     events: list[tuple[int, int, bytes]] = []
-    for _, beat, num, den in _signature_runs(score):
+    for _, at, num, den in _signature_runs(score):
         meta = bytes([0xFF, _META_TIME_SIGNATURE, 4, num, den.bit_length() - 1, 24, 8])
-        events.append((beats_to_ticks(beat, res), 0, meta))
+        events.append(((at + 8) // 16, 0, meta))
     for tick, bpm in score.tempo_map:
         usec = round(60_000_000.0 / bpm)
         events.append((tick, 0, bytes([0xFF, _META_TEMPO, 3]) + usec.to_bytes(3, "big")))

@@ -24,12 +24,13 @@ from .midi_io import (
     NUMERATOR_MAX,
     SUPPORTED_DENOMINATORS,
     MidiScore,
+    bar_ticks,
     score_from_ticks,
     signature_at_bar,
     tempo_at,
 )
 
-GRID = 12  # subdivisions per quarter note
+GRID = 12  # subdivisions per quarter note: a grid step is a tick at resolution GRID
 _TICKS_PER_STEP = DEFAULT_RESOLUTION // GRID  # detokenized scores sit at DEFAULT_RESOLUTION
 PAD, BOS, EOS, SEP = 0, 1, 2, 3
 
@@ -51,14 +52,10 @@ class VocabularyMismatchError(TokenizeError):
     """Stored vocabulary hash or version disagrees with this build."""
 
 
-def steps_per_bar(numerator: int, denominator: int) -> int:
-    return numerator * 4 * GRID // denominator
-
-
 # Every signature `midi_io` normalizes a score to; the largest bar among them
 # fixes the Position family size.
 _SIGNATURES = tuple((n, d) for n in range(1, NUMERATOR_MAX + 1) for d in SUPPORTED_DENOMINATORS)
-MAX_POSITIONS = max(steps_per_bar(*sig) for sig in _SIGNATURES)
+MAX_POSITIONS = max(bar_ticks(*sig, GRID) for sig in _SIGNATURES)
 
 # The token grammar's families in id order, each with its values: one token per
 # value, named `family`, `family_value` or `TimeSig_num/den`.
@@ -240,7 +237,7 @@ def tokenize(score: MidiScore, vocab: Vocabulary | None = None) -> list[int]:
             tokens.append(vocab.tempo(tempo_bin))
             prev_tempo_bin = tempo_bin
 
-        bar_end = bar_start + steps_per_bar(*sig)
+        bar_end = bar_start + bar_ticks(*sig, GRID)
         current_position = None
         while note_i < len(notes) and notes[note_i][0] < bar_end:
             onset, pitch, dur_steps, velocity = notes[note_i]
@@ -296,7 +293,7 @@ def detokenize_with_report(tokens, vocab: Vocabulary | None = None) -> tuple[Mid
     def open_bar() -> None:
         nonlocal bar, bar_start, position
         if bar >= 0:
-            bar_start += steps_per_bar(*sig)
+            bar_start += bar_ticks(*sig, GRID)
         bar += 1
         position = None
 
@@ -328,7 +325,7 @@ def detokenize_with_report(tokens, vocab: Vocabulary | None = None) -> tuple[Mid
             if bar < 0:
                 repairs.append(f"token {i}: Position before any Bar, Bar inserted")
                 open_bar()
-            if value >= steps_per_bar(*sig):
+            if value >= bar_ticks(*sig, GRID):
                 repairs.append(f"token {i}: Position_{value} outside a {sig[0]}/{sig[1]} bar")
                 position = None
             else:

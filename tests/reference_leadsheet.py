@@ -10,11 +10,14 @@ over bars. Nothing here reads a sheet's tick fields.
 
 from fractions import Fraction
 
-from overpaint.midi_io import bar_length
-
 
 def _round_half_up(x: Fraction) -> int:
     return int((2 * x + 1) // 2)
+
+
+def bar_beats(num, den):
+    """Beats in a bar of num/den."""
+    return Fraction(4 * num, den)
 
 
 def chord_beats(bars, numerator, denominator):
@@ -32,7 +35,7 @@ def n_bars(chords, melody, signature):
     velocity) in beats."""
     last = chords[-1][0] if chords else 0
     for _, onset, _, _ in melody:
-        last = max(last, int(onset // bar_length(*signature)))
+        last = max(last, int(onset // bar_beats(*signature)))
     return last + 1
 
 
@@ -48,7 +51,7 @@ def segments(chords, melody, signature, window, tones, resolution=480):
     duration, velocity) in ticks. `tones(token)` gives a chord's absolute
     block pitches; blocks sound at velocity 64 to the next chord or the
     window end; melody notes round their onset and end half up, >= 1 tick."""
-    bpb = bar_length(*signature)
+    bpb = bar_beats(*signature)
 
     def tick(beat):
         return _round_half_up(beat * resolution)

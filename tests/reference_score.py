@@ -4,16 +4,34 @@ The same rules `overpaint.midi_io` and `overpaint.tokenizer` implemented when
 scores kept beat values as exact fractions: notes are plain
 (pitch, onset, duration, velocity) rows and tempos plain (beat, bpm) rows, both
 in beats, and nothing here touches a score's `tick_notes`. Time signatures are
-read from the score they came with, through the bar walkers, which the tick
-paths share.
+read from the (bar, num, den) entries of the score they came with, and a bar of
+num/den is 4 * num / den beats; nothing here calls the package's bar geometry.
 """
 
 import struct
 from fractions import Fraction
 
-from overpaint.midi_io import bar_length, signature_at_bar
-
 GRID = 12
+
+
+def bar_beats(num, den):
+    """Beats in a bar of num/den."""
+    return Fraction(4 * num, den)
+
+
+def signature_at_bar(score, bar):
+    """(num, den) of the last signature entry at or before `bar`."""
+    return [(n, d) for b, n, d in score.time_signatures if b <= bar][-1]
+
+
+def signature_beats(score):
+    """(beat, num, den) at which each of `score`'s signature entries starts."""
+    out, beat, prev_bar, length = [], Fraction(0), 0, Fraction(0)
+    for bar, num, den in score.time_signatures:
+        beat += (bar - prev_bar) * length
+        out.append((beat, num, den))
+        prev_bar, length = bar, bar_beats(num, den)
+    return out
 
 
 def rows(tick_notes, resolution):
@@ -76,7 +94,7 @@ def tokenize(note_rows, score, vocab):
         if tempo != prev_tempo:
             tokens.append(vocab.tempo(tempo))
             prev_tempo = tempo
-        bar_end = bar_start + bar_length(*sig)
+        bar_end = bar_start + bar_beats(*sig)
         position = None
         while note_i < len(notes) and notes[note_i][1] < bar_end:
             p, on, dur, vel = notes[note_i]
@@ -112,12 +130,7 @@ def write_midi(note_rows, tempos, score):
         return _round_half_up(Fraction(beat) * res)
 
     events = []
-    sigs = score.time_signatures
-    beat = Fraction(0)
-    for i, (bar, num, den) in enumerate(sigs):
-        if i:
-            prev_bar, prev_num, prev_den = sigs[i - 1]
-            beat += (bar - prev_bar) * Fraction(4 * prev_num, prev_den)
+    for beat, num, den in signature_beats(score):
         meta = bytes([0xFF, 0x58, 4, num, den.bit_length() - 1, 24, 8])
         events.append((tick(beat), 0, meta))
     for beat, bpm in tempos:
@@ -135,3 +148,26 @@ def write_midi(note_rows, tempos, score):
     body += bytes([0, 0xFF, 0x2F, 0])
     return (b"MThd" + struct.pack(">IHHH", 6, 0, 1, res)
             + b"MTrk" + struct.pack(">I", len(body)) + bytes(body))
+
+
+def slice_context(score, start, end):
+    """(tempo rows, (bar, num, den) signatures) of the slice [start, end) in
+    beats. The tempo at `start` opens the slice and each later change keeps its
+    beat minus `start`. The signature at `start` opens bar 0, and each later
+    change sits at its beat minus `start`; bars run from 0 in the signature in
+    force, and a change inside a bar takes effect at that bar's start (of two
+    changes in one bar the later wins)."""
+    tempos = tempo_rows(score)
+    sliced = [(Fraction(0), tempo_at(tempos, start))]
+    sliced += [(b - start, bpm) for b, bpm in tempos if start < b < end]
+    runs = signature_beats(score)
+    _, num, den = [r for r in runs if r[0] <= start][-1]
+    changes = [(Fraction(0), num, den)] + [(b - start, n, d) for b, n, d in runs
+                                           if start < b < end]
+    bars, bar, bar_start, length = {}, 0, Fraction(0), Fraction(0)
+    for beat, num, den in changes:
+        while length and bar_start + length <= beat:
+            bar, bar_start = bar + 1, bar_start + length
+        bars[bar] = (num, den)
+        length = bar_beats(num, den)
+    return sliced, [(b, n, d) for b, (n, d) in sorted(bars.items())]

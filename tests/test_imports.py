@@ -1,5 +1,5 @@
 """numpy stays the package's only runtime dependency, every import is used, and
-only the beat boundary imports fractions."""
+only the beat boundary names fractions."""
 
 import ast
 import sys
@@ -29,11 +29,23 @@ def test_package_imports_only_numpy_and_the_standard_library():
 
 
 def test_only_the_beat_boundary_imports_fractions():
-    """Beats enter and leave through midi_io (NoteEvent, make_score,
-    slice_beats' bounds, bar geometry) and leadsheet (text parsing); every
-    other module keeps time in ints."""
+    """Beats enter and leave through midi_io (NoteEvent, MidiScore.notes and
+    beats_to_ticks, which make_score rounds with) and leadsheet (text
+    parsing); every other module, and the rest of midi_io, bar geometry and
+    slicing included, keeps time in ints."""
     importers = [path.name for path in SOURCES if "fractions" in absolute_imports(path)]
     assert importers == ["leadsheet.py", "midi_io.py"]
+
+    tree = ast.parse((SOURCES[0].parent / "midi_io.py").read_text(encoding="utf-8"))
+    defs = {node.name: node for node in tree.body
+            if isinstance(node, (ast.ClassDef, ast.FunctionDef))}
+    notes = next(node for node in defs["MidiScore"].body
+                 if isinstance(node, ast.FunctionDef) and node.name == "notes")
+    boundary = {id(node) for root in (defs["NoteEvent"], notes, defs["beats_to_ticks"])
+                for node in ast.walk(root)}
+    stray = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Name) and node.id == "Fraction" and id(node) not in boundary]
+    assert not stray, f"midi_io names Fraction outside the beat boundary, lines {stray}"
 
 
 def test_every_module_level_import_is_used():

@@ -11,7 +11,7 @@ from overpaint.midi_io import (
     MidiParseError,
     NoteEvent,
     _signature_runs,
-    bar_length,
+    bar_ticks,
     beats_to_ticks,
     make_score,
     parse_midi,
@@ -19,7 +19,7 @@ from overpaint.midi_io import (
     seconds_at,
     seconds_to_ticks,
     signature_at_bar,
-    slice_beats,
+    slice_ticks,
     tempo_at,
     transpose,
     write_midi,
@@ -93,23 +93,32 @@ def test_make_score_clamps_tempo_and_signature():
 # --- bar/beat/time walking ------------------------------------------------------
 
 def bar_starts(score, count):
-    """Start beats of the first `count` bars, read from the signature runs."""
+    """Start beats of the first `count` bars, read from the signature runs,
+    which count 1/16 ticks."""
     runs = list(_signature_runs(score))
+    unit = 16 * score.resolution
     starts = []
     for bar in range(count):
-        first_bar, first_beat, num, den = [r for r in runs if r[0] <= bar][-1]
-        starts.append(first_beat + (bar - first_bar) * bar_length(num, den))
+        first_bar, first_at, num, den = [r for r in runs if r[0] <= bar][-1]
+        starts.append(F(first_at + (bar - first_bar) * bar_ticks(num, den, unit), unit))
     return starts
+
+
+def slice_beats(score, start, end):
+    """`slice_ticks` with its bounds given in beats on the score's tick grid."""
+    lo, hi = start * score.resolution, end * score.resolution
+    assert lo.denominator == hi.denominator == 1, "bounds off the tick grid"
+    return slice_ticks(score, int(lo), int(hi))
 
 
 def test_bar_walk_across_signature_change():
     score = make_score(time_signatures=[(0, 3, 4), (2, 4, 4)])
-    assert bar_length(3, 4) == F(3)
+    assert bar_ticks(3, 4, 480) == 3 * 480
     assert signature_at_bar(score, 0) == (3, 4)
     assert signature_at_bar(score, 1) == (3, 4)
     assert signature_at_bar(score, 5) == (4, 4)
     # bars start at 0, 3, 6, 10, 14, ...
-    assert list(_signature_runs(score)) == [(0, F(0), 3, 4), (2, F(6), 4, 4)]
+    assert list(_signature_runs(score)) == [(0, 0, 3, 4), (2, 16 * 6 * 480, 4, 4)]
     assert bar_starts(score, 5) == [F(0), F(3), F(6), F(10), F(14)]
     # the written signature events sit at the runs' first beats
     data = write_midi(score)
@@ -428,6 +437,8 @@ def test_parse_rejects_unsupported_files():
     header_only = b"MThd" + struct.pack(">IHHH", 6, 1, 1, 480)
     with pytest.raises(MidiParseError):
         parse_midi(header_only)  # no MTrk chunks
+    with pytest.raises(MidiParseError, match="truncated sysex event"):
+        parse_midi(smf([track_chunk([(0, bytes([0xF0, 32, 1, 2]))], end_of_track=False)]))
 
 
 def test_write_midi_is_format_zero_single_track():

@@ -19,13 +19,15 @@ from overpaint.midi_io import (
     score_from_ticks,
     seconds_at,
     seconds_to_ticks,
-    slice_beats,
+    slice_ticks,
     write_midi,
 )
 from overpaint.tokenizer import GRID, build_vocabulary, tokenize
 
 VOCAB = build_vocabulary()
-RESOLUTIONS = (480, 96, 100)
+# At 30 and 98 ticks a beat some bar starts fall between ticks (a 1/16 bar is
+# 7.5 and 24.5 ticks).
+RESOLUTIONS = (480, 96, 100, 30, 98)
 
 
 def random_tick_score(rng, res):
@@ -78,6 +80,22 @@ def test_tick_paths_match_the_fraction_reference(res):
         assert polyphony(score) == reference_metrics.polyphony(score)
         assert polyphony(q) == reference_metrics.polyphony(q)
 
+        # bounds at, just past and between the signature starts and tempo changes
+        edges = {int(beat * res) for beat, _, _ in ref.signature_beats(score)}
+        edges |= {t for t, _ in score.tempo_map}
+        bounds = sorted(edges | {t + 1 for t in edges} | set(rng.integers(0, 80 * res, 6).tolist()))
+        for _ in range(5):
+            lo, hi = sorted(int(t) for t in rng.choice(bounds, size=2, replace=False))
+            window = slice_ticks(score, lo, hi)
+            start, end = F(lo, res), F(hi, res)
+            want_rows = [(p, on - start, dur, vel) for p, on, dur, vel in beat_rows
+                         if start <= on < end]
+            want_tempos, want_sigs = ref.slice_context(score, start, end)
+            assert ref.rows(window.tick_notes, res) == want_rows
+            assert ref.tempo_rows(window) == want_tempos
+            assert window.time_signatures == want_sigs
+            assert write_midi(window) == ref.write_midi(want_rows, want_tempos, window)
+
 
 def test_quantize_lifts_a_resolution_the_grid_does_not_divide():
     """100 ticks a beat hold no 1/12 beat: the quantized score is at 300, its
@@ -124,10 +142,16 @@ def test_tokenize_reads_tempo_at_bar_starts_between_ticks():
         assert tokens[:tokens.index(fast)].count(VOCAB.bar) - 1 == bar
 
 
-def test_slice_bounds_must_lie_on_the_tick_grid():
+def test_write_midi_rounds_a_signature_start_between_ticks_half_up():
+    """At 30 ticks a beat a 1/16 bar is 7.5 ticks long: the 4/4 from bar 1 is
+    written at tick 8 and reads back at bar 1."""
+    score = score_from_ticks(time_signatures=[(0, 1, 16), (1, 4, 4)], resolution=30)
+    data = write_midi(score)
+    assert data == ref.write_midi([], ref.tempo_rows(score), score)
+    assert bytes([8, 0xFF, 0x58, 4, 4, 2]) in data
+    assert parse_midi(data).time_signatures == score.time_signatures
+
+
+def test_slice_takes_tick_bounds():
     score = score_from_ticks([(0, 60, 100, 64), (100, 62, 100, 64)], resolution=100)
-    assert slice_beats(score, F(1), F(2)).tick_notes == [(0, 62, 100, 64)]
-    with pytest.raises(ValueError, match="tick grid"):
-        slice_beats(score, F(1, 300), F(2))
-    with pytest.raises(ValueError, match="tick grid"):
-        slice_beats(score, F(0), F(5, 3))
+    assert slice_ticks(score, 100, 200).tick_notes == [(0, 62, 100, 64)]

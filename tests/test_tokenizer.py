@@ -6,7 +6,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from overpaint.midi_io import MidiScore, NoteEvent, make_score, transpose, write_midi
+from overpaint.midi_io import MidiScore, NoteEvent, bar_ticks, make_score, transpose, write_midi
 from overpaint.tokenizer import (
     BOS,
     EOS,
@@ -22,7 +22,6 @@ from overpaint.tokenizer import (
     detokenize_with_report,
     load_vocabulary,
     read_token_file,
-    steps_per_bar,
     tokenize,
     transpose_tokens,
     velocity_bin,
@@ -143,7 +142,7 @@ def test_timesig_family_is_exactly_the_normalized_signatures():
     assert len(set(timesigs)) == len(timesigs)
     assert set(timesigs) == normalized
     assert all(VOCAB.timesig(*sig) == start + i for i, sig in enumerate(timesigs))
-    assert MAX_POSITIONS == max(steps_per_bar(*sig) for sig in timesigs)
+    assert MAX_POSITIONS == max(bar_ticks(*sig, GRID) for sig in timesigs)
 
 
 def test_vocabulary_save_load_and_mismatch(tmp_path):
@@ -242,7 +241,7 @@ def test_tokenize_rejects_off_grid():
 def random_center_score(rng, n_notes=12):
     """Grid-aligned score with bin-center velocities and tempo: round trips exactly."""
     sig = (int(rng.integers(1, 13)), int(rng.choice([1, 2, 4, 8, 16])))
-    spb = steps_per_bar(*sig)
+    spb = bar_ticks(*sig, GRID)
     bar_beats = F(sig[0] * 4, sig[1])
     notes = []
     for _ in range(n_notes):
