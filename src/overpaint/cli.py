@@ -241,7 +241,7 @@ def _cmd_extract_pairs(args: argparse.Namespace):
 
 
 def _cmd_review(args: argparse.Namespace):
-    pairs = load_manifest(args.pairs)
+    pairs = load_manifest(args.pairs, scores=False)
     decisions = read_review_manifest(args.decisions)
     unknown = sorted(set(decisions) - {p.pair_id for p in pairs})
     if unknown:
@@ -261,7 +261,7 @@ def _cmd_review(args: argparse.Namespace):
 
 
 def _cmd_augment(args: argparse.Namespace):
-    pairs = load_manifest(args.pairs)
+    pairs = load_manifest(args.pairs, scores=False)
     accepted = [p for p in pairs if p.status == "accepted"]
     if not accepted:
         raise ManifestError("no accepted pairs to augment")

@@ -8,14 +8,22 @@ source holds its source's untransposed scores, in memory as on disk; one
 without holds its own, as every v1 record does (its payloads are already
 transposed). For a t = 0 record the two are the same. transposition_bases is
 the one reader that applies a record's shift.
+
+A record loaded without scores (`load_manifest(path, scores=False)`, as
+`review` and `augment` load) keeps only its payload paths, and saving it
+hard-links those files (a byte copy where a link fails): their bytes pass
+through unparsed and unencoded.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
+import os
 import re
-from dataclasses import dataclass, replace
+import shutil
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .midi_io import MidiScore, load_midi, save_midi, transpose
@@ -34,12 +42,14 @@ class ManifestError(ValueError):
 class PairRecord:
     """One Original/Variation pair. With a `source`, its scores are that source's
     untransposed scores and `transposition` is still to be applied; without one,
-    its scores are its own."""
+    its scores are its own. A loaded record's `payloads` are the (original,
+    variation) files its scores came from; loaded without scores, it holds
+    None for both."""
 
     pair_id: str
     song_id: str
-    original: MidiScore
-    variation: MidiScore
+    original: MidiScore | None
+    variation: MidiScore | None
     transposition: int = 0
     confidence: float = 1.0
     status: str = "accepted"
@@ -47,6 +57,7 @@ class PairRecord:
     window_start_bar: int | None = None
     key: tuple[int, str] | None = None
     source: str | None = None  # pair_id of the untransposed pair whose payloads this one shares
+    payloads: tuple[Path, Path] | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.status not in STATUSES:
@@ -128,12 +139,34 @@ def _source(pair: PairRecord) -> str:
     return pair.pair_id if pair.source is None else pair.source
 
 
+def _stage_payload(src: Path, dest: Path) -> Path | None:
+    """A new name beside `dest` for the bytes of `src`, made without reading
+    them: a hard link, or a byte copy where linking fails (EXDEV across
+    filesystems, EPERM). None when `dest` already is `src`."""
+    try:
+        if os.path.samefile(src, dest):
+            return None
+    except FileNotFoundError:  # no `dest` yet
+        pass
+    staged = dest.with_name(f".{dest.name}.link")
+    with contextlib.suppress(FileNotFoundError):
+        os.unlink(staged)  # left by an interrupted save: never write through it
+    try:
+        os.link(src, staged)
+    except OSError:
+        shutil.copyfile(src, staged)
+    return staged
+
+
 def save_manifest(pairs, path) -> None:
     """Write the JSONL manifest plus each source's two payloads under
     '<stem>_midi' next to the manifest, from the source's untransposed record
-    only; its transposed records name the same files. A transposed record with
-    no untransposed record of its source in `pairs`, or two sources that map
-    to one payload name, raise ManifestError before anything is written."""
+    only; its transposed records name the same files. A payload whose score is
+    None is its record's payload file, linked (or copied) unread and renamed
+    into place, so no file is written through; any other is encoded. A
+    transposed record with no untransposed record of its source in `pairs`, or
+    two sources that map to one payload name, raise ManifestError before
+    anything is written."""
     path = Path(path)
     bases = [_safe_name(_source(p)) for p in pairs]
     writers: dict[str, PairRecord] = {}  # payload base name -> the record that writes it
@@ -151,21 +184,30 @@ def save_manifest(pairs, path) -> None:
     midi_dir = path.parent / f"{path.stem}_midi"
     midi_dir.mkdir(parents=True, exist_ok=True)
 
+    payloads = []  # (score or None, its file, destination) per payload written
+    for base, p in writers.items():
+        payloads += zip((p.original, p.variation), p.payloads or (None, None),
+                        (midi_dir / f"{base}.orig.mid", midi_dir / f"{base}.var.mid"))
+    # Every linked payload is staged before any destination is replaced: saved
+    # in place, one record's payload file can be another record's destination.
+    staged = [(_stage_payload(src, dest), dest) for score, src, dest in payloads if score is None]
+    for score, _, dest in payloads:
+        if score is not None:
+            save_midi(score, dest)
+    for new, dest in staged:
+        if new is not None:
+            os.replace(new, dest)
+
     lines = [json.dumps({"schema_version": SCHEMA_VERSION, "midi_dir": midi_dir.name}, sort_keys=True)]
     for p, base in zip(pairs, bases):
-        orig_name = f"{base}.orig.mid"
-        var_name = f"{base}.var.mid"
-        if p.transposition == 0:
-            save_midi(p.original, midi_dir / orig_name)
-            save_midi(p.variation, midi_dir / var_name)
         lines.append(
             json.dumps(
                 {
                     "pair_id": p.pair_id,
                     "song_id": p.song_id,
                     "source": p.source,
-                    "original": orig_name,
-                    "variation": var_name,
+                    "original": f"{base}.orig.mid",
+                    "variation": f"{base}.var.mid",
                     "transposition": p.transposition,
                     "confidence": p.confidence,
                     "status": p.status,
@@ -210,12 +252,9 @@ def _record_fields(rec: dict) -> dict:
     return fields
 
 
-def load_manifest(path) -> list[PairRecord]:
-    """Load a manifest and its MIDI payloads, each payload file parsed once;
-    every record's scores are its payloads, and a v1 record has no source.
-    Wrong version, any missing file, a v2 transposed record with no source, or
-    a v2 source with two untransposed records or with a transposed record
-    naming other payloads fails the whole load."""
+def _read_records(path) -> list[PairRecord]:
+    """A manifest's records with their payload paths and no scores, each payload
+    checked to exist; see load_manifest for what fails the read."""
     path = Path(path)
     try:
         lines = path.read_text(encoding="utf-8").splitlines()
@@ -239,15 +278,16 @@ def load_manifest(path) -> list[PairRecord]:
         raise ManifestError(f"bad manifest header: midi_dir {midi_dir!r} is not a string")
     midi_dir = path.parent / midi_dir
 
-    scores: dict[str, MidiScore] = {}  # payload name -> its parsed score
+    files: dict[str, Path] = {}  # payload name -> its one path object, once the file is found
 
-    def payload(name) -> MidiScore:
-        if name not in scores:
-            scores[name] = load_midi(midi_dir / name)
-        return scores[name]
+    def payload(name) -> Path:
+        if name not in files:
+            file = midi_dir / name
+            os.stat(file)
+            files[name] = file
+        return files[name]
 
     pairs = []
-    names = []  # (original, variation) payload names per record
     for i, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
@@ -263,26 +303,46 @@ def load_manifest(path) -> list[PairRecord]:
         if version == 1:  # v1 has no source: each record's payloads are its own scores
             fields["source"] = None
         try:
-            original = payload(rec["original"])
-            variation = payload(rec["variation"])
+            fields["payloads"] = (payload(rec["original"]), payload(rec["variation"]))
         except (OSError, KeyError, TypeError) as exc:
             raise ManifestError(f"pair {rec['pair_id']!r}: missing MIDI payload ({exc})") from exc
         try:
-            pair = PairRecord(rec["pair_id"], rec["song_id"], original, variation, **fields)
+            pair = PairRecord(rec["pair_id"], rec["song_id"], None, None, **fields)
         except ValueError as exc:  # a value outside its range (status, split, transposition)
             raise ManifestError(f"pair {rec['pair_id']!r}: {exc}") from exc
         if version > 1 and pair.transposition and pair.source is None:
             raise ManifestError(f"pair {pair.pair_id!r} is transposed but has no source")
         pairs.append(pair)
-        names.append((rec["original"], rec["variation"]))
     if version > 1:
-        base_names = {}  # source -> the payload names of its untransposed record
-        for p, named in zip(pairs, names):
-            if p.transposition == 0 and base_names.setdefault(_source(p), named) is not named:
+        base_payloads = {}  # source -> the payloads of its untransposed record
+        for p in pairs:
+            if p.transposition == 0 and base_payloads.setdefault(_source(p), p.payloads) is not p.payloads:
                 raise ManifestError(f"source {_source(p)!r} has two untransposed records")
-        for p, named in zip(pairs, names):
-            if base_names.get(_source(p), named) != named:
+        for p in pairs:
+            if base_payloads.get(_source(p), p.payloads) != p.payloads:
                 raise ManifestError(f"pair {p.pair_id!r} names other payloads than its source {_source(p)!r}")
+    return pairs
+
+
+def load_manifest(path, scores: bool = True) -> list[PairRecord]:
+    """Load a manifest and, with `scores`, its MIDI payloads, each payload file
+    parsed once; every record's scores are its payloads, and a v1 record has no
+    source. Without `scores` each record holds only its payload paths, for
+    save_manifest to link. Wrong version, any missing file, a v2 transposed
+    record with no source, or a v2 source with two untransposed records or with
+    a transposed record naming other payloads fails the whole load either way."""
+    pairs = _read_records(path)
+    if not scores:
+        return pairs
+    parsed: dict[Path, MidiScore] = {}  # payload path -> its parsed score
+    for p in pairs:
+        try:
+            for file in p.payloads:
+                if file not in parsed:
+                    parsed[file] = load_midi(file)
+        except OSError as exc:  # it exists but cannot be read
+            raise ManifestError(f"pair {p.pair_id!r}: missing MIDI payload ({exc})") from exc
+        p.original, p.variation = (parsed[file] for file in p.payloads)
     return pairs
 
 

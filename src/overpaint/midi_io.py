@@ -14,8 +14,10 @@ overlaps are paired first-in-first-out.
 
 from __future__ import annotations
 
+import contextlib
 import logging
 import math
+import os
 import struct
 from bisect import bisect_left
 from dataclasses import dataclass, field
@@ -407,8 +409,12 @@ def _parse_track(body, note_events, tempos, sig_ticks) -> int:
     tick = 0
     status = None
     while pos < len(body):
-        delta, pos = _read_varlen(body, pos)
-        tick += delta
+        if body[pos] < 0x80:  # nearly every delta is one byte
+            tick += body[pos]
+            pos += 1
+        else:
+            delta, pos = _read_varlen(body, pos)
+            tick += delta
         if pos >= len(body):
             raise MidiParseError("truncated event")
         kind = body[pos]
@@ -498,5 +504,9 @@ def load_midi(path) -> MidiScore:
 
 
 def save_midi(score: MidiScore, path) -> None:
-    with open(path, "wb") as fh:
+    """Write `score` to a new file at `path`: an existing file is unlinked first,
+    never written through, so another name linked to its bytes keeps them."""
+    with contextlib.suppress(FileNotFoundError):
+        os.unlink(path)
+    with open(path, "xb") as fh:
         fh.write(write_midi(score))

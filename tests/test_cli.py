@@ -10,7 +10,7 @@ import pytest
 from helpers import v1_with_nonzero_key_bias, write_corpus
 from overpaint.autodiff import NonFiniteError
 from overpaint.cli import _numeric_env, main
-from overpaint.dataset import load_manifest
+from overpaint.dataset import ManifestError, load_manifest
 from overpaint.midi_io import NoteEvent, load_midi, make_score, save_midi
 from overpaint.model import ModelConfig, TransformerLM, load_checkpoint, save_checkpoint
 from overpaint.tokenizer import (
@@ -677,6 +677,65 @@ def test_reruns_reproduce_primary_artifacts(pipeline, tmp_path):
 def _extract_pairs(pipeline, out, *flags):
     return main(["--quiet", "extract-pairs", "--performances", str(pipeline["perfs"]),
                  "--leadsheets", str(pipeline["sheets"]), "--out", str(out), *flags])
+
+
+def _midi_bytes(midi_dir):
+    return {f.name: f.read_bytes() for f in midi_dir.iterdir()}
+
+
+def _review(pairs, decisions, out):
+    return main(["--quiet", "review", "--pairs", str(pairs), "--decisions", str(decisions),
+                 "--out", str(out)])
+
+
+def test_rerunning_extract_pairs_leaves_reviewed_payloads_as_they_were(pipeline, tmp_path):
+    """review links its payloads to the files extract-pairs wrote, so a rerun of
+    extract-pairs onto the same --out must replace those files, not write through them."""
+    pairs = tmp_path / "pairs.jsonl"
+    assert _extract_pairs(pipeline, pairs) == 0
+    assert _review(pairs, pipeline["review"], tmp_path / "reviewed.jsonl") == 0
+    first = _midi_bytes(tmp_path / "pairs_midi")
+    reviewed = _midi_bytes(tmp_path / "reviewed_midi")
+    assert reviewed == first
+    assert all(os.path.samefile(tmp_path / "pairs_midi" / name, tmp_path / "reviewed_midi" / name)
+               for name in reviewed)
+
+    assert _extract_pairs(pipeline, pairs, "--window", "2") == 0
+    rewritten = _midi_bytes(tmp_path / "pairs_midi")
+    assert any(rewritten[name] != data for name, data in first.items())
+    assert _midi_bytes(tmp_path / "reviewed_midi") == reviewed
+
+
+def test_review_and_augment_onto_their_own_input_keep_every_payload(pipeline, tmp_path):
+    pairs = tmp_path / "pairs.jsonl"
+    assert _extract_pairs(pipeline, pairs) == 0
+    written = _midi_bytes(tmp_path / "pairs_midi")
+    assert _review(pairs, pipeline["review"], pairs) == 0
+    assert _midi_bytes(tmp_path / "pairs_midi") == written
+    assert main(["--quiet", "augment", "--pairs", str(pairs), "--out", str(pairs),
+                 "--seed", "0"]) == 0
+    assert _midi_bytes(tmp_path / "pairs_midi") == written
+    assert main(["--quiet", "tokenize", "--pairs", str(pairs),
+                 "--out-dir", str(tmp_path / "tokens")]) == 0
+    for name in ("vocab.json", "tokens_train.bin", "tokens_val.bin", "tokens_test.bin"):
+        assert (tmp_path / "tokens" / name).read_bytes() == (pipeline["tokens"] / name).read_bytes()
+
+
+@pytest.mark.parametrize("command", ["review", "augment"])
+def test_a_missing_payload_exits_2_as_a_parsed_load_fails(pipeline, tmp_path, caplog, command):
+    pairs = tmp_path / "pairs.jsonl"
+    shutil.copy(pipeline["pairs"], pairs)
+    shutil.copytree(pipeline["root"] / "pairs_midi", tmp_path / "pairs_midi")
+    (tmp_path / "pairs_midi" / f"{REJECTED_PAIR}.var.mid").unlink()
+    with pytest.raises(ManifestError, match="missing MIDI payload") as parsed:
+        load_manifest(pairs)
+    out = tmp_path / "out.jsonl"
+    if command == "review":
+        assert _review(pairs, pipeline["review"], out) == 2
+    else:
+        assert main(["--quiet", "augment", "--pairs", str(pairs), "--out", str(out)]) == 2
+    assert str(parsed.value) in caplog.text
+    assert not out.exists() and not (tmp_path / "out_midi").exists()
 
 
 def test_extract_pairs_window_sets_the_window_length(pipeline, tmp_path):

@@ -1,5 +1,7 @@
 import csv
+import errno
 import json
+import os
 from dataclasses import replace
 from fractions import Fraction as F
 
@@ -502,6 +504,105 @@ def test_two_sources_sharing_a_payload_name_write_nothing(tmp_path):
     with pytest.raises(ManifestError, match="share the payload name x_y"):
         save_manifest(clash, tmp_path / "m.jsonl")
     assert list(tmp_path.iterdir()) == []
+
+
+# --- payloads loaded without scores -------------------------------------------------
+
+def _payload_files(midi_dir):
+    return {f.name: f for f in midi_dir.iterdir()}
+
+
+def _unreadable(*_):
+    raise AssertionError("a payload loaded without scores was parsed or encoded")
+
+
+def test_records_loaded_without_scores_are_saved_as_links(tmp_path, monkeypatch):
+    pairs = augment(_edge_pairs())
+    save_manifest(pairs, tmp_path / "aug.jsonl")
+    monkeypatch.setattr(dataset, "load_midi", _unreadable)
+    monkeypatch.setattr(dataset, "save_midi", _unreadable)
+    bare = load_manifest(tmp_path / "aug.jsonl", scores=False)
+    assert all(p.original is None and p.variation is None for p in bare)
+    assert [(p.pair_id, p.source, p.transposition, p.key) for p in bare] == [
+        (p.pair_id, p.source, p.transposition, p.key) for p in pairs]
+    assert {f.name for p in bare for f in p.payloads} == set(_payload_files(tmp_path / "aug_midi"))
+
+    save_manifest(bare, tmp_path / "copy.jsonl")
+    monkeypatch.undo()
+    source, linked = _payload_files(tmp_path / "aug_midi"), _payload_files(tmp_path / "copy_midi")
+    assert sorted(linked) == sorted(source)
+    for name, file in linked.items():
+        assert os.path.samefile(file, source[name])
+    assert load_manifest(tmp_path / "copy.jsonl") == pairs
+
+
+def test_payloads_are_copied_where_a_link_fails(tmp_path, monkeypatch):
+    save_manifest(augment(_edge_pairs()), tmp_path / "aug.jsonl")
+    bare = load_manifest(tmp_path / "aug.jsonl", scores=False)
+
+    def cross_device(src, dst):
+        raise OSError(errno.EXDEV, "Invalid cross-device link", str(src))
+
+    monkeypatch.setattr(os, "link", cross_device)
+    save_manifest(bare, tmp_path / "copy.jsonl")
+    source, copied = _payload_files(tmp_path / "aug_midi"), _payload_files(tmp_path / "copy_midi")
+    assert sorted(copied) == sorted(source)
+    for name, file in copied.items():
+        assert not os.path.samefile(file, source[name])
+        assert file.read_bytes() == source[name].read_bytes()
+
+
+def test_saving_over_the_loaded_manifest_keeps_every_payload(tmp_path):
+    path = tmp_path / "aug.jsonl"
+    save_manifest(augment(_edge_pairs()), path)
+    before = {name: f.read_bytes() for name, f in _payload_files(tmp_path / "aug_midi").items()}
+    save_manifest(load_manifest(path, scores=False), path)
+    assert {name: f.read_bytes() for name, f in _payload_files(tmp_path / "aug_midi").items()} == before
+    assert load_manifest(path) == augment(_edge_pairs())
+
+
+def test_saving_in_place_keeps_payloads_that_another_record_names(tmp_path):
+    """A hand-edited manifest whose records name each other's files: every
+    payload is linked before any file is replaced, so each record keeps the
+    score its manifest named."""
+    path = tmp_path / "m.jsonl"
+    save_manifest([make_pair("a_w000", "a"),
+                   replace(make_pair("b_w000", "b"), original=helpers.simple_score([70, 72]))], path)
+    header, a, b = path.read_text().splitlines()
+    a, b = json.loads(a), json.loads(b)
+    a["original"], b["original"] = b["original"], a["original"]
+    path.write_text("\n".join([header, json.dumps(a), json.dumps(b)]) + "\n")
+    named = load_manifest(path)
+    save_manifest(load_manifest(path, scores=False), path)
+    assert load_manifest(path) == named
+    assert named[0].original == helpers.simple_score([70, 72])
+    assert sorted(_payload_files(tmp_path / "m_midi")) == [
+        "a_w000.orig.mid", "a_w000.var.mid", "b_w000.orig.mid", "b_w000.var.mid"]
+
+
+def test_a_record_with_scores_is_encoded_though_it_has_payloads(tmp_path):
+    """An in-memory edit of a loaded record is written, not replaced by its old file."""
+    save_manifest([make_pair()], tmp_path / "m.jsonl")
+    edited = load_manifest(tmp_path / "m.jsonl")
+    edited[0].variation = helpers.simple_score([48, 50])
+    save_manifest(edited, tmp_path / "edited.jsonl")
+    assert load_manifest(tmp_path / "edited.jsonl")[0].variation == edited[0].variation
+    assert load_manifest(tmp_path / "m.jsonl") == [make_pair()]
+
+
+def test_a_missing_payload_fails_the_load_with_or_without_scores(tmp_path):
+    save_manifest(augment(_edge_pairs()), tmp_path / "aug.jsonl")
+    (tmp_path / "aug_midi" / "high_w004.var.mid").unlink()
+    messages = []
+    for scores in (True, False):
+        with pytest.raises(ManifestError, match="'high_w004_t-5': missing MIDI payload") as info:
+            load_manifest(tmp_path / "aug.jsonl", scores=scores)
+        messages.append(str(info.value))
+    assert messages[0] == messages[1]
+
+    (tmp_path / "aug_midi" / "high_w004.var.mid").mkdir()  # there, but not a readable file
+    with pytest.raises(ManifestError, match="'high_w004_t-5': missing MIDI payload"):
+        load_manifest(tmp_path / "aug.jsonl")
 
 
 def test_manifest_tolerates_blank_lines(tmp_path):

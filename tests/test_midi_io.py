@@ -441,6 +441,37 @@ def test_parse_rejects_unsupported_files():
         parse_midi(smf([track_chunk([(0, bytes([0xF0, 32, 1, 2]))], end_of_track=False)]))
 
 
+@pytest.mark.parametrize("resolution", [480, 96, 30, 7])
+def test_deltas_of_every_length_land_on_their_ticks(resolution):
+    """Note deltas of one to four bytes, half of them under running status, parse
+    to the ticks that wrote them; a track cut anywhere is a MidiParseError or a
+    parse of what is left, never another error."""
+    rng = np.random.default_rng(resolution)
+    deltas = [0, 1, 0x7F, 0x80, 0x3FFF, 0x4000, 0x1FFFFF, 0x200000]
+    deltas += [int(d) for d in rng.integers(0, 3 * resolution, 24)]
+    rng.shuffle(deltas)
+    events, expected, tick = [], [], 0
+    for i, (pitch, delta) in enumerate(zip(rng.choice(128, len(deltas), replace=False), deltas)):
+        pitch, dur, vel = int(pitch), int(rng.integers(1, 0x90)), int(rng.integers(1, 128))
+        events.append((delta, bytes([pitch, vel]) if i % 2 else bytes([0x90, pitch, vel])))
+        events.append((dur, bytes([pitch, 0])))  # running status: velocity 0 is a note-off
+        expected.append((tick + delta, pitch, dur, vel))
+        tick += delta + dur
+    data = smf([track_chunk(events)], fmt=0, division=resolution)
+    score = parse_midi(data)
+    assert score.tick_notes == expected and score.resolution == resolution
+
+    header, body = data[:14], data[22:]
+    errors = set()
+    for cut in range(len(body)):
+        try:
+            parse_midi(header + b"MTrk" + struct.pack(">I", cut) + body[:cut])
+        except MidiParseError as exc:
+            errors.add(str(exc))
+    assert {"truncated variable-length quantity", "truncated event",
+            "truncated channel event"} <= errors
+
+
 def test_write_midi_is_format_zero_single_track():
     data = write_midi(make_score([NoteEvent(60, F(0), F(1), 64)]))
     _, fmt, ntrks, division = struct.unpack(">IHHH", data[4:14])

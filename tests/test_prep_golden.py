@@ -6,7 +6,8 @@ report. Every primary artifact must keep the SHA-256 pinned here, so a change
 to MIDI I/O, alignment, the dataset, the tokenizer or the metrics that moves
 one byte of them fails in tier-1, not only in a benchmark run. The number of
 MIDI payloads beside each manifest is pinned too: augment writes each
-accepted pair's two payloads once, however many transpositions share them.
+accepted pair's two payloads once, however many transpositions share them,
+and review and augment keep the bytes extract-pairs wrote.
 """
 
 import hashlib
@@ -14,6 +15,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from overpaint.midi_io import parse_midi, write_midi
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -29,18 +32,6 @@ SEED_1 = {
 # Payload files per manifest: two per pair from extract-pairs and review (32
 # pairs), and two per accepted source from augment (30 sources, 360 records).
 PAYLOADS = {"pairs_midi": 64, "reviewed_midi": 64, "aug_midi": 60}
-
-
-@pytest.fixture
-def bench_modules():
-    """The benchmark's `workloads` module (which imports `corpus`), off sys.path afterwards."""
-    sys.path.insert(0, str(BENCH))
-    try:
-        import workloads
-
-        yield workloads
-    finally:
-        sys.path.remove(str(BENCH))
 
 
 class _Commands:
@@ -61,14 +52,44 @@ class _Commands:
             self.failures.append(name)
 
 
-def test_prep_artifacts_at_seed_1_keep_their_digests(tmp_path, bench_modules):
-    prep = bench_modules.Prep(n_songs=4)
-    inputs = prep.make_inputs(tmp_path / "work", 1)
-    out = tmp_path / "out"
-    out.mkdir()
-    commands = _Commands()
-    prep.run_pass(commands, inputs, out)
+@pytest.fixture(scope="module")
+def seed_1_out(tmp_path_factory):
+    """The output directory of one benchmark prep pass at seed 1. The benchmark's
+    `workloads` module (which imports `corpus`) is off sys.path afterwards."""
+    root = tmp_path_factory.mktemp("prep")
+    sys.path.insert(0, str(BENCH))
+    try:
+        import workloads
+
+        prep = workloads.Prep(n_songs=4)
+        inputs = prep.make_inputs(root / "work", 1)
+        out = root / "out"
+        out.mkdir()
+        commands = _Commands()
+        prep.run_pass(commands, inputs, out)
+    finally:
+        sys.path.remove(str(BENCH))
     assert commands.failures == []
+    return out
+
+
+def test_prep_artifacts_at_seed_1_keep_their_digests(seed_1_out):
+    out = seed_1_out
     digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in SEED_1}
     assert digests == SEED_1
     assert {name: len(list((out / name).iterdir())) for name in PAYLOADS} == PAYLOADS
+
+
+def test_review_and_augment_keep_the_payload_bytes_extract_pairs_wrote(seed_1_out):
+    written = {f.name: f.read_bytes() for f in (seed_1_out / "pairs_midi").iterdir()}
+    for name in ("reviewed_midi", "aug_midi"):
+        for f in (seed_1_out / name).iterdir():
+            assert f.read_bytes() == written[f.name], f"{name}/{f.name}"
+
+
+def test_parsing_a_seed_1_payload_is_a_fixed_point(seed_1_out):
+    """Writing a parsed payload and parsing it again gives the same score, even
+    where the bytes differ (FIFO re-pairs a nested same-pitch overlap)."""
+    for f in sorted((seed_1_out / "pairs_midi").iterdir()):
+        score = parse_midi(f.read_bytes())
+        assert parse_midi(write_midi(score)) == score, f.name
