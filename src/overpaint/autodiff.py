@@ -3,8 +3,14 @@
 Tensors hold float32/float64 arrays of rank <= 3. With gradients on (outside
 no_grad), each operation records its operands and a backward closure that hands
 every operand its gradient; Tensor.backward() walks the implicit graph in reverse
-topological order. Every forward result is checked finite (NaN/Inf raises).
-Gradients are verified against central finite differences by grad_check.
+topological order and consumes it as it goes: once a node's backward has run, the
+node lets go of its operands, its closure (and so what the forward saved for it)
+and, unless it is the output, its gradient, so a step holds only what a pending
+backward still needs, and a second backward through the graph raises ValueError.
+A backward hands an operand a gradient array it has just allocated for it alone
+as the operand's own (no copy); a shared array or a view is copied. Every forward
+result is checked finite (NaN/Inf raises). Gradients are verified against
+central finite differences by grad_check.
 """
 
 from __future__ import annotations
@@ -72,12 +78,18 @@ class Tensor:
     def zero_grad(self) -> None:
         self.grad = None
 
-    def accumulate_grad(self, g: np.ndarray) -> None:
-        if self.grad is None:  # a copy: add's backward hands one g to both operands
+    def accumulate_grad(self, g: np.ndarray, owned: bool = False) -> None:
+        """Add g to the gradient. The first g becomes the gradient itself when
+        `owned` (the calling backward allocated it for this tensor alone) and
+        of the tensor's dtype; any other is copied, as add's backward hands
+        one g to both operands."""
+        if self.grad is not None:
+            self.grad += g
+        elif owned and g.dtype == self.data.dtype:
+            self.grad = g
+        else:
             self.grad = np.empty_like(self.data)
             np.copyto(self.grad, g)
-        else:
-            self.grad += g
 
     def backward(self, grad: np.ndarray | None = None) -> None:
         """Reverse accumulation from this output, seeded with `grad` (an array
@@ -98,18 +110,29 @@ class Tensor:
                 continue
             if id(node) in seen:
                 continue
+            if node._backward is _consumed:  # refuse before any gradient moves
+                _consumed(None)
             seen.add(id(node))
             stack.append((node, True))
             for parent in node._parents:
                 if id(parent) not in seen:
                     stack.append((parent, False))
         self.grad = np.array(grad, dtype=self.data.dtype)
-        for node in reversed(topo):
+        while topo:
+            node = topo.pop()
             if node._backward is not None:  # every consumer ran first and handed node its gradient
                 node._backward(node.grad)
+                node._backward, node._parents = _consumed, ()
+                if node is not self:
+                    node.grad = None
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype.name})"
+
+
+def _consumed(g):
+    """The backward of a node whose own has run: what it saved is freed."""
+    raise ValueError("this graph was consumed by an earlier backward")
 
 
 def _check_finite(arr: np.ndarray, op: str) -> None:
@@ -160,8 +183,8 @@ def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
         data += bias.data
 
     def backward(g):
-        a.accumulate_grad(_unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape))
-        b.accumulate_grad(_unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape))
+        a.accumulate_grad(_unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape), owned=True)
+        b.accumulate_grad(_unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape), owned=True)
         if bias is not None:
             bias.accumulate_grad(_unbroadcast(g, bias.shape))
 
@@ -196,7 +219,7 @@ def gelu(a: Tensor) -> Tensor:
     def backward(g):
         sech2 = 1.0 - t**2
         d_inner = _GELU_C * (1.0 + 3 * 0.044715 * (x * x))
-        a.accumulate_grad(g * (0.5 * (1.0 + t) + 0.5 * x * sech2 * d_inner))
+        a.accumulate_grad(g * (0.5 * (1.0 + t) + 0.5 * x * sech2 * d_inner), owned=True)
 
     return _result(data, (a,), backward, "gelu")
 
@@ -204,9 +227,9 @@ def gelu(a: Tensor) -> Tensor:
 def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then affine."""
     x = a.data
-    mean = x.mean(axis=-1, keepdims=True)
-    centered = x - mean
-    var = (centered**2).mean(axis=-1, keepdims=True)
+    n = x.shape[-1]  # add.reduce / n gives mean()'s bits without its Python-level overhead
+    centered = x - np.add.reduce(x, axis=-1, keepdims=True) / n
+    var = np.add.reduce(centered**2, axis=-1, keepdims=True) / n
     inv_std = 1.0 / np.sqrt(var + eps)
     xhat = centered * inv_std
     data = xhat * gain.data + bias.data
@@ -216,7 +239,7 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
         bias.accumulate_grad(_unbroadcast(g, bias.shape))
         gx = g * gain.data
         term = gx.sum(axis=-1, keepdims=True) + xhat * (gx * xhat).sum(axis=-1, keepdims=True)
-        a.accumulate_grad(inv_std * (gx - term / x.shape[-1]))
+        a.accumulate_grad(inv_std * (gx - term / n), owned=True)
 
     return _result(data, (a, gain, bias), backward, "layer_norm")
 
@@ -233,7 +256,7 @@ def embedding_lookup(table: Tensor, ids: np.ndarray) -> Tensor:
     def backward(g):
         gt = np.zeros_like(table.data)
         np.add.at(gt, ids, g)
-        table.accumulate_grad(gt)
+        table.accumulate_grad(gt, owned=True)
 
     return _result(data, (table,), backward, "embedding_lookup")
 
@@ -286,7 +309,7 @@ def dropout(a: Tensor, p: float, rng: np.random.Generator) -> Tensor:
     def backward(g):
         grad = g * keep
         grad *= scale
-        a.accumulate_grad(grad)
+        a.accumulate_grad(grad, owned=True)
 
     return _result(data, (a,), backward, "dropout")
 
@@ -317,8 +340,7 @@ def attention(
     positions 0..query_lengths[b]-1 following row b-1's. The output is packed
     alike. q / sqrt(d_h), k and v are copied once each into head-major
     (H, N, d_h) order, and each row attends to its own keys alone, with
-    nothing padded. The backward hands each of the three its gradient and
-    consumes what the forward kept, so a second one raises ValueError.
+    nothing padded. The backward hands each of the three its gradient.
 
     Cached (inference): q is a (B, Lq, D) Tensor, and k and v are arrays
     already split into heads, (B, H, Lk, d_h) with Lk >= Lq, as a KV cache
@@ -338,10 +360,16 @@ def attention(
 
     A block's softmax is never normalised in place (Dao et al. 2022,
     FlashAttention): its exps, times the keep mask, meet v first, and the
-    (rows, d_h) product takes the row factor drop scale / row sum. The
-    backward uses the FlashAttention-2 identity (Dao 2023, section 3.1),
-    rowsum(dP * P) = rowsum(dO * O), and puts every row factor and
-    1 / sqrt(d_h) on the d_h-wide operands, never on the (rows, keys) blocks.
+    (rows, d_h) product takes the row factor drop scale / row sum. Scores
+    and exps live in one work buffer per call, sized for the largest block.
+    With gradients on, a packed block keeps only its row maxes, its row
+    factors and its keep mask packed eight to a byte; the backward recomputes
+    the block's exps by the forward's own steps, bit for bit (recomputation,
+    Dao et al. 2022, section 3.1), so the memory kept grows with N * D plus
+    one bit per score. The backward uses the FlashAttention-2 identity (Dao
+    2023, section 3.1), rowsum(dP * P) = rowsum(dO * O), and puts every row
+    factor and 1 / sqrt(d_h) on the d_h-wide operands, never on the
+    (rows, keys) blocks.
     """
     if query_lengths is None:
         if q.ndim != 3 or not isinstance(k, np.ndarray) or k.ndim != 4 or k.shape != v.shape:
@@ -377,38 +405,46 @@ def attention(
     inv_sqrt = 1.0 / math.sqrt(d_head)
     square = min(_QUERY_TILE, length)  # one mask per call; a one-query call needs none
     causal = np.triu(np.full((square, square), _MASK_VALUE, dtype=q.dtype), k=1) if square > 1 else None
-    # The largest block's dropped weights, and in the backward its scores' gradient.
-    scratch = np.empty(batch * n_heads * square * keys if p > 0 or _grad_enabled else 0, q.dtype)
+    block = batch * n_heads * square * keys  # the largest block's scores
 
-    def attend(queries, seen_k, seen_v, out, hidden=None, ones=None):
-        """One block's output into `out`; returns (exps, drop_scale / row sums, keep mask or None).
-        Packed blocks sum rows as one product with a column of `ones`, about 4x faster than sum()."""
-        scores = queries @ np.swapaxes(seen_k, -1, -2)
-        rows, visible = scores.shape[-2:]
+    def masked_scores(queries, seen_k, work):
+        """A block's scores, its trailing square causally masked, in `work`."""
+        shape = (*queries.shape[:-1], seen_k.shape[-2])
+        scores = np.matmul(queries, np.swapaxes(seen_k, -1, -2),
+                           out=work[: math.prod(shape)].reshape(shape))
+        rows, visible = shape[-2:]
         if rows > 1:
             scores[..., visible - rows:] += causal[:rows, :rows]
+        return scores
+
+    def attend(queries, seen_k, seen_v, out, work, hidden=None, ones=None):
+        """One block's output into `out`; returns (row maxes, drop_scale / row sums, keep mask or None).
+        Packed blocks sum rows as one product with a column of `ones`, about 4x faster than sum()."""
+        scores = masked_scores(queries, seen_k, work)
         if hidden is not None:
             np.copyto(scores, _MASK_VALUE, where=hidden)
-        scores -= np.fmax.reduce(scores, axis=-1, keepdims=True)
+        row_max = np.fmax.reduce(scores, axis=-1, keepdims=True)
+        scores -= row_max
         exps = np.exp(scores, out=scores)
-        inv_sum = drop_scale / (exps.sum(axis=-1, keepdims=True) if ones is None else exps @ ones[:visible])
+        inv_sum = drop_scale / (exps.sum(axis=-1, keepdims=True) if ones is None
+                                else exps @ ones[: exps.shape[-1]])
         keep = _dropout_mask(exps.shape, p, rng) if p > 0 else None
-        dropped = exps if keep is None else np.multiply(
-            exps, keep, out=scratch[: exps.size].reshape(exps.shape))
-        np.matmul(dropped, seen_v, out=out)
+        if keep is not None:
+            exps *= keep  # the dropped weights
+        np.matmul(exps, seen_v, out=out)
         out *= inv_sum
-        return exps, inv_sum, keep
+        return row_max, inv_sum, keep
 
     if query_lengths is None:
         qs = np.ascontiguousarray((q.data * inv_sqrt).reshape(batch, length, n_heads, d_head)
                                   .transpose(0, 2, 1, 3))
-        out = np.empty_like(qs)
+        out, work = np.empty_like(qs), np.empty(block, q.dtype)
         for s in range(0, length, _QUERY_TILE):
             e = min(s + _QUERY_TILE, length)
             visible, hidden = e + offset, None
             if key_lengths is not None:
                 hidden = (np.arange(visible) >= key_lengths[:, None])[:, None, None, :]
-            attend(qs[:, :, s:e], k[:, :, :visible], v[:, :, :visible], out[:, :, s:e], hidden)
+            attend(qs[:, :, s:e], k[:, :, :visible], v[:, :, :visible], out[:, :, s:e], work, hidden)
         return _result(out.transpose(0, 2, 1, 3).reshape(batch, length, width), (), None, "attention")
 
     def heads(x: np.ndarray) -> np.ndarray:  # packed (N, D) -> an (H, N, d_h) view
@@ -416,42 +452,47 @@ def attention(
 
     kh, vh = (np.ascontiguousarray(heads(x.data)) for x in (k, v))
     qs = np.multiply(heads(q.data), inv_sqrt, out=np.empty_like(kh))
-    out, ones = np.empty_like(qs), np.ones((length, 1), dtype=qs.dtype)
-    blocks = []  # (query rows, key rows, exps, drop_scale / row sums, keep mask or None)
+    out, work = np.empty_like(qs), np.empty(block, q.dtype)
+    ones = np.ones((length, 1), dtype=qs.dtype)
+    blocks = []  # (query rows, key rows, row maxes, drop_scale / row sums, packed keep mask or None)
     for start, n in zip((np.cumsum(query_lengths) - query_lengths).tolist(), query_lengths.tolist()):
         for s in range(0, n, _QUERY_TILE):
             e = min(s + _QUERY_TILE, n)
             rows, seen = slice(start + s, start + e), slice(start, start + e)
-            saved = attend(qs[:, rows], kh[:, seen], vh[:, seen], out[:, rows], ones=ones)
+            row_max, inv_sum, keep = attend(qs[:, rows], kh[:, seen], vh[:, seen], out[:, rows], work,
+                                            ones=ones)
             if _grad_enabled:
-                blocks.append((rows, seen, *saved))
+                blocks.append((rows, seen, row_max, inv_sum, None if keep is None else np.packbits(keep)))
     data = out.transpose(1, 0, 2).reshape(-1, width)
 
     def backward(g):
-        if not blocks:
-            raise ValueError("attention's saved blocks were consumed by an earlier backward")
         gh = np.ascontiguousarray(heads(g))
         delta = heads(g * data).sum(axis=-1, keepdims=True) / drop_scale  # rowsum(dO * O), per head
         gq, gk, gv = np.empty_like(qs), np.zeros_like(kh), np.zeros_like(vh)
-        for rows, seen, exps, inv_sum, keep in blocks:
+        work = np.empty((2, block), qs.dtype)  # a block's exps, and their scores' gradient
+        for rows, seen, row_max, inv_sum, packed_keep in blocks:
+            exps = masked_scores(qs[:, rows], kh[:, seen], work[0])  # the forward's exps, recomputed
+            exps -= row_max
+            np.exp(exps, out=exps)
+            keep = None if packed_keep is None else (  # 0 / 1 bytes: they multiply as the bool mask did
+                np.unpackbits(packed_keep, count=exps.size).reshape(exps.shape))
             g_rows = gh[:, rows]
             # The scores' gradient up to the row factor inv_sum / sqrt(d_h), which
             # the d_h-wide operands take instead.
             g_scores = np.matmul(g_rows, np.swapaxes(vh[:, seen], -1, -2),
-                                 out=scratch[: exps.size].reshape(exps.shape))
+                                 out=work[1, : exps.size].reshape(exps.shape))
             if keep is not None:
                 g_scores *= keep
             g_scores -= delta[:, rows]
             g_scores *= exps
             if keep is not None:
-                exps *= keep  # the block's last use: its exps become the dropped weights
+                exps *= keep  # the dropped weights
             gv[:, seen] += np.swapaxes(exps, -1, -2) @ (g_rows * inv_sum)
             np.matmul(g_scores, kh[:, seen], out=gq[:, rows])
             gq[:, rows] *= inv_sum * inv_sqrt
             gk[:, seen] += np.swapaxes(g_scores, -1, -2) @ (qs[:, rows] * inv_sum)
-        blocks.clear()
         for operand, grad in zip((q, k, v), (gq, gk, gv)):
-            operand.accumulate_grad(grad.transpose(1, 0, 2).reshape(-1, width))
+            operand.accumulate_grad(grad.transpose(1, 0, 2).reshape(-1, width), owned=True)
 
     return _result(data, (q, k, v), backward, "attention")
 
@@ -495,10 +536,11 @@ def cross_entropy(
 
     def backward(g):
         step = float(g) / n_valid
-        grad = exps * (step / sums)[:, None]  # softmax minus one-hot at the targets, 0 where ignored
+        grad = exps  # softmax minus one-hot at the targets, 0 where ignored, in place
+        grad *= (step / sums)[:, None]
         grad[rows, safe_targets] -= step
         grad[~valid] = 0.0
-        logits.accumulate_grad(grad.reshape(logits.shape))
+        logits.accumulate_grad(grad.reshape(logits.shape), owned=True)
 
     loss = _result(data, (logits,), backward, "cross_entropy")
     if return_elementwise:

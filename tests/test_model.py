@@ -189,6 +189,35 @@ def test_packed_loss_and_gradients_sum_the_rows(dtype, tol, monkeypatch):
         assert np.abs(grad - rows[name]).max() <= tol * max(1.0, np.abs(rows[name]).max()), name
 
 
+def test_backward_keeps_gradients_on_parameters_alone():
+    """After loss.backward() on a model1 packed batch, every parameter holds a
+    gradient, the loss keeps its seed, and no intermediate node holds a
+    gradient, operands or a backward closure."""
+    model = TransformerLM(preset("model1", 929), seed=5)
+    rng = np.random.default_rng(6)
+    lengths = np.array([23, 9])
+    ids = rng.integers(4, 929, size=(2, 24))
+    real = np.arange(23) < lengths[:, None]
+    logits = model.forward(ids[:, :-1], training=True, rng=np.random.default_rng(7), lengths=lengths)
+    loss = cross_entropy(logits, ids[:, 1:][real])
+    params = {id(t) for t in model.parameters()}
+    nodes, stack, seen = [], [loss], set()
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            nodes.append(node)
+            stack.extend(node._parents)
+    loss.backward()
+    assert all(t.grad is not None for t in model.parameters())
+    assert np.array_equal(loss.grad, 1.0)
+    inner = [node for node in nodes if id(node) not in params and node is not loss]
+    assert len(inner) > 10 * preset("model1", 929).n_layers
+    for node in inner:
+        assert node.grad is None and node._parents == ()
+        assert node._backward is autodiff._consumed
+
+
 def test_fresh_model_loss_is_near_uniform():
     model = TransformerLM(preset("model1", 929, dropout=0.0), seed=0)
     rng = np.random.default_rng(4)
