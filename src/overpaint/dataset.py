@@ -2,12 +2,12 @@
 
 A manifest is JSONL: a header line with the schema version, then one record
 per pair. MIDI payloads live as sibling .mid files referenced by relative
-path, so manifests stay diffable. In schema v2 the transposed records of one
-source share the two payloads of its untransposed record. A record with a
-source holds its source's untransposed scores, in memory as on disk; one
-without holds its own, as every v1 record does (its payloads are already
-transposed). For a t = 0 record the two are the same. transposition_bases is
-the one reader that applies a record's shift.
+path, so manifests stay diffable. Each source (a record without one is its
+own) has one untransposed record, whose two payloads and scores its transposed
+records share, in memory as on disk. save_manifest, load_manifest and
+transposition_bases all hold records to that rule (_untransposed), so a
+manifest loads exactly when it could be saved. transposition_bases is the one
+reader that applies a record's shift.
 
 A record loaded without scores (`load_manifest(path, scores=False)`, as
 `review` and `augment` load) keeps only its payload paths, and saving it
@@ -40,9 +40,9 @@ class ManifestError(ValueError):
 
 @dataclass
 class PairRecord:
-    """One Original/Variation pair. With a `source`, its scores are that source's
-    untransposed scores and `transposition` is still to be applied; without one,
-    its scores are its own. A loaded record's `payloads` are the (original,
+    """One Original/Variation pair. Its scores are its source's untransposed
+    scores, and `transposition` is still to be applied; a transposed record
+    names its `source`. A loaded record's `payloads` are the (original,
     variation) files its scores came from; loaded without scores, it holds
     None for both."""
 
@@ -66,6 +66,10 @@ class PairRecord:
             raise ValueError(f"bad split: {self.split}")
         if not -5 <= self.transposition <= 6:
             raise ValueError(f"transposition out of range: {self.transposition}")
+        if self.transposition and self.source is None:
+            raise ValueError(f"transposition {self.transposition} without a source")
+        if self.key is not None and (self.key[0] not in range(12) or self.key[1] not in ("major", "minor")):
+            raise ValueError(f"bad key {self.key} (want a tonic 0-11 and major or minor)")
 
 
 def augment(pairs) -> list[PairRecord]:
@@ -139,6 +143,23 @@ def _source(pair: PairRecord) -> str:
     return pair.pair_id if pair.source is None else pair.source
 
 
+def _untransposed(pairs) -> dict[str, PairRecord]:
+    """Each source's one untransposed record. ManifestError unless every source
+    has exactly one, and every record holds that record's payloads and scores."""
+    bases: dict[str, PairRecord] = {}
+    for p in pairs:
+        if p.transposition == 0 and bases.setdefault(_source(p), p) is not p:
+            raise ManifestError(f"source {_source(p)!r} has two untransposed records")
+    for p in pairs:
+        base = bases.get(_source(p))
+        if base is None:
+            raise ManifestError(f"pair {p.pair_id!r} has no untransposed record of its "
+                                f"source {_source(p)!r} to share payloads with")
+        if (p.payloads, p.original, p.variation) != (base.payloads, base.original, base.variation):
+            raise ManifestError(f"pair {p.pair_id!r} names other payloads than its source {_source(p)!r}")
+    return bases
+
+
 def _stage_payload(src: Path, dest: Path) -> Path | None:
     """A new name beside `dest` for the bytes of `src`, made without reading
     them: a hard link, or a byte copy where linking fails (EXDEV across
@@ -163,24 +184,16 @@ def save_manifest(pairs, path) -> None:
     '<stem>_midi' next to the manifest, from the source's untransposed record
     only; its transposed records name the same files. A payload whose score is
     None is its record's payload file, linked (or copied) unread and renamed
-    into place, so no file is written through; any other is encoded. A
-    transposed record with no untransposed record of its source in `pairs`, or
-    two sources that map to one payload name, raise ManifestError before
-    anything is written."""
+    into place, so no file is written through; any other is encoded. Records
+    that break the source rule (see _untransposed), or two sources that map to
+    one payload name, raise ManifestError before anything is written."""
     path = Path(path)
-    bases = [_safe_name(_source(p)) for p in pairs]
     writers: dict[str, PairRecord] = {}  # payload base name -> the record that writes it
-    for p, base in zip(pairs, bases):
-        if p.transposition == 0:
-            if base in writers:
-                raise ManifestError(f"pairs {writers[base].pair_id!r} and {p.pair_id!r} "
-                                    f"share the payload name {base}")
-            writers[base] = p
-    for p, base in zip(pairs, bases):
-        writer = writers.get(base)
-        if writer is None or _source(writer) != _source(p):
-            raise ManifestError(f"pair {p.pair_id!r} has no untransposed record of its "
-                                f"source {_source(p)!r} to share payloads with")
+    for p in _untransposed(pairs).values():
+        base = _safe_name(_source(p))
+        if writers.setdefault(base, p) is not p:
+            raise ManifestError(f"pairs {writers[base].pair_id!r} and {p.pair_id!r} "
+                                f"share the payload name {base}")
     midi_dir = path.parent / f"{path.stem}_midi"
     midi_dir.mkdir(parents=True, exist_ok=True)
 
@@ -199,7 +212,8 @@ def save_manifest(pairs, path) -> None:
             os.replace(new, dest)
 
     lines = [json.dumps({"schema_version": SCHEMA_VERSION, "midi_dir": midi_dir.name}, sort_keys=True)]
-    for p, base in zip(pairs, bases):
+    for p in pairs:
+        base = _safe_name(_source(p))
         lines.append(
             json.dumps(
                 {
@@ -244,8 +258,7 @@ def _record_fields(rec: dict) -> dict:
         fields[name] = value
     key = rec.get("key")
     if key is not None:
-        if not (isinstance(key, list) and len(key) == 2 and isinstance(key[0], int)
-                and not isinstance(key[0], bool) and isinstance(key[1], str)):
+        if not (isinstance(key, list) and len(key) == 2 and type(key[0]) is int):  # not a bool
             raise ManifestError(f"pair {rec['pair_id']!r}: bad key {key!r} (want [tonic, mode])")
         key = (key[0], key[1])
     fields["key"] = key
@@ -269,10 +282,8 @@ def _read_records(path) -> list[PairRecord]:
     if not isinstance(header, dict):
         raise ManifestError("bad manifest header: not a JSON object")
     version = header.get("schema_version")
-    if version not in (1, SCHEMA_VERSION):
-        raise ManifestError(
-            f"unsupported schema_version {version!r} (expected 1 or {SCHEMA_VERSION})"
-        )
+    if version != SCHEMA_VERSION:
+        raise ManifestError(f"unsupported schema_version {version!r} (expected {SCHEMA_VERSION})")
     midi_dir = header.get("midi_dir", f"{path.stem}_midi")
     if not isinstance(midi_dir, str):
         raise ManifestError(f"bad manifest header: midi_dir {midi_dir!r} is not a string")
@@ -300,37 +311,26 @@ def _read_records(path) -> list[PairRecord]:
         ):
             raise ManifestError(f"line {i}: not a pair record with a string pair_id and song_id")
         fields = _record_fields(rec)
-        if version == 1:  # v1 has no source: each record's payloads are its own scores
-            fields["source"] = None
         try:
             fields["payloads"] = (payload(rec["original"]), payload(rec["variation"]))
         except (OSError, KeyError, TypeError) as exc:
             raise ManifestError(f"pair {rec['pair_id']!r}: missing MIDI payload ({exc})") from exc
         try:
             pair = PairRecord(rec["pair_id"], rec["song_id"], None, None, **fields)
-        except ValueError as exc:  # a value outside its range (status, split, transposition)
+        except ValueError as exc:  # a value PairRecord refuses (status, split, transposition, key)
             raise ManifestError(f"pair {rec['pair_id']!r}: {exc}") from exc
-        if version > 1 and pair.transposition and pair.source is None:
-            raise ManifestError(f"pair {pair.pair_id!r} is transposed but has no source")
         pairs.append(pair)
-    if version > 1:
-        base_payloads = {}  # source -> the payloads of its untransposed record
-        for p in pairs:
-            if p.transposition == 0 and base_payloads.setdefault(_source(p), p.payloads) is not p.payloads:
-                raise ManifestError(f"source {_source(p)!r} has two untransposed records")
-        for p in pairs:
-            if base_payloads.get(_source(p), p.payloads) != p.payloads:
-                raise ManifestError(f"pair {p.pair_id!r} names other payloads than its source {_source(p)!r}")
+    _untransposed(pairs)
     return pairs
 
 
 def load_manifest(path, scores: bool = True) -> list[PairRecord]:
     """Load a manifest and, with `scores`, its MIDI payloads, each payload file
-    parsed once; every record's scores are its payloads, and a v1 record has no
-    source. Without `scores` each record holds only its payload paths, for
-    save_manifest to link. Wrong version, any missing file, a v2 transposed
-    record with no source, or a v2 source with two untransposed records or with
-    a transposed record naming other payloads fails the whole load either way."""
+    parsed once; every record's scores are its payloads. Without `scores` each
+    record holds only its payload paths, for save_manifest to link. A schema
+    version other than 2, any missing file or bad field, or records that
+    save_manifest would refuse to write (see _untransposed) fail the whole load
+    either way."""
     pairs = _read_records(path)
     if not scores:
         return pairs
@@ -347,22 +347,20 @@ def load_manifest(path, scores: bool = True) -> list[PairRecord]:
 
 
 def transposition_bases(pairs) -> list[tuple[PairRecord, PairRecord, int]]:
-    """(pair, base, shift) per pair, its scores being its base's moved by `shift`: for a record
-    with a source and a shift, the source's untransposed record, or if a note there would leave
-    0-127 or that record is absent, a copy transposed there at shift 0; any other record, itself."""
-    untransposed = {p.source: p for p in pairs if p.source is not None and p.transposition == 0}
+    """(pair, base, shift) per pair, its scores being its base's moved by `shift`: its source's
+    untransposed record (a t = 0 record is its own), or, where a note there would leave 0-127,
+    a copy transposed there, at shift 0 and with no source."""
+    bases = _untransposed(pairs)
     pitches = {source: [n[1] for s in (p.original, p.variation) for n in s.tick_notes] or [0, 127]
-               for source, p in untransposed.items()}  # no notes: [0, 127] folds under any shift
+               for source, p in bases.items()}  # no notes: [0, 127] folds under any shift
     out = []
     for p in pairs:
-        t, notes = p.transposition, pitches.get(p.source, [0, 127])
-        if p.source is None or not t:
-            out.append((p, p, 0))
-        elif 0 <= min(notes) + t and max(notes) + t <= 127:
-            out.append((p, untransposed[p.source], t))
+        t, notes = p.transposition, pitches[_source(p)]
+        if 0 <= min(notes) + t and max(notes) + t <= 127:
+            out.append((p, bases[_source(p)], t))
         else:
             original, variation = (transpose(s, t) for s in (p.original, p.variation))
-            out.append((p, replace(p, original=original, variation=variation, source=None), 0))
+            out.append((p, replace(p, original=original, variation=variation, transposition=0, source=None), 0))
     return out
 
 

@@ -454,9 +454,9 @@ def test_packed_attention_rows_are_independent_bitwise(dtype, tol, tile, p, monk
 
 
 def test_packed_attention_backward_runs_once():
-    """The backward consumes the blocks the forward kept (dropout's keep mask
-    is applied to the saved exps in place), so a second backward through the
-    graph raises instead of returning wrong gradients, with dropout or not."""
+    """Tensor.backward refuses to walk a graph an earlier backward consumed: a
+    second backward through attention raises instead of returning wrong
+    gradients, with dropout or not."""
     rng = np.random.default_rng(20)
     for p in (0.0, 0.3):
         tensors = [Tensor(rng.standard_normal((9, 8))) for _ in range(3)]

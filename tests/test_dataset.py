@@ -1,6 +1,7 @@
 import csv
 import errno
 import json
+import logging
 import os
 from dataclasses import replace
 from fractions import Fraction as F
@@ -22,7 +23,7 @@ from overpaint.dataset import (
     transposition_bases,
 )
 from overpaint.metrics import report, write_report_csv
-from overpaint.midi_io import NoteEvent, load_midi, make_score, quantize, save_midi, transpose
+from overpaint.midi_io import NoteEvent, load_midi, make_score, quantize, transpose
 from overpaint.tokenizer import GRID, assemble_pair, build_vocabulary, tokenize, write_token_file
 
 
@@ -114,7 +115,7 @@ def test_augment_carries_split_assignment():
 
 
 def test_augment_rejects_already_transposed_input():
-    pair = make_pair(transposition=2, pair_id="x_w000_t+2")
+    pair = make_pair(transposition=2, pair_id="x_w000_t+2", source="x_w000")
     with pytest.raises(ValueError, match="already transposed"):
         augment([pair])
 
@@ -246,9 +247,16 @@ def test_manifest_rejects_malformed_files(tmp_path):
         load_manifest(wrong_version)
 
     bad_line = tmp_path / "line.jsonl"
-    bad_line.write_text('{"schema_version": 1, "midi_dir": "x"}\n{oops\n', encoding="utf-8")
+    bad_line.write_text('{"schema_version": 2, "midi_dir": "x"}\n{oops\n', encoding="utf-8")
     with pytest.raises(ManifestError, match="line 2"):
         load_manifest(bad_line)
+
+    save_manifest([make_pair()], tmp_path / "key.jsonl")
+    for key in ([0, "dorian"], [40, "major"], [True, "major"], [0, 1]):
+        bad_key = _edit_manifest(tmp_path / "key.jsonl", tmp_path / "bad_key.jsonl",
+                                 lambda records: [{**r, "key": key} for r in records])
+        with pytest.raises(ManifestError, match="pair 'song_w000': bad key"):
+            load_manifest(bad_key)
 
 
 def _edge_pairs():
@@ -292,36 +300,6 @@ def _tokens_and_report(manifest, out):
                      "--corpus", f"var={manifest}:variations", "--csv", str(out / "report.csv")]) == 0
 
 
-def test_version_1_and_2_manifests_of_one_augmentation_give_the_same_tokens_and_report(tmp_path):
-    """v1 payloads hold each record's transposed scores and load as written, with
-    no source; v2 records hold their source's scores. Both encode and measure alike."""
-    pairs = augment(_edge_pairs())
-    save_manifest(pairs, tmp_path / "v2.jsonl")
-
-    base = {p.pair_id: p for p in _edge_pairs()}
-    midi_dir = tmp_path / "v1_midi"
-    midi_dir.mkdir()
-    lines = [json.dumps({"schema_version": 1, "midi_dir": "v1_midi"})]
-    for p in pairs:
-        for side in ("original", "variation"):
-            save_midi(transpose(getattr(base[p.source], side), p.transposition),
-                      midi_dir / f"{p.pair_id}.{side}.mid")
-        lines.append(json.dumps({
-            "pair_id": p.pair_id, "song_id": p.song_id,
-            "original": f"{p.pair_id}.original.mid", "variation": f"{p.pair_id}.variation.mid",
-            "transposition": p.transposition, "confidence": p.confidence, "status": p.status,
-            "split": p.split, "window_start_bar": p.window_start_bar, "key": list(p.key),
-        }))
-    (tmp_path / "v1.jsonl").write_text("\n".join(lines) + "\n", encoding="utf-8")
-    v1 = load_manifest(tmp_path / "v1.jsonl")
-    assert all(p.source is None for p in v1)
-    assert [p.pair_id for p in v1] == [p.pair_id for p in load_manifest(tmp_path / "v2.jsonl")]
-    for version in ("v1", "v2"):
-        _tokens_and_report(tmp_path / f"{version}.jsonl", tmp_path / f"out_{version}")
-    for name in ("tokens_train.bin", "tokens_val.bin", "tokens_test.bin", "vocab.json", "report.csv"):
-        assert (tmp_path / "out_v1" / name).read_bytes() == (tmp_path / "out_v2" / name).read_bytes(), name
-
-
 def _edit_manifest(path, out, edit):
     """Copy manifest `path` to `out` with `edit(records)` applied to its records;
     the copy's header points at the original payload directory."""
@@ -332,7 +310,7 @@ def _edit_manifest(path, out, edit):
 
 
 def test_load_refuses_what_save_refuses_to_write(tmp_path):
-    """A v2 source has one untransposed record, and its transposed records name
+    """A source has one untransposed record, and its transposed records name
     that record's payloads: load_manifest refuses a hand-edited manifest that
     breaks either, as save_manifest refuses to write one."""
     path = tmp_path / "aug.jsonl"
@@ -353,38 +331,88 @@ def test_load_refuses_what_save_refuses_to_write(tmp_path):
                      "--out-dir", str(tmp_path / "tok")]) == 2
     assert not (tmp_path / "tok").exists()
 
-    # With its untransposed record deleted, a source's records still load, and
-    # each base is a copy transposed there: nothing is derived from a record that is not there.
-    orphans = load_manifest(_edit_manifest(
-        path, tmp_path / "orphans.jsonl",
-        lambda records: [r for r in records if r["pair_id"] != "low_w000_t+0"]))
-    assert orphans == [p for p in load_manifest(path) if p.pair_id != "low_w000_t+0"]
-    low = [(p, b, t) for p, b, t in transposition_bases(orphans) if p.source == "low_w000"]
-    assert len(low) == 11
-    for p, b, t in low:
-        assert b is not p and t == 0 and b.source is None
-        assert b.original == transpose(p.original, p.transposition)
-        assert b.variation == transpose(p.variation, p.transposition)
-
-    # A v1 record has no source, even one a hand edit gave it, so it is its own base too.
+    # A source whose untransposed record was deleted is refused, as is a v1 header.
+    orphans = _edit_manifest(path, tmp_path / "orphans.jsonl",
+                             lambda records: [r for r in records if r["pair_id"] != "low_w000_t+0"])
+    with pytest.raises(ManifestError, match="'low_w000_t-5' has no untransposed record of its source 'low_w000'"):
+        load_manifest(orphans)
     v1 = _edit_manifest(path, tmp_path / "v1.jsonl", lambda records: records)
     v1.write_text(v1.read_text().replace('"schema_version": 2', '"schema_version": 1', 1))
-    assert all(p.source is None and b is p and t == 0 for p, b, t in transposition_bases(load_manifest(v1)))
+    with pytest.raises(ManifestError, match=r"unsupported schema_version 1 \(expected 2\)"):
+        load_manifest(v1)
 
 
 def test_load_refuses_a_transposed_record_without_a_source(tmp_path):
-    """save_manifest refuses to write a v2 transposed record with no source, and
-    load_manifest refuses to read one: its payloads would pass for its scores."""
+    """A transposed record with no source cannot be built, so save_manifest
+    cannot write one and load_manifest refuses to read one: its payloads would
+    pass for its scores."""
     path = tmp_path / "aug.jsonl"
     save_manifest(augment(_edge_pairs()), path)
     unsourced = _edit_manifest(path, tmp_path / "unsourced.jsonl", lambda records: [
         {k: v for k, v in r.items() if k != "source"} if r["pair_id"] == "high_w004_t-3" else r
         for r in records])
-    with pytest.raises(ManifestError, match="'high_w004_t-3' is transposed but has no source"):
+    with pytest.raises(ManifestError, match="'high_w004_t-3': transposition -3 without a source"):
         load_manifest(unsourced)
     assert cli.main(["--quiet", "tokenize", "--pairs", str(unsourced),
                      "--out-dir", str(tmp_path / "tok")]) == 2
     assert not (tmp_path / "tok").exists()
+
+
+def _edit_one(pair_id, edit):
+    """A manifest edit that applies `edit` to the record of `pair_id` alone."""
+    return lambda header, records: (header, [edit(r) if r["pair_id"] == pair_id else r for r in records])
+
+
+_BROKEN_MANIFESTS = {  # hand edits of an augmented manifest that save_manifest would not write
+    "v1 header": lambda header, records: ({**header, "schema_version": 1}, records),
+    "no t+0 record": lambda header, records: (header, [r for r in records if r["pair_id"] != "low_w000_t+0"]),
+    "transposed, no source": _edit_one("high_w004_t-3", lambda r: {k: v for k, v in r.items() if k != "source"}),
+    "two untransposed records": _edit_one("low_w000_t+1", lambda r: {**r, "transposition": 0}),
+    "borrowed payload": _edit_one("high_w004_t+2", lambda r: {**r, "original": "low_w000.orig.mid"}),
+    "dorian key": _edit_one("low_w000_t+3", lambda r: {**r, "key": [0, "dorian"]}),
+    "tonic 40": _edit_one("high_w004_t+0", lambda r: {**r, "key": [40, "major"]}),
+}
+
+
+@pytest.mark.parametrize("case", list(_BROKEN_MANIFESTS))
+def test_every_command_refuses_what_save_would_not_write(tmp_path, caplog, case):
+    """review, augment, tokenize and report read a manifest alike: on each
+    broken manifest every one exits 2 with load_manifest's message and writes nothing."""
+    path = tmp_path / "aug.jsonl"
+    save_manifest(augment(_edge_pairs()), path)
+    header, *records = [json.loads(line) for line in path.read_text().splitlines()]
+    header, records = _BROKEN_MANIFESTS[case](header, records)
+    path.write_text("".join(json.dumps(r) + "\n" for r in [header, *records]))
+    with pytest.raises(ManifestError) as refused:
+        load_manifest(path)
+    decisions = tmp_path / "decisions.jsonl"
+    decisions.write_text("")
+    before = sorted(tmp_path.rglob("*"))
+    out = tmp_path / "out"
+    for argv in (["review", "--pairs", str(path), "--decisions", str(decisions), "--out", str(out / "r.jsonl")],
+                 ["augment", "--pairs", str(path), "--out", str(out / "a.jsonl")],
+                 ["tokenize", "--pairs", str(path), "--out-dir", str(out)],
+                 ["report", "--corpus", f"orig={path}:originals", "--csv", str(out / "report.csv")]):
+        caplog.clear()
+        assert cli.main(["--quiet", *argv]) == 2, argv[0]
+        assert [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR] == [str(refused.value)]
+        assert sorted(tmp_path.rglob("*")) == before, argv[0]
+
+
+def test_an_augmented_manifest_saves_back_byte_for_byte(tmp_path):
+    """What loads, saves: an augmented manifest loaded without scores and saved
+    under its own name in another directory gives the same manifest bytes and
+    payloads."""
+    pairs = augment([*_edge_pairs(), _mid_pair()])
+    pairs = [replace(p, status="rejected") if p.pair_id == "mid_w008_t+1" else p for p in pairs]
+    path, copy = tmp_path / "a" / "aug.jsonl", tmp_path / "b" / "aug.jsonl"
+    path.parent.mkdir()
+    copy.parent.mkdir()
+    save_manifest(pairs, path)
+    save_manifest(load_manifest(path, scores=False), copy)
+    assert copy.read_bytes() == path.read_bytes()
+    payloads = {name: f.read_bytes() for name, f in _payload_files(path.parent / "aug_midi").items()}
+    assert {name: f.read_bytes() for name, f in _payload_files(copy.parent / "aug_midi").items()} == payloads
 
 
 def test_transposition_bases_derive_only_records_that_do_not_fold():
@@ -490,12 +518,22 @@ def test_transposed_record_without_its_untransposed_sibling_writes_nothing(tmp_p
     orphan = [p for p in augment(_edge_pairs()) if p.pair_id != "high_w004_t+0"]
     with pytest.raises(ManifestError, match="'high_w004_t-5' has no untransposed record"):
         save_manifest(orphan, tmp_path / "m.jsonl")
-    unsourced = [make_pair("x_w000_t+2", "x", transposition=2)]
+    with pytest.raises(ValueError, match="transposition 2 without a source"):
+        make_pair("x_w000_t+2", "x", transposition=2)
     # x_y's payload name is x y's, but the record there is x y's, not x_y's
     other_source = [augment([make_pair("x y", "x")])[5], augment([make_pair("x_y", "x")])[6]]
-    for pairs in (unsourced, other_source):
-        with pytest.raises(ManifestError, match="no untransposed record"):
-            save_manifest(pairs, tmp_path / "m.jsonl")
+    with pytest.raises(ManifestError, match="no untransposed record"):
+        save_manifest(other_source, tmp_path / "m.jsonl")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_transposed_record_holding_other_scores_writes_nothing(tmp_path):
+    """Only the untransposed record's scores are written, so a transposed record
+    that holds other scores in memory is refused rather than silently dropped."""
+    pairs = augment([make_pair()])
+    pairs[3] = replace(pairs[3], variation=helpers.simple_score([48, 50]))
+    with pytest.raises(ManifestError, match="'song_w000_t-2' names other payloads than its source"):
+        save_manifest(pairs, tmp_path / "m.jsonl")
     assert list(tmp_path.iterdir()) == []
 
 
