@@ -71,25 +71,28 @@ def chroma_frames(performance: MidiScore, hop: float = DEFAULT_HOP_SECONDS) -> F
 
     Each note adds velocity/127 times the fraction of the frame it covers to
     its pitch class; frames are then L2-normalized (silent frames stay zero).
+    Every (note, frame) pair is one array element, and one `np.add.at` adds
+    them in note order, so each cell sums as a note-by-note loop would.
     """
     if hop <= 0:
         raise ValueError("hop must be positive")
     if not performance.tick_notes:
         raise AlignmentError("empty performance")
 
-    spans = [(a, b, pitch % 12, velocity) for (a, b), (_, pitch, _, velocity)
-             in zip(note_seconds(performance), performance.tick_notes)]
-    total = max(b for _, b, _, _ in spans)
-
-    n_frames = max(1, math.ceil(total / hop - 1e-9))
+    a, b = np.array(note_seconds(performance)).T
+    _, pitch, _, velocity = np.array(performance.tick_notes).T
+    n_frames = max(1, math.ceil(b.max() / hop - 1e-9))
+    first = np.maximum((a / hop).astype(np.int64), 0)
+    last = np.minimum(np.ceil(b / hop).astype(np.int64), n_frames)
+    counts = np.maximum(last - first, 0)
+    note = np.repeat(np.arange(len(a)), counts)
+    # frame k of each pair: first frame of its note plus its rank among the note's pairs
+    k = np.arange(len(note)) + np.repeat(first - (np.cumsum(counts) - counts), counts)
+    overlap = np.minimum(b[note], (k + 1) * hop) - np.maximum(a[note], k * hop)
+    on = overlap > 0
     frames = np.zeros((n_frames, 12))
-    for a, b, pc, velocity in spans:
-        first = max(0, int(a / hop))
-        last = min(n_frames, int(math.ceil(b / hop)))
-        for k in range(first, last):
-            overlap = min(b, (k + 1) * hop) - max(a, k * hop)
-            if overlap > 0:
-                frames[k, pc] += (velocity / 127.0) * (overlap / hop)
+    np.add.at(frames, (k[on], pitch[note[on]] % 12),
+              (velocity[note[on]] / 127.0) * (overlap[on] / hop))
 
     norms = np.linalg.norm(frames, axis=1)
     silent = norms <= _SILENT_NORM
@@ -136,18 +139,26 @@ def viterbi_align(
     came_via_advance = np.zeros((n, n_states), dtype=bool)
     state_index = np.arange(n_states, dtype=np.int64)
 
-    for k in range(1, n):
-        stay = score + log_stay
-        adv = np.empty(n_states)
-        adv[0] = -np.inf
-        adv[1:] = score[:-1] + log_advance
-        adv_sum = np.empty(n_states, dtype=np.int64)
-        adv_sum[0] = big
-        adv_sum[1:] = state_sum[:-1]
-        take = (adv > stay) | ((adv == stay) & (adv_sum < state_sum))
-        came_via_advance[k] = take
-        score = np.where(take, adv, stay) + emit[k]
-        state_sum = np.where(take, adv_sum, state_sum) + state_index
+    # One set of buffers (and views of them) for every frame; adv[0] and
+    # adv_sum[0] never change.
+    stay = np.empty(n_states)
+    adv = np.full(n_states, -np.inf)
+    adv_sum = np.full(n_states, big, dtype=np.int64)
+    tie = np.empty(n_states, dtype=bool)
+    from_score, to_adv = score[:-1], adv[1:]
+    from_sum, to_adv_sum = state_sum[:-1], adv_sum[1:]
+    for take, row in zip(came_via_advance[1:], emit[1:]):
+        np.add(score, log_stay, out=stay)
+        np.add(from_score, log_advance, out=to_adv)
+        np.copyto(to_adv_sum, from_sum)
+        np.greater(adv, stay, out=take)
+        np.equal(adv, stay, out=tie)
+        if np.count_nonzero(tie):  # then the smaller state sum decides
+            take |= tie & (adv_sum < state_sum)
+        np.copyto(stay, adv, where=take)
+        np.add(stay, row, out=score)
+        np.copyto(state_sum, adv_sum, where=take)
+        state_sum += state_index
 
     if not np.isfinite(score[n_states - 1]):
         raise AlignmentError("no feasible complete path")

@@ -297,12 +297,12 @@ def _cmd_tokenize(args: argparse.Namespace):
 
     vocab = build_vocabulary()
     sequences = {"train": [], "val": [], "test": []}
-    encoded = {}  # id(base record) -> its assembled sequence
+    encoded = {}  # id(base record) -> its assembled sequence (int32: signed, so no shift wraps)
     for pair, base, shift in accepted:
         if id(base) not in encoded:
             original = tokenize(quantize(base.original, GRID), vocab)
             variation = tokenize(quantize(base.variation, GRID), vocab)
-            encoded[id(base)] = assemble_pair(original, variation)
+            encoded[id(base)] = np.array(assemble_pair(original, variation), dtype=np.int32)
         sequences[pair.split].append(transpose_tokens(encoded[id(base)], shift, vocab))
 
     out_dir = Path(args.out_dir)

@@ -2,12 +2,13 @@
 
 A manifest is JSONL: a header line with the schema version, then one record
 per pair. MIDI payloads live as sibling .mid files referenced by relative
-path, so manifests stay diffable. Each source (a record without one is its
-own) has one untransposed record, whose two payloads and scores its transposed
-records share, in memory as on disk. save_manifest, load_manifest and
-transposition_bases all hold records to that rule (_untransposed), so a
-manifest loads exactly when it could be saved. transposition_bases is the one
-reader that applies a record's shift.
+path, so manifests stay diffable. A manifest's '<stem>_midi' directory is its
+own: saving leaves there only the payloads it names. Each source (a record
+without one is its own) has one untransposed record, whose two payloads and
+scores its transposed records share, in memory as on disk. save_manifest,
+load_manifest and transposition_bases all hold records to that rule
+(_untransposed), so a manifest loads exactly when it could be saved.
+transposition_bases is the one reader that applies a record's shift.
 
 A record loaded without scores (`load_manifest(path, scores=False)`, as
 `review` and `augment` load) keeps only its payload paths, and saving it
@@ -184,9 +185,12 @@ def save_manifest(pairs, path) -> None:
     '<stem>_midi' next to the manifest, from the source's untransposed record
     only; its transposed records name the same files. A payload whose score is
     None is its record's payload file, linked (or copied) unread and renamed
-    into place, so no file is written through; any other is encoded. Records
-    that break the source rule (see _untransposed), or two sources that map to
-    one payload name, raise ManifestError before anything is written."""
+    into place, so no file is written through; any other is encoded. Once the
+    manifest is written, the payloads in '<stem>_midi' that it does not name
+    (an earlier run's) and any staging file an interrupted save left are
+    deleted. Records that break the source rule (see _untransposed), or two
+    sources that map to one payload name, raise ManifestError before anything
+    is written."""
     path = Path(path)
     writers: dict[str, PairRecord] = {}  # payload base name -> the record that writes it
     for p in _untransposed(pairs).values():
@@ -233,6 +237,13 @@ def save_manifest(pairs, path) -> None:
             )
         )
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+    named = {dest.name for *_, dest in payloads}
+    for file in midi_dir.iterdir():
+        name = file.name
+        if (name.endswith((".orig.mid", ".var.mid")) and name not in named
+                or name.startswith(".") and name.endswith(".link")):
+            file.unlink()
 
 
 # A record's optional fields: name -> (JSON types accepted, default). A bool

@@ -37,7 +37,6 @@ from .midi_io import (
     SUPPORTED_DENOMINATORS,
     MidiScore,
     bar_ticks,
-    beats_to_ticks,
     score_from_ticks,
 )
 
@@ -223,6 +222,12 @@ def _parse_fraction(token: str, line_no: int, what: str) -> Fraction:
         raise LeadSheetError(f"line {line_no}: bad {what} {token!r}") from None
 
 
+def _half_up_ticks(numerator: int, denominator: int) -> int:
+    """The tick nearest numerator/denominator beats at DEFAULT_RESOLUTION, a
+    half tick up, as `midi_io.beats_to_ticks` rounds, in integer arithmetic."""
+    return (2 * numerator * DEFAULT_RESOLUTION + denominator) // (2 * denominator)
+
+
 def parse_leadsheet(text: str) -> LeadSheet:
     sheet = LeadSheet(title="")
     bar = 0
@@ -242,21 +247,20 @@ def parse_leadsheet(text: str) -> LeadSheet:
             except ValueError:
                 raise LeadSheetError(f"line {line_no}: bad bar index {bar_txt!r}") from None
             beat = _parse_fraction(beat_txt or "0", line_no, "beat")
-            beats_per_bar = Fraction(sheet.bar_ticks, DEFAULT_RESOLUTION)
-            if m_bar < 0 or beat < 0 or beat >= beats_per_bar:
+            (n, d), bar_start = beat.as_integer_ratio(), m_bar * sheet.bar_ticks
+            if m_bar < 0 or n < 0 or n * DEFAULT_RESOLUTION >= sheet.bar_ticks * d:
                 raise LeadSheetError(f"line {line_no}: position {where!r} outside its bar")
             pitch = int(pitch_tok) if pitch_tok.lstrip("-").isdigit() else _parse_note_name(pitch_tok, line_no)
             if not 0 <= pitch <= 127:
                 raise LeadSheetError(f"line {line_no}: pitch {pitch_tok!r} out of MIDI range")
-            duration = _parse_fraction(dur_tok, line_no, "duration")
-            if duration <= 0:
+            dn, dd = _parse_fraction(dur_tok, line_no, "duration").as_integer_ratio()
+            if dn <= 0:
                 raise LeadSheetError(f"line {line_no}: non-positive duration")
             vel_tok = parts[3] if len(parts) == 4 else "80"
             if not (vel_tok.isdigit() and 1 <= int(vel_tok) <= 127):
                 raise LeadSheetError(f"line {line_no}: velocity {vel_tok!r} not an integer 1-127")
-            onset = m_bar * beats_per_bar + beat
-            on = beats_to_ticks(onset, DEFAULT_RESOLUTION)
-            off = beats_to_ticks(onset + duration, DEFAULT_RESOLUTION)
+            on = bar_start + _half_up_ticks(n, d)
+            off = bar_start + _half_up_ticks(n * dd + dn * d, d * dd)
             sheet.melody.append((on, pitch, max(off - on, 1), int(vel_tok)))
             continue
 

@@ -254,10 +254,12 @@ def tokenize(score: MidiScore, vocab: Vocabulary | None = None) -> list[int]:
     return tokens
 
 
-def transpose_tokens(tokens, semitones: int, vocab: Vocabulary) -> list[int]:
-    """`tokens` with each Pitch id moved: the transposed score's if no note leaves 0-127."""
-    low, high = vocab.pitch(0), vocab.pitch(127)
-    return [t + semitones if low <= t <= high else t for t in tokens]
+def transpose_tokens(tokens, semitones: int, vocab: Vocabulary) -> np.ndarray:
+    """`tokens` with each Pitch id moved, as a new array: the transposed score's
+    tokens if no note leaves 0-127."""
+    tokens = np.asarray(tokens)
+    pitch = (tokens >= vocab.pitch(0)) & (tokens <= vocab.pitch(127))
+    return np.where(pitch, tokens + semitones, tokens)
 
 
 # --- decoding with repair -----------------------------------------------------
@@ -370,18 +372,17 @@ _TOKEN_VERSION = 1
 
 
 def write_token_file(path, sequences, vocab: Vocabulary | None = None) -> None:
-    """Length-prefixed uint32 records, header pins the vocabulary hash."""
+    """Length-prefixed uint32 records, header pins the vocabulary hash. Every
+    sequence (a list or an integer array) is converted before the file is
+    opened, and each array is then written as it is."""
     vocab = vocab or build_vocabulary()
-    out = bytearray()
-    out += _TOKEN_MAGIC
-    out += struct.pack("<I", _TOKEN_VERSION)
-    out += bytes.fromhex(vocab.digest)
-    out += struct.pack("<I", len(sequences))
-    for seq in sequences:
-        arr = np.asarray(seq, dtype=np.uint32)
-        out += struct.pack("<I", arr.size)
-        out += arr.astype("<u4").tobytes()
-    Path(path).write_bytes(bytes(out))
+    arrays = [np.ascontiguousarray(seq, dtype="<u4") for seq in sequences]
+    with open(path, "wb") as fh:
+        fh.write(_TOKEN_MAGIC + struct.pack("<I", _TOKEN_VERSION) + bytes.fromhex(vocab.digest)
+                 + struct.pack("<I", len(arrays)))
+        for arr in arrays:
+            fh.write(struct.pack("<I", arr.size))
+            fh.write(arr)
 
 
 def read_token_file(path, vocab: Vocabulary | None = None) -> list[np.ndarray]:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import helpers
+import reference_alignment as ref
 
 from overpaint.alignment import (
     DEFAULT_EMISSION_WEIGHT,
@@ -19,7 +20,7 @@ from overpaint.alignment import (
     write_review_manifest,
 )
 from overpaint.leadsheet import LeadSheet, original_segments, parse_leadsheet
-from overpaint.midi_io import NoteEvent, make_score
+from overpaint.midi_io import NoteEvent, make_score, score_from_ticks
 
 
 # --- exhaustive oracle -------------------------------------------------------------
@@ -152,6 +153,24 @@ def test_viterbi_tie_break_keeps_boundaries_late():
     assert path.states.tolist() == [0, 0, 0, 0, 1]
 
 
+def test_viterbi_matches_the_loop_reference_bitwise():
+    """States, score and confidence equal the frame-by-frame loop's, on
+    instances full of exact ties: silent frames, repeated templates and
+    self_loop 0.5, where staying and advancing cost the same."""
+    rng = np.random.default_rng(30)
+    for trial in range(400):
+        fs, templates, self_loop = random_instance(rng, max_frames=60, max_states=10,
+                                                   silence=float(rng.uniform(0, 0.7)))
+        if trial % 3 == 0:
+            templates[:] = templates[int(rng.integers(len(templates)))]
+        if trial % 2 == 0:
+            self_loop = 0.5
+        path = viterbi_align(fs, templates, self_loop)
+        states, score, confidence = ref.viterbi_align(fs, templates, self_loop)
+        assert np.array_equal(path.states, states)
+        assert (path.score, path.confidence) == (score, confidence)
+
+
 def test_viterbi_rejects_bad_inputs():
     fs = FrameSequence(np.zeros((3, 12)), hop=0.1)
     good = np.full((2, 12), 1 / math.sqrt(12))
@@ -211,6 +230,42 @@ def test_chroma_marks_silence():
     sounding = fs.frames.any(axis=1)
     assert sounding[:5].all() and sounding[20:].all()
     assert np.all(fs.frames[5:20] == 0.0)
+
+
+def random_performance(rng):
+    """A score of up to four tempo segments, with silent stretches between
+    clusters of notes. Half the notes sit on an eighth-note grid, which at
+    60, 120 and 150 bpm puts their ends on frame edges of most hops below."""
+    res = int(rng.choice([480, 96, 7]))
+    tempos = [(0, float(rng.choice([60.0, 120.0, 150.0, rng.uniform(40, 240)])))]
+    for _ in range(int(rng.integers(0, 4))):
+        tempos.append((int(rng.integers(1, 30 * res)), float(rng.uniform(40, 240))))
+    notes = []
+    start = 0
+    for _ in range(int(rng.integers(1, 5))):  # clusters, each after a gap
+        start += int(rng.integers(0, 8 * res))
+        for _ in range(int(rng.integers(1, 12))):
+            on = start + int(rng.integers(0, 4 * res))
+            dur = int(rng.integers(1, 4 * res))
+            if rng.random() < 0.5:
+                on, dur = on - on % max(res // 2, 1), max(res // 2, 1) * int(rng.integers(1, 6))
+            notes.append((on, int(rng.integers(0, 128)), dur, int(rng.integers(1, 128))))
+        start += 4 * res
+    return score_from_ticks(notes, sorted(dict(tempos).items()), resolution=res)
+
+
+def test_chroma_matches_the_loop_reference_bitwise():
+    """One scatter-add over (note, frame) pairs gives the note-by-note loop's
+    frames bit for bit, at hops from 0.01 to 1 s."""
+    rng = np.random.default_rng(31)
+    hops = (0.01, 0.05, 0.1, 0.125, 0.25, 0.3, 0.5, 1.0)
+    for trial in range(300):
+        score = random_performance(rng)
+        hop = hops[trial % len(hops)] if trial % 4 else float(rng.uniform(0.01, 1.0))
+        frames = chroma_frames(score, hop).frames
+        want = ref.chroma_frames(score, hop).frames
+        assert frames.shape == want.shape
+        assert frames.tobytes() == want.tobytes()
 
 
 def test_chroma_rejects_bad_inputs():

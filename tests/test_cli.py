@@ -706,7 +706,32 @@ def test_rerunning_extract_pairs_leaves_reviewed_payloads_as_they_were(pipeline,
     assert _midi_bytes(tmp_path / "reviewed_midi") == reviewed
 
 
+def test_rerunning_extract_pairs_with_a_song_fewer_leaves_only_named_payloads(pipeline, tmp_path):
+    """A rerun onto the same --out deletes the payloads its manifest no longer
+    names, and staging files an interrupted save left; a reviewed manifest's
+    links to the deleted files keep their bytes."""
+    pairs = tmp_path / "pairs.jsonl"
+    assert _extract_pairs(pipeline, pairs) == 0
+    assert _review(pairs, pipeline["review"], tmp_path / "reviewed.jsonl") == 0
+    first = set(_midi_bytes(tmp_path / "pairs_midi"))
+    reviewed = _midi_bytes(tmp_path / "reviewed_midi")
+    (tmp_path / "pairs_midi" / ".song_w000.orig.mid.link").write_bytes(b"interrupted")
+
+    perfs = tmp_path / "performances"
+    shutil.copytree(pipeline["perfs"], perfs)
+    min(perfs.iterdir()).unlink()
+    assert main(["--quiet", "extract-pairs", "--performances", str(perfs),
+                 "--leadsheets", str(pipeline["sheets"]), "--out", str(pairs)]) == 0
+    records = [json.loads(line) for line in pairs.read_text().splitlines()[1:]]
+    named = {r[field] for r in records for field in ("original", "variation")}
+    assert set(os.listdir(tmp_path / "pairs_midi")) == named
+    assert named < first
+    assert _midi_bytes(tmp_path / "reviewed_midi") == reviewed
+
+
 def test_review_and_augment_onto_their_own_input_keep_every_payload(pipeline, tmp_path):
+    """Every payload the saved manifest names keeps its bytes; augment drops the
+    rejected pair, so its two payloads are deleted."""
     pairs = tmp_path / "pairs.jsonl"
     assert _extract_pairs(pipeline, pairs) == 0
     written = _midi_bytes(tmp_path / "pairs_midi")
@@ -714,7 +739,10 @@ def test_review_and_augment_onto_their_own_input_keep_every_payload(pipeline, tm
     assert _midi_bytes(tmp_path / "pairs_midi") == written
     assert main(["--quiet", "augment", "--pairs", str(pairs), "--out", str(pairs),
                  "--seed", "0"]) == 0
-    assert _midi_bytes(tmp_path / "pairs_midi") == written
+    rejected = {f"{REJECTED_PAIR}.orig.mid", f"{REJECTED_PAIR}.var.mid"}
+    assert rejected < set(written)
+    assert _midi_bytes(tmp_path / "pairs_midi") == {
+        name: data for name, data in written.items() if name not in rejected}
     assert main(["--quiet", "tokenize", "--pairs", str(pairs),
                  "--out-dir", str(tmp_path / "tokens")]) == 0
     for name in ("vocab.json", "tokens_train.bin", "tokens_val.bin", "tokens_test.bin"):

@@ -439,9 +439,9 @@ def test_transpose_tokens_moves_only_pitch_ids():
         score = make_score(notes, tempo_map=[(0, 96.0), (8, 140.0)])
         tokens = tokenize(score, VOCAB)
         for shift in (-5, 0, 6):
-            assert transpose_tokens(tokens, shift, VOCAB) == tokenize(transpose(score, shift), VOCAB)
+            assert transpose_tokens(tokens, shift, VOCAB).tolist() == tokenize(transpose(score, shift), VOCAB)
     edges = [VOCAB.pitch(0) - 1, VOCAB.pitch(0), VOCAB.pitch(127), VOCAB.pitch(127) + 1]
-    assert transpose_tokens(edges, 1, VOCAB) == [edges[0], edges[1] + 1, edges[2] + 1, edges[3]]
+    assert transpose_tokens(edges, 1, VOCAB).tolist() == [edges[0], edges[1] + 1, edges[2] + 1, edges[3]]
 
 
 # --- pair assembly -----------------------------------------------------------------
