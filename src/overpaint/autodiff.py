@@ -9,8 +9,7 @@ and, unless it is the output, its gradient, so a step holds only what a pending
 backward still needs, and a second backward through the graph raises ValueError.
 A backward hands an operand a gradient array it has just allocated for it alone
 as the operand's own (no copy); a shared array or a view is copied. Every forward
-result is checked finite (NaN/Inf raises). Gradients are verified against
-central finite differences by grad_check.
+result is checked finite (NaN/Inf raises).
 """
 
 from __future__ import annotations
@@ -49,8 +48,8 @@ class Tensor:
 
     __slots__ = ("data", "grad", "_parents", "_backward")
 
-    def __init__(self, data, dtype=None):
-        arr = np.asarray(data, dtype=dtype)
+    def __init__(self, data):
+        arr = np.asarray(data)
         if arr.dtype not in (np.float32, np.float64):
             arr = arr.astype(np.float64)
         if arr.ndim > 3:
@@ -224,13 +223,13 @@ def gelu(a: Tensor) -> Tensor:
     return _result(data, (a,), backward, "gelu")
 
 
-def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
+def layer_norm(a: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then affine."""
     x = a.data
     n = x.shape[-1]  # add.reduce / n gives mean()'s bits without its Python-level overhead
     centered = x - np.add.reduce(x, axis=-1, keepdims=True) / n
     var = np.add.reduce(centered**2, axis=-1, keepdims=True) / n
-    inv_std = 1.0 / np.sqrt(var + eps)
+    inv_std = 1.0 / np.sqrt(var + 1e-5)
     xhat = centered * inv_std
     data = xhat * gain.data + bias.data
 
@@ -548,60 +547,6 @@ def cross_entropy(
     return loss
 
 
-# --- finite-difference checking -------------------------------------------------
-
-
-def grad_check(func, tensors, seed: int = 0, h: float = 1e-5) -> float:
-    """Max relative error between analytic and central-difference gradients.
-
-    `func` maps the float64 input tensors to one Tensor and must be
-    deterministic (stochastic ops take a generator rebuilt inside func). The
-    output reduces to a scalar through a fixed random projection, which also
-    seeds the analytic backward, so every output element's gradient is
-    exercised. Error metric per element:
-    |a - n| / max(1, |a|, |n|).
-    """
-    rng = np.random.default_rng(seed)
-    weights = None
-
-    def scalar_value(datas) -> float:
-        nonlocal weights
-        probes = [Tensor(d.copy()) for d in datas]
-        with no_grad():
-            out = func(*probes)
-        if weights is None:
-            weights = rng.standard_normal(out.shape)
-        return float((out.data * weights).sum())
-
-    datas = [t.data.astype(np.float64) for t in tensors]
-    scalar_value(datas)  # first forward fixes the projection
-
-    out = func(*tensors)
-    for t in tensors:
-        t.zero_grad()
-    out.backward(weights)
-
-    worst = 0.0
-    for i, t in enumerate(tensors):
-        analytic = t.grad if t.grad is not None else np.zeros_like(t.data)
-        flat = datas[i].reshape(-1)
-        numeric = np.zeros_like(flat)
-        for j in range(flat.size):
-            orig = flat[j]
-            flat[j] = orig + h
-            up = scalar_value(datas)
-            flat[j] = orig - h
-            down = scalar_value(datas)
-            flat[j] = orig
-            numeric[j] = (up - down) / (2 * h)
-        numeric = numeric.reshape(t.shape)
-        err = np.abs(analytic - numeric) / np.maximum(
-            1.0, np.maximum(np.abs(analytic), np.abs(numeric))
-        )
-        worst = max(worst, float(err.max()))
-    return worst
-
-
 # --- optimizer -------------------------------------------------------------------
 
 
@@ -614,14 +559,10 @@ class AdamState:
     t: int = 0
 
 
-def adam_step(
-    params: list[Tensor],
-    state: AdamState,
-    lr: float,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
-) -> None:
+_BETA1, _BETA2, _ADAM_EPS = 0.9, 0.999, 1e-8
+
+
+def adam_step(params: list[Tensor], state: AdamState, lr: float) -> None:
     """One Adam update with bias correction; refuses non-finite gradients."""
     if not state.m:
         state.m = [np.zeros_like(p.data) for p in params]
@@ -633,13 +574,13 @@ def adam_step(
             raise NonFiniteError("non-finite gradient passed to adam_step")
         grads.append(g)
     state.t += 1
-    c1 = 1.0 - beta1**state.t
-    c2 = 1.0 - beta2**state.t
+    c1 = 1.0 - _BETA1**state.t
+    c2 = 1.0 - _BETA2**state.t
     for p, g, m, v in zip(params, grads, state.m, state.v):
-        m *= beta1
-        m += (1.0 - beta1) * g
-        v *= beta2
-        v += (1.0 - beta2) * g * g
+        m *= _BETA1
+        m += (1.0 - _BETA1) * g
+        v *= _BETA2
+        v += (1.0 - _BETA2) * g * g
         m_hat = m / c1
         v_hat = v / c2
-        p.data -= (lr * m_hat / (np.sqrt(v_hat) + eps)).astype(p.data.dtype)
+        p.data -= (lr * m_hat / (np.sqrt(v_hat) + _ADAM_EPS)).astype(p.data.dtype)

@@ -115,10 +115,24 @@ def _numeric_env() -> dict:
             **{name: os.environ.get(name) for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}}
 
 
+def _peak_rss_kib() -> tuple[int, str]:
+    """This command's peak RSS in KiB, and its source: `VmHWM`, which exec
+    resets, where /proc/self/status has it; else `ru_maxrss`, which also
+    counts the peak of the process this one was forked from."""
+    try:
+        with open("/proc/self/status", "rb") as fh:  # bytes: the Name line may not decode
+            for line in fh:
+                if line.startswith(b"VmHWM:"):
+                    return int(line.split()[1]), "VmHWM"
+    except OSError:
+        pass
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, "ru_maxrss"
+
+
 def _write_run_manifest(args: argparse.Namespace, t0: float, primary, inputs, outputs,
                         details: dict | None = None) -> None:
     """Write the sidecar; `details` holds extra command-specific fields."""
-    peak_kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss  # this process only
+    peak_kib, peak_source = _peak_rss_kib()
     params = {
         k: (str(v) if isinstance(v, Path) else v)
         for k, v in sorted(vars(args).items())
@@ -133,6 +147,7 @@ def _write_run_manifest(args: argparse.Namespace, t0: float, primary, inputs, ou
         "version": __version__,
         "wall_clock_seconds": round(time.monotonic() - t0, 3),
         "peak_rss_mb": round(peak_kib / 1024, 1),
+        "peak_rss_source": peak_source,
         **(details or {}),
     }
     Path(str(primary) + ".run.json").write_text(

@@ -3,9 +3,9 @@
 A score keeps its notes as integer ticks at its own resolution (ticks per
 quarter note), the unit a file stores, so parsing, transposing, quantizing,
 slicing and writing are integer arithmetic and a file round-trips exactly.
-The tempo map is (tick, bpm) in the same unit. Beats are a derived view
-(`MidiScore.notes`); `make_score` rounds beat values onto the tick grid as a
-file write always has. Time signatures are placed by bar, and a bar is
+The tempo map is (tick, bpm) in the same unit. Beats only come in:
+`make_score` rounds beat-valued NoteEvents onto the tick grid as a file write
+always has. Time signatures are placed by bar, and a bar is
 `bar_ticks` long, walked and folded in 1/16 ticks so that bar starts between
 ticks stay exact. SMF formats 0 and 1 are supported; all
 channels are merged into a single note stream (piano-only corpus). Same-pitch
@@ -86,13 +86,6 @@ class MidiScore:
         default_factory=lambda: [(0, *DEFAULT_TIME_SIGNATURE)]
     )
     resolution: int = DEFAULT_RESOLUTION
-
-    @property
-    def notes(self) -> list[NoteEvent]:
-        """The notes in beats, in `tick_notes` order, built on every read."""
-        res = self.resolution
-        return [NoteEvent(p, Fraction(on, res), Fraction(dur, res), vel)
-                for on, p, dur, vel in self.tick_notes]
 
 
 def make_score(

@@ -420,12 +420,14 @@ def load_checkpoint(path) -> tuple[TransformerLM, dict]:
 # --- training -------------------------------------------------------------------
 
 
+_SCHEDULER_FACTOR = 0.5  # the plateau scheduler's lr multiplier
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     max_epochs: int = 500
     batch_size: int = 16
     lr: float = 1e-3
-    scheduler_factor: float = 0.5
     scheduler_patience: int = 5
     lr_floor: float = 1e-5
     early_stop_patience: int = 10
@@ -620,7 +622,7 @@ def train(
                 bad_for_scheduler += 1
                 bad_for_stop += 1
                 if bad_for_scheduler > train_config.scheduler_patience:
-                    lr = max(lr * train_config.scheduler_factor, train_config.lr_floor)
+                    lr = max(lr * _SCHEDULER_FACTOR, train_config.lr_floor)
                     bad_for_scheduler = 0
                 if bad_for_stop >= train_config.early_stop_patience:
                     break

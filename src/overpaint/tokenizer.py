@@ -345,15 +345,13 @@ def detokenize_with_report(tokens, vocab: Vocabulary | None = None) -> tuple[Mid
 # --- pair assembly ------------------------------------------------------------
 
 
-def assemble_pair(
-    original_tokens, variation_tokens, max_len: int = MAX_LEN
-) -> list[int]:
+def assemble_pair(original_tokens, variation_tokens) -> list[int]:
     """BOS + original + SEP + variation + EOS, truncating only the variation
-    tail when over budget. The original must always fit."""
-    budget = max_len - 3
+    tail when over MAX_LEN. The original must always fit."""
+    budget = MAX_LEN - 3
     if len(original_tokens) > budget:
         raise TokenizeError(
-            f"original of {len(original_tokens)} tokens cannot fit max_len {max_len}"
+            f"original of {len(original_tokens)} tokens cannot fit max_len {MAX_LEN}"
         )
     keep = min(len(variation_tokens), budget - len(original_tokens))
     return (

@@ -1,6 +1,6 @@
 """Shared builders for synthetic test data (scores, lead sheets,
-performances, checkpoints) and plain numpy references for attention and the
-model."""
+performances, checkpoints), plain numpy references for attention and the
+model, and the finite-difference gradient checker."""
 
 import math
 import struct
@@ -108,6 +108,57 @@ def score_from_tuples(rows) -> MidiScore:
         for p, o, d, v in rows
     ]
     return make_score(notes=notes)
+
+
+def grad_check(func, tensors, seed: int = 0, h: float = 1e-5) -> float:
+    """Max relative error between analytic and central-difference gradients.
+
+    `func` maps the float64 input tensors to one Tensor and must be
+    deterministic (stochastic ops take a generator rebuilt inside func). The
+    output reduces to a scalar through a fixed random projection, which also
+    seeds the analytic backward, so every output element's gradient is
+    exercised. Error metric per element:
+    |a - n| / max(1, |a|, |n|).
+    """
+    rng = np.random.default_rng(seed)
+    weights = None
+
+    def scalar_value(datas) -> float:
+        nonlocal weights
+        probes = [autodiff.Tensor(d.copy()) for d in datas]
+        with autodiff.no_grad():
+            out = func(*probes)
+        if weights is None:
+            weights = rng.standard_normal(out.shape)
+        return float((out.data * weights).sum())
+
+    datas = [t.data.astype(np.float64) for t in tensors]
+    scalar_value(datas)  # first forward fixes the projection
+
+    out = func(*tensors)
+    for t in tensors:
+        t.zero_grad()
+    out.backward(weights)
+
+    worst = 0.0
+    for i, t in enumerate(tensors):
+        analytic = t.grad if t.grad is not None else np.zeros_like(t.data)
+        flat = datas[i].reshape(-1)
+        numeric = np.zeros_like(flat)
+        for j in range(flat.size):
+            orig = flat[j]
+            flat[j] = orig + h
+            up = scalar_value(datas)
+            flat[j] = orig - h
+            down = scalar_value(datas)
+            flat[j] = orig
+            numeric[j] = (up - down) / (2 * h)
+        numeric = numeric.reshape(t.shape)
+        err = np.abs(analytic - numeric) / np.maximum(
+            1.0, np.maximum(np.abs(analytic), np.abs(numeric))
+        )
+        worst = max(worst, float(err.max()))
+    return worst
 
 
 def keep_masks(rng, p, n_heads, lengths, keys=None):

@@ -8,12 +8,14 @@ no shared code with overpaint.metrics.
 import math
 from fractions import Fraction
 
+from reference_score import beat_notes
+
 MAJOR = (0, 2, 4, 5, 7, 9, 11)
 MINOR = (0, 2, 3, 5, 7, 8, 10)
 
 
 def _as_rows(score):
-    return [(n.pitch, Fraction(n.onset), Fraction(n.duration)) for n in score.notes]
+    return [(n.pitch, Fraction(n.onset), Fraction(n.duration)) for n in beat_notes(score)]
 
 
 def pce(score) -> float:

@@ -3,13 +3,16 @@
 The same rules `overpaint.midi_io` and `overpaint.tokenizer` implemented when
 scores kept beat values as exact fractions: notes are plain
 (pitch, onset, duration, velocity) rows and tempos plain (beat, bpm) rows, both
-in beats, and nothing here touches a score's `tick_notes`. Time signatures are
-read from the (bar, num, den) entries of the score they came with, and a bar of
-num/den is 4 * num / den beats; nothing here calls the package's bar geometry.
+in beats, and nothing here but the `beat_notes` view reads a score's
+`tick_notes`. Time signatures are read from the (bar, num, den) entries of the
+score they came with, and a bar of num/den is 4 * num / den beats; nothing here
+calls the package's bar geometry.
 """
 
 import struct
 from fractions import Fraction
+
+from overpaint.midi_io import NoteEvent
 
 GRID = 12
 
@@ -32,6 +35,13 @@ def signature_beats(score):
         out.append((beat, num, den))
         prev_bar, length = bar, bar_beats(num, den)
     return out
+
+
+def beat_notes(score):
+    """A score's notes as beat-valued NoteEvents, in `tick_notes` order."""
+    res = score.resolution
+    return [NoteEvent(p, Fraction(on, res), Fraction(dur, res), vel)
+            for on, p, dur, vel in score.tick_notes]
 
 
 def rows(tick_notes, resolution):

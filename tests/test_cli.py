@@ -2,11 +2,14 @@ import csv
 import json
 import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import overpaint
 from helpers import v1_with_nonzero_key_bias, write_corpus
 from overpaint.autodiff import NonFiniteError
 from overpaint.cli import _numeric_env, main
@@ -125,6 +128,23 @@ def test_evaluate_and_report_write_a_sidecar_only_with_csv(pipeline, tmp_path, m
     assert sidecar["command"] == command
     assert sorted(sidecar["inputs"]) == sorted(str(p) for p in pipeline["gen"].glob("*.mid"))
     assert list(sidecar["outputs"]) == ["t.csv"]
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="no /proc/self/status")
+def test_sidecar_records_the_commands_own_peak_rss(tmp_path):
+    """A command started by a process that has touched 200 MB records its own
+    peak (VmHWM, which exec resets), not the high-water mark that ru_maxrss
+    inherits from the process it was forked from."""
+    ballast = np.ones(200 * 2**20 // 8)  # every page written: 200 MB resident
+    save_midi(make_score([NoteEvent(60, 0, 1, 80), NoteEvent(64, 1, 1, 80)]), tmp_path / "a.mid")
+    src = str(Path(overpaint.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    subprocess.run([sys.executable, "-m", "overpaint.cli", "--quiet", "evaluate", "--dir", str(tmp_path),
+                    "--csv", str(tmp_path / "e.csv")], env=env, check=True)
+    del ballast
+    sidecar = json.loads((tmp_path / "e.csv.run.json").read_text())
+    assert sidecar["peak_rss_source"] == "VmHWM"
+    assert sidecar["peak_rss_mb"] < 150
 
 
 def test_tokenize_stage(pipeline):

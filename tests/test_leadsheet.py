@@ -17,6 +17,7 @@ from overpaint.leadsheet import (
 )
 
 import helpers
+from reference_score import beat_notes
 
 
 # --- chord symbols ---------------------------------------------------------------
@@ -227,7 +228,7 @@ def test_original_segments_realize_chord_blocks():
     assert len(segments) == 1
     seg = segments[0]
     assert seg.start_bar == 0
-    spans = {(n.pitch, n.onset, n.duration) for n in seg.score.notes}
+    spans = {(n.pitch, n.onset, n.duration) for n in beat_notes(seg.score)}
     expected = set()
     for pitch in (48, 52, 55):          # C triad from C3, beats 0-2
         expected.add((pitch, F(0), F(2)))
@@ -236,7 +237,7 @@ def test_original_segments_realize_chord_blocks():
     for pitch in (53, 57, 60):          # F triad, held to the window end
         expected.add((pitch, F(4), F(4)))
     assert spans == expected
-    assert all(n.velocity == 64 for n in seg.score.notes)
+    assert all(n.velocity == 64 for n in beat_notes(seg.score))
     assert seg.score.time_signatures == [(0, 4, 4)]
 
 
@@ -245,9 +246,9 @@ def test_original_segments_tile_and_rebase_melody():
     sheet = parse_leadsheet(text)
     segments = original_segments(sheet, window=1)
     assert [s.start_bar for s in segments] == [0, 1, 2]
-    melody_notes = [n for n in segments[1].score.notes if n.velocity == 80]
+    melody_notes = [n for n in beat_notes(segments[1].score) if n.velocity == 80]
     assert [(n.pitch, n.onset) for n in melody_notes] == [(74, F(1))]
-    chord_notes = [n for n in segments[2].score.notes if n.velocity == 64]
+    chord_notes = [n for n in beat_notes(segments[2].score) if n.velocity == 64]
     assert {(n.pitch, n.onset, n.duration) for n in chord_notes} == {
         (53, F(0), F(4)), (57, F(0), F(4)), (60, F(0), F(4))}  # F triad, the whole bar
 

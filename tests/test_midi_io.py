@@ -7,6 +7,7 @@ from operator import attrgetter
 import numpy as np
 import pytest
 
+from reference_score import beat_notes
 from overpaint.midi_io import (
     MidiParseError,
     NoteEvent,
@@ -74,11 +75,11 @@ def test_make_score_sorts_and_anchors():
         NoteEvent(60, F(0), F(1, 2), 64),
     ]
     score = make_score(notes, tempo_map=[(F(4), 90.0)], time_signatures=[(2, 3, 4)])
-    assert [n.pitch for n in score.notes] == [60, 60, 62]
-    assert score.notes[0].duration == F(1, 2)  # shorter duplicate first
+    assert [n.pitch for n in beat_notes(score)] == [60, 60, 62]
+    assert beat_notes(score)[0].duration == F(1, 2)  # shorter duplicate first
     assert score.tempo_map == [(0, 120.0), (4 * 480, 90.0)]  # anchored at tick 0
     assert score.time_signatures[0] == (0, 4, 4)
-    assert sorted(score.notes, key=note_order) == score.notes
+    assert sorted(beat_notes(score), key=note_order) == beat_notes(score)
 
 
 def test_make_score_clamps_tempo_and_signature():
@@ -170,17 +171,17 @@ def test_quantize_snaps_and_keeps_short_notes():
         NoteEvent(62, F(1, 2), F(1), 64),
     ])
     q = quantize(score, 12)
-    assert q.notes[0].onset == F(3, 12)
-    assert q.notes[0].duration == F(1, 12)
-    assert q.notes[1].onset == F(6, 12)
-    assert quantize(q, 12).notes == q.notes  # idempotent
+    assert beat_notes(q)[0].onset == F(3, 12)
+    assert beat_notes(q)[0].duration == F(1, 12)
+    assert beat_notes(q)[1].onset == F(6, 12)
+    assert beat_notes(quantize(q, 12)) == beat_notes(q)  # idempotent
 
 
 def test_slice_rebases_and_carries_context():
     notes = [NoteEvent(60 + i, F(i), F(1), 64) for i in range(5)]
     score = make_score(notes, tempo_map=[(F(0), 120.0), (F(2), 90.0)])
     window = slice_beats(score, F(1), F(3))
-    assert [(n.pitch, n.onset) for n in window.notes] == [(61, F(0)), (62, F(1))]
+    assert [(n.pitch, n.onset) for n in beat_notes(window)] == [(61, F(0)), (62, F(1))]
     assert window.tempo_map == [(0, 120.0), (480, 90.0)]
     with pytest.raises(ValueError):
         slice_beats(score, F(3), F(3))
@@ -202,10 +203,10 @@ def test_transpose_folds_octaves():
         NoteEvent(3, F(1), F(1), 64),
     ])
     up = transpose(score, 10)
-    assert sorted(n.pitch for n in up.notes) == [13, 118]
+    assert sorted(n.pitch for n in beat_notes(up)) == [13, 118]
     down = transpose(score, -7)
-    assert sorted(n.pitch for n in down.notes) == [8, 113]
-    assert [n.onset for n in up.notes] == [n.onset for n in score.notes]
+    assert sorted(n.pitch for n in beat_notes(down)) == [8, 113]
+    assert [n.onset for n in beat_notes(up)] == [n.onset for n in beat_notes(score)]
 
 
 # --- file round trips -----------------------------------------------------------
@@ -228,7 +229,7 @@ def test_write_parse_round_trip_random_scores():
         sigs = [(0, 4, 4), (3, 3, 4)] if trial % 3 else None
         score = make_score(notes, tempo, sigs)
         back = parse_midi(write_midi(score))
-        assert back.notes == score.notes
+        assert beat_notes(back) == beat_notes(score)
         assert back.time_signatures == score.time_signatures
         assert [b for b, _ in back.tempo_map] == [b for b, _ in score.tempo_map]
         for (_, got), (_, want) in zip(back.tempo_map, score.tempo_map):
@@ -237,7 +238,7 @@ def test_write_parse_round_trip_random_scores():
 
 def test_empty_score_round_trip():
     back = parse_midi(write_midi(make_score()))
-    assert back.notes == []
+    assert beat_notes(back) == []
     assert back.tempo_map == [(0, 120.0)]
     assert back.time_signatures == [(0, 4, 4)]
 
@@ -248,7 +249,7 @@ def test_same_pitch_legato_round_trip():
         NoteEvent(60, F(2), F(2), 90),  # restruck exactly at the first one's end
     ]
     back = parse_midi(write_midi(make_score(notes)))
-    assert back.notes == sorted(notes, key=note_order)
+    assert beat_notes(back) == sorted(notes, key=note_order)
 
 
 def test_same_pitch_nesting_normalizes_to_crossing():
@@ -260,14 +261,14 @@ def test_same_pitch_nesting_normalizes_to_crossing():
         NoteEvent(60, F(5), F(2), 80),
     ]
     back = parse_midi(write_midi(make_score(notes)))
-    assert [(n.onset, n.end) for n in back.notes] == [(F(0), F(7)), (F(5), F(10))]
+    assert [(n.onset, n.end) for n in beat_notes(back)] == [(F(0), F(7)), (F(5), F(10))]
 
 
 def test_zero_length_note_clamped_to_one_tick():
     # Duration below one tick rounds to zero ticks; writer forces a 1-tick gap.
     score = make_score([NoteEvent(60, F(0), F(1, 10000), 64)])
     back = parse_midi(write_midi(score))
-    assert back.notes[0].duration == F(1, 480)
+    assert beat_notes(back)[0].duration == F(1, 480)
 
 
 # --- parser edge cases on hand-built bytes ---------------------------------------
@@ -280,7 +281,7 @@ def test_parse_running_status_and_velocity_zero_off():
         (240, bytes([0x80, 62, 40])),
     ]
     score = parse_midi(smf([track_chunk(events)]))
-    assert [(n.pitch, n.onset, n.duration) for n in score.notes] == [
+    assert [(n.pitch, n.onset, n.duration) for n in beat_notes(score)] == [
         (60, F(0), F(1)),
         (62, F(1), F(1, 2)),
     ]
@@ -325,7 +326,7 @@ def test_parse_merges_tracks_and_reads_metas():
     score = parse_midi(smf([meta, notes]))
     assert score.tempo_map == [(0, 120.0), (960, 60.0)]
     assert score.time_signatures == [(0, 4, 4), (1, 3, 4)]
-    assert len(score.notes) == 1
+    assert len(beat_notes(score)) == 1
 
 
 def test_parse_clamps_tempo_and_signature_values():
@@ -353,7 +354,7 @@ def test_parse_normalizes_signatures_before_folding_bars():
     ]
     score = parse_midi(smf([track_chunk(events)]))
     assert score.time_signatures == [(0, 12, 16), (2, 1, 8)]
-    again = make_score(score.notes, time_signatures=[(0, 20, 32), (2, 0, 8)])
+    again = make_score(beat_notes(score), time_signatures=[(0, 20, 32), (2, 0, 8)])
     assert again.time_signatures == score.time_signatures
     assert bar_starts(score, 4) == [F(0), F(3), F(6), F(13, 2)]
 
@@ -395,7 +396,7 @@ def test_dangling_note_on_clips_to_track_end(caplog):
     with caplog.at_level(logging.WARNING, logger="overpaint.midi"):
         score = parse_midi(smf([track_chunk(events)]))
     assert "dangling note-on" in caplog.text
-    by_pitch = {n.pitch: n for n in score.notes}
+    by_pitch = {n.pitch: n for n in beat_notes(score)}
     assert by_pitch[60].duration == F(2)  # clipped to the last tick seen
 
 
@@ -408,7 +409,7 @@ def test_dangling_note_off_is_dropped(caplog):
     with caplog.at_level(logging.WARNING, logger="overpaint.midi"):
         score = parse_midi(smf([track_chunk(events)]))
     assert "dangling note-off" in caplog.text
-    assert [n.pitch for n in score.notes] == [60]
+    assert [n.pitch for n in beat_notes(score)] == [60]
 
 
 def test_unknown_chunk_skipped(caplog):
@@ -418,7 +419,7 @@ def test_unknown_chunk_skipped(caplog):
     spliced = data[:14] + junk + data[14:]
     with caplog.at_level(logging.WARNING, logger="overpaint.midi"):
         score = parse_midi(spliced)
-    assert len(score.notes) == 1
+    assert len(beat_notes(score)) == 1
     assert "unknown chunk" in caplog.text
 
 

@@ -538,8 +538,7 @@ def test_train_schedules_and_stops_early():
     rng = np.random.default_rng(13)
     train_seqs = pair_like_sequences(rng, 6)
     val_seqs = pair_like_sequences(rng, 2)  # unrelated noise: val soon stops improving
-    config = TrainConfig(max_epochs=60, batch_size=4, lr=1e-2, seed=0,
-                         scheduler_factor=0.5, scheduler_patience=0,
+    config = TrainConfig(max_epochs=60, batch_size=4, lr=1e-2, seed=0, scheduler_patience=0,
                          lr_floor=2.5e-3, early_stop_patience=5)
     result = train(train_seqs, val_seqs, TINY, config)
     assert len(result.logs) < 60  # early stop fired

@@ -6,6 +6,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
+from reference_score import beat_notes
 from overpaint.midi_io import MidiScore, NoteEvent, bar_ticks, make_score, transpose, write_midi
 from overpaint.tokenizer import (
     BOS,
@@ -267,7 +268,7 @@ def test_round_trip_is_exact_at_bin_centers():
         score = random_center_score(rng)
         decoded, repairs = detokenize_with_report(tokenize(score))
         assert repairs == []
-        assert decoded.notes == score.notes
+        assert beat_notes(decoded) == beat_notes(score)
         assert decoded.time_signatures == score.time_signatures
         assert decoded.tempo_map == score.tempo_map
 
@@ -275,36 +276,36 @@ def test_round_trip_is_exact_at_bin_centers():
 def test_round_trip_snaps_velocity_to_bin_center():
     score = make_score([NoteEvent(60, F(0), F(1), 80)])
     decoded = detokenize_with_report(tokenize(score))[0]
-    assert decoded.notes[0].velocity == 82  # bin 20 center
-    assert decoded.notes[0].pitch == 60
-    assert decoded.notes[0].onset == F(0) and decoded.notes[0].duration == F(1)
+    assert beat_notes(decoded)[0].velocity == 82  # bin 20 center
+    assert beat_notes(decoded)[0].pitch == 60
+    assert beat_notes(decoded)[0].onset == F(0) and beat_notes(decoded)[0].duration == F(1)
 
 
 def test_detokenize_repairs_malformed_streams():
     # Position before any Bar
     stream = [VOCAB.position(0), VOCAB.pitch(60), VOCAB.velocity(10), VOCAB.duration(12)]
     score, repairs = detokenize_with_report(stream)
-    assert len(score.notes) == 1 and score.notes[0].onset == F(0)
+    assert len(beat_notes(score)) == 1 and beat_notes(score)[0].onset == F(0)
     assert any("Bar inserted" in r for r in repairs)
 
     # Pitch with no active Position
     score, repairs = detokenize_with_report(
         [VOCAB.bar, VOCAB.pitch(60), VOCAB.velocity(10), VOCAB.duration(12)]
     )
-    assert score.notes == [] and any("no active Position" in r for r in repairs)
+    assert beat_notes(score) == [] and any("no active Position" in r for r in repairs)
 
     # Bar interrupts a pitch-velocity-duration triple
     score, repairs = detokenize_with_report(
         [VOCAB.bar, VOCAB.position(0), VOCAB.pitch(60), VOCAB.bar]
     )
-    assert score.notes == [] and any("interrupts" in r for r in repairs)
+    assert beat_notes(score) == [] and any("interrupts" in r for r in repairs)
 
     # Position outside the bar for the active signature (1/16 has 3 steps)
     score, repairs = detokenize_with_report(
         [VOCAB.bar, VOCAB.timesig(1, 16), VOCAB.position(5),
          VOCAB.pitch(60), VOCAB.velocity(10), VOCAB.duration(1)]
     )
-    assert score.notes == [] and any("outside" in r for r in repairs)
+    assert beat_notes(score) == [] and any("outside" in r for r in repairs)
 
     # stray Velocity / Duration
     score, repairs = detokenize_with_report([VOCAB.bar, VOCAB.velocity(3)])
@@ -316,7 +317,7 @@ def test_detokenize_repairs_malformed_streams():
     score, repairs = detokenize_with_report(
         [VOCAB.bar, VOCAB.position(0), VOCAB.pitch(60), VOCAB.velocity(10)]
     )
-    assert score.notes == [] and any("ended inside" in r for r in repairs)
+    assert beat_notes(score) == [] and any("ended inside" in r for r in repairs)
 
 
 def test_detokenize_stops_at_eos_and_skips_padding():
@@ -331,7 +332,7 @@ def test_detokenize_stops_at_eos_and_skips_padding():
     ]
     score, repairs = detokenize_with_report(body)
     assert repairs == []
-    assert [n.pitch for n in score.notes] == [60, 64]  # the post-EOS 72 is ignored
+    assert [n.pitch for n in beat_notes(score)] == [60, 64]  # the post-EOS 72 is ignored
 
 
 # Each family's id range, specials first; weights bias the family-biased streams.
@@ -397,10 +398,10 @@ def test_detokenize_fuzz_digest_is_pinned():
     for stream in _fuzz_streams():
         score, repairs = detokenize_with_report(stream)
         totals[0] += len(repairs)
-        totals[1] += len(score.notes)
+        totals[1] += len(beat_notes(score))
         record = [
             repairs,
-            [[n.pitch, str(n.onset), str(n.duration), n.velocity] for n in score.notes],
+            [[n.pitch, str(n.onset), str(n.duration), n.velocity] for n in beat_notes(score)],
             [[str(F(tick, score.resolution)), repr(bpm)] for tick, bpm in score.tempo_map],
             [list(sig) for sig in score.time_signatures],
         ]
@@ -423,7 +424,7 @@ def test_detokenize_never_raises_on_in_vocab_ids():
         stream = rng.integers(0, len(VOCAB), size=int(rng.integers(0, 80)))
         score, repairs = detokenize_with_report(stream.tolist())
         assert isinstance(score, MidiScore)
-        for n in score.notes:
+        for n in beat_notes(score):
             assert 0 <= n.pitch < 128 and n.duration > 0
 
 
@@ -454,7 +455,7 @@ def test_assemble_pair_layout():
 def test_assemble_pair_truncates_variation_only():
     orig = list(range(100, 700))
     var = list(range(200, 800))
-    seq = assemble_pair(orig, var, max_len=MAX_LEN)
+    seq = assemble_pair(orig, var)
     assert len(seq) == MAX_LEN == 1024
     sep_at = seq.index(SEP)
     assert seq[1:sep_at] == orig
