@@ -37,6 +37,7 @@ from .midi_io import (
     SUPPORTED_DENOMINATORS,
     MidiScore,
     bar_ticks,
+    half_up_ticks,
     score_from_ticks,
 )
 
@@ -222,12 +223,6 @@ def _parse_fraction(token: str, line_no: int, what: str) -> Fraction:
         raise LeadSheetError(f"line {line_no}: bad {what} {token!r}") from None
 
 
-def _half_up_ticks(numerator: int, denominator: int) -> int:
-    """The tick nearest numerator/denominator beats at DEFAULT_RESOLUTION, a
-    half tick up, as `midi_io.beats_to_ticks` rounds, in integer arithmetic."""
-    return (2 * numerator * DEFAULT_RESOLUTION + denominator) // (2 * denominator)
-
-
 def parse_leadsheet(text: str) -> LeadSheet:
     sheet = LeadSheet(title="")
     bar = 0
@@ -259,8 +254,8 @@ def parse_leadsheet(text: str) -> LeadSheet:
             vel_tok = parts[3] if len(parts) == 4 else "80"
             if not (vel_tok.isdigit() and 1 <= int(vel_tok) <= 127):
                 raise LeadSheetError(f"line {line_no}: velocity {vel_tok!r} not an integer 1-127")
-            on = bar_start + _half_up_ticks(n, d)
-            off = bar_start + _half_up_ticks(n * dd + dn * d, d * dd)
+            on = bar_start + half_up_ticks(n, d, DEFAULT_RESOLUTION)
+            off = bar_start + half_up_ticks(n * dd + dn * d, d * dd, DEFAULT_RESOLUTION)
             sheet.melody.append((on, pitch, max(off - on, 1), int(vel_tok)))
             continue
 

@@ -237,9 +237,15 @@ def seconds_to_ticks(score: MidiScore, seconds: float) -> int:
     return prev_tick + round((seconds - elapsed) * prev_bpm / 60.0 * res)
 
 
+def half_up_ticks(numerator: int, denominator: int, resolution: int) -> int:
+    """The tick nearest numerator/denominator beats at `resolution` (a half
+    tick rounds up), in integer arithmetic."""
+    return (2 * numerator * resolution + denominator) // (2 * denominator)
+
+
 def beats_to_ticks(beat, resolution: int) -> int:
     """The tick nearest `beat` at `resolution`; a half tick rounds up."""
-    return int((2 * Fraction(beat) * resolution + 1) // 2)
+    return half_up_ticks(*Fraction(beat).as_integer_ratio(), resolution)
 
 
 def quantize(score: MidiScore, grid: int) -> MidiScore:

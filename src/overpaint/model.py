@@ -15,7 +15,7 @@ import json
 import math
 import struct
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -227,11 +227,11 @@ class TransformerLM:
         ids: np.ndarray,
         training: bool = False,
         rng: np.random.Generator | None = None,
-        last_only: bool = False,
         cache: KVCache | None = None,
         lengths: np.ndarray | None = None,
     ) -> Tensor:
-        """Logits over the vocabulary, from one of two paths.
+        """Logits over the vocabulary, from one of two paths: exactly one of
+        `lengths` and `cache` picks it.
 
         `ids` is (B, L) int; positions beyond max_len are rejected.
 
@@ -242,28 +242,24 @@ class TransformerLM:
         their (N, V) logits in row order. Dropout runs only when training with
         a generator supplied.
 
-        Cached (inference): each row of `ids` continues that row's positions
+        Cached (generation): each row of `ids` continues that row's positions
         in `cache`: it attends to its cached keys and values, and its own are
         appended. Rows may have read different numbers of positions only when
         each is given one token. It needs autodiff.no_grad and training off,
-        and returns (B, L, V) logits, or (B, 1, V) for last_only: the final
-        layer then projects keys and values for every position (they fill
-        the cache) but runs the queries, attention, feed-forward and output
-        projection on the last position alone.
-
-        With neither `lengths` nor a cache, the forward is inference over
-        whole rows: the cached path, through a throwaway cache, under no_grad.
-        A training forward takes `lengths`.
+        and returns each row's next-token logits, (B, 1, V): the final layer
+        projects keys and values for every position (they fill the cache) but
+        runs the queries, attention, feed-forward and output projection on the
+        last position alone.
         """
         cfg = self.config
         ids = np.asarray(ids)
         if ids.ndim != 2:
             raise ValueError("ids must be (batch, length)")
+        if (cache is None) == (lengths is None):
+            raise ValueError("a forward takes lengths or a cache, not both or neither")
         batch, length = ids.shape
         room, start, key_lengths = cfg.max_len, 0, None
         if cache is not None:
-            if lengths is not None:
-                raise ValueError("a cached forward takes no lengths")
             if training:
                 raise ValueError("a cached forward cannot train")
             if ad._grad_enabled:
@@ -276,16 +272,9 @@ class TransformerLM:
             start, key_lengths = cache.lengths[:, None], cache.lengths + length
         if length < 1 or length > room:
             raise ValueError(f"sequence length {length} outside 1..{room}")
-        if cache is None and lengths is None:
-            if training:
-                raise ValueError("a training forward takes lengths (a packed batch)")
-            with ad.no_grad():
-                return self.forward(ids, last_only=last_only, cache=KVCache(cfg, batch, length))
         tokens, positions = ids, start + np.arange(length)
         if lengths is not None:
             lengths = np.asarray(lengths)
-            if last_only:
-                raise ValueError("a packed forward (lengths) takes no last_only")
             if lengths.shape != (batch,) or not ((lengths >= 1) & (lengths <= length)).all():
                 raise ValueError(f"lengths must be {batch} lengths in 1..{length}")
             real = np.arange(length) < lengths[:, None]
@@ -308,7 +297,7 @@ class TransformerLM:
             v = ad.matmul(a, p[layer + "attn.wv"], p[layer + "attn.bv"])
             if cache is not None:
                 k, v = cache.extend(i, k, v)
-            if last_only and i == cfg.n_layers - 1:
+            if cache is not None and i == cfg.n_layers - 1:
                 # k and v above cover (and cache) every position; from here
                 # on only the last position's query side reaches the logits
                 a, x = (Tensor(t.data[:, -1:]) for t in (a, x))
@@ -576,15 +565,11 @@ def train(
     logs: list[EpochLog] = []
     target_positions = padded_positions = 0
 
-    log_file = open(log_path, "w", newline="", encoding="utf-8") if log_path else None
-    writer = None
-    if log_file:
-        writer = csv.writer(log_file)
-        writer.writerow(
-            ["epoch", "lr", "train_loss", "val_loss", "pre_sep_loss", "post_sep_loss", "seconds",
-             "tokens_per_s", "grad_norm"]
-        )
-    try:
+    log = open(log_path, "w", newline="", encoding="utf-8") if log_path else contextlib.nullcontext()
+    with log as log_file:
+        writer = csv.writer(log_file) if log_file else None
+        if writer:
+            writer.writerow([f.name for f in fields(EpochLog)])
         for epoch in range(1, train_config.max_epochs + 1):
             t0 = time.monotonic()
             order = shuffle_rng.permutation(len(train_sequences))
@@ -628,9 +613,6 @@ def train(
                     break
             if stop_at_train_loss is not None and train_loss < stop_at_train_loss:
                 break
-    finally:
-        if log_file:
-            log_file.close()
 
     model = TransformerLM.from_state_arrays(model_config, best_state)
     return TrainResult(model, best_epoch, best_val, logs, target_positions, padded_positions)
@@ -643,7 +625,8 @@ def nucleus_sample(
     logits: np.ndarray,
     p: float,
     temperature: float = 1.0,
-    rng: np.random.Generator | None = None,
+    *,
+    rng: np.random.Generator,
 ) -> int:
     """Sample from the smallest probability prefix reaching mass p.
 
@@ -664,7 +647,6 @@ def nucleus_sample(
         raise ValueError("logits must be a vector")
     if not np.isfinite(logits).all():
         raise NonFiniteError("non-finite logits passed to nucleus_sample")
-    rng = rng or np.random.default_rng()
 
     with np.errstate(over="ignore"):
         scaled = logits / temperature
@@ -690,7 +672,8 @@ def generate_batch(
     p: float = 0.9,
     temperature: float = 1.0,
     max_new: int = 512,
-    rngs: list[np.random.Generator] | None = None,
+    *,
+    rngs: list[np.random.Generator],
 ) -> list[list[int]]:
     """Continue several BOS...SEP primers together, primer i sampling from
     rngs[i]; returns each one's new tokens (EOS excluded), as a batch of that
@@ -708,8 +691,6 @@ def generate_batch(
             raise ValueError("empty primer")
         if len(primer) >= max_len:
             raise ValueError("primer already fills the context window")
-    if rngs is None:
-        rngs = [np.random.default_rng() for _ in primers]
     if len(rngs) != len(primers):
         raise ValueError(f"{len(rngs)} generators for {len(primers)} primers")
     outs: list[list[int]] = [[] for _ in primers]
@@ -722,7 +703,7 @@ def generate_batch(
     cache = KVCache(model.config, len(primers), capacity)
     with ad.no_grad():
         rows = [
-            model.forward(np.asarray([primer]), last_only=True, cache=cache.row(i)).data[0, -1]
+            model.forward(np.asarray([primer]), cache=cache.row(i)).data[0, 0]
             for i, primer in enumerate(primers)
         ]
         live = list(range(len(primers)))
@@ -730,7 +711,7 @@ def generate_batch(
             kept, fed = [], []
             for j, i in enumerate(live):
                 row = rows[j]
-                token = int(np.argmax(row)) if p <= 0 else nucleus_sample(row, p, temperature, rngs[i])
+                token = int(np.argmax(row)) if p <= 0 else nucleus_sample(row, p, temperature, rng=rngs[i])
                 if token == EOS:
                     continue
                 outs[i].append(token)
@@ -742,5 +723,5 @@ def generate_batch(
             if len(kept) < len(live):
                 cache.keep(kept)
                 live = [live[j] for j in kept]
-            rows = model.forward(np.asarray(fed)[:, None], cache=cache).data[:, -1]
+            rows = model.forward(np.asarray(fed)[:, None], cache=cache).data[:, 0]
     return outs

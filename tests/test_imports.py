@@ -1,6 +1,6 @@
 """numpy stays the package's only runtime dependency, every import is used,
-only the beat boundary names fractions, and the package holds nothing that only
-its tests reach."""
+only the beat boundary names fractions, every random draw is seeded by its
+caller, and the package holds nothing that only its tests reach."""
 
 import ast
 import re
@@ -66,6 +66,42 @@ def test_every_module_level_import_is_used():
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         unused += [f"{path.name}: {name}" for name in bound if name not in used]
     assert not unused, unused
+
+
+# Each takes a seed; given none, it seeds itself from fresh OS entropy.
+SEEDED_MAKERS = {"default_rng", "Random", "SeedSequence", "Generator", "PCG64", "Philox", "SFC64",
+                 "MT19937"}
+
+
+def unseeded_draws(tree):
+    """Line numbers of the calls in `tree` that draw from no caller's seed: a
+    generator or seed maker given no seed, and any other function of numpy's
+    or the standard library's random module (np.random.rand, random.shuffle,
+    ...), which draws from process-wide state."""
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+        if name in SEEDED_MAKERS:
+            if not node.args and not node.keywords:
+                yield node.lineno
+        elif isinstance(func, ast.Attribute) and ast.unparse(func.value) in ("random", "np.random",
+                                                                             "numpy.random"):
+            yield node.lineno
+
+
+def test_every_draw_is_seeded_by_its_caller():
+    """Reruns with one seed are byte-identical only if no draw falls back to
+    fresh OS entropy or process-wide generator state."""
+    unseeded = [f"{path.name}:{line}" for path in SOURCES
+                for line in unseeded_draws(ast.parse(path.read_text(encoding="utf-8")))]
+    assert not unseeded, f"unseeded draws: {unseeded}"
+    probe = ast.parse("np.random.default_rng()\nrandom.Random()\nnp.random.rand(3)\n"
+                      "random.shuffle(x)\nnp.random.SeedSequence()\n"
+                      "np.random.default_rng(0)\nrandom.Random(1)\nnp.random.SeedSequence(2)\n"
+                      "np.random.PCG64(seed=3)\nrng.random()\nrng.integers(4)\n")
+    assert list(unseeded_draws(probe)) == [1, 2, 3, 4, 5]
 
 
 def names_in(node):

@@ -10,14 +10,13 @@ import pytest
 import reference_leadsheet as ref
 from overpaint.alignment import chroma_frames, extract_pairs, viterbi_align
 from overpaint.leadsheet import (
-    _half_up_ticks,
     chord_template,
     chord_tones,
     original_segments,
     parse_chord,
     parse_leadsheet,
 )
-from overpaint.midi_io import DEFAULT_RESOLUTION, beats_to_ticks, score_from_ticks
+from overpaint.midi_io import DEFAULT_RESOLUTION, half_up_ticks, score_from_ticks
 
 SIGNATURES = [(3, 4), (6, 8), (5, 16), (7, 8), (12, 16)]
 CHORDS = ["C", "Am7", "Dm7", "G7", "Fmaj7", "Bb7b9", "E7/G#", "F#m7b5"]
@@ -96,13 +95,18 @@ def test_extract_pairs_windows_match_linear_scan(num, den):
     assert dropped == expected_dropped == ["s_w004: no chords in window"]
 
 
-def test_half_up_ticks_rounds_as_beats_to_ticks():
-    """The lead-sheet parser's integer rounding and midi_io.beats_to_ticks
-    state one rule: the tick nearest n/d beats, a half tick up."""
+def test_half_up_ticks_rounds_as_exact_fractions():
+    """The one half-up rule (the lead-sheet parser's, and beats_to_ticks')
+    gives the tick nearest n/d beats, a half tick up, as exact Fraction
+    rounding does, exact halves included."""
     rng = np.random.default_rng(31)
-    n, d = rng.integers(0, 10**6, 2000), rng.integers(1, 10**4, 2000)
-    # n/d beats = k + 1/2 ticks exactly: n = (2k + 1) * m, d = 2 * DEFAULT_RESOLUTION * m
-    k, m = rng.integers(0, 10**4, 500), rng.integers(1, 50, 500)
-    halves = [((2 * a + 1) * b, 2 * DEFAULT_RESOLUTION * b) for a, b in zip(k.tolist(), m.tolist())]
-    for num, den in [*zip(n.tolist(), d.tolist()), *halves, (0, 1), (1, 960)]:
-        assert _half_up_ticks(num, den) == beats_to_ticks(F(num, den), DEFAULT_RESOLUTION), (num, den)
+    n, d = rng.integers(-10**3, 10**6, 2000), rng.integers(1, 10**4, 2000)
+    cases = [(num, den, DEFAULT_RESOLUTION) for num, den in zip(n.tolist(), d.tolist())]
+    # n/d beats = k + 1/2 ticks exactly: n = (2k + 1) * m, d = 2 * res * m
+    for res in (1, 7, DEFAULT_RESOLUTION):
+        k, m = rng.integers(-50, 10**4, 200), rng.integers(1, 50, 200)
+        cases += [((2 * a + 1) * b, 2 * res * b, res) for a, b in zip(k.tolist(), m.tolist())]
+    for num, den, res in [*cases, (0, 1, 480), (1, 960, 480), (1, 961, 480)]:
+        exact = F(num * res, den)
+        want = math.floor(exact) + (exact - math.floor(exact) >= F(1, 2))
+        assert half_up_ticks(num, den, res) == want, (num, den, res)

@@ -71,27 +71,35 @@ def test_parameter_counts():
 # --- forward pass -----------------------------------------------------------------
 
 def test_forward_shapes_and_validation():
+    """The packed forward returns every real position's logits, (N, V); the
+    cached one each row's next-token logits, (B, 1, V). A forward takes
+    exactly one of lengths and a cache."""
     model = TransformerLM(TINY, seed=0)
     ids = np.array([[1, 5, 9, 3], [2, 6, 7, 7]])
-    out = model.forward(ids)
-    assert out.shape == (2, 4, 50)
-    last = model.forward(ids, last_only=True)
+    cache = KVCache(TINY, batch=2, capacity=4)
+    with no_grad():
+        packed = model.forward(ids, lengths=[4, 4])
+        last = model.forward(ids, cache=cache)
+    assert packed.shape == (8, 50)
     assert last.shape == (2, 1, 50)
-    assert np.allclose(last.data[:, 0], out.data[:, -1], atol=1e-6)
+    assert np.allclose(last.data[:, 0], packed.data.reshape(2, 4, 50)[:, -1], atol=1e-6)
+    for both_or_neither in ({}, {"lengths": [4, 4], "cache": cache}):
+        with pytest.raises(ValueError, match="lengths or a cache, not both or neither"):
+            model.forward(ids, **both_or_neither)
 
     with pytest.raises(ValueError, match="batch"):
-        model.forward(np.array([1, 2, 3]))
-    with pytest.raises(ValueError, match="length"):
-        model.forward(np.zeros((1, 0), dtype=int))
-    with pytest.raises(ValueError, match="length"):
-        model.forward(np.zeros((1, 33), dtype=int))
+        model.forward(np.array([1, 2, 3]), lengths=[3])
+    with pytest.raises(ValueError, match="sequence length"):
+        model.forward(np.zeros((1, 0), dtype=int), lengths=[0])
+    with pytest.raises(ValueError, match="sequence length"):
+        model.forward(np.zeros((1, 33), dtype=int), lengths=[33])
     dropped = TransformerLM(
         ModelConfig(vocab_size=50, n_layers=1, d_model=16, n_heads=4, d_ff=32,
                     max_len=32, dropout=0.2)
     )
     with pytest.raises(ValueError, match="rng"):
         dropped.forward(ids, training=True, lengths=[4, 4])
-    with pytest.raises(ValueError, match="takes lengths"):
+    with pytest.raises(ValueError, match="lengths or a cache"):
         dropped.forward(ids, training=True, rng=np.random.default_rng(0))
 
 
@@ -99,13 +107,14 @@ def test_forward_is_causal_bitwise():
     model = TransformerLM(TINY, seed=1)
     rng = np.random.default_rng(2)
     ids = rng.integers(0, 50, size=(1, 10))
-    base = model.forward(ids).data
-    for cut in (3, 7):
-        altered = ids.copy()
-        altered[0, cut] = (altered[0, cut] + 11) % 50
-        out = model.forward(altered).data
-        assert np.array_equal(out[:, :cut], base[:, :cut])
-        assert not np.array_equal(out[:, cut:], base[:, cut:])
+    with no_grad():
+        base = model.forward(ids, lengths=[10]).data
+        for cut in (3, 7):
+            altered = ids.copy()
+            altered[0, cut] = (altered[0, cut] + 11) % 50
+            out = model.forward(altered, lengths=[10]).data
+            assert np.array_equal(out[:cut], base[:cut])
+            assert not np.array_equal(out[cut:], base[cut:])
 
 
 def test_forward_dropout_is_seeded():
@@ -124,7 +133,7 @@ def test_forward_lengths_change_nothing_real(dtype, tol, monkeypatch):
     """A padded batch's forward with `lengths` returns (N, V) logits, one row
     per real position in row order, that match the reference forward's
     logits of the padded batch at those positions and each row's own
-    (cached) forward."""
+    packed forward."""
     monkeypatch.setattr(autodiff, "_QUERY_TILE", 4)  # so short rows skip tiles
     config = ModelConfig(vocab_size=50, n_layers=2, d_model=16, n_heads=4, d_ff=32,
                          max_len=32, dropout=0.2, dtype=dtype)
@@ -140,7 +149,8 @@ def test_forward_lengths_change_nothing_real(dtype, tol, monkeypatch):
         assert packed.shape == (lengths.sum(), 50) and packed.dtype == dtype
         assert np.allclose(packed, reference_forward(model, inputs)[real], rtol=0, atol=tol)
         for seq, row in zip(seqs, np.split(packed, np.cumsum(lengths)[:-1])):
-            assert np.allclose(row, model.forward(seq[None, :-1]).data[0], rtol=0, atol=tol)
+            alone = model.forward(seq[None, :-1], lengths=[len(seq) - 1]).data
+            assert np.allclose(row, alone, rtol=0, atol=tol)
 
     def dropped(seed):
         return model.forward(inputs, training=True, rng=np.random.default_rng(seed),
@@ -150,8 +160,6 @@ def test_forward_lengths_change_nothing_real(dtype, tol, monkeypatch):
     for bad in ([18, 11], [18, 11, 0], [19, 11, 4]):
         with pytest.raises(ValueError, match="lengths must be"):
             model.forward(inputs, lengths=bad)
-    with pytest.raises(ValueError, match="last_only"):
-        model.forward(inputs, lengths=lengths, last_only=True)
 
 
 @pytest.mark.parametrize("dtype, tol", [("float32", 1e-6), ("float64", 1e-12)])
@@ -223,8 +231,8 @@ def test_fresh_model_loss_is_near_uniform():
     rng = np.random.default_rng(4)
     ids = rng.integers(4, 929, size=(2, 24))
     with no_grad():
-        logits = model.forward(ids[:, :-1])
-    loss = cross_entropy(logits, ids[:, 1:]).item()
+        logits = model.forward(ids[:, :-1], lengths=[23, 23])
+    loss = cross_entropy(logits, ids[:, 1:].ravel()).item()
     assert abs(loss - math.log(929)) / math.log(929) < 0.05
 
 
@@ -268,7 +276,8 @@ def test_checkpoint_round_trip(tmp_path, dtype):
         # its own copy, not a view of the file's bytes
         assert loaded.params[name].data.flags.owndata and loaded.params[name].data.flags.writeable
     ids = np.array([[1, 2, 3]])
-    assert np.array_equal(loaded.forward(ids).data, model.forward(ids).data)
+    with no_grad():
+        assert np.array_equal(loaded.forward(ids, lengths=[3]).data, model.forward(ids, lengths=[3]).data)
 
 
 def test_version_1_checkpoint_loads_without_its_key_bias():
@@ -282,7 +291,9 @@ def test_version_1_checkpoint_loads_without_its_key_bias():
     for name, p in fresh.params.items():
         assert np.array_equal(loaded.params[name].data, p.data), name
     ids = np.array([[1, 5, 9, 3], [2, 6, 7, 7]])
-    assert np.array_equal(loaded.forward(ids).data, fresh.forward(ids).data)
+    with no_grad():
+        assert np.array_equal(loaded.forward(ids, lengths=[4, 4]).data,
+                              fresh.forward(ids, lengths=[4, 4]).data)
 
 
 def test_version_1_checkpoint_with_a_nonzero_key_bias_is_rejected(tmp_path):
@@ -401,8 +412,8 @@ def test_train_runs_and_learns(tmp_path):
     for i, s in enumerate(val_seqs):
         batch[i, : len(s)] = s
     with no_grad():
-        logits = result.model.forward(batch[:, :-1])
-    loss = cross_entropy(logits, batch[:, 1:], ignore_index=PAD).item()
+        logits = result.model.forward(batch[:, :-1], lengths=[batch.shape[1] - 1] * len(val_seqs))
+    loss = cross_entropy(logits, batch[:, 1:].ravel(), ignore_index=PAD).item()
     assert loss == pytest.approx(result.best_val_loss, abs=1e-6)
 
 
@@ -521,12 +532,12 @@ def test_epoch_pass_losses_are_the_rows_own():
         sums = np.zeros(3)
         counts = np.zeros(3)
         for seq in seqs:
-            logits = model.forward(seq[None, :-1])
-            _, each = cross_entropy(logits, seq[None, 1:], return_elementwise=True)
+            logits = model.forward(seq[None, :-1], lengths=[len(seq) - 1])
+            _, each = cross_entropy(logits, seq[1:], return_elementwise=True)
             sep = list(seq[:-1]).index(SEP) if SEP in seq[:-1] else len(seq)
             before = np.arange(1, len(seq)) <= sep
             for j, mask in enumerate((before | ~before, before, ~before)):
-                sums[j] += each[0][mask].sum()
+                sums[j] += each[mask].sum()
                 counts[j] += mask.sum()
     assert np.allclose([loss, pre, post], sums / counts, rtol=1e-12, atol=0)
     assert real == counts[0]
@@ -604,6 +615,8 @@ def test_nucleus_sample_validation():
         nucleus_sample(FIXTURE_LOGITS, 0.9, temperature=1e-310, rng=rng)
     with pytest.raises(ValueError, match="vector"):
         nucleus_sample(np.zeros((2, 2)), 0.9, rng=rng)
+    with pytest.raises(TypeError, match="rng"):  # every draw takes its caller's generator
+        nucleus_sample(FIXTURE_LOGITS, 0.9)
 
 
 def test_nucleus_keeps_smallest_prefix_reaching_p():
@@ -664,7 +677,7 @@ def test_nucleus_draw_matches_rng_choice():
         temperature = float(rows.choice([0.5, 1.0, 2.0]))
         fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
         for _ in range(5):
-            assert nucleus_sample(logits, p, temperature, fast) == choice_nucleus_sample(
+            assert nucleus_sample(logits, p, temperature, rng=fast) == choice_nucleus_sample(
                 logits, p, temperature, slow
             )
         assert fast.bit_generator.state == slow.bit_generator.state
@@ -701,7 +714,7 @@ class ScriptedModel:
         self.script = list(script)
         self.calls = 0
 
-    def forward(self, ids, training=False, rng=None, last_only=False, cache=None):
+    def forward(self, ids, training=False, rng=None, cache=None):
         token = self.script[min(self.calls, len(self.script) - 1)]
         self.calls += 1
         row = np.full((1, 1, self.config.vocab_size), -30.0, dtype=np.float32)
@@ -709,18 +722,24 @@ class ScriptedModel:
         return Tensor(row)
 
 
+def greedy(model, primers, **kwargs):
+    """generate_batch at p=0, which draws nothing from its generators."""
+    return generate_batch(model, primers, p=0.0, rngs=[np.random.default_rng(0) for _ in primers],
+                          **kwargs)
+
+
 def test_generate_follows_logits_and_stops_at_eos():
     model = ScriptedModel([5, 6, 7, EOS, 8])
-    out = generate_batch(model, [[BOS, 4, SEP]], p=0.0)[0]  # greedy
+    out = greedy(model, [[BOS, 4, SEP]])[0]
     assert out == [5, 6, 7]
     assert model.calls == 4  # EOS step consumed, nothing after
 
 
 def test_generate_respects_max_new_and_context_window():
     model = ScriptedModel([5] * 50)
-    assert generate_batch(model, [[BOS]], p=0.0, max_new=7)[0] == [5] * 7
+    assert greedy(model, [[BOS]], max_new=7)[0] == [5] * 7
     small = ScriptedModel([5] * 50, max_len=6)
-    assert generate_batch(small, [[BOS, 4, SEP, 4]], p=0.0, max_new=100)[0] == [5, 5]
+    assert greedy(small, [[BOS, 4, SEP, 4]], max_new=100)[0] == [5, 5]
 
 
 def test_generate_nucleus_path_matches_peaked_logits():
@@ -732,15 +751,15 @@ def test_generate_nucleus_path_matches_peaked_logits():
 def test_generate_validates_primer():
     model = ScriptedModel([5])
     with pytest.raises(ValueError, match="empty"):
-        generate_batch(model, [[]])
+        greedy(model, [[]])
     with pytest.raises(ValueError, match="context window"):
-        generate_batch(model, [list(range(16))])
+        greedy(model, [list(range(16))])
 
 
 def test_generate_greedy_is_deterministic():
     model = TransformerLM(TINY, seed=20)
-    a = generate_batch(model, [[1, 5, 9]], p=0.0, max_new=12)[0]
-    b = generate_batch(model, [[1, 5, 9]], p=0.0, max_new=12)[0]
+    a = greedy(model, [[1, 5, 9]], max_new=12)[0]
+    b = greedy(model, [[1, 5, 9]], max_new=12)[0]
     assert a == b and len(a) <= 12
 
 
@@ -758,11 +777,9 @@ def test_cached_forward_matches_full_forward(dtype, tol):
     with no_grad():
         for size in (7, 1, 4, 1, 1, 6):  # prefill, single steps, multi-token chunks
             got = model.forward(ids[:, start : start + size], cache=cache).data
-            assert got.dtype == dtype
-            assert np.abs(got - full[:, start : start + size]).max() < tol
             start += size
-            last = model.forward(ids[:, :start], last_only=True).data
-            assert np.abs(last - full[:, start - 1 : start]).max() < tol
+            assert got.dtype == dtype and got.shape == (2, 1, 50)
+            assert np.abs(got - full[:, start - 1 : start]).max() < tol
     assert cache.lengths.tolist() == [config.max_len] * 2
 
 
@@ -797,7 +814,7 @@ def test_cached_greedy_generate_matches_uncached_loop(dtype):
     model = scaled_model(dtype, seed=23)
     for primer in ([BOS], [BOS, 7, 8, 9, SEP], list(range(4, 28))):
         want = uncached_greedy(model, primer, max_new=40)
-        assert generate_batch(model, [primer], p=0.0, max_new=40)[0] == want
+        assert greedy(model, [primer], max_new=40)[0] == want
         assert len(primer) + len(want) == model.config.max_len  # ran into the context window
 
 
@@ -812,7 +829,7 @@ def test_cached_forward_rejects_training_gradients_and_overflow():
     with no_grad():
         with pytest.raises(ValueError, match="batch"):
             model.forward(np.zeros((2, 3), dtype=int), cache=cache)
-        with pytest.raises(ValueError, match="no lengths"):
+        with pytest.raises(ValueError, match="lengths or a cache"):
             model.forward(ids, cache=cache, lengths=[3])
         assert cache.lengths.tolist() == [0]  # a rejected forward leaves the cache as it was
         model.forward(np.zeros((1, TINY.max_len - 2), dtype=int), cache=cache)
@@ -909,9 +926,9 @@ def test_cache_keep_compacts_rows_in_place():
 @pytest.mark.parametrize("dtype, tol", [("float32", 1e-5), ("float64", 1e-12)])
 @pytest.mark.parametrize("name", ["model1", "model2"])
 def test_every_forward_path_matches_the_reference(name, dtype, tol):
-    """Each preset's packed forward over rows of mixed lengths, its uncached
-    last_only forward, and a cached last_only prefill of each row alone
-    followed by ragged one-token decode steps agree with the reference."""
+    """Each preset's packed forward over rows of mixed lengths, and a cached
+    prefill of each row alone followed by ragged one-token decode steps,
+    agree with the reference."""
     model = TransformerLM(preset(name, 40, dtype=dtype), seed=40)
     rng = np.random.default_rng(41)
     seqs = [rng.integers(4, 40, size=n) for n in (70, 33, 6, 1)]
@@ -924,12 +941,11 @@ def test_every_forward_path_matches_the_reference(name, dtype, tol):
         assert np.abs(got - want).max() <= tol
 
     close(model.forward(ids, lengths=lengths).data, want[np.arange(70) < lengths[:, None]])
-    close(model.forward(ids, last_only=True).data, want[:, -1:])
     cache = KVCache(model.config, batch=len(seqs), capacity=80)
     contexts = [list(s) for s in seqs]
     with no_grad():
         for i, context in enumerate(contexts):
-            close(model.forward(np.asarray([context]), last_only=True, cache=cache.row(i)).data[0],
+            close(model.forward(np.asarray([context]), cache=cache.row(i)).data[0],
                   reference_forward(model, [context])[0, -1:])
         for _ in range(3):
             fed = rng.integers(4, 40, size=len(seqs))
@@ -959,7 +975,7 @@ def test_cache_is_head_major_and_attention_reads_it_in_place(monkeypatch):
     primers = [[1, 5, 9], [2, 6, 7, 7, 3]]
     with no_grad():
         for i, primer in enumerate(primers):
-            model.forward(np.asarray([primer]), last_only=True, cache=cache.row(i))
+            model.forward(np.asarray([primer]), cache=cache.row(i))
         model.forward(np.array([[4], [8]]), cache=cache)
     assert len(read) == 3 * config.n_layers
     for step, (k, v) in enumerate(read):
@@ -982,15 +998,16 @@ def test_cache_is_head_major_and_attention_reads_it_in_place(monkeypatch):
 
 
 @pytest.mark.parametrize("dtype, tol", [("float32", 1e-6), ("float64", 1e-12)])
-def test_last_only_forward_runs_its_final_query_side_on_one_position(dtype, tol, monkeypatch):
-    """A last_only forward's final layer projects keys and values for every
-    position but runs q, wo, the feed-forward and the output projection on
-    the last position alone; its logits match the reference forward's last
-    position and it fills a cache bitwise as a full-output prefill does."""
+def test_cached_forward_runs_its_final_query_side_on_one_position(dtype, tol, monkeypatch):
+    """A cached forward's final layer projects keys and values for every
+    position (they fill the cache) but runs q, wo, the feed-forward and the
+    output projection on the last position alone; its logits match the
+    reference forward's last position. A one-token step runs every layer on
+    that one position."""
     config = ModelConfig(vocab_size=50, n_layers=2, d_model=16, n_heads=4, d_ff=32,
                          max_len=20, dropout=0.1, dtype=dtype)
     model = TransformerLM(config, seed=37)
-    ids = np.random.default_rng(38).integers(0, 50, size=(2, 9))
+    ids = np.random.default_rng(38).integers(0, 50, size=(2, 10))
     full = reference_forward(model, ids)
 
     names = {id(t): name for name, t in model.params.items()}
@@ -1001,23 +1018,22 @@ def test_last_only_forward_runs_its_final_query_side_on_one_position(dtype, tol,
         return matmul(a, b, bias)
 
     monkeypatch.setattr(autodiff, "matmul", recording)
-    last = model.forward(ids, last_only=True).data
+    cache = KVCache(config, batch=2, capacity=12)
+    with no_grad():
+        last = model.forward(ids[:, :9], cache=cache).data
     final = {name.split(".", 1)[1]: shape for name, shape in seen if name.startswith("layer1.")}
     assert final == {"attn.wk": (2, 9, 16), "attn.wv": (2, 9, 16), "attn.wq": (2, 1, 16),
                      "attn.wo": (2, 1, 16), "ff.w1": (2, 1, 16), "ff.w2": (2, 1, 32)}
     assert all(shape[1] == 9 for name, shape in seen if name.startswith("layer0."))
     assert seen[-1] == ("output", (2, 1, 16))
     assert last.shape == (2, 1, 50) and last.dtype == dtype
-    assert np.abs(last[:, 0] - full[:, -1]).max() <= tol
+    assert np.abs(last[:, 0] - full[:, 8]).max() <= tol
 
-    caches = [KVCache(config, batch=2, capacity=12) for _ in range(2)]
+    seen.clear()
     with no_grad():
-        model.forward(ids, cache=caches[0])
-        model.forward(ids, last_only=True, cache=caches[1])
-    for a, b in zip(caches[0].keys + caches[0].values, caches[1].keys + caches[1].values):
-        assert np.array_equal(a, b)
-    with pytest.raises(ValueError, match="takes lengths"):  # last_only is inference only
-        model.forward(ids, training=True, rng=np.random.default_rng(0), last_only=True)
+        step = model.forward(ids[:, 9:], cache=cache).data
+    assert seen and all(shape[:2] == (2, 1) for _, shape in seen)
+    assert np.abs(step[:, 0] - full[:, 9]).max() <= tol
 
 
 PRIMERS = ([BOS], [BOS, 7, 8, 9, SEP], list(range(4, 28)), [BOS, 11, 12, 13, 14, 15, 16, SEP])
@@ -1027,8 +1043,8 @@ PRIMERS = ([BOS], [BOS, 7, 8, 9, SEP], list(range(4, 28)), [BOS, 11, 12, 13, 14,
 def test_greedy_generate_batch_matches_per_row_generate(dtype):
     model = scaled_model(dtype, seed=23)
     for max_new in (3, 8, 40):  # rows leave the batch on max_new or the window
-        want = [generate_batch(model, [primer], p=0.0, max_new=max_new)[0] for primer in PRIMERS]
-        assert generate_batch(model, PRIMERS, p=0.0, max_new=max_new) == want
+        want = [greedy(model, [primer], max_new=max_new)[0] for primer in PRIMERS]
+        assert greedy(model, PRIMERS, max_new=max_new) == want
     # at 40 every row ran into the window, so the rows left at different steps
     assert [len(p) + len(w) for p, w in zip(PRIMERS, want)] == [model.config.max_len] * 4
 
@@ -1045,10 +1061,10 @@ def test_generate_batch_cache_is_sized_to_the_budget(monkeypatch):
 
     monkeypatch.setattr(model_module, "KVCache", Recording)
     model = scaled_model("float32", seed=23)
-    out = generate_batch(model, [[BOS, 4, 5], [BOS, 4, 5, 6, 7, 8, 9]], p=0.0, max_new=8)
+    out = greedy(model, [[BOS, 4, 5], [BOS, 4, 5, 6, 7, 8, 9]], max_new=8)
     assert [len(o) for o in out] == [8, 8]  # both ran to the budget: no EOS
     assert capacities == [7 + 8 - 1]  # the longest row's last fed token fills it exactly
-    generate_batch(model, PRIMERS, p=0.0, max_new=100)
+    greedy(model, PRIMERS, max_new=100)
     assert capacities[-1] == model.config.max_len
 
 
@@ -1070,11 +1086,13 @@ def test_generate_batch_reversed_order_permutes_outputs():
 
 def test_generate_batch_validation():
     model = TransformerLM(TINY, seed=30)
-    assert generate_batch(model, [], p=0.0) == []
-    assert generate_batch(model, [[BOS]], p=0.0, max_new=0) == [[]]
+    assert greedy(model, []) == []
+    assert greedy(model, [[BOS]], max_new=0) == [[]]
     with pytest.raises(ValueError, match="generators"):
         generate_batch(model, [[BOS], [BOS]], rngs=[np.random.default_rng(0)])
     with pytest.raises(ValueError, match="empty"):
-        generate_batch(model, [[BOS], []])
+        greedy(model, [[BOS], []])
     with pytest.raises(ValueError, match="context window"):
-        generate_batch(model, [[BOS], list(range(TINY.max_len))])
+        greedy(model, [[BOS], list(range(TINY.max_len))])
+    with pytest.raises(TypeError, match="rngs"):  # every draw takes its caller's generators
+        generate_batch(model, [[BOS]], p=0.9)
